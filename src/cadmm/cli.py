@@ -88,6 +88,8 @@ def cmd_solve(args) -> int:
     name = prob.meta.get("name", args.problem or args.generate)
     rec = io.record_from_result(name, args.solver, result)
     print(rec.summary_line())
+    if result.message:
+        print(result.message, file=sys.stderr)
     if args.out:
         io.write_result(result, result.report, args.out, problem_name=name,
                         solver_name=args.solver,

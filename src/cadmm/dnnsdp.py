@@ -158,103 +158,83 @@ def cached_lambda_max(prob: DnnSdpProblem) -> float:
     return lam
 
 
+def _sweep(it: DnnSdpIterate, prob: DnnSdpProblem):
+    """Gauss-Seidel sweep y_I -> Z -> y_E -> S with proximal centres at the
+    ``t_*`` points.
+
+    Returns ``(yI, Z, yE, S, f_pred, f_full)``: the new blocks (``yI`` is
+    None in the 3-block case) and the constraint map
+    A_I* y_I + Z + A_E* y_E + S - C after the first block only and after
+    all of them.
+    """
+    # Constraint contribution of each block in sweep order, at its centre
+    # until the block is updated (the first block's is never read).
+    terms = {"Z": it.t_Z, "yE": prob.A_E.adjoint(it.t_yE), "S": it.t_S}
+    if prob.four_block:
+        terms = {"yI": None, **terms}
+
+    def f(skip=None):
+        rest = [t for name, t in terms.items() if name != skip]
+        return sum(rest[1:], rest[0]) - prob.C
+
+    yI = None
+    if prob.four_block:
+        yI = update_yI(prob, cached_lambda_max(prob), it.X, f("yI"), it.t_yI, it.sigma)
+        terms["yI"] = prob.A_I.adjoint(yI)
+        f_pred = f()
+    Z = terms["Z"] = update_Z(prob, it.X, f("Z"), it.sigma)
+    if yI is None:
+        f_pred = f()
+    yE = update_yE(prob, it.X, f("yE"), it.sigma)
+    terms["yE"] = prob.A_E.adjoint(yE)
+    S = terms["S"] = update_S(it.X, f("S"), it.sigma)
+    return yI, Z, yE, S, f_pred, f()
+
+
 def cadmm_step(it: DnnSdpIterate, prob: DnnSdpProblem,
                cfg: SolverConfig) -> DnnSdpIterate:
     """One full corrected iteration: prediction sweep in the order
     y_I -> Z -> y_E -> S, adaptive multiplier step, then correction of the
     middle blocks (y_E, and Z in the 4-block case) against the corrected
     base points."""
-    sigma = it.sigma
-    x = it.X
-    C = prob.C
-    four = prob.four_block
-    adjE_t = prob.A_E.adjoint(it.t_yE)
-
-    if four:
-        lam = cached_lambda_max(prob)
-        r1 = it.t_Z + adjE_t + it.t_S - C
-        yI_new = update_yI(prob, lam, x, r1, it.t_yI, sigma)
-        adjI_new = prob.A_I.adjoint(yI_new)
-        f_pred = adjI_new + it.t_Z + adjE_t + it.t_S - C
-        rZ = adjI_new + adjE_t + it.t_S - C
-    else:
-        yI_new = None
-        adjI_new = None
-        rZ = adjE_t + it.t_S - C
-    Z_new = update_Z(prob, x, rZ, sigma)
-    if not four:
-        f_pred = Z_new + adjE_t + it.t_S - C
-
-    rE = (adjI_new + Z_new + it.t_S - C) if four else (Z_new + it.t_S - C)
-    yE_new = update_yE(prob, x, rE, sigma)
-    adjE_new = prob.A_E.adjoint(yE_new)
-
-    rS = (adjI_new + Z_new + adjE_new - C) if four else (Z_new + adjE_new - C)
-    S_new = update_S(x, rS, sigma)
-
-    f_full = (adjI_new + Z_new + adjE_new + S_new - C) if four \
-        else (Z_new + adjE_new + S_new - C)
-
+    yI_new, Z_new, yE_new, S_new, f_pred, f_full = _sweep(it, prob)
     if it.k == 0:
         tau_k = cfg.tau0
     else:
         d_last = S_new - it.S
         delta = compute_delta(f_pred, f_full, float(np.vdot(d_last, d_last)), cfg.eps)
         tau_k = update_tau(it.tau, delta, cfg.tau_bar)
-    X_new = x + (tau_k * sigma) * f_full
+    X_new = it.X + (tau_k * it.sigma) * f_full
 
     # Correction, backwards over the middle blocks; last and first blocks
     # (and the multiplier) keep their predicted values.
     dS = S_new - it.t_S
     t_yE_new = it.t_yE + cfg.alpha * (yE_new - it.t_yE) - gram_solve(
         prob.A_E, prob.A_E.apply(dS))
-    if four:
+    if prob.four_block:
         d = prob.A_E.adjoint(t_yE_new - it.t_yE) + dS
         t_Z_new = it.t_Z + cfg.alpha * (Z_new - it.t_Z) - d
     else:
         t_Z_new = Z_new
 
-    out = DnnSdpIterate(
+    return DnnSdpIterate(
         Z=Z_new, yE=yE_new, S=S_new, X=X_new,
         t_Z=t_Z_new, t_yE=t_yE_new, t_S=S_new,
         yI=yI_new, t_yI=yI_new,
-        tau=tau_k, sigma=sigma, k=it.k + 1)
-    return out
+        tau=tau_k, sigma=it.sigma, k=it.k + 1)
 
 
 def dext_step(it: DnnSdpIterate, prob: DnnSdpProblem, cfg: SolverConfig,
               tau: float) -> DnnSdpIterate:
-    """Directly extended sweep: same subproblems with proximal centers at
-    the previous iterates, fixed multiplier step, no correction."""
-    sigma = it.sigma
-    x = it.X
-    C = prob.C
-    four = prob.four_block
-    adjE_prev = prob.A_E.adjoint(it.yE)
-
-    if four:
-        lam = cached_lambda_max(prob)
-        r1 = it.Z + adjE_prev + it.S - C
-        yI_new = update_yI(prob, lam, x, r1, it.yI, sigma)
-        adjI_new = prob.A_I.adjoint(yI_new)
-        rZ = adjI_new + adjE_prev + it.S - C
-    else:
-        yI_new = None
-        adjI_new = None
-        rZ = adjE_prev + it.S - C
-    Z_new = update_Z(prob, x, rZ, sigma)
-    rE = (adjI_new + Z_new + it.S - C) if four else (Z_new + it.S - C)
-    yE_new = update_yE(prob, x, rE, sigma)
-    adjE_new = prob.A_E.adjoint(yE_new)
-    rS = (adjI_new + Z_new + adjE_new - C) if four else (Z_new + adjE_new - C)
-    S_new = update_S(x, rS, sigma)
-    f_full = (adjI_new + Z_new + adjE_new + S_new - C) if four \
-        else (Z_new + adjE_new + S_new - C)
-    X_new = x + (tau * sigma) * f_full
+    """Directly extended iteration: the same sweep, a fixed multiplier step
+    and no correction. The centres ``t_*`` are set to the new iterates, so
+    the next sweep is centred at the previous iterates."""
+    yI_new, Z_new, yE_new, S_new, _, f_full = _sweep(it, prob)
+    X_new = it.X + (tau * it.sigma) * f_full
     return DnnSdpIterate(
         Z=Z_new, yE=yE_new, S=S_new, X=X_new,
         t_Z=Z_new, t_yE=yE_new, t_S=S_new, yI=yI_new, t_yI=yI_new,
-        tau=tau, sigma=sigma, k=it.k + 1)
+        tau=tau, sigma=it.sigma, k=it.k + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -420,26 +400,16 @@ def default_max_iters(prob: DnnSdpProblem) -> int:
     return 40000 if prob.four_block else 20000
 
 
-def _iterate_blocks(it: DnnSdpIterate):
-    blocks = [it.Z, it.yE, it.S, it.X]
-    if it.yI is not None:
-        blocks.append(it.yI)
-    return blocks
-
-
 def _diverged(it: DnnSdpIterate) -> bool:
-    for b in _iterate_blocks(it):
-        if not np.isfinite(b).all() or np.linalg.norm(b) > engine.DIVERGENCE_GUARD:
-            return True
-    return False
+    blocks = [it.Z, it.yE, it.S, it.X] + ([] if it.yI is None else [it.yI])
+    return any(not np.isfinite(b).all() or np.linalg.norm(b) > engine.DIVERGENCE_GUARD
+               for b in blocks)
 
 
-def cadmm_solve(prob: DnnSdpProblem, cfg: SolverConfig = None,
-                policy: TuningPolicy = None, callback=None) -> SolveResult:
-    """Corrected ADMM with sigma balancing and restarts; terminates when
-    the max relative residual eta drops below ``cfg.tol``."""
-    cfg = cfg or SolverConfig()
-    policy = policy if policy is not None else TuningPolicy()
+def _solve(prob: DnnSdpProblem, cfg: SolverConfig, policy: TuningPolicy,
+           callback, step) -> SolveResult:
+    """The solve loop shared by the corrected and the directly extended
+    method; ``step(it, prob, cfg)`` makes one iteration."""
     max_iters = cfg.max_iters if cfg.max_iters is not None else default_max_iters(prob)
     freeze_after = policy.freeze_iteration(max_iters)
     gram_factor(prob.A_E)
@@ -449,22 +419,16 @@ def cadmm_solve(prob: DnnSdpProblem, cfg: SolverConfig = None,
     it = initial_iterate(prob, cfg.sigma, cfg.tau0)
     eta_history: list = []
     tau_history: list = []
-    sigma_history: list = []
     restarts: list = []
-    history = [] if cfg.record_history else None
-    last_restart = 0
     report = None
     status = MAX_ITERS
     t0 = time.perf_counter()
     while it.k < max_iters:
-        it = cadmm_step(it, prob, cfg)
+        it = step(it, prob, cfg)
         report = residuals(it, prob)
         eta = report.eta
         eta_history.append(eta)
         tau_history.append(it.tau)
-        sigma_history.append(it.sigma)
-        if history is not None:
-            history.append({"iterate": it, "report": report})
         if callback is not None:
             callback(it, report)
         if _diverged(it):
@@ -476,60 +440,42 @@ def cadmm_solve(prob: DnnSdpProblem, cfg: SolverConfig = None,
         new_sigma = tune_sigma(report, it.sigma, it.k, policy, freeze_after)
         if new_sigma != it.sigma:
             it = replace(it, sigma=new_sigma)
-        it, restarted = maybe_restart(eta_history, it, policy, cfg.tau0, last_restart)
+        it, restarted = maybe_restart(eta_history, it, policy, cfg.tau0,
+                                      restarts[-1] if restarts else 0)
         if restarted:
             restarts.append(it.k)
-            last_restart = it.k
     wall = time.perf_counter() - t0
     return SolveResult(
         status=status, iterations=it.k,
         residual=report.eta if report is not None else math.inf,
         z=[it.Z, it.yE, it.S] if not prob.four_block else [it.yI, it.Z, it.yE, it.S],
         x=it.X, tau_final=it.tau, tau_history=tau_history,
-        wall_seconds=wall, restarts=restarts, history=history,
+        wall_seconds=wall, restarts=restarts,
         report=report, sigma_final=it.sigma,
         message="" if status != DIVERGED else
         f"non-finite or oversized iterate at k={it.k}; last eta history "
         f"{[f'{e:.2e}' for e in eta_history[-3:]]}")
 
 
+def cadmm_solve(prob: DnnSdpProblem, cfg: SolverConfig = None,
+                policy: TuningPolicy = None, callback=None) -> SolveResult:
+    """Corrected ADMM with sigma balancing and restarts; terminates when
+    the max relative residual eta drops below ``cfg.tol``."""
+    return _solve(prob, cfg or SolverConfig(),
+                  policy if policy is not None else TuningPolicy(), callback,
+                  cadmm_step)
+
+
 def dext_solve(prob: DnnSdpProblem, cfg: SolverConfig = None, tau: float = 1.618,
                policy: TuningPolicy = None, callback=None) -> SolveResult:
     """Directly extended ADMM baseline on the same problem; no convergence
-    guarantee, same termination measure and sigma balancing."""
-    cfg = cfg or SolverConfig()
+    guarantee, same termination measure, sigma balancing and divergence
+    guard. It never restarts: its centres are already the previous
+    iterates and its step is fixed, so a restart would reset nothing."""
     policy = policy if policy is not None else TuningPolicy()
-    max_iters = cfg.max_iters if cfg.max_iters is not None else default_max_iters(prob)
-    freeze_after = policy.freeze_iteration(max_iters)
-    gram_factor(prob.A_E)
-    if prob.four_block:
-        cached_lambda_max(prob)
-
-    it = initial_iterate(prob, cfg.sigma, cfg.tau0)
-    report = None
-    status = MAX_ITERS
-    t0 = time.perf_counter()
-    while it.k < max_iters:
-        it = dext_step(it, prob, cfg, tau)
-        report = residuals(it, prob)
-        if callback is not None:
-            callback(it, report)
-        if _diverged(it):
-            status = DIVERGED
-            break
-        if report.eta < cfg.tol:
-            status = CONVERGED
-            break
-        new_sigma = tune_sigma(report, it.sigma, it.k, policy, freeze_after)
-        if new_sigma != it.sigma:
-            it = replace(it, sigma=new_sigma)
-    wall = time.perf_counter() - t0
-    return SolveResult(
-        status=status, iterations=it.k,
-        residual=report.eta if report is not None else math.inf,
-        z=[it.Z, it.yE, it.S] if not prob.four_block else [it.yI, it.Z, it.yE, it.S],
-        x=it.X, tau_final=tau, tau_history=[tau] * it.k,
-        wall_seconds=wall, report=report, sigma_final=it.sigma)
+    return _solve(prob, cfg or SolverConfig(),
+                  replace(policy, restart_stall_window=0), callback,
+                  lambda it, prob, cfg: dext_step(it, prob, cfg, tau))
 
 
 def objective_values(prob: DnnSdpProblem, it_or_result) -> dict:

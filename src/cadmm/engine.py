@@ -3,7 +3,8 @@
 """
 Corrected semi-proximal ADMM for p-block linearly constrained convex
 programs, together with the directly extended multi-block ADMM baseline
-and the dense operator constructions used to certify the correction step.
+(the same loop with a fixed step and no correction) and the dense
+operator constructions used to certify the correction step.
 
 The iteration has two phases. The prediction phase is a Gauss-Seidel
 sweep of semi-proximal subproblems around the current corrected point,
@@ -290,9 +291,8 @@ def _iterate_norm(z: list, x: np.ndarray) -> float:
     return max(max(float(np.linalg.norm(zi)) for zi in z), float(np.linalg.norm(x)))
 
 
-def _default_residual(prob, z, x, c_norm, has_prox, adjoints=None):
-    if adjoints is None:
-        adjoints = [b.map.apply_adjoint(zi) for b, zi in zip(prob.blocks, z)]
+def _default_residual(prob, z, x, c_norm, has_prox):
+    adjoints = [b.map.apply_adjoint(zi) for b, zi in zip(prob.blocks, z)]
     fnorm = float(np.linalg.norm(_f_value(adjoints, prob.c)))
     crit = fnorm / (1.0 + c_norm)
     if has_prox:
@@ -300,23 +300,20 @@ def _default_residual(prob, z, x, c_norm, has_prox, adjoints=None):
     return crit
 
 
-def solve(prob: MultiBlockProblem, cfg: SolverConfig = None,
-          stop: Optional[Callable] = None,
-          z0: Optional[list] = None, x0: Optional[np.ndarray] = None) -> SolveResult:
-    """Run the corrected semi-proximal ADMM.
+def _run(prob: MultiBlockProblem, cfg: SolverConfig, stop: Optional[Callable],
+         z0: Optional[list], x0: Optional[np.ndarray],
+         fixed_tau: Optional[float]) -> SolveResult:
+    """The loop behind :func:`solve` and :func:`solve_direct_extended`.
 
-    Stops when ``stop(state, f_full_norm)`` fires if given, otherwise when
-    max(||F||/(1+||c||), kkt_residual) < cfg.tol. ``cfg.tol <= 0`` disables
-    the residual test and runs exactly ``max_iters`` iterations.
+    With ``fixed_tau`` set, every multiplier step uses it and the
+    correction is skipped (z_tilde := new z), so each sweep is centred at
+    the previous iterates: the directly extended method.
     """
-    cfg = cfg or SolverConfig()
     max_iters = cfg.max_iters if cfg.max_iters is not None else 10000
-    prob.probe_operators()
     z = [np.array(v, dtype=float) for v in (z0 if z0 is not None else prob.zeros())]
-    zt = [v.copy() for v in z]
     x = (np.array(x0, dtype=float) if x0 is not None
          else np.zeros_like(np.asarray(prob.c, dtype=float)))
-    state = IterateState(z=z, z_tilde=zt, x=x, tau=cfg.tau0, k=0)
+    state = IterateState(z=z, z_tilde=[v.copy() for v in z], x=x, tau=cfg.tau0)
     c_norm = float(np.linalg.norm(prob.c))
     has_prox = any(b.prox is not None for b in prob.blocks)
     if any(b.prox is None for b in prob.blocks) and has_prox:
@@ -329,29 +326,28 @@ def solve(prob: MultiBlockProblem, cfg: SolverConfig = None,
     residual = math.inf
     status = MAX_ITERS
     t0 = time.perf_counter()
-    tau_prev = cfg.tau0
-    k = 0
     while True:
         if cfg.tol > 0 and stop is None:
             residual = _default_residual(prob, state.z, state.x, c_norm, has_prox)
             if residual < cfg.tol:
                 status = CONVERGED
                 break
-        if k >= max_iters:
-            status = MAX_ITERS
+        if state.k >= max_iters:
             break
 
-        z_prev_last = state.z[-1]
         new_z, f_pred, f_full = predict(state, prob, cfg)
-        if k == 0:
+        if fixed_tau is not None:
+            tau_k = fixed_tau
+        elif state.k == 0:
             tau_k = cfg.tau0
         else:
-            last_change = prob.blocks[-1].map.apply_adjoint(new_z[-1] - z_prev_last)
+            last_change = prob.blocks[-1].map.apply_adjoint(new_z[-1] - state.z[-1])
             delta = compute_delta(f_pred, f_full,
                                   float(np.vdot(last_change, last_change)), cfg.eps)
-            tau_k = update_tau(tau_prev, delta, cfg.tau_bar)
+            tau_k = update_tau(state.tau, delta, cfg.tau_bar)
         x_new = update_multiplier(state.x, tau_k, cfg.sigma, f_full)
-        zt_new = correct(prob, state.z_tilde, new_z, cfg.alpha)
+        zt_new = (new_z if fixed_tau is not None
+                  else correct(prob, state.z_tilde, new_z, cfg.alpha))
 
         block_changes = [float(np.linalg.norm(new_z[i] - state.z_tilde[i]))
                          for i in range(1, prob.p)]
@@ -363,16 +359,13 @@ def solve(prob: MultiBlockProblem, cfg: SolverConfig = None,
                 "z_tilde_prev": [v.copy() for v in state.z_tilde],
                 "x": x_new.copy(),
                 "tau": tau_k,
-                "f_full_norm": float(np.linalg.norm(f_full)),
             })
         state.z = new_z
         state.z_tilde = zt_new
         state.x = x_new
         state.tau = tau_k
-        tau_prev = tau_k
         tau_history.append(tau_k)
-        k += 1
-        state.k = k
+        state.k += 1
 
         if not np.isfinite(f_full).all() or _iterate_norm(state.z, state.x) > DIVERGENCE_GUARD:
             status = DIVERGED
@@ -383,19 +376,28 @@ def solve(prob: MultiBlockProblem, cfg: SolverConfig = None,
             status = CONVERGED
             break
 
-    if status == MAX_ITERS and cfg.tol > 0 and stop is None:
-        residual = _default_residual(prob, state.z, state.x, c_norm, has_prox)
-        if residual < cfg.tol:
-            status = CONVERGED
     wall = time.perf_counter() - t0
     return SolveResult(
-        status=status, iterations=k, residual=residual,
+        status=status, iterations=state.k, residual=residual,
         z=state.z, x=state.x, z_tilde=state.z_tilde,
         tau_final=state.tau, tau_history=tau_history,
         wall_seconds=wall, history=history, sigma_final=cfg.sigma,
         change_norms=change_norms,
         message="" if status != DIVERGED else "iterate norm exceeded guard",
     )
+
+
+def solve(prob: MultiBlockProblem, cfg: SolverConfig = None,
+          stop: Optional[Callable] = None,
+          z0: Optional[list] = None, x0: Optional[np.ndarray] = None) -> SolveResult:
+    """Run the corrected semi-proximal ADMM.
+
+    Stops when ``stop(state, f_full_norm)`` fires if given, otherwise when
+    max(||F||/(1+||c||), kkt_residual) < cfg.tol. ``cfg.tol <= 0`` disables
+    the residual test and runs exactly ``max_iters`` iterations.
+    """
+    prob.probe_operators()
+    return _run(prob, cfg or SolverConfig(), stop, z0, x0, fixed_tau=None)
 
 
 def solve_direct_extended(prob: MultiBlockProblem, cfg: SolverConfig = None,
@@ -409,49 +411,7 @@ def solve_direct_extended(prob: MultiBlockProblem, cfg: SolverConfig = None,
     adaptation. Not convergent in general for p >= 3, hence the
     divergence guard.
     """
-    cfg = cfg or SolverConfig()
-    max_iters = cfg.max_iters if cfg.max_iters is not None else 10000
-    p = prob.p
-    z = [np.array(v, dtype=float) for v in (z0 if z0 is not None else prob.zeros())]
-    x = (np.array(x0, dtype=float) if x0 is not None
-         else np.zeros_like(np.asarray(prob.c, dtype=float)))
-    c_norm = float(np.linalg.norm(prob.c))
-    has_prox = any(b.prox is not None for b in prob.blocks)
-    residual = math.inf
-    status = MAX_ITERS
-    t0 = time.perf_counter()
-    k = 0
-    while True:
-        if cfg.tol > 0:
-            residual = _default_residual(prob, z, x, c_norm, has_prox)
-            if residual < cfg.tol:
-                status = CONVERGED
-                break
-        if k >= max_iters:
-            break
-        adj_prev = [b.map.apply_adjoint(zi) for b, zi in zip(prob.blocks, z)]
-        adj_new = [None] * p
-        new_z = [None] * p
-        for i, blk in enumerate(prob.blocks):
-            terms = [adj_new[j] if j < i else adj_prev[j] for j in range(p) if j != i]
-            r = _f_value(terms, prob.c)
-            new_z[i] = blk.subsolve(x, r, z[i], cfg.sigma)
-            adj_new[i] = blk.map.apply_adjoint(new_z[i])
-        f_full = _f_value(adj_new, prob.c)
-        x = update_multiplier(x, tau, cfg.sigma, f_full)
-        z = new_z
-        k += 1
-        if not np.isfinite(f_full).all() or _iterate_norm(z, x) > DIVERGENCE_GUARD:
-            status = DIVERGED
-            residual = math.inf
-            break
-    wall = time.perf_counter() - t0
-    return SolveResult(
-        status=status, iterations=k, residual=residual, z=z, x=x,
-        tau_final=tau, tau_history=[tau] * k, wall_seconds=wall,
-        sigma_final=cfg.sigma,
-        message="" if status != DIVERGED else "iterate norm exceeded guard",
-    )
+    return _run(prob, cfg or SolverConfig(), None, z0, x0, fixed_tau=tau)
 
 
 @dataclass(frozen=True)

@@ -166,6 +166,7 @@ def write_result(result: SolveResult, report: Optional[ResidualReport], path,
     doc = {"format": RESULT_FORMAT, **asdict(rec),
            "restarts": list(result.restarts),
            "sigma_final": float(result.sigma_final),
+           "message": result.message,
            "config": dict(config_echo or {}),
            "summary": rec.summary_line()}
     with open(path, "w") as fh:

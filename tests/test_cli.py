@@ -55,6 +55,17 @@ class TestSolveCommand:
         code = main(["solve", "--generate", "biq:12:3", "--max-iters", "3"])
         assert code == 2
 
+    @pytest.mark.parametrize("solver", ["cadmm", "dext"])
+    def test_diverged_run_reports_why(self, solver, tmp_path, capsys):
+        # a huge penalty blows the multiplier past the guard at once
+        out = tmp_path / "res.json"
+        code = main(["solve", "--generate", "biq:6:1", "--solver", solver,
+                     "--sigma", "1e13", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "oversized iterate at k=1" in err
+        assert json.loads(out.read_text())["message"] == err.strip()
+
     def test_policy_override(self, tmp_path):
         out = tmp_path / "res.json"
         code = main(["solve", "--generate", "rcp:10:1", "--policy",

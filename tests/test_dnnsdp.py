@@ -7,7 +7,8 @@ from cadmm import engine
 from cadmm.cones import ConePattern, project_pattern, project_pattern_dual
 from cadmm.dnnsdp import (DnnSdpProblem, ResidualReport,
                           SolverConfig, TuningPolicy, cached_lambda_max,
-                          cadmm_solve, cadmm_step, dext_solve, initial_iterate,
+                          cadmm_solve, cadmm_step, dext_solve, dext_step,
+                          initial_iterate,
                           maybe_restart, objective_values, residuals,
                           to_multiblock, tune_sigma, update_S, update_Z,
                           update_yE, update_yI)
@@ -222,12 +223,15 @@ class TestCadmmStep:
         assert np.linalg.norm(out.t_yE - expect_ye) <= 1e-12
 
 
+GENERIC_CASES = [
+    (lambda s: build_biq(random_biq(8, s)), 1),
+    (lambda s: random_fap(7, s), 2),
+    (lambda s: build_ext_biq(random_biq(8, s)), 3),
+]
+
+
 class TestGenericEquivalence:
-    @pytest.mark.parametrize("builder,seed", [
-        (lambda s: build_biq(random_biq(8, s)), 1),
-        (lambda s: random_fap(7, s), 2),
-        (lambda s: build_ext_biq(random_biq(8, s)), 3),
-    ])
+    @pytest.mark.parametrize("builder,seed", GENERIC_CASES)
     def test_trajectories_agree(self, builder, seed):
         prob = builder(seed)
         iters = 40
@@ -248,6 +252,25 @@ class TestGenericEquivalence:
                 assert np.max(np.abs(a - b)) <= 1e-10
             assert np.max(np.abs(it.X - step["x"])) <= 1e-10
             assert abs(it.tau - step["tau"]) <= 1e-12
+
+    @pytest.mark.parametrize("builder,seed", GENERIC_CASES)
+    def test_direct_extended_trajectories_agree(self, builder, seed):
+        prob = builder(seed)
+        mb, z0, x0 = to_multiblock(prob)
+        cfg = SolverConfig(tol=0.0)
+        it = initial_iterate(prob, cfg.sigma, cfg.tau0)
+        for k in (10, 20, 30, 40):
+            while it.k < k:
+                it = dext_step(it, prob, cfg, 1.618)
+            cfg.max_iters = k
+            gres = engine.solve_direct_extended(mb, cfg, tau=1.618, z0=z0, x0=x0)
+            assert gres.iterations == k
+            spec_vals = [it.Z, it.yE, it.S]
+            if prob.four_block:
+                spec_vals.insert(0, it.yI)
+            for a, b in zip(spec_vals, gres.z):
+                assert np.max(np.abs(a - b)) <= 1e-10
+            assert np.max(np.abs(it.X - gres.x)) <= 1e-10
 
 
 class TestResiduals:

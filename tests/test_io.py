@@ -86,6 +86,7 @@ class TestResultDocuments:
         assert back == rec
         assert back.status == "Converged"
         assert back.eta_max < 1e-6
+        assert json.loads(path.read_text())["message"] == ""
 
     def test_summary_line_fields(self, tmp_path):
         prob = build_biq(random_biq(6, 3))
