@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import project_psd
+from .linalg import project_psd, upper_triangle
 
 ZERO = 0
 NONNEG = 1
@@ -29,7 +29,9 @@ class ConePattern:
     """Per-entry cone kinds for an n x n symmetric pattern cone."""
 
     def __init__(self, kinds: np.ndarray):
-        kinds = np.asarray(kinds, dtype=np.int8)
+        # a private read-only copy, so the cached dual cannot go stale
+        kinds = np.array(kinds, dtype=np.int8)
+        kinds.flags.writeable = False
         if kinds.ndim != 2 or kinds.shape[0] != kinds.shape[1]:
             raise ValueError("pattern must be square")
         if not np.array_equal(kinds, kinds.T):
@@ -38,6 +40,7 @@ class ConePattern:
             raise ValueError("pattern kinds must be Zero, NonNeg or Free")
         self.kinds = kinds
         self.n = kinds.shape[0]
+        self._dual = None
 
     @classmethod
     def all_nonneg(cls, n: int) -> "ConePattern":
@@ -58,10 +61,13 @@ class ConePattern:
         return cls(kinds)
 
     def dual(self) -> "ConePattern":
-        kinds = self.kinds.copy()
-        kinds[self.kinds == ZERO] = FREE
-        kinds[self.kinds == FREE] = ZERO
-        return ConePattern(kinds)
+        """The dual pattern, built and validated on the first call only."""
+        if self._dual is None:
+            kinds = self.kinds.copy()
+            kinds[self.kinds == ZERO] = FREE
+            kinds[self.kinds == FREE] = ZERO
+            self._dual = ConePattern(kinds)
+        return self._dual
 
     def is_all_nonneg(self) -> bool:
         return bool((self.kinds == NONNEG).all())
@@ -71,7 +77,7 @@ class ConePattern:
 
     def rle(self) -> list:
         """Run-length encoding of the upper-triangle kinds (row-major)."""
-        iu, ju = np.triu_indices(self.n)
+        iu, ju = upper_triangle(self.n)[:2]
         flat = self.kinds[iu, ju]
         out = []
         start = 0
@@ -90,7 +96,7 @@ class ConePattern:
         if flat.size != n * (n + 1) // 2:
             raise ValueError("pattern run-length data does not cover the upper triangle")
         kinds = np.zeros((n, n), dtype=np.int8)
-        iu, ju = np.triu_indices(n)
+        iu, ju = upper_triangle(n)[:2]
         kinds[iu, ju] = flat
         kinds[ju, iu] = flat
         return cls(kinds)

@@ -34,7 +34,7 @@ from .engine import (CONVERGED, DIVERGED, MAX_ITERS, SolveResult, SolverConfig,
                      compute_delta, update_tau)
 from .linalg import (SparseSymList, frob_inner, gram_factor, gram_solve,
                      identity_block_map, is_symmetric, lambda_max_gram,
-                     project_psd)
+                     project_psd, psd_distance)
 
 
 @dataclass(frozen=True)
@@ -281,7 +281,8 @@ def residuals(it: DnnSdpIterate, prob: DnnSdpProblem) -> ResidualReport:
     The pattern-cone feasibility of X is measured on the shifted matrix
     X - M; cone distances are computed through the complementary
     projection (the Moreau decomposition), which for the all-nonnegative
-    self-dual patterns reduces to projecting the negated matrix.
+    self-dual patterns reduces to projecting the negated matrix. The PSD
+    distances of X and S come from eigenvalues alone.
     """
     X, S, Z, yE = it.X, it.S, it.Z, it.yE
     C = prob.C
@@ -297,11 +298,11 @@ def residuals(it: DnnSdpIterate, prob: DnnSdpProblem) -> ResidualReport:
         dual_res = prob.A_E.adjoint(yE) + S + Z - C
     eta_D = float(np.linalg.norm(dual_res)) / (1.0 + float(np.linalg.norm(C)))
 
-    eta_S = float(np.linalg.norm(project_psd(-X))) / (1.0 + norm_X)
+    eta_S = psd_distance(X) / (1.0 + norm_X)
     shifted = X - prob.M
     eta_K = float(np.linalg.norm(project_pattern_dual(-shifted, prob.pattern))) / (
         1.0 + norm_X)
-    eta_Sstar = float(np.linalg.norm(project_psd(-S))) / (1.0 + norm_S)
+    eta_Sstar = psd_distance(S) / (1.0 + norm_S)
     eta_Kstar = float(np.linalg.norm(project_pattern(-Z, prob.pattern))) / (
         1.0 + norm_Z)
     eta_C1 = abs(frob_inner(X, S)) / (1.0 + norm_X + norm_S)
@@ -410,6 +411,9 @@ def _solve(prob: DnnSdpProblem, cfg: SolverConfig, policy: TuningPolicy,
            callback, step) -> SolveResult:
     """The solve loop shared by the corrected and the directly extended
     method; ``step(it, prob, cfg)`` makes one iteration."""
+    if cfg.record_history:
+        raise ValueError("SolverConfig.record_history is read by engine.solve only; "
+                         "the DNN-SDP loops keep no iterate history")
     max_iters = cfg.max_iters if cfg.max_iters is not None else default_max_iters(prob)
     freeze_after = policy.freeze_iteration(max_iters)
     gram_factor(prob.A_E)

@@ -23,7 +23,7 @@ import numpy as np
 from .cones import ConePattern
 from .dnnsdp import DnnSdpProblem, ResidualReport
 from .engine import SolveResult
-from .linalg import SparseSymList
+from .linalg import SparseSymList, upper_triangle
 
 PROBLEM_FORMAT = "dnnsdp-problem/1"
 RESULT_FORMAT = "dnnsdp-result/1"
@@ -56,13 +56,12 @@ class RunRecord:
 
 
 def _sym_to_upper(a: np.ndarray) -> list:
-    n = a.shape[0]
-    iu, ju = np.triu_indices(n)
+    iu, ju = upper_triangle(a.shape[0])[:2]
     return np.asarray(a, dtype=float)[iu, ju].tolist()
 
 
 def _sym_from_upper(vals: Sequence[float], n: int) -> np.ndarray:
-    iu, ju = np.triu_indices(n)
+    iu, ju = upper_triangle(n)[:2]
     vals = np.asarray(vals, dtype=float)
     if vals.size != iu.size:
         raise ValueError(f"upper-triangle data has {vals.size} entries, "

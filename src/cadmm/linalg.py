@@ -11,9 +11,10 @@ symmetry. All inner products are Frobenius / Euclidean.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -34,9 +35,15 @@ class PowerIterationWarning(UserWarning):
     bound was returned instead."""
 
 
-# Gram matrices are formed explicitly (m x m dense) and factored once;
-# beyond this row count the desk-scale dense path is refused.
+# A Gram matrix that is not diagonal is factored densely (m x m) once;
+# beyond this row count that desk-scale dense path is refused.
 MAX_DENSE_GRAM = 5000
+
+
+def _refuse_dense_gram(m: int) -> None:
+    if m > MAX_DENSE_GRAM:
+        raise ValueError(
+            f"Gram matrix with m={m} exceeds the dense limit {MAX_DENSE_GRAM}")
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -62,25 +69,51 @@ def _svec_index(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
 _SQRT2 = np.sqrt(2.0)
 
 
+class UpperTriangle(NamedTuple):
+    """Index data of the row-major upper triangle (diagonal included) of
+    an n x n matrix, the coordinate order of :func:`svec`."""
+
+    iu: np.ndarray      # row index of each coordinate
+    ju: np.ndarray      # column index
+    upper: np.ndarray   # flat C-order position of (iu, ju)
+    lower: np.ndarray   # flat C-order position of (ju, iu)
+    scale: np.ndarray   # svec weight: 1 on the diagonal, sqrt(2) off it
+
+
+@functools.lru_cache(maxsize=64)
+def upper_triangle(n: int) -> UpperTriangle:
+    """:class:`UpperTriangle` of order n, computed once per order. The
+    arrays are read-only because every caller shares them."""
+    iu, ju = np.triu_indices(n)
+    tri = UpperTriangle(iu, ju, iu * n + ju, ju * n + iu,
+                        np.where(iu != ju, _SQRT2, 1.0))
+    for arr in tri:
+        arr.flags.writeable = False
+    return tri
+
+
 def svec(x: np.ndarray) -> np.ndarray:
     """Scaled upper-triangle vectorization: off-diagonals carry sqrt(2) so
     that ``svec(a) @ svec(b)`` equals the Frobenius inner product."""
-    n = x.shape[0]
-    iu, ju = np.triu_indices(n)
-    v = x[iu, ju].astype(float).copy()
-    v[iu != ju] *= _SQRT2
-    return v
+    tri = upper_triangle(x.shape[0])
+    return np.take(x, tri.upper) * tri.scale
 
 
 def smat(v: np.ndarray, n: int) -> np.ndarray:
     """Inverse of :func:`svec`."""
-    iu, ju = np.triu_indices(n)
-    w = np.asarray(v, dtype=float).copy()
-    w[iu != ju] /= _SQRT2
-    out = np.zeros((n, n))
-    out[iu, ju] = w
-    out[ju, iu] = w
-    return out
+    tri = upper_triangle(n)
+    w = np.asarray(v, dtype=float) / tri.scale
+    out = np.empty(n * n)
+    out[tri.upper] = w
+    out[tri.lower] = w
+    return out.reshape(n, n)
+
+
+def _finite_symmetric(m: np.ndarray, caller: str) -> np.ndarray:
+    m = np.asarray(m, dtype=float)
+    if not np.isfinite(m).all():
+        raise ValueError(f"{caller}: input has non-finite entries")
+    return symmetrize(m)
 
 
 def project_psd(m: np.ndarray) -> np.ndarray:
@@ -89,15 +122,23 @@ def project_psd(m: np.ndarray) -> np.ndarray:
     Eigendecomposes the symmetrized input, clamps negative eigenvalues to
     zero and reassembles. Raises ``ValueError`` on non-finite input.
     """
-    m = np.asarray(m, dtype=float)
-    if not np.isfinite(m).all():
-        raise ValueError("project_psd: input has non-finite entries")
-    b = symmetrize(m)
+    b = _finite_symmetric(m, "project_psd")
     w, v = np.linalg.eigh(b)
     if w[0] >= 0.0:
         return b
     w = np.where(w > 0.0, w, 0.0)
     return symmetrize((v * w) @ v.T)
+
+
+def psd_distance(m: np.ndarray) -> float:
+    """Frobenius distance of the symmetrized input to the PSD cone, from
+    its eigenvalues alone: the norm of the negative ones. Equals
+    ``norm(project_psd(-m))`` by the Moreau decomposition without
+    computing eigenvectors. Raises ``ValueError`` on non-finite input.
+    """
+    w = np.linalg.eigvalsh(_finite_symmetric(m, "psd_distance"))
+    neg = w[w < 0.0]
+    return float(np.sqrt(neg @ neg))
 
 
 class SparseSymList:
@@ -175,9 +216,7 @@ class SparseSymList:
 
     def gram(self) -> np.ndarray:
         """Dense m x m Gram matrix <A_k, A_l>."""
-        if self.m > MAX_DENSE_GRAM:
-            raise ValueError(
-                f"Gram matrix with m={self.m} exceeds the dense limit {MAX_DENSE_GRAM}")
+        _refuse_dense_gram(self.m)
         return (self._csr @ self._csr.T).toarray()
 
     def frob_norms_sq(self) -> np.ndarray:
@@ -235,34 +274,69 @@ def lambda_max_gram(a: SparseSymList, max_iters: int = 200, rel_tol: float = 1e-
     return trace_bound
 
 
-def gram_factor(a: SparseSymList):
-    """Cholesky factor of the Gram matrix, cached on the collection.
+def _gram_singular(k: int) -> GramSingularError:
+    return GramSingularError(
+        k, f"Gram matrix singular: constraint {k} is dependent on earlier rows")
 
-    Raises :class:`GramSingularError` when a pivot falls below
-    1e-12 times the largest pivot (the constraint rows are then linearly
-    dependent to working precision).
-    """
-    if a._gram_cho is not None:
-        return a._gram_cho
-    g = a.gram()
-    c, info = scipy.linalg.lapack.dpotrf(g, lower=1)
-    if info > 0:
-        raise GramSingularError(
-            info - 1,
-            f"Gram matrix singular: constraint {info - 1} is dependent on earlier rows")
-    if info < 0:
-        raise ValueError(f"dpotrf: illegal argument {-info}")
-    piv = np.diag(c) ** 2
+
+def _check_pivots(piv: np.ndarray) -> None:
     if piv.min() < 1e-12 * piv.max():
         k = int(np.argmin(piv))
         raise GramSingularError(
             k, f"Gram matrix numerically singular at constraint {k} "
                f"(pivot ratio {piv.min() / piv.max():.2e})")
+
+
+def gram_factor(a: SparseSymList):
+    """Factor of the Gram matrix A A*, cached on the collection.
+
+    The sparse Gram is formed once. When it has no nonzero off-diagonal
+    entry (as for biq, ebiq, theta and fap) the factor is the 1-D array
+    ``1/sqrt(diag)``; otherwise it is the dense lower Cholesky factor
+    ``(c, True)`` from ``dpotrf``, and only this dense path is bounded by
+    ``MAX_DENSE_GRAM``. Raises :class:`GramSingularError` when a pivot is
+    not positive or falls below 1e-12 times the largest pivot (the
+    constraint rows are then linearly dependent to working precision),
+    with the row index ``dpotrf`` reports.
+    """
+    if a._gram_cho is not None:
+        return a._gram_cho
+    g = a._csr @ a._csr.T
+    row = np.repeat(np.arange(a.m), np.diff(g.indptr))
+    if not g.data[row != g.indices].any():
+        d = g.diagonal()
+        bad = np.flatnonzero(~(d > 0.0))
+        if bad.size:
+            raise _gram_singular(int(bad[0]))
+        c_diag = np.sqrt(d)
+        _check_pivots(c_diag ** 2)
+        a._gram_cho = 1.0 / c_diag
+        return a._gram_cho
+    _refuse_dense_gram(a.m)
+    c, info = scipy.linalg.lapack.dpotrf(g.toarray(), lower=1)
+    if info > 0:
+        raise _gram_singular(info - 1)
+    if info < 0:
+        raise ValueError(f"dpotrf: illegal argument {-info}")
+    _check_pivots(np.diag(c) ** 2)
     a._gram_cho = (c, True)
     return a._gram_cho
 
 
 def gram_solve(a: SparseSymList, rhs: np.ndarray) -> np.ndarray:
-    """Solve (A A*) y = rhs using the cached Cholesky factorization."""
+    """Solve (A A*) y = rhs using the cached factor of :func:`gram_factor`.
+
+    On the diagonal path ``(rhs * r) * r`` with ``r = 1/sqrt(diag)``
+    reproduces ``cho_solve`` on the diagonal Cholesky factor bit for bit
+    under OpenBLAS (``rhs / diag`` does not, and that last-bit drift
+    changes restart decisions of long runs). Both paths raise
+    ``ValueError`` on a non-finite right-hand side.
+    """
     cho = gram_factor(a)
-    return scipy.linalg.cho_solve(cho, np.asarray(rhs, dtype=float))
+    rhs = np.asarray(rhs, dtype=float)
+    if isinstance(cho, tuple):
+        return scipy.linalg.cho_solve(cho, rhs)
+    if not np.isfinite(rhs).all():
+        raise ValueError("gram_solve: right-hand side has non-finite entries")
+    r = cho.reshape((-1,) + (1,) * (rhs.ndim - 1))   # rows of a 2-D rhs
+    return (rhs * r) * r

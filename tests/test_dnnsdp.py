@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cadmm import engine
+from cadmm import dnnsdp, engine
 from cadmm.cones import ConePattern, project_pattern, project_pattern_dual
 from cadmm.dnnsdp import (DnnSdpProblem, ResidualReport,
                           SolverConfig, TuningPolicy, cached_lambda_max,
@@ -333,6 +333,21 @@ class TestResiduals:
         rep = residuals(it, prob)
         assert rep.eta == max(rep.components().values())
 
+    def test_one_psd_projection_per_iteration(self, monkeypatch):
+        # the S update projects; the certificate takes eigenvalues only
+        calls = []
+
+        def counted(m):
+            calls.append(m.shape)
+            return project_psd(m)
+
+        monkeypatch.setattr(dnnsdp, "project_psd", counted)
+        prob = build_biq(random_biq(6, 3))
+        assert not prob.four_block
+        it = cadmm_step(random_state(prob, 3), prob, SolverConfig())
+        residuals(it, prob)
+        assert calls == [(prob.n, prob.n)]
+
 
 class TestTuneSigma:
     def _report(self, primal, dual):
@@ -476,6 +491,13 @@ class TestSolvers:
         res = cadmm_solve(prob, cfg)
         assert res.status == "MaxIters"
         assert res.iterations == 10
+
+    @pytest.mark.parametrize("solve", [cadmm_solve, dext_solve], ids=["cadmm", "dext"])
+    def test_record_history_refused(self, solve):
+        # only engine.solve keeps a history; the DNN loops must not drop it silently
+        prob = build_biq(random_biq(4, 1))
+        with pytest.raises(ValueError, match="read by engine.solve only"):
+            solve(prob, SolverConfig(max_iters=3, record_history=True))
 
 
 class TestProblemValidation:

@@ -1,14 +1,42 @@
 # -*- coding: utf-8 -*-
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from cadmm.linalg import (GramSingularError, PowerIterationWarning, SparseSymList,
-                          gram_solve, lambda_max_gram, project_psd,
-                          smat, svec)
+from cadmm import dnnsdp
+from cadmm.cli import generate_problem
+from cadmm.linalg import (MAX_DENSE_GRAM, GramSingularError, PowerIterationWarning,
+                          SparseSymList, gram_factor, gram_solve, lambda_max_gram,
+                          project_psd, psd_distance, smat, svec)
 
 from conftest import (dense_gram_independent, random_constraints, random_psd,
                       random_sym, random_surjective_constraints)
+
+
+def random_diagonal_collection(rng, n, m):
+    """Rows on disjoint sets of entries, so the Gram matrix is diagonal."""
+    iu, ju = np.triu_indices(n)
+    cells = np.array_split(rng.permutation(iu.size), m)
+    return SparseSymList(n, [(iu[c], ju[c],
+                              rng.standard_normal(c.size) * 10.0 ** rng.uniform(-2, 2))
+                             for c in cells])
+
+
+def dense_cho_solve(a, rhs):
+    """The reference: ``cho_solve`` with the dpotrf factor of the dense Gram."""
+    c, info = scipy.linalg.lapack.dpotrf(a.gram(), lower=1)
+    assert info == 0
+    return scipy.linalg.cho_solve((c, True), rhs)
+
+
+def tridiagonal_collection(m):
+    """Row k holds svec coordinates k and k + 1: a tridiagonal Gram."""
+    n = int(np.ceil(np.sqrt(2 * (m + 1))))
+    iu, ju = np.triu_indices(n)
+    return SparseSymList(n, [(iu[k:k + 2], ju[k:k + 2], [1.0, 0.5]) for k in range(m)])
 
 
 class TestSvec:
@@ -173,8 +201,79 @@ class TestGramSolve:
         assert err.value.index == 2
 
     def test_factorization_cached(self, rng):
-        a = random_surjective_constraints(rng, 5, 3)
-        gram_solve(a, np.ones(3))
-        first = a._gram_cho
-        gram_solve(a, np.zeros(3))
-        assert a._gram_cho is first
+        for a in (random_surjective_constraints(rng, 5, 3),
+                  random_diagonal_collection(rng, 5, 3)):
+            gram_solve(a, np.ones(3))
+            first = a._gram_cho
+            gram_solve(a, np.zeros(3))
+            assert a._gram_cho is first
+
+
+class TestDiagonalGram:
+    @pytest.mark.parametrize("spec", ["biq:12:3", "theta:20:1", "fap:10:2", "random"])
+    def test_matches_dense_cho_solve_bitwise(self, rng, spec):
+        a = (random_diagonal_collection(rng, 9, 20) if spec == "random"
+             else generate_problem(spec).A_E)
+        assert gram_factor(a).ndim == 1
+        for _ in range(200):
+            rhs = rng.standard_normal(a.m) * 10.0 ** rng.uniform(-6, 6)
+            assert np.array_equal(gram_solve(a, rhs), dense_cho_solve(a, rhs))
+        rhs = rng.standard_normal((a.m, a.m))
+        assert np.array_equal(gram_solve(a, rhs), dense_cho_solve(a, rhs))
+
+    def test_zero_row_names_the_dpotrf_index(self):
+        # row 2 is an explicit zero
+        rows = [([0], [0], [1.0]), ([0], [1], [2.0]), ([1], [1], [0.0]),
+                ([2], [2], [3.0])]
+        _, info = scipy.linalg.lapack.dpotrf(SparseSymList(3, rows).gram(), lower=1)
+        with pytest.raises(GramSingularError) as err:
+            gram_factor(SparseSymList(3, rows))
+        assert err.value.index == info - 1 == 2
+
+    def test_nonfinite_rhs_rejected_on_both_paths(self, rng):
+        diagonal = random_diagonal_collection(rng, 5, 4)
+        dense = random_surjective_constraints(rng, 5, 4)
+        assert gram_factor(diagonal).ndim == 1 and isinstance(gram_factor(dense), tuple)
+        for a in (diagonal, dense):
+            with pytest.raises(ValueError):
+                gram_solve(a, np.array([1.0, np.nan, 0.0, 2.0]))
+
+
+class TestDenseGramLimit:
+    def test_diagonal_gram_beyond_the_dense_limit(self):
+        prob = generate_problem("theta:200:1")
+        assert prob.A_E.m == 6031 > MAX_DENSE_GRAM
+        assert gram_factor(prob.A_E).shape == (6031,)
+        res = dnnsdp.cadmm_solve(prob, dnnsdp.SolverConfig(max_iters=5))
+        assert res.status == "MaxIters"
+
+    def test_dense_gram_refused_before_allocation(self):
+        a = tridiagonal_collection(MAX_DENSE_GRAM + 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds the dense limit 5000"):
+                gram_factor(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert a._gram_cho is None
+        assert peak < a.m * a.m * 8 // 10
+
+
+class TestPsdDistance:
+    def test_matches_projection_norm(self, rng):
+        for n in range(1, 9):
+            for _ in range(10):
+                m = rng.standard_normal((n, n))
+                for x in (m, random_sym(rng, n)):
+                    ref = np.linalg.norm(project_psd(-x))
+                    assert psd_distance(x) == pytest.approx(ref, rel=1e-12)
+
+    def test_zero_on_psd_input(self, rng):
+        for n in (1, 4, 9):
+            m = random_psd(rng, n)
+            assert psd_distance(m) <= 1e-13 * np.linalg.norm(m)
+
+    def test_nonfinite_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            psd_distance(np.array([[1.0, np.nan], [np.nan, 1.0]]))
