@@ -41,6 +41,7 @@ class ConePattern:
         self.kinds = kinds
         self.n = kinds.shape[0]
         self._dual = None
+        self._bounds = None
 
     @classmethod
     def all_nonneg(cls, n: int) -> "ConePattern":
@@ -68,6 +69,18 @@ class ConePattern:
             kinds[self.kinds == FREE] = ZERO
             self._dual = ConePattern(kinds)
         return self._dual
+
+    def bounds(self) -> tuple:
+        """Entrywise ``(lo, hi)`` with which the projection onto the cone
+        is ``min(max(x, lo), hi)``: 0/0, 0/+inf and -inf/+inf for Zero,
+        NonNeg and Free. Built on the first call only, read-only."""
+        if self._bounds is None:
+            lo = np.where(self.kinds == FREE, -np.inf, 0.0)
+            hi = np.where(self.kinds == ZERO, 0.0, np.inf)
+            lo.flags.writeable = False
+            hi.flags.writeable = False
+            self._bounds = (lo, hi)
+        return self._bounds
 
     def is_all_nonneg(self) -> bool:
         return bool((self.kinds == NONNEG).all())
@@ -103,14 +116,12 @@ class ConePattern:
 
 
 def project_pattern(x: np.ndarray, pattern: ConePattern) -> np.ndarray:
-    """Entrywise projection onto the pattern cone."""
+    """Entrywise projection onto the pattern cone; a NaN entry stays NaN."""
     if x.shape != pattern.kinds.shape:
         raise ValueError("matrix and pattern dimensions disagree")
-    out = np.asarray(x, dtype=float).copy()
-    out[pattern.kinds == ZERO] = 0.0
-    nn = pattern.kinds == NONNEG
-    out[nn] = np.maximum(out[nn], 0.0)
-    return out
+    lo, hi = pattern.bounds()
+    out = np.maximum(x, lo)
+    return np.minimum(out, hi, out=out)
 
 
 def project_pattern_dual(z: np.ndarray, pattern: ConePattern) -> np.ndarray:

@@ -60,6 +60,10 @@ class DnnSdpProblem:
             object.__setattr__(self, "pattern", ConePattern.all_nonneg(self.n))
         if self.M is None:
             object.__setattr__(self, "M", np.zeros((self.n, self.n)))
+        for name in ("C", "b_E", "b_I", "M"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(np.asarray(value, dtype=float)).all():
+                raise ValueError(f"{name} has non-finite entries")
         if not is_symmetric(self.C, 1e-10):
             raise ValueError("C must be symmetric")
         if self.A_E.n != self.n or len(self.b_E) != self.A_E.m:
@@ -75,9 +79,10 @@ class DnnSdpProblem:
 
     def validate(self) -> None:
         """Check the structural invariants, including A_E surjectivity
-        (the Gram factorization must succeed)."""
+        (the Gram factorization must succeed) and a nonzero A_I, whose
+        spectral bound is cached for the solve."""
         gram_factor(self.A_E)
-        if self.four_block and lambda_max_gram(self.A_I) <= 0.0:
+        if self.four_block and cached_lambda_max(self) <= 0.0:
             raise ValueError("inequality constraint map is zero")
 
 
@@ -403,8 +408,9 @@ def default_max_iters(prob: DnnSdpProblem) -> int:
 
 def _diverged(it: DnnSdpIterate) -> bool:
     blocks = [it.Z, it.yE, it.S, it.X] + ([] if it.yI is None else [it.yI])
-    return any(not np.isfinite(b).all() or np.linalg.norm(b) > engine.DIVERGENCE_GUARD
-               for b in blocks)
+    # A NaN or inf entry makes the norm NaN or inf, and so does a finite
+    # block whose norm overflows; neither passes the comparison.
+    return any(not np.linalg.norm(b) <= engine.DIVERGENCE_GUARD for b in blocks)
 
 
 def _solve(prob: DnnSdpProblem, cfg: SolverConfig, policy: TuningPolicy,

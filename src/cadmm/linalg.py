@@ -179,9 +179,13 @@ class SparseSymList:
             svals = vv.copy()
             svals[ii != jj] *= _SQRT2
             vals.append(svals)
+        data = np.concatenate(vals)
+        if not np.isfinite(data).all():
+            k = next(k for k, v in enumerate(vals) if not np.isfinite(v).all())
+            raise ValueError(f"constraint {k}: non-finite value")
         dim = n * (n + 1) // 2
         self._csr = scipy.sparse.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            (data, (np.concatenate(rows), np.concatenate(cols))),
             shape=(self.m, dim),
         )
         self._triples = [
@@ -191,6 +195,16 @@ class SparseSymList:
             for t in triples
         ]
         self._gram_cho = None
+        self._csr_t = None
+
+    def _transpose(self) -> scipy.sparse.csr_matrix:
+        """CSR copy of ``_csr.T``, built on the first call only. Its
+        mat-vec sums each output's terms in increasing row order of
+        ``_csr``, the order of the CSC product with ``_csr.T``, so the
+        results are bit for bit the same."""
+        if self._csr_t is None:
+            self._csr_t = self._csr.T.tocsr()
+        return self._csr_t
 
     def triples(self, k: int) -> tuple:
         return self._triples[k]
@@ -209,7 +223,7 @@ class SparseSymList:
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """Evaluate sum_k y_k A_k."""
-        return smat(self._csr.T @ np.asarray(y, dtype=float), self.n)
+        return smat(self._transpose() @ np.asarray(y, dtype=float), self.n)
 
     def as_block_map(self) -> "LinearBlockMap":
         return LinearBlockMap(apply=self.apply, apply_adjoint=self.adjoint)
@@ -217,14 +231,14 @@ class SparseSymList:
     def gram(self) -> np.ndarray:
         """Dense m x m Gram matrix <A_k, A_l>."""
         _refuse_dense_gram(self.m)
-        return (self._csr @ self._csr.T).toarray()
+        return (self._csr @ self._transpose()).toarray()
 
     def frob_norms_sq(self) -> np.ndarray:
         return np.asarray(self._csr.multiply(self._csr).sum(axis=1)).ravel()
 
     def gram_apply(self, y: np.ndarray) -> np.ndarray:
         """Matrix-free application of the Gram operator A A*."""
-        return self._csr @ (self._csr.T @ np.asarray(y, dtype=float))
+        return self._csr @ (self._transpose() @ np.asarray(y, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -301,7 +315,7 @@ def gram_factor(a: SparseSymList):
     """
     if a._gram_cho is not None:
         return a._gram_cho
-    g = a._csr @ a._csr.T
+    g = a._csr @ a._transpose()
     row = np.repeat(np.arange(a.m), np.diff(g.indptr))
     if not g.data[row != g.indices].any():
         d = g.diagonal()

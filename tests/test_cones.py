@@ -63,6 +63,48 @@ class TestProjectPattern:
             project_pattern(np.zeros((3, 3)), ConePattern.all_nonneg(2))
 
 
+def masked_projection(x, pattern):
+    """The boolean-mask projection the bound form replaced."""
+    out = np.asarray(x, dtype=float).copy()
+    out[pattern.kinds == ZERO] = 0.0
+    nn = pattern.kinds == NONNEG
+    out[nn] = np.maximum(out[nn], 0.0)
+    return out
+
+
+class TestProjectionBounds:
+    def test_matches_masked_projection(self, rng):
+        for n in (1, 2, 5, 17):
+            for _ in range(10):
+                pat = random_pattern(rng, n)
+                x = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
+                x[rng.random((n, n)) < 0.1] = 0.0
+                assert np.array_equal(project_pattern(x, pat), masked_projection(x, pat))
+                assert np.array_equal(project_pattern_dual(x, pat),
+                                      masked_projection(x, pat.dual()))
+
+    def test_bounds_built_once(self, rng):
+        pat = random_pattern(rng, 4)
+        x = random_sym(rng, 4)
+        project_pattern(x, pat)
+        project_pattern_dual(x, pat)
+        bounds, dual_bounds = pat._bounds, pat.dual()._bounds
+        assert bounds is not None and dual_bounds is not None
+        project_pattern(-x, pat)
+        project_pattern_dual(-x, pat)
+        assert pat._bounds is bounds and pat.dual()._bounds is dual_bounds
+        lo, hi = pat.bounds()
+        with pytest.raises(ValueError):
+            lo[0, 0] = 1.0
+
+    def test_leaves_input_unchanged(self, rng):
+        pat = random_pattern(rng, 5)
+        x = random_sym(rng, 5)
+        before = x.copy()
+        out = project_pattern(x, pat)
+        assert np.array_equal(x, before) and out is not x
+
+
 class TestProjectPatternDual:
     def test_self_dual_orthant(self, rng):
         pat = ConePattern.all_nonneg(4)

@@ -12,7 +12,7 @@ from cadmm.dnnsdp import (DnnSdpProblem, ResidualReport,
                           maybe_restart, objective_values, residuals,
                           to_multiblock, tune_sigma, update_S, update_Z,
                           update_yE, update_yI)
-from cadmm.linalg import SparseSymList, gram_solve, project_psd
+from cadmm.linalg import SparseSymList, gram_solve, lambda_max_gram, project_psd
 from cadmm.problems import (BiqData, build_biq, build_ext_biq, build_theta_plus,
                             random_biq, random_fap, random_graph, random_rcp)
 
@@ -348,6 +348,45 @@ class TestResiduals:
         residuals(it, prob)
         assert calls == [(prob.n, prob.n)]
 
+    def test_no_sparse_transpose_after_the_first_step(self, monkeypatch):
+        # the transposed CSR of each collection is built once and reused
+        prob = random_four_block(7, n=6)
+        cfg = SolverConfig()
+        it = cadmm_step(initial_iterate(prob, 1.0, cfg.tau0), prob, cfg)
+        csr_type = type(prob.A_E._csr)
+        original = csr_type.transpose
+        calls = []
+
+        def counted(self, *args, **kwargs):
+            calls.append(self.shape)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(csr_type, "transpose", counted)
+        it = cadmm_step(it, prob, cfg)
+        residuals(it, prob)
+        dext_step(it, prob, cfg, 1.618)
+        assert calls == []
+
+
+class TestDivergenceGuard:
+    def test_ordinary_iterate(self):
+        prob = random_four_block(5, n=5)
+        assert not dnnsdp._diverged(random_state(prob, 5))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 2e12, 1e200])
+    def test_each_block(self, value):
+        # 1e200 is finite, but the norm of a block of it overflows to inf
+        prob = random_four_block(5, n=5)
+        for name in ("yI", "Z", "yE", "S", "X"):
+            it = random_state(prob, 5)
+            block = getattr(it, name)
+            if value == 1e200:
+                block[...] = value
+            else:
+                block.flat[0] = value
+            with np.errstate(over="ignore"):
+                assert dnnsdp._diverged(it), name
+
 
 class TestTuneSigma:
     def _report(self, primal, dual):
@@ -519,3 +558,27 @@ class TestProblemValidation:
         prob = DnnSdpProblem(n=2, C=np.zeros((2, 2)), A_E=a, b_E=np.zeros(2))
         with pytest.raises(Exception, match="singular"):
             prob.validate()
+
+    @pytest.mark.parametrize("name, value", [("C", np.nan), ("b_E", np.nan),
+                                             ("b_I", -np.inf), ("M", np.inf)])
+    def test_rejects_nonfinite_data_naming_the_field(self, name, value):
+        a = SparseSymList(2, [([0], [0], [1.0])])
+        data = dict(n=2, C=np.eye(2), A_E=a, b_E=np.ones(1), A_I=a,
+                    b_I=np.zeros(1), M=np.zeros((2, 2)))
+        data[name] = data[name].copy()
+        data[name].flat[-1] = value
+        with pytest.raises(ValueError, match=f"^{name} has non-finite entries"):
+            DnnSdpProblem(**data)
+
+    def test_validate_runs_the_power_iteration_once(self, monkeypatch):
+        calls = []
+
+        def counted(a, *args, **kwargs):
+            calls.append(a)
+            return lambda_max_gram(a, *args, **kwargs)
+
+        monkeypatch.setattr(dnnsdp, "lambda_max_gram", counted)
+        prob = random_four_block(3, n=5)
+        prob.validate()
+        assert cached_lambda_max(prob) > 0.0
+        assert len(calls) == 1

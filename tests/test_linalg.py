@@ -113,6 +113,12 @@ class TestSparseSymList:
         with pytest.raises(ValueError, match="nonempty"):
             SparseSymList(3, [])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_value_names_the_constraint(self, bad):
+        rows = [([0], [0], [1.0]), ([0], [1], [2.0]), ([0, 1], [2, 2], [1.0, bad])]
+        with pytest.raises(ValueError, match="constraint 2: non-finite"):
+            SparseSymList(3, rows)
+
     def test_adjoint_identity(self, rng):
         a = random_constraints(rng, 8, 6)
         worst = 0.0
@@ -129,6 +135,34 @@ class TestSparseSymList:
         x = random_sym(rng, 6)
         expect = [float(np.vdot(a.matrix(k), x)) for k in range(4)]
         assert np.allclose(a.apply(x), expect, atol=1e-12)
+
+
+def family_collections(spec):
+    if spec == "random":   # rows of 2 to 7 entries
+        return [random_constraints(np.random.default_rng(7), 9, 30, entries=6)]
+    prob = generate_problem(spec)
+    return [prob.A_E] + ([prob.A_I] if prob.four_block else [])
+
+
+class TestTransposedCsr:
+    @pytest.mark.parametrize("spec", ["biq:12:3", "ebiq:8:2", "theta:14:1", "rcp:20:1",
+                                      "fap:10:2", "qap:3:4", "random"])
+    def test_adjoint_and_gram_apply_bitwise(self, rng, spec):
+        # the cached CSR of the transpose sums in the CSC product's order
+        for a in family_collections(spec):
+            for _ in range(20):
+                y = rng.standard_normal(a.m)
+                assert np.array_equal(a.adjoint(y), smat(a._csr.T @ y, a.n))
+                assert np.array_equal(a.gram_apply(y), a._csr @ (a._csr.T @ y))
+            assert np.array_equal(a.gram(), (a._csr @ a._csr.T).toarray())
+
+    def test_built_once(self, rng):
+        a = random_constraints(rng, 6, 5)
+        a.adjoint(np.ones(5))
+        first = a._csr_t
+        a.gram_apply(np.ones(5))
+        gram_factor(a)
+        assert a._csr_t is first
 
 
 class TestLambdaMaxGram:

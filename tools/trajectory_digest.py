@@ -1,0 +1,75 @@
+"""Print one digest line per solve, to check that a change leaves the
+iterates bit for bit the same.
+
+    python3 tools/trajectory_digest.py > before.txt   # on the old commit
+    python3 tools/trajectory_digest.py > after.txt    # on the new one
+    diff before.txt after.txt
+
+The solves are those of the benchmark (every instance and solver of
+``perfbench.suite.WORKLOADS``, with the seed-1 relabelings) plus cadmm
+on ``biq:20:7``, a long run with many restarts. Each line holds the
+status, the iteration count, the number of restarts, the final sigma and
+tau, the ``repr`` of every ``ResidualReport`` field, and the first 16
+hex digits of the sha256 of the tau history, of ``x`` and of each ``z``
+block. Arrays are
+hashed after adding 0.0, so that -0.0 and 0.0 hash the same. The solver
+is imported from the ``src`` directory of the checkout this file sits in.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
+
+from cadmm import cli  # noqa: E402
+from perfbench import suite  # noqa: E402
+
+SEED = 1
+EXTRA = ("biq:20:7", "cadmm")
+
+
+def digest(a) -> str:
+    a = np.ascontiguousarray(np.asarray(a, dtype=float) + 0.0)
+    return hashlib.sha256(a.tobytes()).hexdigest()[:16]
+
+
+def line(label: str, res) -> str:
+    report = dataclasses.asdict(res.report) if res.report is not None else {}
+    fields = [label, res.status, f"iters={res.iterations}",
+              f"restarts={len(res.restarts)}", f"sigma={res.sigma_final!r}",
+              f"tau={res.tau_final!r}"]
+    fields += [f"{k}={v!r}" for k, v in report.items()]
+    fields += [f"taus={digest(res.tau_history)}", f"x={digest(res.x)}"]
+    fields += [f"z{i}={digest(z)}" for i, z in enumerate(res.z)]
+    return " ".join(fields)
+
+
+def solves():
+    """``(label, problem, solver, max_iters)`` for every digested solve."""
+    for workload in suite.WORKLOADS.values():
+        perms = suite.permutations(workload, SEED)
+        for inst in workload.instances:
+            for solver in inst.solvers:
+                prob = suite.generate(inst.spec, perms[inst.spec])
+                yield f"{workload.name}/{inst.spec}/{solver}", prob, solver, inst.max_iters
+    spec, solver = EXTRA
+    yield f"extra/{spec}/{solver}", cli.generate_problem(spec), solver, None
+
+
+def main() -> int:
+    for label, prob, solver, max_iters in solves():
+        suite.prepare(prob)
+        print(line(label, suite.solve(prob, solver, max_iters)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
