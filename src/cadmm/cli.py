@@ -81,7 +81,6 @@ def cmd_solve(args) -> int:
               file=sys.stderr)
         return 1
     prob = io.read_problem(args.problem) if args.problem else generate_problem(args.generate)
-    prob.validate()
     cfg = _config_from_args(args, prob)
     policy = _policy_from_overrides(args.policy)
     result = _run_one(prob, args.solver, cfg, policy, args.tau)
@@ -114,7 +113,6 @@ def cmd_bench(args) -> int:
         else:
             prob = io.read_problem(entry["path"])
         name = entry.get("name", prob.meta.get("name", "problem"))
-        prob.validate()
         for solver in solvers:
             cfg = SolverConfig(tol=args.tol)
             cfg.max_iters = args.max_iters
@@ -189,8 +187,8 @@ def cmd_check(args) -> int:
                                     rho_blocks=(1,))
     ops = engine.build_theory_operators(toy.problem, 0.999)
     gmin = float(np.linalg.eigvalsh(0.5 * (ops.g + ops.g.T)).min())
-    cfg = SolverConfig(tol=0.0, max_iters=60, record_history=True)
-    res = engine.solve(toy.problem, cfg)
+    cfg = SolverConfig(tol=0.0, max_iters=60)
+    res = engine.solve(toy.problem, cfg, record_history=True)
     worst_id = 0.0
     for step in res.history:
         w_new = np.concatenate([v.ravel() for v in step["z_tilde"][1:]])
@@ -211,14 +209,14 @@ def cmd_check(args) -> int:
     it = dnnsdp.initial_iterate(prob, sigma=1.0, tau0=1.95)
     it.X = rng.standard_normal((prob.n, prob.n))
     it.X = 0.5 * (it.X + it.X.T)
-    r1 = it.t_Z + prob.A_E.adjoint(it.t_yE) + it.t_S - prob.C
-    y_closed = dnnsdp.update_yI(prob, lamI, it.X, r1, it.t_yI, 1.0)
+    r1 = it.t_Z + prob.A_E.adjoint(it.t_yE) + it.S - prob.C
+    y_closed = dnnsdp.update_yI(prob, lamI, it.X, r1, it.yI, 1.0)
     y = np.zeros(prob.A_I.m)
     step = 0.4 / lamI
     for _ in range(400):
         grad = (-prob.b_I + prob.A_I.apply(it.X)
                 + prob.A_I.apply(prob.A_I.adjoint(y) + r1)
-                + (lamI * (y - it.t_yI) - prob.A_I.apply(prob.A_I.adjoint(y - it.t_yI))))
+                + (lamI * (y - it.yI) - prob.A_I.apply(prob.A_I.adjoint(y - it.yI))))
         y = np.maximum(y - step * grad, 0.0)
     gap = float(np.linalg.norm(y - y_closed))
     ok &= _check("inequality-block closed form", gap <= 1e-8, f"gap {gap:.2e}")

@@ -79,24 +79,26 @@ class DnnSdpProblem:
 
     def validate(self) -> None:
         """Check the structural invariants, including A_E surjectivity
-        (the Gram factorization must succeed) and a nonzero A_I, whose
-        spectral bound is cached for the solve."""
+        (the Gram factorization must succeed) and a nonzero A_I; both
+        results stay cached on the collections for the solve."""
         gram_factor(self.A_E)
         if self.four_block and cached_lambda_max(self) <= 0.0:
             raise ValueError("inequality constraint map is zero")
 
 
-@dataclass
+@dataclass(slots=True)
 class DnnSdpIterate:
+    """Blocks, multiplier X and the corrected centres of the middle blocks
+    (``t_Z`` is Z in the 3-block case, where Z comes first). The first and
+    last blocks are never corrected: their centres are the blocks."""
+
     Z: np.ndarray
     yE: np.ndarray
     S: np.ndarray
     X: np.ndarray
     t_Z: np.ndarray
     t_yE: np.ndarray
-    t_S: np.ndarray
     yI: Optional[np.ndarray] = None
-    t_yI: Optional[np.ndarray] = None
     tau: float = 1.95
     sigma: float = 1.0
     k: int = 0
@@ -104,16 +106,12 @@ class DnnSdpIterate:
 
 def initial_iterate(prob: DnnSdpProblem, sigma: float, tau0: float) -> DnnSdpIterate:
     """All-zero start; zero lies in every required cone."""
-    n = prob.n
-    zmat = np.zeros((n, n))
-    it = DnnSdpIterate(
+    zmat = np.zeros((prob.n, prob.n))
+    return DnnSdpIterate(
         Z=zmat.copy(), yE=np.zeros(prob.A_E.m), S=zmat.copy(), X=zmat.copy(),
-        t_Z=zmat.copy(), t_yE=np.zeros(prob.A_E.m), t_S=zmat.copy(),
+        t_Z=zmat.copy(), t_yE=np.zeros(prob.A_E.m),
+        yI=np.zeros(prob.A_I.m) if prob.four_block else None,
         tau=tau0, sigma=sigma, k=0)
-    if prob.four_block:
-        it.yI = np.zeros(prob.A_I.m)
-        it.t_yI = np.zeros(prob.A_I.m)
-    return it
 
 
 # ---------------------------------------------------------------------------
@@ -156,16 +154,16 @@ def update_S(x: np.ndarray, r: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def cached_lambda_max(prob: DnnSdpProblem) -> float:
-    lam = prob.meta.get("_lam_cache")
-    if lam is None:
-        lam = lambda_max_gram(prob.A_I)
-        prob.meta["_lam_cache"] = lam
-    return lam
+    """Spectral bound rho of A_I A_I*, cached on the A_I collection."""
+    a = prob.A_I
+    if a._lam_max is None:
+        a._lam_max = lambda_max_gram(a)
+    return a._lam_max
 
 
 def _sweep(it: DnnSdpIterate, prob: DnnSdpProblem):
-    """Gauss-Seidel sweep y_I -> Z -> y_E -> S with proximal centres at the
-    ``t_*`` points.
+    """Gauss-Seidel sweep y_I -> Z -> y_E -> S with proximal centres at
+    ``it.yI``, ``it.t_Z``, ``it.t_yE`` and ``it.S``.
 
     Returns ``(yI, Z, yE, S, f_pred, f_full)``: the new blocks (``yI`` is
     None in the 3-block case) and the constraint map
@@ -174,7 +172,7 @@ def _sweep(it: DnnSdpIterate, prob: DnnSdpProblem):
     """
     # Constraint contribution of each block in sweep order, at its centre
     # until the block is updated (the first block's is never read).
-    terms = {"Z": it.t_Z, "yE": prob.A_E.adjoint(it.t_yE), "S": it.t_S}
+    terms = {"Z": it.t_Z, "yE": prob.A_E.adjoint(it.t_yE), "S": it.S}
     if prob.four_block:
         terms = {"yI": None, **terms}
 
@@ -184,7 +182,7 @@ def _sweep(it: DnnSdpIterate, prob: DnnSdpProblem):
 
     yI = None
     if prob.four_block:
-        yI = update_yI(prob, cached_lambda_max(prob), it.X, f("yI"), it.t_yI, it.sigma)
+        yI = update_yI(prob, cached_lambda_max(prob), it.X, f("yI"), it.yI, it.sigma)
         terms["yI"] = prob.A_I.adjoint(yI)
         f_pred = f()
     Z = terms["Z"] = update_Z(prob, it.X, f("Z"), it.sigma)
@@ -203,17 +201,16 @@ def cadmm_step(it: DnnSdpIterate, prob: DnnSdpProblem,
     middle blocks (y_E, and Z in the 4-block case) against the corrected
     base points."""
     yI_new, Z_new, yE_new, S_new, f_pred, f_full = _sweep(it, prob)
+    dS = S_new - it.S
     if it.k == 0:
         tau_k = cfg.tau0
     else:
-        d_last = S_new - it.S
-        delta = compute_delta(f_pred, f_full, float(np.vdot(d_last, d_last)), cfg.eps)
+        delta = compute_delta(f_pred, f_full, float(np.vdot(dS, dS)), cfg.eps)
         tau_k = update_tau(it.tau, delta, cfg.tau_bar)
     X_new = it.X + (tau_k * it.sigma) * f_full
 
     # Correction, backwards over the middle blocks; last and first blocks
     # (and the multiplier) keep their predicted values.
-    dS = S_new - it.t_S
     t_yE_new = it.t_yE + cfg.alpha * (yE_new - it.t_yE) - gram_solve(
         prob.A_E, prob.A_E.apply(dS))
     if prob.four_block:
@@ -223,23 +220,20 @@ def cadmm_step(it: DnnSdpIterate, prob: DnnSdpProblem,
         t_Z_new = Z_new
 
     return DnnSdpIterate(
-        Z=Z_new, yE=yE_new, S=S_new, X=X_new,
-        t_Z=t_Z_new, t_yE=t_yE_new, t_S=S_new,
-        yI=yI_new, t_yI=yI_new,
-        tau=tau_k, sigma=it.sigma, k=it.k + 1)
+        Z=Z_new, yE=yE_new, S=S_new, X=X_new, t_Z=t_Z_new, t_yE=t_yE_new,
+        yI=yI_new, tau=tau_k, sigma=it.sigma, k=it.k + 1)
 
 
 def dext_step(it: DnnSdpIterate, prob: DnnSdpProblem, cfg: SolverConfig,
               tau: float) -> DnnSdpIterate:
     """Directly extended iteration: the same sweep, a fixed multiplier step
-    and no correction. The centres ``t_*`` are set to the new iterates, so
-    the next sweep is centred at the previous iterates."""
+    and no correction. The centres ``t_Z`` and ``t_yE`` are set to the new
+    iterates, so the next sweep is centred at the previous iterates."""
     yI_new, Z_new, yE_new, S_new, _, f_full = _sweep(it, prob)
     X_new = it.X + (tau * it.sigma) * f_full
     return DnnSdpIterate(
-        Z=Z_new, yE=yE_new, S=S_new, X=X_new,
-        t_Z=Z_new, t_yE=yE_new, t_S=S_new, yI=yI_new, t_yI=yI_new,
-        tau=tau, sigma=it.sigma, k=it.k + 1)
+        Z=Z_new, yE=yE_new, S=S_new, X=X_new, t_Z=Z_new, t_yE=yE_new,
+        yI=yI_new, tau=tau, sigma=it.sigma, k=it.k + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +388,7 @@ def maybe_restart(eta_history: list, it: DnnSdpIterate, policy: TuningPolicy,
     then = eta_history[-1 - w]
     if now <= (1.0 - policy.restart_decrease_threshold) * then:
         return it, False
-    out = replace(it, t_Z=it.Z.copy(), t_yE=it.yE.copy(), t_S=it.S.copy(),
-                  t_yI=None if it.yI is None else it.yI.copy(), tau=tau0)
-    return out, True
+    return replace(it, t_Z=it.Z.copy(), t_yE=it.yE.copy(), tau=tau0), True
 
 
 # ---------------------------------------------------------------------------
@@ -416,15 +408,12 @@ def _diverged(it: DnnSdpIterate) -> bool:
 def _solve(prob: DnnSdpProblem, cfg: SolverConfig, policy: TuningPolicy,
            callback, step) -> SolveResult:
     """The solve loop shared by the corrected and the directly extended
-    method; ``step(it, prob, cfg)`` makes one iteration."""
-    if cfg.record_history:
-        raise ValueError("SolverConfig.record_history is read by engine.solve only; "
-                         "the DNN-SDP loops keep no iterate history")
+    method; ``step(it, prob, cfg)`` makes one iteration. A diverged
+    iterate is caught before anything reads it (overflow is silent, so an
+    overflowing norm reads inf), and the run then reports no residuals."""
+    prob.validate()
     max_iters = cfg.max_iters if cfg.max_iters is not None else default_max_iters(prob)
     freeze_after = policy.freeze_iteration(max_iters)
-    gram_factor(prob.A_E)
-    if prob.four_block:
-        cached_lambda_max(prob)
 
     it = initial_iterate(prob, cfg.sigma, cfg.tau0)
     eta_history: list = []
@@ -433,27 +422,29 @@ def _solve(prob: DnnSdpProblem, cfg: SolverConfig, policy: TuningPolicy,
     report = None
     status = MAX_ITERS
     t0 = time.perf_counter()
-    while it.k < max_iters:
-        it = step(it, prob, cfg)
-        report = residuals(it, prob)
-        eta = report.eta
-        eta_history.append(eta)
-        tau_history.append(it.tau)
-        if callback is not None:
-            callback(it, report)
-        if _diverged(it):
-            status = DIVERGED
-            break
-        if eta < cfg.tol:
-            status = CONVERGED
-            break
-        new_sigma = tune_sigma(report, it.sigma, it.k, policy, freeze_after)
-        if new_sigma != it.sigma:
-            it = replace(it, sigma=new_sigma)
-        it, restarted = maybe_restart(eta_history, it, policy, cfg.tau0,
-                                      restarts[-1] if restarts else 0)
-        if restarted:
-            restarts.append(it.k)
+    with np.errstate(over="ignore"):
+        while it.k < max_iters:
+            it = step(it, prob, cfg)
+            tau_history.append(it.tau)
+            if _diverged(it):
+                status = DIVERGED
+                report = None
+                break
+            report = residuals(it, prob)
+            eta = report.eta
+            eta_history.append(eta)
+            if callback is not None:
+                callback(it, report)
+            if eta < cfg.tol:
+                status = CONVERGED
+                break
+            new_sigma = tune_sigma(report, it.sigma, it.k, policy, freeze_after)
+            if new_sigma != it.sigma:
+                it = replace(it, sigma=new_sigma)
+            it, restarted = maybe_restart(eta_history, it, policy, cfg.tau0,
+                                          restarts[-1] if restarts else 0)
+            if restarted:
+                restarts.append(it.k)
     wall = time.perf_counter() - t0
     return SolveResult(
         status=status, iterations=it.k,

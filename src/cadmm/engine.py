@@ -126,7 +126,6 @@ class SolverConfig:
     tau0: float = 1.95
     tol: float = 1e-6
     max_iters: Optional[int] = None
-    record_history: bool = False
 
     def __post_init__(self):
         if not self.sigma > 0:
@@ -157,7 +156,6 @@ class SolveResult:
     residual: float
     z: list
     x: np.ndarray
-    z_tilde: Optional[list] = None
     tau_final: float = math.nan
     tau_history: list = field(default_factory=list)
     wall_seconds: float = 0.0
@@ -302,7 +300,7 @@ def _default_residual(prob, z, x, c_norm, has_prox):
 
 def _run(prob: MultiBlockProblem, cfg: SolverConfig, stop: Optional[Callable],
          z0: Optional[list], x0: Optional[np.ndarray],
-         fixed_tau: Optional[float]) -> SolveResult:
+         fixed_tau: Optional[float], record_history: bool = False) -> SolveResult:
     """The loop behind :func:`solve` and :func:`solve_direct_extended`.
 
     With ``fixed_tau`` set, every multiplier step uses it and the
@@ -321,7 +319,7 @@ def _run(prob: MultiBlockProblem, cfg: SolverConfig, stop: Optional[Callable],
                       "stopping test skips them")
 
     tau_history = []
-    history = [] if cfg.record_history else None
+    history = [] if record_history else None
     change_norms = []  # per iteration: (||z_i^{k+1} - zt_i^k|| for i>=2, ||x^{k+1}-x^k||)
     residual = math.inf
     status = MAX_ITERS
@@ -379,8 +377,7 @@ def _run(prob: MultiBlockProblem, cfg: SolverConfig, stop: Optional[Callable],
     wall = time.perf_counter() - t0
     return SolveResult(
         status=status, iterations=state.k, residual=residual,
-        z=state.z, x=state.x, z_tilde=state.z_tilde,
-        tau_final=state.tau, tau_history=tau_history,
+        z=state.z, x=state.x, tau_final=state.tau, tau_history=tau_history,
         wall_seconds=wall, history=history, sigma_final=cfg.sigma,
         change_norms=change_norms,
         message="" if status != DIVERGED else "iterate norm exceeded guard",
@@ -389,15 +386,19 @@ def _run(prob: MultiBlockProblem, cfg: SolverConfig, stop: Optional[Callable],
 
 def solve(prob: MultiBlockProblem, cfg: SolverConfig = None,
           stop: Optional[Callable] = None,
-          z0: Optional[list] = None, x0: Optional[np.ndarray] = None) -> SolveResult:
+          z0: Optional[list] = None, x0: Optional[np.ndarray] = None,
+          record_history: bool = False) -> SolveResult:
     """Run the corrected semi-proximal ADMM.
 
     Stops when ``stop(state, f_full_norm)`` fires if given, otherwise when
     max(||F||/(1+||c||), kkt_residual) < cfg.tol. ``cfg.tol <= 0`` disables
     the residual test and runs exactly ``max_iters`` iterations.
+    ``record_history`` keeps one dict per iteration in ``history``: ``z``,
+    ``z_tilde``, ``z_tilde_prev``, ``x`` and ``tau``.
     """
     prob.probe_operators()
-    return _run(prob, cfg or SolverConfig(), stop, z0, x0, fixed_tau=None)
+    return _run(prob, cfg or SolverConfig(), stop, z0, x0, fixed_tau=None,
+                record_history=record_history)
 
 
 def solve_direct_extended(prob: MultiBlockProblem, cfg: SolverConfig = None,

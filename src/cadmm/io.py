@@ -88,7 +88,6 @@ def _constraints_from_json(doc: dict, n: int) -> SparseSymList:
 
 
 def problem_to_json(prob: DnnSdpProblem) -> dict:
-    meta = {k: v for k, v in prob.meta.items() if not k.startswith("_")}
     doc = {
         "format": PROBLEM_FORMAT,
         "n": prob.n,
@@ -100,7 +99,7 @@ def problem_to_json(prob: DnnSdpProblem) -> dict:
                 if prob.b_I is not None else None),
         "M": None if not prob.M.any() else _sym_to_upper(prob.M),
         "pattern": {"n": prob.pattern.n, "rle": prob.pattern.rle()},
-        "meta": meta,
+        "meta": dict(prob.meta),
     }
     return doc
 

@@ -149,7 +149,8 @@ class SparseSymList:
     a triple with ``i < j`` stands for the pair of symmetric entries.
     Internally the collection is a CSR matrix over svec coordinates, so
     ``apply`` and ``adjoint`` are single sparse mat-vecs and the Gram
-    matrix of the collection is ``P @ P.T``.
+    matrix of the collection is ``P @ P.T``. The transposed CSR, the Gram
+    factor and the Gram spectral bound are cached on it on first use.
     """
 
     def __init__(self, n: int, triples: Sequence[tuple], copy_validate: bool = True):
@@ -196,6 +197,7 @@ class SparseSymList:
         ]
         self._gram_cho = None
         self._csr_t = None
+        self._lam_max = None
 
     def _transpose(self) -> scipy.sparse.csr_matrix:
         """CSR copy of ``_csr.T``, built on the first call only. Its

@@ -60,12 +60,12 @@ class TestCriterion1And2:
         min_gap = np.inf
         taus = []
         for toy in dense_instances():
-            cfg = SolverConfig(tol=0.0, record_history=True)
+            cfg = SolverConfig(tol=0.0)
             cfg.max_iters = 60
             ops = build_theory_operators(toy.problem, cfg.alpha)
             g_sym = 0.5 * (ops.g + ops.g.T)
             min_gap = min(min_gap, float(np.linalg.eigvalsh(g_sym).min()))
-            res = solve(toy.problem, cfg)
+            res = solve(toy.problem, cfg, record_history=True)
             taus.append(res.tau_history)
             for step in res.history:
                 lhs = ops.h @ (w_concat(step["z_tilde"])
@@ -119,9 +119,8 @@ class TestCriterion4:
             prob = build_ext_biq(random_biq(n, seed))
             cfg = SolverConfig(tol=0.0)
             cfg.max_iters = 200
-            cfg.record_history = True
             mb, z0, x0 = to_multiblock(prob)
-            gres = engine.solve(mb, cfg, z0=z0, x0=x0)
+            gres = engine.solve(mb, cfg, z0=z0, x0=x0, record_history=True)
             it = initial_iterate(prob, cfg.sigma, cfg.tau0)
             step_cfg = SolverConfig(tol=0.0)
             for step in gres.history:
@@ -144,22 +143,22 @@ class TestCriterion5:
             lam = cached_lambda_max(prob)
             it = random_state(prob, seed)
             sig = it.sigma
-            r1 = it.t_Z + prob.A_E.adjoint(it.t_yE) + it.t_S - prob.C
-            got = update_yI(prob, lam, it.X, r1, it.t_yI, sig)
-            oracle = pg_oracle_yI(prob, lam, it.X, r1, it.t_yI, sig)
+            r1 = it.t_Z + prob.A_E.adjoint(it.t_yE) + it.S - prob.C
+            got = update_yI(prob, lam, it.X, r1, it.yI, sig)
+            oracle = pg_oracle_yI(prob, lam, it.X, r1, it.yI, sig)
             worst["yI"] = max(worst["yI"],
                               float(np.linalg.norm(got - oracle))
                               / (1 + np.linalg.norm(oracle)))
 
             adjI = prob.A_I.adjoint(got)
-            r2 = adjI + prob.A_E.adjoint(it.t_yE) + it.t_S - prob.C
+            r2 = adjI + prob.A_E.adjoint(it.t_yE) + it.S - prob.C
             got_z = update_Z(prob, it.X, r2, sig)
             oracle_z = pg_oracle_Z(prob, it.X, r2, sig)
             worst["Z"] = max(worst["Z"],
                              float(np.linalg.norm(got_z - oracle_z))
                              / (1 + np.linalg.norm(oracle_z)))
 
-            r3 = adjI + got_z + it.t_S - prob.C
+            r3 = adjI + got_z + it.S - prob.C
             got_ye = update_yE(prob, it.X, r3, sig)
             gram = dense_gram_independent(prob.A_E)
             rhs = prob.b_E / sig - prob.A_E.apply(it.X / sig + r3)

@@ -1,6 +1,7 @@
 # -*- coding: utf-8 -*-
 
 import json
+import warnings
 
 import pytest
 
@@ -57,14 +58,21 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("solver", ["cadmm", "dext"])
     def test_diverged_run_reports_why(self, solver, tmp_path, capsys):
-        # a huge penalty blows the multiplier past the guard at once
+        # a huge penalty blows the multiplier past the guard at once; near
+        # the float limit the first step overflows, which must end the run
+        # as Diverged too, without a warning or an error from a later check
         out = tmp_path / "res.json"
-        code = main(["solve", "--generate", "biq:6:1", "--solver", solver,
-                     "--sigma", "1e13", "--out", str(out)])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert "oversized iterate at k=1" in err
-        assert json.loads(out.read_text())["message"] == err.strip()
+        for sigma in ("1e13", "1e300", "1e308"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["solve", "--generate", "biq:6:1", "--solver", solver,
+                             "--sigma", sigma, "--out", str(out)])
+            assert code == 3, sigma
+            err = capsys.readouterr().err
+            assert "oversized iterate at k=1" in err
+            doc = json.loads(out.read_text())
+            assert doc["message"] == err.strip()
+            assert doc["eta_max"] == float("inf") and doc["eta"] == {}
 
     def test_policy_override(self, tmp_path):
         out = tmp_path / "res.json"

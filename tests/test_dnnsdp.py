@@ -1,9 +1,13 @@
 # -*- coding: utf-8 -*-
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from cadmm import dnnsdp, engine
+from cadmm.cli import generate_problem
 from cadmm.cones import ConePattern, project_pattern, project_pattern_dual
 from cadmm.dnnsdp import (DnnSdpProblem, ResidualReport,
                           SolverConfig, TuningPolicy, cached_lambda_max,
@@ -12,6 +16,7 @@ from cadmm.dnnsdp import (DnnSdpProblem, ResidualReport,
                           maybe_restart, objective_values, residuals,
                           to_multiblock, tune_sigma, update_S, update_Z,
                           update_yE, update_yI)
+from cadmm.io import write_problem
 from cadmm.linalg import SparseSymList, gram_solve, lambda_max_gram, project_psd
 from cadmm.problems import (BiqData, build_biq, build_ext_biq, build_theta_plus,
                             random_biq, random_fap, random_graph, random_rcp)
@@ -29,7 +34,7 @@ def exact_kkt_instance():
     it.S = np.array([[1.0, -1.0], [-1.0, 1.0]])
     it.yE = np.array([-1.0, -1.0])
     it.Z = np.zeros((2, 2))
-    it.t_Z, it.t_yE, it.t_S = it.Z.copy(), it.yE.copy(), it.S.copy()
+    it.t_Z, it.t_yE = it.Z.copy(), it.yE.copy()
     return prob, it
 
 
@@ -43,15 +48,13 @@ def random_state(prob, seed):
     n = prob.n
     it.X = random_sym(rng, n)
     s = rng.standard_normal((n, n))
-    it.t_S = s @ s.T / n
-    it.S = it.t_S.copy()
+    it.S = s @ s.T / n
     it.t_Z = project_pattern_dual(random_sym(rng, n), prob.pattern)
     it.Z = it.t_Z.copy()
     it.t_yE = rng.standard_normal(prob.A_E.m)
     it.yE = it.t_yE.copy()
     if prob.four_block:
-        it.t_yI = np.abs(rng.standard_normal(prob.A_I.m))
-        it.yI = it.t_yI.copy()
+        it.yI = np.abs(rng.standard_normal(prob.A_I.m))
     return it
 
 
@@ -89,9 +92,9 @@ class TestSubproblemUpdates:
         prob = random_four_block(seed + 10, n=7)
         lam = cached_lambda_max(prob)
         it = random_state(prob, seed)
-        r = it.t_Z + prob.A_E.adjoint(it.t_yE) + it.t_S - prob.C
-        got = update_yI(prob, lam, it.X, r, it.t_yI, it.sigma)
-        oracle = pg_oracle_yI(prob, lam, it.X, r, it.t_yI, it.sigma)
+        r = it.t_Z + prob.A_E.adjoint(it.t_yE) + it.S - prob.C
+        got = update_yI(prob, lam, it.X, r, it.yI, it.sigma)
+        oracle = pg_oracle_yI(prob, lam, it.X, r, it.yI, it.sigma)
         assert np.linalg.norm(got - oracle) <= 1e-8 * (1 + np.linalg.norm(oracle))
 
     def test_Z_all_free_pattern_gives_zero(self, rng):
@@ -111,7 +114,7 @@ class TestSubproblemUpdates:
     def test_Z_matches_projected_gradient(self, seed):
         prob = random_fap(7, seed + 1)
         it = random_state(prob, seed)
-        r = prob.A_E.adjoint(it.t_yE) + it.t_S - prob.C
+        r = prob.A_E.adjoint(it.t_yE) + it.S - prob.C
         got = update_Z(prob, it.X, r, it.sigma)
         oracle = pg_oracle_Z(prob, it.X, r, it.sigma)
         assert np.linalg.norm(got - oracle) <= 1e-8 * (1 + np.linalg.norm(oracle))
@@ -138,7 +141,7 @@ class TestSubproblemUpdates:
     def test_yE_gradient_vanishes(self, seed):
         prob = build_biq(random_biq(6, seed + 20))
         it = random_state(prob, seed)
-        r = it.Z + it.t_S - prob.C
+        r = it.Z + it.S - prob.C
         y = update_yE(prob, it.X, r, it.sigma)
         # gradient of the literal objective -b'y + <X, A*y> + sigma/2||A*y + r||^2
         grad = (-prob.b_E + prob.A_E.apply(it.X)
@@ -148,7 +151,7 @@ class TestSubproblemUpdates:
     def test_yE_matches_independent_dense_solve(self, seed=3):
         prob = build_biq(random_biq(6, seed))
         it = random_state(prob, seed)
-        r = it.Z + it.t_S - prob.C
+        r = it.Z + it.S - prob.C
         y = update_yE(prob, it.X, r, it.sigma)
         gram = dense_gram_independent(prob.A_E)
         rhs = prob.b_E / it.sigma - prob.A_E.apply(it.X / it.sigma + r)
@@ -182,7 +185,7 @@ class TestCadmmStep:
         prob, it = exact_kkt_instance()
         out = cadmm_step(it, prob, SolverConfig())
         for a, b in [(out.Z, it.Z), (out.yE, it.yE), (out.S, it.S), (out.X, it.X),
-                     (out.t_Z, it.t_Z), (out.t_yE, it.t_yE), (out.t_S, it.t_S)]:
+                     (out.t_Z, it.t_Z), (out.t_yE, it.t_yE)]:
             assert np.linalg.norm(np.asarray(a) - np.asarray(b)) <= 1e-12
 
     def test_residuals_vanish_at_exact_kkt(self):
@@ -191,12 +194,12 @@ class TestCadmmStep:
         assert rep.eta <= 1e-10
         assert abs(rep.eta_g) <= 1e-10
 
-    def test_tilde_invariants(self):
-        prob = random_four_block(5, n=7)
-        it = random_state(prob, 5)
-        out = cadmm_step(it, prob, SolverConfig())
-        assert out.t_S is out.S
-        assert out.t_yI is out.yI
+    def test_iterate_has_no_first_or_last_block_centres(self):
+        # yI and S are their own centres; a slotted iterate refuses a
+        # stray centre instead of keeping an attribute nothing reads
+        it = random_state(random_four_block(5, n=5), 5)
+        with pytest.raises(AttributeError):
+            it.t_S = it.S.copy()
 
     def test_correction_recursion_uses_corrected_base(self):
         # the corrected Z update must recurse from the corrected point, not
@@ -206,7 +209,7 @@ class TestCadmmStep:
         it.Z = it.t_Z + 0.3 * random_sym(np.random.default_rng(0), prob.n)
         cfg = SolverConfig()
         out = cadmm_step(it, prob, cfg)
-        d_s = out.S - it.t_S
+        d_s = out.S - it.S
         d_ye = prob.A_E.adjoint(out.t_yE - it.t_yE)
         expect = it.t_Z + cfg.alpha * (out.Z - it.t_Z) - (d_ye + d_s)
         assert np.linalg.norm(out.t_Z - expect) <= 1e-12
@@ -219,7 +222,7 @@ class TestCadmmStep:
         cfg = SolverConfig()
         out = cadmm_step(it, prob, cfg)
         expect_ye = (it.t_yE + cfg.alpha * (out.yE - it.t_yE)
-                     - gram_solve(prob.A_E, prob.A_E.apply(out.S - it.t_S)))
+                     - gram_solve(prob.A_E, prob.A_E.apply(out.S - it.S)))
         assert np.linalg.norm(out.t_yE - expect_ye) <= 1e-12
 
 
@@ -237,9 +240,8 @@ class TestGenericEquivalence:
         iters = 40
         cfg = SolverConfig(tol=0.0)
         cfg.max_iters = iters
-        cfg.record_history = True
         mb, z0, x0 = to_multiblock(prob)
-        gres = engine.solve(mb, cfg, z0=z0, x0=x0)
+        gres = engine.solve(mb, cfg, z0=z0, x0=x0, record_history=True)
         it = initial_iterate(prob, cfg.sigma, cfg.tau0)
         step_cfg = SolverConfig(tol=0.0)
         for step in gres.history:
@@ -442,7 +444,6 @@ class TestRestart:
         assert out.tau == pytest.approx(1.95)
         assert np.array_equal(out.t_Z, out.Z)
         assert np.array_equal(out.t_yE, out.yE)
-        assert np.array_equal(out.t_S, out.S)
 
     def test_restart_respects_window_spacing(self):
         prob = build_biq(random_biq(4, 3))
@@ -459,12 +460,12 @@ class TestRestart:
         it = initial_iterate(prob, 1.0, cfg.tau0)
         for _ in range(5):
             it = cadmm_step(it, prob, cfg)
-        restarted, _ = maybe_restart([1.0] * 101, it.__class__(**vars(it)),
+        restarted, _ = maybe_restart([1.0] * 101, dataclasses.replace(it),
                                      TuningPolicy(), cfg.tau0, -200)
         it2 = cadmm_step(restarted, prob, cfg)
         # corrected middle block must satisfy the triangular recursion
         expect = (restarted.t_yE + cfg.alpha * (it2.yE - restarted.t_yE)
-                  - gram_solve(prob.A_E, prob.A_E.apply(it2.S - restarted.t_S)))
+                  - gram_solve(prob.A_E, prob.A_E.apply(it2.S - restarted.S)))
         assert np.linalg.norm(it2.t_yE - expect) <= 1e-11
 
 
@@ -531,13 +532,6 @@ class TestSolvers:
         assert res.status == "MaxIters"
         assert res.iterations == 10
 
-    @pytest.mark.parametrize("solve", [cadmm_solve, dext_solve], ids=["cadmm", "dext"])
-    def test_record_history_refused(self, solve):
-        # only engine.solve keeps a history; the DNN loops must not drop it silently
-        prob = build_biq(random_biq(4, 1))
-        with pytest.raises(ValueError, match="read by engine.solve only"):
-            solve(prob, SolverConfig(max_iters=3, record_history=True))
-
 
 class TestProblemValidation:
     def test_rejects_asymmetric_objective(self):
@@ -570,6 +564,15 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match=f"^{name} has non-finite entries"):
             DnnSdpProblem(**data)
 
+    @pytest.mark.parametrize("solve", [cadmm_solve, dext_solve], ids=["cadmm", "dext"])
+    def test_solve_validates_first(self, solve):
+        a = SparseSymList(2, [([0], [0], [1.0])])
+        zero = SparseSymList(2, [([0], [1], [0.0])])
+        prob = DnnSdpProblem(n=2, C=np.eye(2), A_E=a, b_E=np.ones(1), A_I=zero,
+                             b_I=np.zeros(1))
+        with pytest.raises(ValueError, match="inequality constraint map is zero"):
+            solve(prob, SolverConfig(max_iters=3))
+
     def test_validate_runs_the_power_iteration_once(self, monkeypatch):
         calls = []
 
@@ -582,3 +585,29 @@ class TestProblemValidation:
         prob.validate()
         assert cached_lambda_max(prob) > 0.0
         assert len(calls) == 1
+
+
+class TestCachedBound:
+    """The A_I spectral bound is cached on the A_I collection, not on the
+    problem, so problems that share ``meta`` cannot share a stale bound."""
+
+    def test_replaced_inequality_data_reads_its_own_bound(self):
+        prob = generate_problem("ebiq:8:2")
+        old = cached_lambda_max(prob)
+        a = prob.A_I
+        a3 = SparseSymList(prob.n, [(i, j, 3.0 * v) for i, j, v in map(a.triples, range(a.m))])
+        scaled = dataclasses.replace(prob, A_I=a3, b_I=3.0 * prob.b_I)
+        assert scaled.meta is prob.meta
+        assert cached_lambda_max(scaled) == lambda_max_gram(a3)
+        assert cached_lambda_max(scaled) > 8.0 * old
+        res = cadmm_solve(scaled)
+        assert res.status == "Converged"
+        assert res.report.eta < 1e-6
+
+    def test_solve_leaves_meta_unchanged(self, tmp_path):
+        prob = generate_problem("ebiq:6:1")
+        before = dict(prob.meta)
+        cadmm_solve(prob, SolverConfig(max_iters=5))
+        assert prob.meta == before
+        write_problem(prob, tmp_path / "p.json")
+        assert json.loads((tmp_path / "p.json").read_text())["meta"] == before

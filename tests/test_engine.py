@@ -282,8 +282,8 @@ class TestSolve:
 
     def test_correction_identity_along_trajectory(self):
         toy = random_quadratic_toy(4, (3, 4, 5, 4), 7, seed=35, rho_blocks=(1,))
-        cfg = SolverConfig(tol=0.0, max_iters=50, record_history=True)
-        res = solve(toy.problem, cfg)
+        cfg = SolverConfig(tol=0.0, max_iters=50)
+        res = solve(toy.problem, cfg, record_history=True)
         ops = build_theory_operators(toy.problem, cfg.alpha)
         for step in res.history:
             lhs = ops.h @ (w_concat(step["z_tilde"]) - w_concat(step["z_tilde_prev"]))
@@ -293,8 +293,8 @@ class TestSolve:
 
     def test_tilde_invariants_after_every_iteration(self):
         toy = random_quadratic_toy(3, (3, 4, 5), 6, seed=36)
-        cfg = SolverConfig(tol=0.0, max_iters=30, record_history=True)
-        res = solve(toy.problem, cfg)
+        cfg = SolverConfig(tol=0.0, max_iters=30)
+        res = solve(toy.problem, cfg, record_history=True)
         for step in res.history:
             assert np.array_equal(step["z_tilde"][0], step["z"][0])
             assert np.array_equal(step["z_tilde"][-1], step["z"][-1])

@@ -7,7 +7,8 @@ iterates bit for bit the same.
 
 The solves are those of the benchmark (every instance and solver of
 ``perfbench.suite.WORKLOADS``, with the seed-1 relabelings) plus cadmm
-on ``biq:20:7``, a long run with many restarts. Each line holds the
+on ``biq:20:7``, a long run with many restarts, and on ``ebiq:10:5``, a
+four-block run that restarts once. Each line holds the
 status, the iteration count, the number of restarts, the final sigma and
 tau, the ``repr`` of every ``ResidualReport`` field, and the first 16
 hex digits of the sha256 of the tau history, of ``x`` and of each ``z``
@@ -33,7 +34,7 @@ from cadmm import cli  # noqa: E402
 from perfbench import suite  # noqa: E402
 
 SEED = 1
-EXTRA = ("biq:20:7", "cadmm")
+EXTRA = (("biq:20:7", "cadmm"), ("ebiq:10:5", "cadmm"))
 
 
 def digest(a) -> str:
@@ -60,8 +61,8 @@ def solves():
             for solver in inst.solvers:
                 prob = suite.generate(inst.spec, perms[inst.spec])
                 yield f"{workload.name}/{inst.spec}/{solver}", prob, solver, inst.max_iters
-    spec, solver = EXTRA
-    yield f"extra/{spec}/{solver}", cli.generate_problem(spec), solver, None
+    for spec, solver in EXTRA:
+        yield f"extra/{spec}/{solver}", cli.generate_problem(spec), solver, None
 
 
 def main() -> int:
