@@ -90,7 +90,12 @@ class DnnSdpProblem:
 class DnnSdpIterate:
     """Blocks, multiplier X and the corrected centres of the middle blocks
     (``t_Z`` is Z in the 3-block case, where Z comes first). The first and
-    last blocks are never corrected: their centres are the blocks."""
+    last blocks are never corrected: their centres are the blocks.
+
+    ``f_full`` is the constraint map A_I* y_I + Z + A_E* y_E + S - C at the
+    blocks, as the sweep that made them summed it; it is None on the start
+    and on iterates built by hand. A sigma change or a restart moves no
+    block, so it stays valid across both."""
 
     Z: np.ndarray
     yE: np.ndarray
@@ -102,6 +107,7 @@ class DnnSdpIterate:
     tau: float = 1.95
     sigma: float = 1.0
     k: int = 0
+    f_full: Optional[np.ndarray] = None
 
 
 def initial_iterate(prob: DnnSdpProblem, sigma: float, tau0: float) -> DnnSdpIterate:
@@ -221,7 +227,7 @@ def cadmm_step(it: DnnSdpIterate, prob: DnnSdpProblem,
 
     return DnnSdpIterate(
         Z=Z_new, yE=yE_new, S=S_new, X=X_new, t_Z=t_Z_new, t_yE=t_yE_new,
-        yI=yI_new, tau=tau_k, sigma=it.sigma, k=it.k + 1)
+        yI=yI_new, tau=tau_k, sigma=it.sigma, k=it.k + 1, f_full=f_full)
 
 
 def dext_step(it: DnnSdpIterate, prob: DnnSdpProblem, cfg: SolverConfig,
@@ -233,7 +239,7 @@ def dext_step(it: DnnSdpIterate, prob: DnnSdpProblem, cfg: SolverConfig,
     X_new = it.X + (tau * it.sigma) * f_full
     return DnnSdpIterate(
         Z=Z_new, yE=yE_new, S=S_new, X=X_new, t_Z=Z_new, t_yE=yE_new,
-        yI=yI_new, tau=tau, sigma=it.sigma, k=it.k + 1)
+        yI=yI_new, tau=tau, sigma=it.sigma, k=it.k + 1, f_full=f_full)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +248,8 @@ def dext_step(it: DnnSdpIterate, prob: DnnSdpProblem, cfg: SolverConfig,
 @dataclass(frozen=True)
 class ResidualReport:
     """Relative KKT residual components; ``eta`` is the max of the present
-    ones and ``eta_g`` the signed relative gap (informational)."""
+    ones and ``eta_g`` the signed relative gap between <C, X> and the dual
+    objective b_E.y_E (+ b_I.y_I) + <M, Z> (informational)."""
 
     eta_P: float
     eta_D: float
@@ -273,7 +280,8 @@ class ResidualReport:
         return out
 
 
-def residuals(it: DnnSdpIterate, prob: DnnSdpProblem) -> ResidualReport:
+def residuals(it: DnnSdpIterate, prob: DnnSdpProblem,
+              f_full: Optional[np.ndarray] = None) -> ResidualReport:
     """Relative primal/dual feasibility, cone and complementarity
     residuals of the current primal-dual tuple.
 
@@ -282,6 +290,12 @@ def residuals(it: DnnSdpIterate, prob: DnnSdpProblem) -> ResidualReport:
     projection (the Moreau decomposition), which for the all-nonnegative
     self-dual patterns reduces to projecting the negated matrix. The PSD
     distances of X and S come from eigenvalues alone.
+
+    ``f_full`` certifies an iterate from the sweep that made it: the
+    constraint map at its blocks, as the sweep summed it (``it.f_full``).
+    ``eta_D`` is then read from it, and the dual cone residuals are 0.0,
+    because y_I, Z and S are that sweep's projections onto their cones.
+    Without it every component is recomputed from the blocks.
     """
     X, S, Z, yE = it.X, it.S, it.Z, it.yE
     C = prob.C
@@ -291,7 +305,9 @@ def residuals(it: DnnSdpIterate, prob: DnnSdpProblem) -> ResidualReport:
 
     eta_P = float(np.linalg.norm(prob.A_E.apply(X) - prob.b_E)) / (
         1.0 + float(np.linalg.norm(prob.b_E)))
-    if prob.four_block:
+    if f_full is not None:
+        dual_res = f_full
+    elif prob.four_block:
         dual_res = prob.A_I.adjoint(it.yI) + Z + prob.A_E.adjoint(yE) + S - C
     else:
         dual_res = prob.A_E.adjoint(yE) + S + Z - C
@@ -301,26 +317,31 @@ def residuals(it: DnnSdpIterate, prob: DnnSdpProblem) -> ResidualReport:
     shifted = X - prob.M
     eta_K = float(np.linalg.norm(project_pattern_dual(-shifted, prob.pattern))) / (
         1.0 + norm_X)
-    eta_Sstar = psd_distance(S) / (1.0 + norm_S)
-    eta_Kstar = float(np.linalg.norm(project_pattern(-Z, prob.pattern))) / (
-        1.0 + norm_Z)
+    if f_full is not None:
+        eta_Sstar = eta_Kstar = 0.0
+    else:
+        eta_Sstar = psd_distance(S) / (1.0 + norm_S)
+        eta_Kstar = float(np.linalg.norm(project_pattern(-Z, prob.pattern))) / (
+            1.0 + norm_Z)
     eta_C1 = abs(frob_inner(X, S)) / (1.0 + norm_X + norm_S)
     eta_C2 = abs(frob_inner(shifted, Z)) / (1.0 + norm_X + norm_Z)
 
-    cx = frob_inner(C, X)
-    bey = float(prob.b_E @ yE)
+    eta_I = eta_Istar = None
+    biy = 0.0
     if prob.four_block:
         biy = float(prob.b_I @ it.yI)
         eta_I = float(np.linalg.norm(np.maximum(0.0, prob.b_I - prob.A_I.apply(X)))) / (
             1.0 + float(np.linalg.norm(prob.b_I)))
-        eta_Istar = float(np.linalg.norm(np.maximum(0.0, -it.yI))) / (
-            1.0 + float(np.linalg.norm(it.yI)))
-        eta_g = (cx - (bey + biy)) / (1.0 + abs(cx + bey + biy))
-        return ResidualReport(eta_P, eta_D, eta_S, eta_K, eta_Sstar, eta_Kstar,
-                              eta_C1, eta_C2, eta_I, eta_Istar, eta_g)
-    eta_g = (cx - bey) / (1.0 + abs(cx + bey))
+        eta_Istar = 0.0
+        if f_full is None:
+            eta_Istar = float(np.linalg.norm(np.maximum(0.0, -it.yI))) / (
+                1.0 + float(np.linalg.norm(it.yI)))
+    cx = frob_inner(C, X)
+    bey = float(prob.b_E @ yE)
+    mz = frob_inner(prob.M, Z)
+    eta_g = (cx - (bey + biy + mz)) / (1.0 + abs(cx + bey + biy + mz))
     return ResidualReport(eta_P, eta_D, eta_S, eta_K, eta_Sstar, eta_Kstar,
-                          eta_C1, eta_C2, None, None, eta_g)
+                          eta_C1, eta_C2, eta_I, eta_Istar, eta_g)
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +419,19 @@ def default_max_iters(prob: DnnSdpProblem) -> int:
     return 40000 if prob.four_block else 20000
 
 
-def _diverged(it: DnnSdpIterate) -> bool:
-    blocks = [it.Z, it.yE, it.S, it.X] + ([] if it.yI is None else [it.yI])
-    # A NaN or inf entry makes the norm NaN or inf, and so does a finite
-    # block whose norm overflows; neither passes the comparison.
-    return any(not np.linalg.norm(b) <= engine.DIVERGENCE_GUARD for b in blocks)
+def _diverged(it: DnnSdpIterate) -> Optional[tuple]:
+    """``(name, norm)`` of the first block, in sweep order and then X,
+    whose norm fails the divergence guard; None when every block passes."""
+    blocks = {"yI": it.yI, "Z": it.Z, "yE": it.yE, "S": it.S, "X": it.X}
+    for name, b in blocks.items():
+        if b is None:
+            continue
+        # A NaN or inf entry makes the norm NaN or inf, and so does a
+        # finite block whose norm overflows; neither passes the comparison.
+        norm = float(np.linalg.norm(b))
+        if not norm <= engine.DIVERGENCE_GUARD:
+            return name, norm
+    return None
 
 
 def _solve(prob: DnnSdpProblem, cfg: SolverConfig, policy: TuningPolicy,
@@ -410,7 +439,10 @@ def _solve(prob: DnnSdpProblem, cfg: SolverConfig, policy: TuningPolicy,
     """The solve loop shared by the corrected and the directly extended
     method; ``step(it, prob, cfg)`` makes one iteration. A diverged
     iterate is caught before anything reads it (overflow is silent, so an
-    overflowing norm reads inf), and the run then reports no residuals."""
+    overflowing norm reads inf), and the run then reports no residuals.
+
+    Each iterate is certified from its sweep's constraint map; the report
+    and residual the run returns are recomputed in full from the blocks."""
     prob.validate()
     max_iters = cfg.max_iters if cfg.max_iters is not None else default_max_iters(prob)
     freeze_after = policy.freeze_iteration(max_iters)
@@ -420,17 +452,19 @@ def _solve(prob: DnnSdpProblem, cfg: SolverConfig, policy: TuningPolicy,
     tau_history: list = []
     restarts: list = []
     report = None
+    oversized = None
     status = MAX_ITERS
     t0 = time.perf_counter()
     with np.errstate(over="ignore"):
         while it.k < max_iters:
             it = step(it, prob, cfg)
             tau_history.append(it.tau)
-            if _diverged(it):
+            oversized = _diverged(it)
+            if oversized:
                 status = DIVERGED
                 report = None
                 break
-            report = residuals(it, prob)
+            report = residuals(it, prob, it.f_full)
             eta = report.eta
             eta_history.append(eta)
             if callback is not None:
@@ -445,6 +479,8 @@ def _solve(prob: DnnSdpProblem, cfg: SolverConfig, policy: TuningPolicy,
                                           restarts[-1] if restarts else 0)
             if restarted:
                 restarts.append(it.k)
+        if report is not None:
+            report = residuals(it, prob)
     wall = time.perf_counter() - t0
     return SolveResult(
         status=status, iterations=it.k,
@@ -454,7 +490,8 @@ def _solve(prob: DnnSdpProblem, cfg: SolverConfig, policy: TuningPolicy,
         wall_seconds=wall, restarts=restarts,
         report=report, sigma_final=it.sigma,
         message="" if status != DIVERGED else
-        f"non-finite or oversized iterate at k={it.k}; last eta history "
+        f"non-finite or oversized iterate at k={it.k}: {oversized[0]} has norm "
+        f"{oversized[1]:.2e}; last eta history "
         f"{[f'{e:.2e}' for e in eta_history[-3:]]}")
 
 

@@ -1,6 +1,7 @@
 # -*- coding: utf-8 -*-
 
 import json
+import re
 import warnings
 
 import pytest
@@ -62,7 +63,10 @@ class TestSolveCommand:
         # the float limit the first step overflows, which must end the run
         # as Diverged too, without a warning or an error from a later check
         out = tmp_path / "res.json"
-        for sigma in ("1e13", "1e300", "1e308"):
+        # the message names the first block past the guard and its norm:
+        # X at about 2e14 (the step size sets the digits), then overflowed
+        for sigma, norm in (("1e13", r"[12]\.\d\de\+14"), ("1e300", "inf"),
+                            ("1e308", "inf")):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 code = main(["solve", "--generate", "biq:6:1", "--solver", solver,
@@ -70,6 +74,7 @@ class TestSolveCommand:
             assert code == 3, sigma
             err = capsys.readouterr().err
             assert "oversized iterate at k=1" in err
+            assert re.search(f"k=1: X has norm {norm};", err), err
             doc = json.loads(out.read_text())
             assert doc["message"] == err.strip()
             assert doc["eta_max"] == float("inf") and doc["eta"] == {}

@@ -286,20 +286,25 @@ class TestResiduals:
         assert rep.eta_P == pytest.approx(0.5)
 
     def test_matches_independent_reimplementation(self):
-        # literal recomputation of every component, coded separately
-        for seed in range(4):
-            prob = random_four_block(seed + 40, n=6)
-            it = random_state(prob, seed + 40)
+        # literal recomputation of every component, coded separately; the
+        # fap states have a shift M != 0 and no inequality block
+        cases = [(random_four_block(seed + 40, n=6), seed + 40) for seed in range(4)]
+        cases += [(random_fap(7, seed), seed) for seed in (1, 2)]
+        for prob, seed in cases:
+            it = random_state(prob, seed)
             rep = residuals(it, prob)
             X, S, Z, yE, yI = it.X, it.S, it.Z, it.yE, it.yI
             C, M, pat = prob.C, prob.M, prob.pattern
             nx, ns, nz = (np.linalg.norm(X), np.linalg.norm(S), np.linalg.norm(Z))
+            dual_map = Z + prob.A_E.adjoint(yE) + S - C
+            dual_obj = prob.b_E @ yE + np.vdot(M, Z)
+            if prob.four_block:
+                dual_map = dual_map + prob.A_I.adjoint(yI)
+                dual_obj = dual_obj + prob.b_I @ yI
             exp = {
                 "eta_P": np.linalg.norm(prob.A_E.apply(X) - prob.b_E)
                 / (1 + np.linalg.norm(prob.b_E)),
-                "eta_D": np.linalg.norm(prob.A_I.adjoint(yI) + Z
-                                        + prob.A_E.adjoint(yE) + S - C)
-                / (1 + np.linalg.norm(C)),
+                "eta_D": np.linalg.norm(dual_map) / (1 + np.linalg.norm(C)),
                 "eta_S": np.linalg.norm(project_psd(-X)) / (1 + nx),
                 "eta_K": np.linalg.norm((X - M) - project_pattern(X - M, pat))
                 / (1 + nx),
@@ -308,17 +313,19 @@ class TestResiduals:
                 / (1 + nz),
                 "eta_C1": abs(np.vdot(X, S)) / (1 + nx + ns),
                 "eta_C2": abs(np.vdot(X - M, Z)) / (1 + nx + nz),
-                "eta_I": np.linalg.norm(np.maximum(0.0, prob.b_I - prob.A_I.apply(X)))
-                / (1 + np.linalg.norm(prob.b_I)),
-                "eta_Istar": np.linalg.norm(np.maximum(0.0, -yI))
-                / (1 + np.linalg.norm(yI)),
             }
+            if prob.four_block:
+                exp["eta_I"] = np.linalg.norm(
+                    np.maximum(0.0, prob.b_I - prob.A_I.apply(X))) / (
+                    1 + np.linalg.norm(prob.b_I))
+                exp["eta_Istar"] = np.linalg.norm(np.maximum(0.0, -yI)) / (
+                    1 + np.linalg.norm(yI))
             got = rep.components()
+            assert got.keys() == exp.keys()
             for key, val in exp.items():
                 assert got[key] == pytest.approx(val, rel=1e-10, abs=1e-14), key
             cx = np.vdot(C, X)
-            gap = (cx - (prob.b_E @ yE + prob.b_I @ yI)) / (
-                1 + abs(cx + prob.b_E @ yE + prob.b_I @ yI))
+            gap = (cx - dual_obj) / (1 + abs(cx + dual_obj))
             assert rep.eta_g == pytest.approx(gap, rel=1e-12)
 
     def test_three_block_has_no_inequality_components(self):
@@ -370,6 +377,53 @@ class TestResiduals:
         assert calls == []
 
 
+class TestSweepCertificate:
+    """The loop certifies each iterate from its sweep's constraint map."""
+
+    @pytest.mark.parametrize("solve,spec", [(cadmm_solve, "biq:14:5"),
+                                            (cadmm_solve, "ebiq:8:2"),
+                                            (dext_solve, "ebiq:8:2")],
+                             ids=["cadmm-biq:14:5", "cadmm-ebiq:8:2", "dext-ebiq:8:2"])
+    def test_loop_report_matches_full_recomputation(self, solve, spec):
+        # every in-loop report against the full check of the same iterate;
+        # the returned report is the full check of the last one
+        prob = generate_problem(spec)
+        seen = []
+        res = solve(prob, callback=lambda it, rep: seen.append(
+            (it, rep, residuals(it, prob))))
+        assert res.status == "Converged"
+        assert len(seen) == res.iterations
+        for it, loop, fresh in seen:
+            assert it.f_full is not None
+            a, b = dataclasses.asdict(loop), dataclasses.asdict(fresh)
+            for key in a.keys() - {"eta_D", "eta_Sstar"}:
+                assert a[key] == b[key], (it.k, key)
+            # the 4-block sweep sums in the order of the full check; the
+            # 3-block one does not, so its eta_D may move by an ulp
+            if prob.four_block:
+                assert loop.eta_D == fresh.eta_D
+            assert loop.eta_D == pytest.approx(fresh.eta_D, rel=1e-12, abs=0)
+            assert loop.eta == pytest.approx(fresh.eta, rel=1e-12, abs=0)
+            assert loop.eta_Sstar == 0.0
+            assert 0.0 <= fresh.eta_Sstar <= 1e-15
+        assert res.report == seen[-1][2]
+        assert res.residual == res.report.eta
+
+    def test_one_eigenvalue_call_per_iteration(self, monkeypatch):
+        # X on every iteration, then X and S once for the returned report
+        calls = []
+        original = dnnsdp.psd_distance
+
+        def counted(m):
+            calls.append(m.shape)
+            return original(m)
+
+        monkeypatch.setattr(dnnsdp, "psd_distance", counted)
+        res = cadmm_solve(generate_problem("biq:14:5"))
+        assert res.status == "Converged" and res.iterations == 367
+        assert len(calls) == res.iterations + 2
+
+
 class TestDivergenceGuard:
     def test_ordinary_iterate(self):
         prob = random_four_block(5, n=5)
@@ -387,7 +441,7 @@ class TestDivergenceGuard:
             else:
                 block.flat[0] = value
             with np.errstate(over="ignore"):
-                assert dnnsdp._diverged(it), name
+                assert dnnsdp._diverged(it)[0] == name
 
 
 class TestTuneSigma:
@@ -517,6 +571,19 @@ class TestSolvers:
         assert worst_yI >= 0.0
         assert worst_Z >= 0.0
         assert worst_S >= -1e-9
+
+    def test_gap_includes_the_shift_on_fap(self):
+        # the dual objective of the shifted cone carries <M, Z>; without it
+        # this converged run read eta_g = -0.977
+        prob = generate_problem("fap:12:4")
+        assert np.any(prob.M != 0)
+        res = cadmm_solve(prob)
+        assert res.status == "Converged"
+        vals = objective_values(prob, res)
+        dual = vals["b_E_y"] + vals["M_Z"]
+        gap = (vals["cx"] - dual) / (1 + abs(vals["cx"] + dual))
+        assert res.report.eta_g == pytest.approx(gap, rel=1e-12)
+        assert abs(res.report.eta_g) < 1e-3
 
     def test_dext_converges_on_easy_instance(self):
         prob = random_rcp(12, 2, kappa=2)

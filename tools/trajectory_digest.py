@@ -5,6 +5,11 @@ iterates bit for bit the same.
     python3 tools/trajectory_digest.py > after.txt    # on the new one
     diff before.txt after.txt
 
+or, in one step, ``python3 tools/trajectory_digest.py --against REV``:
+it exports revision REV with ``git archive`` into a temporary directory,
+runs that export's copy of this script and then this checkout's, prints
+a unified diff of the two outputs and exits 1 when they differ.
+
 The solves are those of the benchmark (every instance and solver of
 ``perfbench.suite.WORKLOADS``, with the seed-1 relabelings) plus cadmm
 on ``biq:20:7``, a long run with many restarts, and on ``ebiq:10:5``, a
@@ -19,9 +24,13 @@ is imported from the ``src`` directory of the checkout this file sits in.
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
+import difflib
 import hashlib
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +74,34 @@ def solves():
         yield f"extra/{spec}/{solver}", cli.generate_problem(spec), solver, None
 
 
+def run_digest(root: Path) -> list:
+    """The digest lines printed by the copy of this script under ``root``."""
+    script = root / "tools" / "trajectory_digest.py"
+    out = subprocess.run([sys.executable, str(script)], check=True,
+                         stdout=subprocess.PIPE, text=True).stdout
+    return out.splitlines(keepends=True)
+
+
+def against(rev: str) -> int:
+    """Diff the digest of ``rev`` against this checkout's; 1 if they differ."""
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                                 check=True, stdout=subprocess.PIPE).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        old = run_digest(Path(tmp))
+    new = run_digest(ROOT)
+    diff = list(difflib.unified_diff(old, new, fromfile=rev, tofile="checkout"))
+    sys.stdout.writelines(diff)
+    return 1 if diff else 0
+
+
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="REV",
+                        help="diff the digest of git revision REV against this checkout's")
+    args = parser.parse_args()
+    if args.against:
+        return against(args.against)
     for label, prob, solver, max_iters in solves():
         suite.prepare(prob)
         print(line(label, suite.solve(prob, solver, max_iters)), flush=True)
