@@ -10,6 +10,7 @@ Exit codes: 0 converged, 2 hit the iteration cap, 3 diverged, 1 error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -20,7 +21,9 @@ from . import dnnsdp, engine, io, problems
 from .dnnsdp import SolverConfig, TuningPolicy, cadmm_solve, dext_solve
 from .linalg import SparseSymList, lambda_max_gram, project_psd
 
-EXIT_BY_STATUS = {"Converged": 0, "MaxIters": 2, "Diverged": 3, "Error": 1}
+EXIT_BY_STATUS = {engine.CONVERGED: 0, engine.MAX_ITERS: 2, engine.DIVERGED: 3,
+                  engine.ERROR: 1}
+POLICY_KEYS = tuple(f.name for f in dataclasses.fields(TuningPolicy))
 
 
 def generate_problem(spec: str) -> dnnsdp.DnnSdpProblem:
@@ -48,23 +51,23 @@ def generate_problem(spec: str) -> dnnsdp.DnnSdpProblem:
 
 
 def _policy_from_overrides(pairs) -> TuningPolicy:
-    policy = TuningPolicy()
+    overrides = {}
     for pair in pairs or []:
         if "=" not in pair:
             raise ValueError(f"--policy expects key=value, got {pair!r}")
         key, value = pair.split("=", 1)
-        if not hasattr(policy, key):
-            raise ValueError(f"unknown policy field {key!r}")
-        current = getattr(policy, key)
-        setattr(policy, key, type(current)(value) if current is not None else float(value))
-    return policy
+        if key not in POLICY_KEYS:
+            raise ValueError(f"unknown policy field {key!r} "
+                             f"(expected {' or '.join(POLICY_KEYS)})")
+        overrides[key] = int(value)
+    return TuningPolicy(**overrides)
 
 
-def _config_from_args(args, prob) -> SolverConfig:
-    cfg = SolverConfig(sigma=args.sigma, alpha=args.alpha, tau_bar=args.tau_bar,
-                       eps=args.eps, tau0=args.tau0, tol=args.tol)
-    cfg.max_iters = args.max_iters
-    return cfg
+def _config_from_args(args) -> SolverConfig:
+    """The settings the subcommand has flags for; the rest keep their defaults."""
+    return SolverConfig(**{f.name: getattr(args, f.name)
+                           for f in dataclasses.fields(SolverConfig)
+                           if hasattr(args, f.name)})
 
 
 def _run_one(prob, solver: str, cfg: SolverConfig, policy: TuningPolicy, tau: float):
@@ -80,9 +83,9 @@ def cmd_solve(args) -> int:
         print("solve: exactly one of --problem or --generate is required",
               file=sys.stderr)
         return 1
-    prob = io.read_problem(args.problem) if args.problem else generate_problem(args.generate)
-    cfg = _config_from_args(args, prob)
+    cfg = _config_from_args(args)
     policy = _policy_from_overrides(args.policy)
+    prob = io.read_problem(args.problem) if args.problem else generate_problem(args.generate)
     result = _run_one(prob, args.solver, cfg, policy, args.tau)
     name = prob.meta.get("name", args.problem or args.generate)
     rec = io.record_from_result(name, args.solver, result)
@@ -92,15 +95,14 @@ def cmd_solve(args) -> int:
     if args.out:
         io.write_result(result, result.report, args.out, problem_name=name,
                         solver_name=args.solver,
-                        config_echo={"sigma": cfg.sigma, "alpha": cfg.alpha,
-                                     "tau_bar": cfg.tau_bar, "eps": cfg.eps,
-                                     "tau0": cfg.tau0, "tol": cfg.tol,
-                                     "max_iters": cfg.max_iters,
+                        config_echo={**dataclasses.asdict(cfg),
                                      "solver": args.solver, "tau": args.tau})
     return EXIT_BY_STATUS[result.status]
 
 
 def cmd_bench(args) -> int:
+    cfg = _config_from_args(args)
+    policy = _policy_from_overrides(args.policy)
     with open(args.manifest) as fh:
         manifest = json.load(fh)
     solvers = (args.solvers.split(",") if args.solvers
@@ -114,9 +116,6 @@ def cmd_bench(args) -> int:
             prob = io.read_problem(entry["path"])
         name = entry.get("name", prob.meta.get("name", "problem"))
         for solver in solvers:
-            cfg = SolverConfig(tol=args.tol)
-            cfg.max_iters = args.max_iters
-            policy = _policy_from_overrides(args.policy)
             result = _run_one(prob, solver, cfg, policy, args.tau)
             rec = io.write_result(
                 result, result.report,
@@ -224,7 +223,7 @@ def cmd_check(args) -> int:
     # end-to-end tiny solve with self-certifying residuals
     small = generate_problem(f"biq:10:{args.seed}")
     res2 = cadmm_solve(small, SolverConfig(tol=1e-6))
-    ok &= _check("end-to-end certificate", res2.status == "Converged"
+    ok &= _check("end-to-end certificate", res2.status == engine.CONVERGED
                  and res2.report.eta < 1e-6,
                  f"iters {res2.iterations} eta {res2.report.eta:.2e}")
     return 0 if ok else 1
@@ -235,22 +234,22 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cadmm",
         description="Corrected multi-block ADMM for doubly nonnegative SDPs")
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = SolverConfig()
+    policy_help = (f"tuning policy override, KEY one of {', '.join(POLICY_KEYS)}; "
+                   "0 turns that part off (repeatable)")
 
     ps = sub.add_parser("solve", help="solve one problem")
     ps.add_argument("--problem", help="path to a problem document")
     ps.add_argument("--generate", help="family:size:seed instance spec")
     ps.add_argument("--solver", choices=("cadmm", "dext"), default="cadmm")
-    ps.add_argument("--tau", type=float, default=1.618,
+    ps.add_argument("--tau", type=float, default=dnnsdp.DEXT_TAU,
                     help="fixed multiplier step for dext")
-    ps.add_argument("--sigma", type=float, default=1.0)
-    ps.add_argument("--alpha", type=float, default=0.999)
-    ps.add_argument("--tau0", type=float, default=1.95)
-    ps.add_argument("--tau-bar", dest="tau_bar", type=float, default=0.1)
-    ps.add_argument("--eps", type=float, default=0.1)
-    ps.add_argument("--tol", type=float, default=1e-6)
+    for name in ("sigma", "alpha", "tau0", "tau_bar", "eps", "tol"):
+        ps.add_argument("--" + name.replace("_", "-"), dest=name, type=float,
+                        default=getattr(defaults, name))
     ps.add_argument("--max-iters", type=int, default=None)
     ps.add_argument("--policy", action="append", metavar="KEY=VALUE",
-                    help="tuning policy override (repeatable)")
+                    help=policy_help)
     ps.add_argument("--out", help="write the result document here")
     ps.set_defaults(func=cmd_solve)
 
@@ -258,10 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--manifest", required=True,
                     help='JSON manifest {"problems": [{"generate"|"path", "name"}]}')
     pb.add_argument("--solvers", help="comma-separated subset of cadmm,dext")
-    pb.add_argument("--tau", type=float, default=1.618)
-    pb.add_argument("--tol", type=float, default=1e-6)
+    pb.add_argument("--tau", type=float, default=dnnsdp.DEXT_TAU)
+    pb.add_argument("--tol", type=float, default=defaults.tol)
     pb.add_argument("--max-iters", type=int, default=None)
-    pb.add_argument("--policy", action="append", metavar="KEY=VALUE")
+    pb.add_argument("--policy", action="append", metavar="KEY=VALUE",
+                    help=policy_help)
     pb.add_argument("--out-dir", default="bench_out")
     pb.set_defaults(func=cmd_bench)
 

@@ -30,11 +30,11 @@ from . import engine
 from .cones import (ConePattern, project_nonneg, project_pattern,
                     project_pattern_dual, prox_linear, prox_nonneg_linear,
                     prox_pattern_dual_linear, prox_psd_indicator)
-from .engine import (CONVERGED, DIVERGED, MAX_ITERS, SolveResult, SolverConfig,
-                     compute_delta, update_tau)
-from .linalg import (SparseSymList, frob_inner, gram_factor, gram_solve,
-                     identity_block_map, is_symmetric, lambda_max_gram,
-                     project_psd, psd_distance)
+from .engine import (CONVERGED, DEXT_TAU, DIVERGED, MAX_ITERS, SolveResult,
+                     SolverConfig, compute_delta, update_tau)
+from .linalg import (GramSingularError, SparseSymList, frob_inner, gram_factor,
+                     gram_solve, identity_block_map, is_symmetric,
+                     lambda_max_gram, project_psd, psd_distance)
 
 
 @dataclass(frozen=True)
@@ -81,9 +81,12 @@ class DnnSdpProblem:
         """Check the structural invariants, including A_E surjectivity
         (the Gram factorization must succeed) and a nonzero A_I; both
         results stay cached on the collections for the solve."""
-        gram_factor(self.A_E)
+        try:
+            gram_factor(self.A_E)
+        except GramSingularError as exc:
+            raise GramSingularError(exc.index, f"A_E: {exc}") from exc
         if self.four_block and cached_lambda_max(self) <= 0.0:
-            raise ValueError("inequality constraint map is zero")
+            raise ValueError("A_I: inequality constraint map is zero")
 
 
 @dataclass(slots=True)
@@ -265,19 +268,11 @@ class ResidualReport:
 
     @property
     def eta(self) -> float:
-        return max(v for v in self.components().values())
+        return max(self.components().values())
 
     def components(self) -> dict:
-        out = {
-            "eta_P": self.eta_P, "eta_D": self.eta_D, "eta_S": self.eta_S,
-            "eta_K": self.eta_K, "eta_Sstar": self.eta_Sstar,
-            "eta_Kstar": self.eta_Kstar, "eta_C1": self.eta_C1,
-            "eta_C2": self.eta_C2,
-        }
-        if self.eta_I is not None:
-            out["eta_I"] = self.eta_I
-            out["eta_Istar"] = self.eta_Istar
-        return out
+        """The present components of eta by name, in field order."""
+        return {k: v for k, v in vars(self).items() if k != "eta_g" and v is not None}
 
 
 def residuals(it: DnnSdpIterate, prob: DnnSdpProblem,
@@ -327,18 +322,16 @@ def residuals(it: DnnSdpIterate, prob: DnnSdpProblem,
     eta_C2 = abs(frob_inner(shifted, Z)) / (1.0 + norm_X + norm_Z)
 
     eta_I = eta_Istar = None
-    biy = 0.0
     if prob.four_block:
-        biy = float(prob.b_I @ it.yI)
         eta_I = float(np.linalg.norm(np.maximum(0.0, prob.b_I - prob.A_I.apply(X)))) / (
             1.0 + float(np.linalg.norm(prob.b_I)))
         eta_Istar = 0.0
         if f_full is None:
             eta_Istar = float(np.linalg.norm(np.maximum(0.0, -it.yI))) / (
                 1.0 + float(np.linalg.norm(it.yI)))
-    cx = frob_inner(C, X)
-    bey = float(prob.b_E @ yE)
-    mz = frob_inner(prob.M, Z)
+    obj = objective_values(prob, it)
+    cx, bey, mz = obj["cx"], obj["b_E_y"], obj["M_Z"]
+    biy = obj.get("b_I_y", 0.0)
     eta_g = (cx - (bey + biy + mz)) / (1.0 + abs(cx + bey + biy + mz))
     return ResidualReport(eta_P, eta_D, eta_S, eta_K, eta_Sstar, eta_Kstar,
                           eta_C1, eta_C2, eta_I, eta_Istar, eta_g)
@@ -347,28 +340,33 @@ def residuals(it: DnnSdpIterate, prob: DnnSdpProblem,
 # ---------------------------------------------------------------------------
 # Penalty tuning and restarts.
 
+# The fixed settings of tune_sigma and maybe_restart.
+BALANCE_RATIO = 5.0
+SIGMA_FACTOR = 1.5
+SIGMA_MIN = 1e-4
+SIGMA_MAX = 1e4
+FREEZE_FRACTION = 0.75
+RESTART_DECREASE = 0.01
+
+
 @dataclass
 class TuningPolicy:
-    """Residual-balancing adjustment of sigma plus a stall-triggered
-    restart of the corrected variables."""
+    """Residual-balancing adjustment of sigma every ``check_period``
+    iterations plus a restart of the corrected variables when eta stalls
+    over ``restart_stall_window`` iterations; 0 turns either off."""
 
     check_period: int = 50
-    balance_ratio: float = 5.0
-    sigma_factor: float = 1.5
-    sigma_min: float = 1e-4
-    sigma_max: float = 1e4
-    freeze_after: Optional[int] = None      # default 0.75 * max_iters
     restart_stall_window: int = 100
-    restart_decrease_threshold: float = 0.01
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
     @classmethod
     def disabled(cls) -> "TuningPolicy":
+        """The paper's method: a fixed sigma and no restart."""
         return cls(check_period=0, restart_stall_window=0)
-
-    def freeze_iteration(self, max_iters: int) -> int:
-        if self.freeze_after is not None:
-            return self.freeze_after
-        return int(0.75 * max_iters)
 
 
 def tune_sigma(report: ResidualReport, sigma: float, k: int,
@@ -391,10 +389,10 @@ def tune_sigma(report: ResidualReport, sigma: float, k: int,
         primal = max(primal, report.eta_I)
         dual = max(dual, report.eta_Istar)
     ratio = primal / dual
-    if ratio > policy.balance_ratio:
-        return max(sigma / policy.sigma_factor, policy.sigma_min)
-    if ratio < 1.0 / policy.balance_ratio:
-        return min(sigma * policy.sigma_factor, policy.sigma_max)
+    if ratio > BALANCE_RATIO:
+        return max(sigma / SIGMA_FACTOR, SIGMA_MIN)
+    if ratio < 1.0 / BALANCE_RATIO:
+        return min(sigma * SIGMA_FACTOR, SIGMA_MAX)
     return sigma
 
 
@@ -407,17 +405,13 @@ def maybe_restart(eta_history: list, it: DnnSdpIterate, policy: TuningPolicy,
         return it, False
     now = eta_history[-1]
     then = eta_history[-1 - w]
-    if now <= (1.0 - policy.restart_decrease_threshold) * then:
+    if now <= (1.0 - RESTART_DECREASE) * then:
         return it, False
     return replace(it, t_Z=it.Z.copy(), t_yE=it.yE.copy(), tau=tau0), True
 
 
 # ---------------------------------------------------------------------------
 # Full solver loops.
-
-def default_max_iters(prob: DnnSdpProblem) -> int:
-    return 40000 if prob.four_block else 20000
-
 
 def _diverged(it: DnnSdpIterate) -> Optional[tuple]:
     """``(name, norm)`` of the first block, in sweep order and then X,
@@ -444,8 +438,10 @@ def _solve(prob: DnnSdpProblem, cfg: SolverConfig, policy: TuningPolicy,
     Each iterate is certified from its sweep's constraint map; the report
     and residual the run returns are recomputed in full from the blocks."""
     prob.validate()
-    max_iters = cfg.max_iters if cfg.max_iters is not None else default_max_iters(prob)
-    freeze_after = policy.freeze_iteration(max_iters)
+    max_iters = cfg.max_iters
+    if max_iters is None:
+        max_iters = 40000 if prob.four_block else 20000
+    freeze_after = int(FREEZE_FRACTION * max_iters)
 
     it = initial_iterate(prob, cfg.sigma, cfg.tau0)
     eta_history: list = []
@@ -504,30 +500,25 @@ def cadmm_solve(prob: DnnSdpProblem, cfg: SolverConfig = None,
                   cadmm_step)
 
 
-def dext_solve(prob: DnnSdpProblem, cfg: SolverConfig = None, tau: float = 1.618,
+def dext_solve(prob: DnnSdpProblem, cfg: SolverConfig = None, tau: float = DEXT_TAU,
                policy: TuningPolicy = None, callback=None) -> SolveResult:
     """Directly extended ADMM baseline on the same problem; no convergence
     guarantee, same termination measure, sigma balancing and divergence
     guard. It never restarts: its centres are already the previous
     iterates and its step is fixed, so a restart would reset nothing."""
-    policy = policy if policy is not None else TuningPolicy()
     return _solve(prob, cfg or SolverConfig(),
-                  replace(policy, restart_stall_window=0), callback,
+                  replace(policy or TuningPolicy(), restart_stall_window=0), callback,
                   lambda it, prob, cfg: dext_step(it, prob, cfg, tau))
 
 
 def objective_values(prob: DnnSdpProblem, it_or_result) -> dict:
     """Primal/dual objective bookkeeping at a solution tuple."""
     if isinstance(it_or_result, SolveResult):
-        X = it_or_result.x
-        if prob.four_block:
-            yI, Z, yE, S = it_or_result.z
-        else:
-            Z, yE, S = it_or_result.z
-            yI = None
+        X, z = it_or_result.x, it_or_result.z
+        yI, Z, yE = z[:3] if prob.four_block else (None, *z[:2])
     else:
         it = it_or_result
-        X, Z, yE, S, yI = it.X, it.Z, it.yE, it.S, it.yI
+        X, Z, yE, yI = it.X, it.Z, it.yE, it.yI
     cx = frob_inner(prob.C, X)
     out = {"cx": cx, "primal": -cx, "b_E_y": float(prob.b_E @ yE),
            "M_Z": frob_inner(prob.M, Z)}

@@ -30,8 +30,10 @@ CONVERGED = "Converged"
 MAX_ITERS = "MaxIters"
 DIVERGED = "Diverged"
 ERROR = "Error"
+STATUSES = (CONVERGED, MAX_ITERS, DIVERGED, ERROR)
 
 DIVERGENCE_GUARD = 1e12
+DEXT_TAU = 1.618
 
 
 @dataclass(frozen=True)
@@ -138,6 +140,10 @@ class SolverConfig:
             raise ValueError("eps must lie in (0, 1/2)")
         if not 1 < self.tau0 < 2:
             raise ValueError("tau0 must lie in (1, 2)")
+        if not self.tol >= 0:
+            raise ValueError(f"tol must be >= 0, got {self.tol}")
+        if self.max_iters is not None and self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 @dataclass
@@ -402,7 +408,7 @@ def solve(prob: MultiBlockProblem, cfg: SolverConfig = None,
 
 
 def solve_direct_extended(prob: MultiBlockProblem, cfg: SolverConfig = None,
-                          tau: float = 1.618,
+                          tau: float = DEXT_TAU,
                           z0: Optional[list] = None,
                           x0: Optional[np.ndarray] = None) -> SolveResult:
     """Directly extended multi-block ADMM with a fixed multiplier step.

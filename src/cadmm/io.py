@@ -22,13 +22,11 @@ import numpy as np
 
 from .cones import ConePattern
 from .dnnsdp import DnnSdpProblem, ResidualReport
-from .engine import SolveResult
+from .engine import CONVERGED, STATUSES, SolveResult
 from .linalg import SparseSymList, upper_triangle
 
 PROBLEM_FORMAT = "dnnsdp-problem/1"
 RESULT_FORMAT = "dnnsdp-result/1"
-
-STATUSES = ("Converged", "MaxIters", "Diverged", "Error")
 
 
 @dataclass
@@ -80,11 +78,15 @@ def _constraints_to_json(a: SparseSymList) -> dict:
     return {"m": a.m, "mats": mats}
 
 
-def _constraints_from_json(doc: dict, n: int) -> SparseSymList:
-    mats = doc["mats"]
-    if len(mats) != doc["m"]:
-        raise ValueError("constraint count disagrees with the 'm' field")
-    return SparseSymList(n, [tuple(t) for t in mats])
+def _constraints_from_json(doc: dict, name: str, n: int) -> SparseSymList:
+    """The collection in field ``name``; an error in it names the field."""
+    try:
+        mats = doc[name]["mats"]
+        if len(mats) != doc[name]["m"]:
+            raise ValueError("constraint count disagrees with the 'm' field")
+        return SparseSymList(n, [tuple(t) for t in mats])
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from exc
 
 
 def problem_to_json(prob: DnnSdpProblem) -> dict:
@@ -109,11 +111,11 @@ def problem_from_json(doc: dict) -> DnnSdpProblem:
         raise ValueError(f"not a problem document (format {doc.get('format')!r})")
     n = int(doc["n"])
     c = _sym_from_upper(doc["C"], n)
-    a_e = _constraints_from_json(doc["A_E"], n)
+    a_e = _constraints_from_json(doc, "A_E", n)
     b_e = np.asarray(doc["b_E"], dtype=float)
     a_i = b_i = None
     if doc.get("A_I") is not None:
-        a_i = _constraints_from_json(doc["A_I"], n)
+        a_i = _constraints_from_json(doc, "A_I", n)
         b_i = np.asarray(doc["b_I"], dtype=float)
     m = (np.zeros((n, n)) if doc.get("M") is None
          else _sym_from_upper(doc["M"], n))
@@ -215,7 +217,7 @@ def emit_performance_profile(records: Sequence[RunRecord], metric: str = "iterat
     problems = sorted(union)
 
     def cost(rec: RunRecord) -> float:
-        if rec.status != "Converged":
+        if rec.status != CONVERGED:
             return math.inf
         return float(rec.iterations) if metric == "iterations" else rec.wall_seconds
 

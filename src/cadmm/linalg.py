@@ -153,7 +153,7 @@ class SparseSymList:
     factor and the Gram spectral bound are cached on it on first use.
     """
 
-    def __init__(self, n: int, triples: Sequence[tuple], copy_validate: bool = True):
+    def __init__(self, n: int, triples: Sequence[tuple]):
         if n < 1:
             raise ValueError("matrix order must be >= 1")
         self.n = int(n)
@@ -165,18 +165,17 @@ class SparseSymList:
             ii = np.asarray(ii, dtype=np.int64).ravel()
             jj = np.asarray(jj, dtype=np.int64).ravel()
             vv = np.asarray(vv, dtype=float).ravel()
-            if copy_validate:
-                if ii.shape != jj.shape or ii.shape != vv.shape:
-                    raise ValueError(f"constraint {k}: triple arrays disagree in length")
-                if ii.size and (ii.min() < 0 or jj.max() >= n):
-                    raise ValueError(f"constraint {k}: index out of range")
-                if np.any(ii > jj):
-                    raise ValueError(f"constraint {k}: triples must have i <= j")
-                flat = _svec_index(ii, jj, n)
-                if np.unique(flat).size != flat.size:
-                    raise ValueError(f"constraint {k}: duplicate (i, j) entry")
+            if ii.shape != jj.shape or ii.shape != vv.shape:
+                raise ValueError(f"constraint {k}: triple arrays disagree in length")
+            if ii.size and (ii.min() < 0 or jj.max() >= n):
+                raise ValueError(f"constraint {k}: index out of range")
+            if np.any(ii > jj):
+                raise ValueError(f"constraint {k}: triples must have i <= j")
+            flat = _svec_index(ii, jj, n)
+            if np.unique(flat).size != flat.size:
+                raise ValueError(f"constraint {k}: duplicate (i, j) entry")
             rows.append(np.full(ii.shape, k, dtype=np.int64))
-            cols.append(_svec_index(ii, jj, n))
+            cols.append(flat)
             svals = vv.copy()
             svals[ii != jj] *= _SQRT2
             vals.append(svals)

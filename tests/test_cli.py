@@ -4,10 +4,13 @@ import json
 import re
 import warnings
 
+import numpy as np
 import pytest
 
-from cadmm.cli import generate_problem, main
-from cadmm.io import read_profile_csv, read_result
+from cadmm import engine
+from cadmm.cli import EXIT_BY_STATUS, generate_problem, main
+from cadmm.io import (STATUSES, problem_to_json, read_profile_csv, read_result,
+                      write_result)
 
 
 class TestGenerate:
@@ -93,8 +96,71 @@ class TestSolveCommand:
     def test_unknown_flag_fails(self):
         assert main(["solve", "--generate", "biq:6:1", "--frobnicate"]) == 1
 
-    def test_unknown_policy_key(self):
-        assert main(["solve", "--generate", "biq:6:1", "--policy", "nope=1"]) == 1
+    def test_unknown_policy_key(self, capsys):
+        for key in ("nope", "sigma_min"):
+            assert main(["solve", "--generate", "biq:6:1", "--policy", f"{key}=1"]) == 1
+            assert f"unknown policy field '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    @pytest.mark.parametrize("flags, field", [
+        (["--max-iters", "0"], "max_iters"),
+        (["--max-iters", "-3"], "max_iters"),
+        (["--tol", "-1"], "tol"),
+        (["--policy", "check_period=-5"], "check_period"),
+        (["--policy", "restart_stall_window=-1"], "restart_stall_window"),
+    ])
+    def test_bad_run_settings_fail_fast(self, command, flags, field, tmp_path, capsys):
+        # refused before any solve starts, naming the setting
+        if command == "solve":
+            argv = ["solve", "--generate", "biq:6:1"]
+        else:
+            manifest = tmp_path / "manifest.json"
+            manifest.write_text(json.dumps({"problems": [{"generate": "biq:6:1"}]}))
+            argv = ["bench", "--manifest", str(manifest),
+                    "--out-dir", str(tmp_path / "out")]
+        assert main(argv + flags) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and field in err
+
+    def test_zero_tol_runs_max_iters(self):
+        assert main(["solve", "--generate", "biq:6:1", "--tol", "0",
+                     "--max-iters", "5"]) == 2
+
+    @pytest.mark.parametrize("fault, field", [
+        ("nan-C", "C"), ("duplicate-A_E-row", "A_E"), ("empty-A_I", "A_I"),
+        ("zero-A_I", "A_I"),
+    ])
+    def test_faulty_problem_document_names_field(self, fault, field, tmp_path,
+                                                 capsys):
+        doc = problem_to_json(generate_problem("ebiq:6:1"))
+        if fault == "nan-C":
+            doc["C"][1] = float("nan")
+        elif fault == "duplicate-A_E-row":
+            doc["A_E"]["mats"].append(doc["A_E"]["mats"][0])
+            doc["A_E"]["m"] += 1
+            doc["b_E"].append(doc["b_E"][0])
+        elif fault == "empty-A_I":
+            doc["A_I"], doc["b_I"] = {"m": 0, "mats": []}, []
+        else:
+            for mat in doc["A_I"]["mats"]:
+                mat[2] = [0.0] * len(mat[2])
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", "--problem", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}"), err
+
+
+@pytest.mark.parametrize("status", engine.STATUSES)
+def test_every_status_has_exit_code_and_round_trips(status, tmp_path):
+    assert STATUSES == engine.STATUSES
+    assert set(EXIT_BY_STATUS) == set(engine.STATUSES)
+    res = engine.SolveResult(status=status, iterations=1, residual=1.0, z=[],
+                             x=np.zeros((1, 1)))
+    path = tmp_path / "r.json"
+    write_result(res, None, path)
+    assert read_result(path).status == status
 
 
 class TestBenchCommand:

@@ -9,7 +9,7 @@ import pytest
 from cadmm import dnnsdp, engine
 from cadmm.cli import generate_problem
 from cadmm.cones import ConePattern, project_pattern, project_pattern_dual
-from cadmm.dnnsdp import (DnnSdpProblem, ResidualReport,
+from cadmm.dnnsdp import (SIGMA_MAX, SIGMA_MIN, DnnSdpProblem, ResidualReport,
                           SolverConfig, TuningPolicy, cached_lambda_max,
                           cadmm_solve, cadmm_step, dext_solve, dext_step,
                           initial_iterate,
@@ -467,13 +467,21 @@ class TestTuneSigma:
         assert tune_sigma(rep, 3.0, 50, pol, 1000) == pytest.approx(4.5)
 
     def test_respects_bounds_period_and_freeze(self):
-        pol = TuningPolicy(sigma_min=1.0, sigma_max=4.0)
+        pol = TuningPolicy()
         hot = self._report(1.0, 1e-9)
-        assert tune_sigma(hot, 1.0, 50, pol, 1000) == 1.0          # floor
-        assert tune_sigma(hot, 1.0, 51, pol, 1000) == 1.0          # off-period
-        assert tune_sigma(hot, 1.0, 1000, pol, 1000) == 1.0        # frozen
+        assert tune_sigma(hot, SIGMA_MIN, 50, pol, 1000) == SIGMA_MIN  # floor
+        assert tune_sigma(hot, 1.0, 51, pol, 1000) == 1.0              # off-period
+        assert tune_sigma(hot, 1.0, 1000, pol, 1000) == 1.0            # frozen
         cold = self._report(1e-9, 1.0)
-        assert tune_sigma(cold, 4.0, 50, pol, 1000) == 4.0         # cap
+        assert tune_sigma(cold, SIGMA_MAX, 50, pol, 1000) == SIGMA_MAX  # cap
+
+    def test_policy_has_two_settings_and_refuses_negatives(self):
+        names = [f.name for f in dataclasses.fields(TuningPolicy)]
+        assert names == ["check_period", "restart_stall_window"]
+        assert TuningPolicy.disabled() == TuningPolicy(0, 0)
+        for name in names:
+            with pytest.raises(ValueError, match=name):
+                TuningPolicy(**{name: -1})
 
 
 class TestRestart:

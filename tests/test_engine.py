@@ -50,9 +50,10 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"sigma": 0.0}, {"alpha": 1.0}, {"tau_bar": 0.0},
         {"eps": 0.5}, {"tau0": 2.0}, {"tau0": 1.0},
+        {"tol": -1.0}, {"tol": float("nan")}, {"max_iters": 0}, {"max_iters": -3},
     ])
     def test_rejects_out_of_range(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             SolverConfig(**kwargs)
 
 
