@@ -28,11 +28,12 @@ POLICY_KEYS = tuple(f.name for f in dataclasses.fields(TuningPolicy))
 
 def generate_problem(spec: str) -> dnnsdp.DnnSdpProblem:
     """Build a seeded instance from a "family:size:seed" spec string."""
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"generate spec must be family:size:seed, got {spec!r}")
-    family, size_s, seed_s = parts
-    n, seed = int(size_s), int(seed_s)
+    try:
+        family, size_s, seed_s = spec.split(":")
+        n, seed = int(size_s), int(seed_s)
+    except ValueError:
+        raise ValueError(f"generate spec must be family:size:seed with an integer "
+                         f"size and seed, got {spec!r}") from None
     name = f"{family}{n}s{seed}"
     if family == "biq":
         return problems.build_biq(problems.random_biq(n, seed), name=name)
@@ -59,6 +60,8 @@ def _policy_from_overrides(pairs) -> TuningPolicy:
         if key not in POLICY_KEYS:
             raise ValueError(f"unknown policy field {key!r} "
                              f"(expected {' or '.join(POLICY_KEYS)})")
+        if not value.removeprefix("-").isdigit():
+            raise ValueError(f"--policy {key}: expected an integer, got {value!r}")
         overrides[key] = int(value)
     return TuningPolicy(**overrides)
 
@@ -70,33 +73,33 @@ def _config_from_args(args) -> SolverConfig:
                            if hasattr(args, f.name)})
 
 
-def _run_one(prob, solver: str, cfg: SolverConfig, policy: TuningPolicy, tau: float):
+def _run_one(prob, name: str, solver: str, cfg: SolverConfig, policy: TuningPolicy,
+             tau: float, out=None):
+    """Solve and print the summary line. With ``out`` given, also write the
+    result document; its ``config`` records the run settings."""
     if solver == "cadmm":
-        return cadmm_solve(prob, cfg, policy)
-    if solver == "dext":
-        return dext_solve(prob, cfg, tau=tau, policy=policy)
-    raise ValueError(f"unknown solver {solver!r} (expected cadmm or dext)")
+        result = cadmm_solve(prob, cfg, policy)
+    elif solver == "dext":
+        result = dext_solve(prob, cfg, tau=tau, policy=policy)
+    else:
+        raise ValueError(f"unknown solver {solver!r} (expected cadmm or dext)")
+    echo = {**dataclasses.asdict(cfg), "solver": solver, "tau": tau,
+            "policy": dataclasses.asdict(policy)}
+    rec = (io.write_result(result, result.report, out, problem_name=name,
+                           solver_name=solver, config_echo=echo) if out
+           else io.record_from_result(name, solver, result))
+    print(rec.summary_line())
+    return result, rec
 
 
 def cmd_solve(args) -> int:
-    if (args.problem is None) == (args.generate is None):
-        print("solve: exactly one of --problem or --generate is required",
-              file=sys.stderr)
-        return 1
     cfg = _config_from_args(args)
     policy = _policy_from_overrides(args.policy)
     prob = io.read_problem(args.problem) if args.problem else generate_problem(args.generate)
-    result = _run_one(prob, args.solver, cfg, policy, args.tau)
     name = prob.meta.get("name", args.problem or args.generate)
-    rec = io.record_from_result(name, args.solver, result)
-    print(rec.summary_line())
+    result, _ = _run_one(prob, name, args.solver, cfg, policy, args.tau, args.out)
     if result.message:
         print(result.message, file=sys.stderr)
-    if args.out:
-        io.write_result(result, result.report, args.out, problem_name=name,
-                        solver_name=args.solver,
-                        config_echo={**dataclasses.asdict(cfg),
-                                     "solver": args.solver, "tau": args.tau})
     return EXIT_BY_STATUS[result.status]
 
 
@@ -105,26 +108,24 @@ def cmd_bench(args) -> int:
     policy = _policy_from_overrides(args.policy)
     with open(args.manifest) as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict) or "problems" not in manifest:
+        raise ValueError(f"manifest {args.manifest}: missing key 'problems'")
+    loaded = []  # every problem is read before any solve starts
+    for i, entry in enumerate(manifest["problems"]):
+        if not isinstance(entry, dict) or not {"generate", "path"} & entry.keys():
+            raise ValueError(f"manifest {args.manifest}: problem {i} needs a "
+                             f"'generate' or a 'path' key")
+        prob = (generate_problem(entry["generate"]) if "generate" in entry
+                else io.read_problem(entry["path"]))
+        loaded.append((entry.get("name", prob.meta.get("name", "problem")), prob))
     solvers = (args.solvers.split(",") if args.solvers
                else manifest.get("solvers", ["cadmm", "dext"]))
     os.makedirs(args.out_dir, exist_ok=True)
     records = []
-    for entry in manifest["problems"]:
-        if "generate" in entry:
-            prob = generate_problem(entry["generate"])
-        else:
-            prob = io.read_problem(entry["path"])
-        name = entry.get("name", prob.meta.get("name", "problem"))
+    for name, prob in loaded:
         for solver in solvers:
-            result = _run_one(prob, solver, cfg, policy, args.tau)
-            rec = io.write_result(
-                result, result.report,
-                os.path.join(args.out_dir, f"{name}.{solver}.json"),
-                problem_name=name, solver_name=solver,
-                config_echo={"tol": args.tol, "max_iters": cfg.max_iters,
-                             "solver": solver})
-            records.append(rec)
-            print(rec.summary_line())
+            out = os.path.join(args.out_dir, f"{name}.{solver}.json")
+            records.append(_run_one(prob, name, solver, cfg, policy, args.tau, out)[1])
     for metric in ("iterations", "time"):
         rows = io.emit_performance_profile(records, metric=metric)
         io.write_profile_csv(rows, os.path.join(args.out_dir, f"profile_{metric}.csv"))
@@ -184,17 +185,17 @@ def cmd_check(args) -> int:
     from . import toys
     toy = toys.random_quadratic_toy(4, (3, 4, 5, 4), 6, seed=args.seed,
                                     rho_blocks=(1,))
-    ops = engine.build_theory_operators(toy.problem, 0.999)
+    ops = engine.build_theory_operators(toy.problem, engine.ALPHA)
     gmin = float(np.linalg.eigvalsh(0.5 * (ops.g + ops.g.T)).min())
-    cfg = SolverConfig(tol=0.0, max_iters=60)
-    res = engine.solve(toy.problem, cfg, record_history=True)
+    res = engine.solve(toy.problem, SolverConfig(tol=0.0, max_iters=60),
+                       record_history=True)
     worst_id = 0.0
     for step in res.history:
         w_new = np.concatenate([v.ravel() for v in step["z_tilde"][1:]])
         w_old = np.concatenate([v.ravel() for v in step["z_tilde_prev"][1:]])
         w_pred = np.concatenate([v.ravel() for v in step["z"][1:]])
         lhs = ops.h @ (w_new - w_old)
-        rhs = cfg.alpha * (w_pred - w_old)
+        rhs = engine.ALPHA * (w_pred - w_old)
         worst_id = max(worst_id, float(np.linalg.norm(lhs - rhs)) /
                        (1.0 + float(np.linalg.norm(w_old))))
     ok &= _check("correction identity", worst_id <= 1e-9, f"worst {worst_id:.2e}")
@@ -205,7 +206,7 @@ def cmd_check(args) -> int:
     prob = generate_problem(f"ebiq:8:{args.seed}")
     prob.validate()
     lamI = dnnsdp.cached_lambda_max(prob)
-    it = dnnsdp.initial_iterate(prob, sigma=1.0, tau0=1.95)
+    it = dnnsdp.initial_iterate(prob, sigma=1.0, tau0=engine.TAU0)
     it.X = rng.standard_normal((prob.n, prob.n))
     it.X = 0.5 * (it.X + it.X.T)
     r1 = it.t_Z + prob.A_E.adjoint(it.t_yE) + it.S - prob.C
@@ -239,14 +240,14 @@ def build_parser() -> argparse.ArgumentParser:
                    "0 turns that part off (repeatable)")
 
     ps = sub.add_parser("solve", help="solve one problem")
-    ps.add_argument("--problem", help="path to a problem document")
-    ps.add_argument("--generate", help="family:size:seed instance spec")
+    source = ps.add_mutually_exclusive_group(required=True)
+    source.add_argument("--problem", help="path to a problem document")
+    source.add_argument("--generate", help="family:size:seed instance spec")
     ps.add_argument("--solver", choices=("cadmm", "dext"), default="cadmm")
     ps.add_argument("--tau", type=float, default=dnnsdp.DEXT_TAU,
                     help="fixed multiplier step for dext")
-    for name in ("sigma", "alpha", "tau0", "tau_bar", "eps", "tol"):
-        ps.add_argument("--" + name.replace("_", "-"), dest=name, type=float,
-                        default=getattr(defaults, name))
+    ps.add_argument("--sigma", type=float, default=defaults.sigma)
+    ps.add_argument("--tol", type=float, default=defaults.tol)
     ps.add_argument("--max-iters", type=int, default=None)
     ps.add_argument("--policy", action="append", metavar="KEY=VALUE",
                     help=policy_help)

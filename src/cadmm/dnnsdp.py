@@ -30,8 +30,8 @@ from . import engine
 from .cones import (ConePattern, project_nonneg, project_pattern,
                     project_pattern_dual, prox_linear, prox_nonneg_linear,
                     prox_pattern_dual_linear, prox_psd_indicator)
-from .engine import (CONVERGED, DEXT_TAU, DIVERGED, MAX_ITERS, SolveResult,
-                     SolverConfig, compute_delta, update_tau)
+from .engine import (ALPHA, CONVERGED, DEXT_TAU, DIVERGED, EPS, MAX_ITERS, TAU0,
+                     TAU_BAR, SolveResult, SolverConfig, compute_delta, update_tau)
 from .linalg import (GramSingularError, SparseSymList, frob_inner, gram_factor,
                      gram_solve, identity_block_map, is_symmetric,
                      lambda_max_gram, project_psd, psd_distance)
@@ -107,7 +107,7 @@ class DnnSdpIterate:
     t_Z: np.ndarray
     t_yE: np.ndarray
     yI: Optional[np.ndarray] = None
-    tau: float = 1.95
+    tau: float = TAU0
     sigma: float = 1.0
     k: int = 0
     f_full: Optional[np.ndarray] = None
@@ -203,8 +203,7 @@ def _sweep(it: DnnSdpIterate, prob: DnnSdpProblem):
     return yI, Z, yE, S, f_pred, f()
 
 
-def cadmm_step(it: DnnSdpIterate, prob: DnnSdpProblem,
-               cfg: SolverConfig) -> DnnSdpIterate:
+def cadmm_step(it: DnnSdpIterate, prob: DnnSdpProblem) -> DnnSdpIterate:
     """One full corrected iteration: prediction sweep in the order
     y_I -> Z -> y_E -> S, adaptive multiplier step, then correction of the
     middle blocks (y_E, and Z in the 4-block case) against the corrected
@@ -212,19 +211,19 @@ def cadmm_step(it: DnnSdpIterate, prob: DnnSdpProblem,
     yI_new, Z_new, yE_new, S_new, f_pred, f_full = _sweep(it, prob)
     dS = S_new - it.S
     if it.k == 0:
-        tau_k = cfg.tau0
+        tau_k = TAU0
     else:
-        delta = compute_delta(f_pred, f_full, float(np.vdot(dS, dS)), cfg.eps)
-        tau_k = update_tau(it.tau, delta, cfg.tau_bar)
+        delta = compute_delta(f_pred, f_full, float(np.vdot(dS, dS)), EPS)
+        tau_k = update_tau(it.tau, delta, TAU_BAR)
     X_new = it.X + (tau_k * it.sigma) * f_full
 
     # Correction, backwards over the middle blocks; last and first blocks
     # (and the multiplier) keep their predicted values.
-    t_yE_new = it.t_yE + cfg.alpha * (yE_new - it.t_yE) - gram_solve(
+    t_yE_new = it.t_yE + ALPHA * (yE_new - it.t_yE) - gram_solve(
         prob.A_E, prob.A_E.apply(dS))
     if prob.four_block:
         d = prob.A_E.adjoint(t_yE_new - it.t_yE) + dS
-        t_Z_new = it.t_Z + cfg.alpha * (Z_new - it.t_Z) - d
+        t_Z_new = it.t_Z + ALPHA * (Z_new - it.t_Z) - d
     else:
         t_Z_new = Z_new
 
@@ -233,8 +232,7 @@ def cadmm_step(it: DnnSdpIterate, prob: DnnSdpProblem,
         yI=yI_new, tau=tau_k, sigma=it.sigma, k=it.k + 1, f_full=f_full)
 
 
-def dext_step(it: DnnSdpIterate, prob: DnnSdpProblem, cfg: SolverConfig,
-              tau: float) -> DnnSdpIterate:
+def dext_step(it: DnnSdpIterate, prob: DnnSdpProblem, tau: float) -> DnnSdpIterate:
     """Directly extended iteration: the same sweep, a fixed multiplier step
     and no correction. The centres ``t_Z`` and ``t_yE`` are set to the new
     iterates, so the next sweep is centred at the previous iterates."""
@@ -349,7 +347,7 @@ FREEZE_FRACTION = 0.75
 RESTART_DECREASE = 0.01
 
 
-@dataclass
+@dataclass(frozen=True)
 class TuningPolicy:
     """Residual-balancing adjustment of sigma every ``check_period``
     iterations plus a restart of the corrected variables when eta stalls
@@ -431,19 +429,17 @@ def _diverged(it: DnnSdpIterate) -> Optional[tuple]:
 def _solve(prob: DnnSdpProblem, cfg: SolverConfig, policy: TuningPolicy,
            callback, step) -> SolveResult:
     """The solve loop shared by the corrected and the directly extended
-    method; ``step(it, prob, cfg)`` makes one iteration. A diverged
+    method; ``step(it, prob)`` makes one iteration. A diverged
     iterate is caught before anything reads it (overflow is silent, so an
     overflowing norm reads inf), and the run then reports no residuals.
 
     Each iterate is certified from its sweep's constraint map; the report
     and residual the run returns are recomputed in full from the blocks."""
     prob.validate()
-    max_iters = cfg.max_iters
-    if max_iters is None:
-        max_iters = 40000 if prob.four_block else 20000
+    max_iters = cfg.max_iters or (40000 if prob.four_block else 20000)
     freeze_after = int(FREEZE_FRACTION * max_iters)
 
-    it = initial_iterate(prob, cfg.sigma, cfg.tau0)
+    it = initial_iterate(prob, cfg.sigma, TAU0)
     eta_history: list = []
     tau_history: list = []
     restarts: list = []
@@ -453,7 +449,7 @@ def _solve(prob: DnnSdpProblem, cfg: SolverConfig, policy: TuningPolicy,
     t0 = time.perf_counter()
     with np.errstate(over="ignore"):
         while it.k < max_iters:
-            it = step(it, prob, cfg)
+            it = step(it, prob)
             tau_history.append(it.tau)
             oversized = _diverged(it)
             if oversized:
@@ -471,7 +467,7 @@ def _solve(prob: DnnSdpProblem, cfg: SolverConfig, policy: TuningPolicy,
             new_sigma = tune_sigma(report, it.sigma, it.k, policy, freeze_after)
             if new_sigma != it.sigma:
                 it = replace(it, sigma=new_sigma)
-            it, restarted = maybe_restart(eta_history, it, policy, cfg.tau0,
+            it, restarted = maybe_restart(eta_history, it, policy, TAU0,
                                           restarts[-1] if restarts else 0)
             if restarted:
                 restarts.append(it.k)
@@ -508,7 +504,7 @@ def dext_solve(prob: DnnSdpProblem, cfg: SolverConfig = None, tau: float = DEXT_
     iterates and its step is fixed, so a restart would reset nothing."""
     return _solve(prob, cfg or SolverConfig(),
                   replace(policy or TuningPolicy(), restart_stall_window=0), callback,
-                  lambda it, prob, cfg: dext_step(it, prob, cfg, tau))
+                  lambda it, prob: dext_step(it, prob, tau))
 
 
 def objective_values(prob: DnnSdpProblem, it_or_result) -> dict:
@@ -563,10 +559,7 @@ def to_multiblock(prob: DnnSdpProblem):
             shape=(prob.A_I.m,), rho=lam,
             prox=prox_nonneg_linear(prob.b_I))
         blocks = (yi_block, z_block, ye_block, s_block)
-        z0 = [np.zeros(prob.A_I.m), np.zeros((n, n)), np.zeros(prob.A_E.m),
-              np.zeros((n, n))]
     else:
         blocks = (z_block, ye_block, s_block)
-        z0 = [np.zeros((n, n)), np.zeros(prob.A_E.m), np.zeros((n, n))]
     mb = engine.MultiBlockProblem(blocks=blocks, c=np.asarray(prob.C, dtype=float))
-    return mb, z0, np.zeros((n, n))
+    return mb, mb.zeros(), np.zeros((n, n))

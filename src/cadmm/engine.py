@@ -35,6 +35,14 @@ STATUSES = (CONVERGED, MAX_ITERS, DIVERGED, ERROR)
 DIVERGENCE_GUARD = 1e12
 DEXT_TAU = 1.618
 
+# The corrected method's fixed parameters: the correction weight alpha in
+# (0, 1), the step floor tau_bar in (0, 1), the infeasibility weight eps in
+# (0, 1/2) and the start step tau0 in (1, 2).
+ALPHA = 0.999
+TAU_BAR = 0.1
+EPS = 0.1
+TAU0 = 1.95
+
 
 @dataclass(frozen=True)
 class BlockSpec:
@@ -119,27 +127,17 @@ class MultiBlockProblem:
                             f"(residual {err:.2e}); is A A* positive definite?")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
+    """What a run varies; ``max_iters=None`` is the solver's default cap."""
+
     sigma: float = 1.0
-    alpha: float = 0.999
-    tau_bar: float = 0.1
-    eps: float = 0.1
-    tau0: float = 1.95
     tol: float = 1e-6
     max_iters: Optional[int] = None
 
     def __post_init__(self):
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
-        if not 0 < self.alpha < 1:
-            raise ValueError("alpha must lie in (0, 1)")
-        if not 0 < self.tau_bar < 1:
-            raise ValueError("tau_bar must lie in (0, 1)")
-        if not 0 < self.eps < 0.5:
-            raise ValueError("eps must lie in (0, 1/2)")
-        if not 1 < self.tau0 < 2:
-            raise ValueError("tau0 must lie in (1, 2)")
         if not self.tol >= 0:
             raise ValueError(f"tol must be >= 0, got {self.tol}")
         if self.max_iters is not None and self.max_iters < 1:
@@ -313,11 +311,11 @@ def _run(prob: MultiBlockProblem, cfg: SolverConfig, stop: Optional[Callable],
     correction is skipped (z_tilde := new z), so each sweep is centred at
     the previous iterates: the directly extended method.
     """
-    max_iters = cfg.max_iters if cfg.max_iters is not None else 10000
+    max_iters = cfg.max_iters or 10000
     z = [np.array(v, dtype=float) for v in (z0 if z0 is not None else prob.zeros())]
     x = (np.array(x0, dtype=float) if x0 is not None
          else np.zeros_like(np.asarray(prob.c, dtype=float)))
-    state = IterateState(z=z, z_tilde=[v.copy() for v in z], x=x, tau=cfg.tau0)
+    state = IterateState(z=z, z_tilde=[v.copy() for v in z], x=x, tau=TAU0)
     c_norm = float(np.linalg.norm(prob.c))
     has_prox = any(b.prox is not None for b in prob.blocks)
     if any(b.prox is None for b in prob.blocks) and has_prox:
@@ -343,15 +341,15 @@ def _run(prob: MultiBlockProblem, cfg: SolverConfig, stop: Optional[Callable],
         if fixed_tau is not None:
             tau_k = fixed_tau
         elif state.k == 0:
-            tau_k = cfg.tau0
+            tau_k = TAU0
         else:
             last_change = prob.blocks[-1].map.apply_adjoint(new_z[-1] - state.z[-1])
             delta = compute_delta(f_pred, f_full,
-                                  float(np.vdot(last_change, last_change)), cfg.eps)
-            tau_k = update_tau(state.tau, delta, cfg.tau_bar)
+                                  float(np.vdot(last_change, last_change)), EPS)
+            tau_k = update_tau(state.tau, delta, TAU_BAR)
         x_new = update_multiplier(state.x, tau_k, cfg.sigma, f_full)
         zt_new = (new_z if fixed_tau is not None
-                  else correct(prob, state.z_tilde, new_z, cfg.alpha))
+                  else correct(prob, state.z_tilde, new_z, ALPHA))
 
         block_changes = [float(np.linalg.norm(new_z[i] - state.z_tilde[i]))
                          for i in range(1, prob.p)]

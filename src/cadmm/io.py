@@ -13,9 +13,10 @@ fields; wall time is the only field excluded from determinism checks.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -78,14 +79,23 @@ def _constraints_to_json(a: SparseSymList) -> dict:
     return {"m": a.m, "mats": mats}
 
 
-def _constraints_from_json(doc: dict, name: str, n: int) -> SparseSymList:
-    """The collection in field ``name``; an error in it names the field."""
+def _constraints_from_json(doc: dict, n: int) -> SparseSymList:
+    mats = doc["mats"]
+    if len(mats) != doc["m"]:
+        raise ValueError("constraint count disagrees with the 'm' field")
+    return SparseSymList(n, [tuple(t) for t in mats])
+
+
+def _field(doc: dict, name: str, parse=functools.partial(np.asarray, dtype=float)):
+    """``parse(doc[name])``, by default a float vector; a missing or
+    malformed field is an error that names it."""
+    if name not in doc:
+        raise ValueError(f"{name}: missing field")
     try:
-        mats = doc[name]["mats"]
-        if len(mats) != doc[name]["m"]:
-            raise ValueError("constraint count disagrees with the 'm' field")
-        return SparseSymList(n, [tuple(t) for t in mats])
-    except ValueError as exc:
+        return parse(doc[name])
+    except KeyError as exc:
+        raise ValueError(f"{name}: no entry {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{name}: {exc}") from exc
 
 
@@ -107,21 +117,26 @@ def problem_to_json(prob: DnnSdpProblem) -> dict:
 
 
 def problem_from_json(doc: dict) -> DnnSdpProblem:
+    if not isinstance(doc, dict):
+        raise ValueError(f"problem document: expected a JSON object, "
+                         f"got {type(doc).__name__}")
     if doc.get("format") != PROBLEM_FORMAT:
         raise ValueError(f"not a problem document (format {doc.get('format')!r})")
-    n = int(doc["n"])
-    c = _sym_from_upper(doc["C"], n)
-    a_e = _constraints_from_json(doc, "A_E", n)
-    b_e = np.asarray(doc["b_E"], dtype=float)
+    n = _field(doc, "n", int)
+    c = _field(doc, "C", lambda v: _sym_from_upper(v, n))
+    a_e = _field(doc, "A_E", lambda v: _constraints_from_json(v, n))
+    b_e = _field(doc, "b_E")
     a_i = b_i = None
     if doc.get("A_I") is not None:
-        a_i = _constraints_from_json(doc, "A_I", n)
-        b_i = np.asarray(doc["b_I"], dtype=float)
+        a_i = _field(doc, "A_I", lambda v: _constraints_from_json(v, n))
+        b_i = _field(doc, "b_I")
     m = (np.zeros((n, n)) if doc.get("M") is None
-         else _sym_from_upper(doc["M"], n))
-    pattern = ConePattern.from_rle(int(doc["pattern"]["n"]), doc["pattern"]["rle"])
+         else _field(doc, "M", lambda v: _sym_from_upper(v, n)))
+    pattern = _field(doc, "pattern",
+                     lambda v: ConePattern.from_rle(int(v["n"]), v["rle"]))
     return DnnSdpProblem(n=n, C=c, A_E=a_e, b_E=b_e, A_I=a_i, b_I=b_i,
-                         M=m, pattern=pattern, meta=dict(doc.get("meta", {})))
+                         M=m, pattern=pattern,
+                         meta=_field(doc, "meta", dict) if "meta" in doc else {})
 
 
 def write_problem(prob: DnnSdpProblem, path) -> None:
@@ -180,12 +195,7 @@ def read_result(path) -> RunRecord:
         doc = json.load(fh)
     if doc.get("format") != RESULT_FORMAT:
         raise ValueError(f"not a result document (format {doc.get('format')!r})")
-    return RunRecord(
-        problem=doc["problem"], solver=doc["solver"], status=doc["status"],
-        iterations=int(doc["iterations"]), eta=dict(doc["eta"]),
-        eta_max=float(doc["eta_max"]), eta_g=float(doc["eta_g"]),
-        tau_final=float(doc["tau_final"]),
-        wall_seconds=float(doc["wall_seconds"]))
+    return RunRecord(**{f.name: doc[f.name] for f in fields(RunRecord)})
 
 
 # ---------------------------------------------------------------------------

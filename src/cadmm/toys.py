@@ -32,9 +32,6 @@ class QuadraticBlockData:
     def gram(self) -> np.ndarray:
         return self.a_adj.T @ self.a_adj
 
-    def theta(self, z: np.ndarray) -> float:
-        return 0.5 * float(z @ self.p_mat @ z) + float(self.q_vec @ z)
-
 
 def _make_block(data: QuadraticBlockData) -> BlockSpec:
     a_adj = data.a_adj

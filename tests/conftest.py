@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cadmm.cones import ConePattern, project_pattern_dual
+from cadmm.engine import TAU0, TAU_BAR
 from cadmm.linalg import SparseSymList, project_psd
 
 
@@ -101,7 +102,7 @@ def dense_gram_independent(a):
     return g
 
 
-def assert_tau_law(tau_history, restarts=(), tau_bar=0.1, tau0=1.95):
+def assert_tau_law(tau_history, restarts=(), tau_bar=TAU_BAR, tau0=TAU0):
     """Nonincreasing within segments between restarts, bounded, and
     absorbing at the floor."""
     taus = np.asarray(tau_history, dtype=float)

@@ -60,9 +60,8 @@ class TestCriterion1And2:
         min_gap = np.inf
         taus = []
         for toy in dense_instances():
-            cfg = SolverConfig(tol=0.0)
-            cfg.max_iters = 60
-            ops = build_theory_operators(toy.problem, cfg.alpha)
+            cfg = SolverConfig(tol=0.0, max_iters=60)
+            ops = build_theory_operators(toy.problem, engine.ALPHA)
             g_sym = 0.5 * (ops.g + ops.g.T)
             min_gap = min(min_gap, float(np.linalg.eigvalsh(g_sym).min()))
             res = solve(toy.problem, cfg, record_history=True)
@@ -70,7 +69,7 @@ class TestCriterion1And2:
             for step in res.history:
                 lhs = ops.h @ (w_concat(step["z_tilde"])
                                - w_concat(step["z_tilde_prev"]))
-                rhs = cfg.alpha * (w_concat(step["z"])
+                rhs = engine.ALPHA * (w_concat(step["z"])
                                    - w_concat(step["z_tilde_prev"]))
                 denom = 1.0 + np.linalg.norm(w_concat(step["z_tilde_prev"]))
                 worst_identity = max(worst_identity,
@@ -95,11 +94,8 @@ class TestCriterion3:
             (random_fap(9, 2), TuningPolicy()),
             (build_ext_biq(random_biq(10, 4)), TuningPolicy()),
         ]:
-            cfg = SolverConfig(tol=1e-6)
-            cfg.max_iters = 4000
-            res = cadmm_solve(prob, cfg, policy)
-            assert_tau_law(res.tau_history, res.restarts,
-                           tau_bar=cfg.tau_bar, tau0=cfg.tau0)
+            res = cadmm_solve(prob, SolverConfig(tol=1e-6, max_iters=4000), policy)
+            assert_tau_law(res.tau_history, res.restarts)
             checked += 1
         from cadmm.toys import random_quadratic_toy
         for seed in range(3):
@@ -117,14 +113,12 @@ class TestCriterion4:
         worst = 0.0
         for seed, n in [(1, 15), (2, 12), (3, 15), (4, 10), (5, 13)]:
             prob = build_ext_biq(random_biq(n, seed))
-            cfg = SolverConfig(tol=0.0)
-            cfg.max_iters = 200
+            cfg = SolverConfig(tol=0.0, max_iters=200)
             mb, z0, x0 = to_multiblock(prob)
             gres = engine.solve(mb, cfg, z0=z0, x0=x0, record_history=True)
-            it = initial_iterate(prob, cfg.sigma, cfg.tau0)
-            step_cfg = SolverConfig(tol=0.0)
+            it = initial_iterate(prob, cfg.sigma, engine.TAU0)
             for step in gres.history:
-                it = cadmm_step(it, prob, step_cfg)
+                it = cadmm_step(it, prob)
                 for a, b in zip([it.yI, it.Z, it.yE, it.S], step["z"]):
                     worst = max(worst, float(np.max(np.abs(a - b))))
                 worst = max(worst, float(np.max(np.abs(it.X - step["x"]))))
@@ -186,10 +180,8 @@ class TestCriterion6:
         ("fap 10 vertices", random_fap(10, 5)),
     ])
     def test_self_certified_convergence(self, name, prob):
-        cfg = SolverConfig(tol=1e-6)
-        cfg.max_iters = 20000
         t0 = time.perf_counter()
-        res = cadmm_solve(prob, cfg)
+        res = cadmm_solve(prob, SolverConfig(tol=1e-6, max_iters=20000))
         elapsed = time.perf_counter() - t0
         ok = (res.status == "Converged" and res.report.eta < 1e-6
               and elapsed < 60.0)
@@ -239,10 +231,8 @@ class TestCriterion9:
         def cb(it, rep):
             mins.append(float(it.yI.min()))
 
-        cfg = SolverConfig(tol=1e-6)
-        cfg.max_iters = 40000
         t0 = time.perf_counter()
-        res = cadmm_solve(prob, cfg, callback=cb)
+        res = cadmm_solve(prob, SolverConfig(tol=1e-6, max_iters=40000), callback=cb)
         elapsed = time.perf_counter() - t0
         comps = res.report.components()
         ok = (res.status == "Converged" and len(comps) == 10

@@ -27,6 +27,9 @@ class TestGenerate:
             generate_problem("biq:6")
         with pytest.raises(ValueError, match="unknown family"):
             generate_problem("nope:6:1")
+        for spec in ("biq:x:1", "biq:6:1.5"):
+            with pytest.raises(ValueError, match="integer size and seed"):
+                generate_problem(spec)
 
 
 class TestSolveCommand:
@@ -94,7 +97,9 @@ class TestSolveCommand:
         assert main(["solve", "--generate", "biq:6:1", "--problem", "x"]) == 1
 
     def test_unknown_flag_fails(self):
-        assert main(["solve", "--generate", "biq:6:1", "--frobnicate"]) == 1
+        # the method's parameters (alpha, tau0, tau_bar, eps) are constants
+        for flag in ("--frobnicate", "--alpha"):
+            assert main(["solve", "--generate", "biq:6:1", flag, "0.5"]) == 1
 
     def test_unknown_policy_key(self, capsys):
         for key in ("nope", "sigma_min"):
@@ -108,6 +113,7 @@ class TestSolveCommand:
         (["--tol", "-1"], "tol"),
         (["--policy", "check_period=-5"], "check_period"),
         (["--policy", "restart_stall_window=-1"], "restart_stall_window"),
+        (["--policy", "check_period=1.5"], "check_period"),
     ])
     def test_bad_run_settings_fail_fast(self, command, flags, field, tmp_path, capsys):
         # refused before any solve starts, naming the setting
@@ -129,7 +135,8 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("fault, field", [
         ("nan-C", "C"), ("duplicate-A_E-row", "A_E"), ("empty-A_I", "A_I"),
-        ("zero-A_I", "A_I"),
+        ("zero-A_I", "A_I"), ("missing-b_E", "b_E"),
+        ("not-an-object", "problem document"),
     ])
     def test_faulty_problem_document_names_field(self, fault, field, tmp_path,
                                                  capsys):
@@ -142,9 +149,13 @@ class TestSolveCommand:
             doc["b_E"].append(doc["b_E"][0])
         elif fault == "empty-A_I":
             doc["A_I"], doc["b_I"] = {"m": 0, "mats": []}, []
-        else:
+        elif fault == "zero-A_I":
             for mat in doc["A_I"]["mats"]:
                 mat[2] = [0.0] * len(mat[2])
+        elif fault == "missing-b_E":
+            del doc["b_E"]
+        else:
+            doc = [doc]
         path = tmp_path / "p.json"
         path.write_text(json.dumps(doc))
         assert main(["solve", "--problem", str(path)]) == 1
@@ -176,8 +187,8 @@ class TestBenchCommand:
         mpath = tmp_path / "manifest.json"
         mpath.write_text(json.dumps(manifest))
         outdir = tmp_path / "bench"
-        code = main(["bench", "--manifest", str(mpath),
-                     "--solvers", "cadmm,dext", "--out-dir", str(outdir)])
+        code = main(["bench", "--manifest", str(mpath), "--solvers", "cadmm,dext",
+                     "--tau", "1.0", "--out-dir", str(outdir)])
         assert code == 0
         for metric in ("iterations", "time"):
             rows = read_profile_csv(outdir / f"profile_{metric}.csv")
@@ -188,6 +199,25 @@ class TestBenchCommand:
                 assert all(b >= a for a, b in zip(ys, ys[1:]))
         rec = read_result(outdir / "biq8a.cadmm.json")
         assert rec.problem == "biq8a"
+        # a bench document records the run settings as a solve document does
+        config = json.loads((outdir / "biq8a.dext.json").read_text())["config"]
+        assert config == {"sigma": 1.0, "tol": 1e-6, "max_iters": None,
+                          "solver": "dext", "tau": 1.0,
+                          "policy": {"check_period": 50, "restart_stall_window": 100}}
+
+    @pytest.mark.parametrize("manifest, missing", [
+        ({"problem": [{"generate": "biq:6:1"}]}, "'problems'"),
+        ([{"generate": "biq:6:1"}], "'problems'"),
+        ({"problems": [{"generate": "biq:6:1"}, {"name": "x"}]}, "problem 1"),
+    ])
+    def test_bad_manifest_fails_cleanly(self, manifest, missing, tmp_path, capsys):
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps(manifest))
+        assert main(["bench", "--manifest", str(mpath),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: manifest ") and missing in err, err
 
 
 class TestCheckCommand:

@@ -183,7 +183,7 @@ class TestSubproblemUpdates:
 class TestCadmmStep:
     def test_fixed_point_at_exact_kkt(self):
         prob, it = exact_kkt_instance()
-        out = cadmm_step(it, prob, SolverConfig())
+        out = cadmm_step(it, prob)
         for a, b in [(out.Z, it.Z), (out.yE, it.yE), (out.S, it.S), (out.X, it.X),
                      (out.t_Z, it.t_Z), (out.t_yE, it.t_yE)]:
             assert np.linalg.norm(np.asarray(a) - np.asarray(b)) <= 1e-12
@@ -207,21 +207,19 @@ class TestCadmmStep:
         prob = random_four_block(6, n=7)
         it = random_state(prob, 6)
         it.Z = it.t_Z + 0.3 * random_sym(np.random.default_rng(0), prob.n)
-        cfg = SolverConfig()
-        out = cadmm_step(it, prob, cfg)
+        out = cadmm_step(it, prob)
         d_s = out.S - it.S
         d_ye = prob.A_E.adjoint(out.t_yE - it.t_yE)
-        expect = it.t_Z + cfg.alpha * (out.Z - it.t_Z) - (d_ye + d_s)
+        expect = it.t_Z + engine.ALPHA * (out.Z - it.t_Z) - (d_ye + d_s)
         assert np.linalg.norm(out.t_Z - expect) <= 1e-12
-        wrong_base = it.Z + cfg.alpha * (out.Z - it.Z) - (d_ye + d_s)
+        wrong_base = it.Z + engine.ALPHA * (out.Z - it.Z) - (d_ye + d_s)
         assert np.linalg.norm(out.t_Z - wrong_base) > 1e-6
 
     def test_correction_matches_generic_formula(self):
         prob = random_four_block(7, n=7)
         it = random_state(prob, 7)
-        cfg = SolverConfig()
-        out = cadmm_step(it, prob, cfg)
-        expect_ye = (it.t_yE + cfg.alpha * (out.yE - it.t_yE)
+        out = cadmm_step(it, prob)
+        expect_ye = (it.t_yE + engine.ALPHA * (out.yE - it.t_yE)
                      - gram_solve(prob.A_E, prob.A_E.apply(out.S - it.S)))
         assert np.linalg.norm(out.t_yE - expect_ye) <= 1e-12
 
@@ -238,14 +236,12 @@ class TestGenericEquivalence:
     def test_trajectories_agree(self, builder, seed):
         prob = builder(seed)
         iters = 40
-        cfg = SolverConfig(tol=0.0)
-        cfg.max_iters = iters
+        cfg = SolverConfig(tol=0.0, max_iters=iters)
         mb, z0, x0 = to_multiblock(prob)
         gres = engine.solve(mb, cfg, z0=z0, x0=x0, record_history=True)
-        it = initial_iterate(prob, cfg.sigma, cfg.tau0)
-        step_cfg = SolverConfig(tol=0.0)
+        it = initial_iterate(prob, cfg.sigma, engine.TAU0)
         for step in gres.history:
-            it = cadmm_step(it, prob, step_cfg)
+            it = cadmm_step(it, prob)
             if prob.four_block:
                 spec_vals = [it.yI, it.Z, it.yE, it.S]
             else:
@@ -260,12 +256,12 @@ class TestGenericEquivalence:
         prob = builder(seed)
         mb, z0, x0 = to_multiblock(prob)
         cfg = SolverConfig(tol=0.0)
-        it = initial_iterate(prob, cfg.sigma, cfg.tau0)
+        it = initial_iterate(prob, cfg.sigma, engine.TAU0)
         for k in (10, 20, 30, 40):
             while it.k < k:
-                it = dext_step(it, prob, cfg, 1.618)
-            cfg.max_iters = k
-            gres = engine.solve_direct_extended(mb, cfg, tau=1.618, z0=z0, x0=x0)
+                it = dext_step(it, prob, 1.618)
+            gres = engine.solve_direct_extended(
+                mb, dataclasses.replace(cfg, max_iters=k), tau=1.618, z0=z0, x0=x0)
             assert gres.iterations == k
             spec_vals = [it.Z, it.yE, it.S]
             if prob.four_block:
@@ -353,15 +349,14 @@ class TestResiduals:
         monkeypatch.setattr(dnnsdp, "project_psd", counted)
         prob = build_biq(random_biq(6, 3))
         assert not prob.four_block
-        it = cadmm_step(random_state(prob, 3), prob, SolverConfig())
+        it = cadmm_step(random_state(prob, 3), prob)
         residuals(it, prob)
         assert calls == [(prob.n, prob.n)]
 
     def test_no_sparse_transpose_after_the_first_step(self, monkeypatch):
         # the transposed CSR of each collection is built once and reused
         prob = random_four_block(7, n=6)
-        cfg = SolverConfig()
-        it = cadmm_step(initial_iterate(prob, 1.0, cfg.tau0), prob, cfg)
+        it = cadmm_step(initial_iterate(prob, 1.0, engine.TAU0), prob)
         csr_type = type(prob.A_E._csr)
         original = csr_type.transpose
         calls = []
@@ -371,9 +366,9 @@ class TestResiduals:
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(csr_type, "transpose", counted)
-        it = cadmm_step(it, prob, cfg)
+        it = cadmm_step(it, prob)
         residuals(it, prob)
-        dext_step(it, prob, cfg, 1.618)
+        dext_step(it, prob, 1.618)
         assert calls == []
 
 
@@ -518,15 +513,14 @@ class TestRestart:
 
     def test_step_after_restart_keeps_correction_identity(self):
         prob = build_biq(random_biq(6, 9))
-        cfg = SolverConfig()
-        it = initial_iterate(prob, 1.0, cfg.tau0)
+        it = initial_iterate(prob, 1.0, engine.TAU0)
         for _ in range(5):
-            it = cadmm_step(it, prob, cfg)
+            it = cadmm_step(it, prob)
         restarted, _ = maybe_restart([1.0] * 101, dataclasses.replace(it),
-                                     TuningPolicy(), cfg.tau0, -200)
-        it2 = cadmm_step(restarted, prob, cfg)
+                                     TuningPolicy(), engine.TAU0, -200)
+        it2 = cadmm_step(restarted, prob)
         # corrected middle block must satisfy the triangular recursion
-        expect = (restarted.t_yE + cfg.alpha * (it2.yE - restarted.t_yE)
+        expect = (restarted.t_yE + engine.ALPHA * (it2.yE - restarted.t_yE)
                   - gram_solve(prob.A_E, prob.A_E.apply(it2.S - restarted.S)))
         assert np.linalg.norm(it2.t_yE - expect) <= 1e-11
 
@@ -570,9 +564,7 @@ class TestSolvers:
             mins.append((it.yI.min(), it.Z.min() if prob.pattern.is_all_nonneg()
                          else 0.0, np.linalg.eigvalsh(it.S).min()))
 
-        cfg = SolverConfig(tol=1e-6)
-        cfg.max_iters = 300
-        cadmm_solve(prob, cfg, callback=cb)
+        cadmm_solve(prob, SolverConfig(tol=1e-6, max_iters=300), callback=cb)
         worst_yI = min(m[0] for m in mins)
         worst_Z = min(m[1] for m in mins)
         worst_S = min(m[2] for m in mins)
@@ -601,9 +593,7 @@ class TestSolvers:
 
     def test_solver_reports_max_iters(self):
         prob = build_biq(random_biq(12, 5))
-        cfg = SolverConfig(tol=1e-12)
-        cfg.max_iters = 10
-        res = cadmm_solve(prob, cfg)
+        res = cadmm_solve(prob, SolverConfig(tol=1e-12, max_iters=10))
         assert res.status == "MaxIters"
         assert res.iterations == 10
 

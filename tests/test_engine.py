@@ -1,10 +1,13 @@
 # -*- coding: utf-8 -*-
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from cadmm import engine
+from cadmm.dnnsdp import TuningPolicy
 from cadmm.engine import (BlockSpec, IterateState, LinearBlockMap,
                           MultiBlockProblem, SolverConfig, build_theory_operators,
                           collapsed_subsolve, compute_delta, correct,
@@ -48,13 +51,30 @@ class TestStepSizeFormulas:
 
 class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
-        {"sigma": 0.0}, {"alpha": 1.0}, {"tau_bar": 0.0},
-        {"eps": 0.5}, {"tau0": 2.0}, {"tau0": 1.0},
-        {"tol": -1.0}, {"tol": float("nan")}, {"max_iters": 0}, {"max_iters": -3},
+        {"sigma": 0.0}, {"tol": -1.0}, {"tol": float("nan")},
+        {"max_iters": 0}, {"max_iters": -3},
     ])
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             SolverConfig(**kwargs)
+
+    def test_method_parameters_are_constants_in_range(self):
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+            "sigma", "tol", "max_iters"]
+        assert 0 < engine.ALPHA < 1
+        assert 0 < engine.TAU_BAR < 1
+        assert 0 < engine.EPS < 0.5
+        assert 1 < engine.TAU0 < 2
+
+    @pytest.mark.parametrize("config, name, value", [
+        (SolverConfig(), "max_iters", 0), (SolverConfig(), "sigma", -1.0),
+        (TuningPolicy(), "check_period", -5),
+    ])
+    def test_frozen_after_validation(self, config, name, value):
+        # validation runs only on construction, so a set field could skip it
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, name, value)
+        assert getattr(config, name) != value
 
 
 def literal_block_minimizer(data, x, r, center, sigma):
@@ -283,12 +303,12 @@ class TestSolve:
 
     def test_correction_identity_along_trajectory(self):
         toy = random_quadratic_toy(4, (3, 4, 5, 4), 7, seed=35, rho_blocks=(1,))
-        cfg = SolverConfig(tol=0.0, max_iters=50)
-        res = solve(toy.problem, cfg, record_history=True)
-        ops = build_theory_operators(toy.problem, cfg.alpha)
+        res = solve(toy.problem, SolverConfig(tol=0.0, max_iters=50),
+                    record_history=True)
+        ops = build_theory_operators(toy.problem, engine.ALPHA)
         for step in res.history:
             lhs = ops.h @ (w_concat(step["z_tilde"]) - w_concat(step["z_tilde_prev"]))
-            rhs = cfg.alpha * (w_concat(step["z"]) - w_concat(step["z_tilde_prev"]))
+            rhs = engine.ALPHA * (w_concat(step["z"]) - w_concat(step["z_tilde_prev"]))
             denom = 1.0 + np.linalg.norm(w_concat(step["z_tilde_prev"]))
             assert np.linalg.norm(lhs - rhs) <= 1e-9 * denom
 

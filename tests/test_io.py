@@ -90,9 +90,7 @@ class TestResultDocuments:
 
     def test_summary_line_fields(self, tmp_path):
         prob = build_biq(random_biq(6, 3))
-        cfg = SolverConfig(tol=1e-12)
-        cfg.max_iters = 5
-        res = cadmm_solve(prob, cfg)
+        res = cadmm_solve(prob, SolverConfig(tol=1e-12, max_iters=5))
         path = tmp_path / "r.json"
         rec = write_result(res, res.report, path, problem_name="p", solver_name="s")
         assert rec.status == "MaxIters"
