@@ -119,15 +119,29 @@ def _finite_symmetric(m: np.ndarray, caller: str) -> np.ndarray:
 def project_psd(m: np.ndarray) -> np.ndarray:
     """Nearest (Frobenius) positive semidefinite matrix.
 
-    Eigendecomposes the symmetrized input, clamps negative eigenvalues to
-    zero and reassembles. Raises ``ValueError`` on non-finite input.
+    Computes only the eigenvectors V of the symmetrized input b whose
+    eigenvalues lie in (-inf, 0] (LAPACK ``dsyevr`` by value range); the
+    projections this solver makes have few of them, so this is cheaper
+    than a full eigendecomposition. The result is the congruence P b P
+    with P = I - V V^T, formed as ``b - (V G^T + G V^T)`` with
+    G = b V - V (V^T b V) / 2. Being a congruence of b, it is PSD up to
+    second order in the error of V; ``b - V diag(w) V^T`` is only first
+    order, which leaves S with negative eigenvalues ten times the
+    rounding. The input comes back as it is when it has no such
+    eigenvalue. Raises ``ValueError`` on non-finite input and
+    ``LinAlgError`` when ``dsyevr`` fails.
     """
     b = _finite_symmetric(m, "project_psd")
-    w, v = np.linalg.eigh(b)
-    if w[0] >= 0.0:
+    _, v, k, _, info = scipy.linalg.lapack.dsyevr(
+        b, compute_v=1, range="V", vl=-np.inf, vu=0.0, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"project_psd: dsyevr failed with info {info}")
+    if k == 0:
         return b
-    w = np.where(w > 0.0, w, 0.0)
-    return symmetrize((v * w) @ v.T)
+    v = v[:, :k]
+    bv = b @ v
+    t = v @ (bv - 0.5 * (v @ (v.T @ bv))).T
+    return b - (t + t.T)
 
 
 def psd_distance(m: np.ndarray) -> float:

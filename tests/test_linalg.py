@@ -101,6 +101,28 @@ class TestProjectPsd:
         with pytest.raises(ValueError, match="non-finite"):
             project_psd(bad)
 
+    @pytest.mark.parametrize("n", [1, 9, 49])
+    @pytest.mark.parametrize("negatives", ["none", "one", "few", "most", "all"])
+    def test_matches_full_eigendecomposition(self, n, negatives):
+        # only the negative eigenpairs are computed; the reference clamps
+        # the full spectrum of a dense eigh
+        rng = np.random.default_rng(n)
+        k = {"none": 0, "one": 1, "few": max(1, n // 5), "most": n - max(1, n // 5),
+             "all": n}[negatives]
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        lam = rng.uniform(0.1, 10.0, n) * np.where(np.arange(n) < k, -1.0, 1.0)
+        m = (q * lam) @ q.T + 1e-3 * rng.standard_normal((n, n))
+        w, v = np.linalg.eigh(0.5 * (m + m.T))
+        ref = (v * np.maximum(w, 0.0)) @ v.T
+        assert np.linalg.norm(project_psd(m) - ref) <= 1e-12 * np.linalg.norm(m)
+
+    def test_psd_input_comes_back_unchanged(self):
+        rng = np.random.default_rng(3)
+        q = np.linalg.qr(rng.standard_normal((9, 9)))[0]
+        m = (q * rng.uniform(0.1, 10.0, 9)) @ q.T
+        m = 0.5 * (m + m.T)
+        assert np.array_equal(project_psd(m), m)
+
 
 class TestSparseSymList:
     def test_validation(self):
