@@ -34,7 +34,8 @@ from .engine import (ALPHA, CONVERGED, DEXT_TAU, DIVERGED, EPS, MAX_ITERS, TAU0,
                      TAU_BAR, SolveResult, SolverConfig, compute_delta, update_tau)
 from .linalg import (GramSingularError, SparseSymList, frob_inner, gram_factor,
                      gram_solve, identity_block_map, is_symmetric,
-                     lambda_max_gram, project_psd, psd_distance)
+                     lambda_max_gram, project_psd, psd_distance,
+                     psd_distance_below)
 
 
 @dataclass(frozen=True)
@@ -250,7 +251,15 @@ def dext_step(it: DnnSdpIterate, prob: DnnSdpProblem, tau: float) -> DnnSdpItera
 class ResidualReport:
     """Relative KKT residual components; ``eta`` is the max of the present
     ones and ``eta_g`` the signed relative gap between <C, X> and the dual
-    objective b_E.y_E (+ b_I.y_I) + <M, Z> (informational)."""
+    objective b_E.y_E (+ b_I.y_I) + <M, Z> (informational).
+
+    In a report the solve loop makes (``residuals`` with ``f_full``),
+    ``eta_S`` may be an upper bound instead of the value: half the largest
+    of ``eta_P``, ``eta_K`` and ``eta_I``, when a Cholesky factorization
+    certifies that the value is below it. ``eta`` and the primal maximum
+    max(eta_P, eta_S, eta_K, eta_I) are then the same as with the value.
+    A report made without ``f_full``, such as the one a run returns,
+    holds the value."""
 
     eta_P: float
     eta_D: float
@@ -288,7 +297,10 @@ def residuals(it: DnnSdpIterate, prob: DnnSdpProblem,
     constraint map at its blocks, as the sweep summed it (``it.f_full``).
     ``eta_D`` is then read from it, and the dual cone residuals are 0.0,
     because y_I, Z and S are that sweep's projections onto their cones.
-    Without it every component is recomputed from the blocks.
+    ``eta_S`` is then half the largest other primal component whenever
+    ``psd_distance_below`` certifies that bound, and the eigenvalues of X
+    are computed only when it does not. Without ``f_full`` every
+    component is recomputed from the blocks.
     """
     X, S, Z, yE = it.X, it.S, it.Z, it.yE
     C = prob.C
@@ -306,19 +318,9 @@ def residuals(it: DnnSdpIterate, prob: DnnSdpProblem,
         dual_res = prob.A_E.adjoint(yE) + S + Z - C
     eta_D = float(np.linalg.norm(dual_res)) / (1.0 + float(np.linalg.norm(C)))
 
-    eta_S = psd_distance(X) / (1.0 + norm_X)
     shifted = X - prob.M
     eta_K = float(np.linalg.norm(project_pattern_dual(-shifted, prob.pattern))) / (
         1.0 + norm_X)
-    if f_full is not None:
-        eta_Sstar = eta_Kstar = 0.0
-    else:
-        eta_Sstar = psd_distance(S) / (1.0 + norm_S)
-        eta_Kstar = float(np.linalg.norm(project_pattern(-Z, prob.pattern))) / (
-            1.0 + norm_Z)
-    eta_C1 = abs(frob_inner(X, S)) / (1.0 + norm_X + norm_S)
-    eta_C2 = abs(frob_inner(shifted, Z)) / (1.0 + norm_X + norm_Z)
-
     eta_I = eta_Istar = None
     if prob.four_block:
         eta_I = float(np.linalg.norm(np.maximum(0.0, prob.b_I - prob.A_I.apply(X)))) / (
@@ -327,6 +329,21 @@ def residuals(it: DnnSdpIterate, prob: DnnSdpProblem,
         if f_full is None:
             eta_Istar = float(np.linalg.norm(np.maximum(0.0, -it.yI))) / (
                 1.0 + float(np.linalg.norm(it.yI)))
+    if f_full is not None:
+        # a bound, when one Cholesky factorization shows it is below the
+        # other primal components (see ResidualReport)
+        half = 0.5 * max(eta_P, eta_K, eta_I or 0.0)
+        eta_S = (half if psd_distance_below(X, half * (1.0 + norm_X))
+                 else psd_distance(X) / (1.0 + norm_X))
+        eta_Sstar = eta_Kstar = 0.0
+    else:
+        eta_S = psd_distance(X) / (1.0 + norm_X)
+        eta_Sstar = psd_distance(S) / (1.0 + norm_S)
+        eta_Kstar = float(np.linalg.norm(project_pattern(-Z, prob.pattern))) / (
+            1.0 + norm_Z)
+    eta_C1 = abs(frob_inner(X, S)) / (1.0 + norm_X + norm_S)
+    eta_C2 = abs(frob_inner(shifted, Z)) / (1.0 + norm_X + norm_Z)
+
     obj = objective_values(prob, it)
     cx, bey, mz = obj["cx"], obj["b_E_y"], obj["M_Z"]
     biy = obj.get("b_I_y", 0.0)

@@ -155,6 +155,33 @@ def psd_distance(m: np.ndarray) -> float:
     return float(np.sqrt(neg @ neg))
 
 
+def psd_distance_below(m: np.ndarray, bound: float) -> bool:
+    """Whether ``psd_distance(m) <= bound`` is certain, from one Cholesky
+    factorization; False means not certified, not that it is false.
+
+    With s = bound / sqrt(n), every eigenvalue is >= -s when m + s I is
+    positive semidefinite, and the distance, the norm of at most n
+    negative eigenvalues, is then at most sqrt(n) s = bound. A Cholesky
+    factorization that succeeds in floating point proves definiteness
+    only up to a rounding term; the shift is cut by a generous form of
+    that term, r = (n + 1)^2 eps (1 + ||m||_F + s) (after Rump, BIT 2006),
+    and ``dpotrf`` factors m + (s - r) I. Returns False when s does not
+    clear r, so a zero bound is never certified. Raises ``ValueError`` on
+    non-finite input.
+    """
+    b = _finite_symmetric(m, "psd_distance_below")
+    n = b.shape[0]
+    shift = bound / np.sqrt(n)
+    r = (n + 1) ** 2 * np.finfo(float).eps * (1.0 + float(np.linalg.norm(b)) + shift)
+    if not shift > r:
+        return False
+    b.flat[::n + 1] += shift - r
+    # b is symmetric, so its transpose is the same matrix in Fortran order
+    # and dpotrf factors it in place
+    _, info = scipy.linalg.lapack.dpotrf(b.T, lower=1, clean=0, overwrite_a=1)
+    return info == 0
+
+
 class SparseSymList:
     """A list of m sparse symmetric n x n matrices, i.e. a linear map
     from the symmetric matrices into R^m and its adjoint.

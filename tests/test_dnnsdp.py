@@ -391,8 +391,15 @@ class TestSweepCertificate:
         for it, loop, fresh in seen:
             assert it.f_full is not None
             a, b = dataclasses.asdict(loop), dataclasses.asdict(fresh)
-            for key in a.keys() - {"eta_D", "eta_Sstar"}:
+            for key in a.keys() - {"eta_D", "eta_Sstar", "eta_S"}:
                 assert a[key] == b[key], (it.k, key)
+            # the in-loop eta_S is the value or a certified bound that is no
+            # larger than the other primal components, so the primal
+            # maximum is unchanged
+            primal = [loop.eta_P, loop.eta_K] + ([loop.eta_I] if prob.four_block else [])
+            assert fresh.eta_S <= loop.eta_S, it.k
+            assert loop.eta_S == fresh.eta_S or loop.eta_S <= max(primal), it.k
+            assert max(primal + [loop.eta_S]) == max(primal + [fresh.eta_S]), it.k
             # the 4-block sweep sums in the order of the full check; the
             # 3-block one does not, so its eta_D may move by an ulp
             if prob.four_block:
@@ -405,7 +412,8 @@ class TestSweepCertificate:
         assert res.residual == res.report.eta
 
     def test_one_eigenvalue_call_per_iteration(self, monkeypatch):
-        # X on every iteration, then X and S once for the returned report
+        # at most one: X only on the iterations whose Cholesky certificate
+        # of eta_S fails, then X and S once for the returned report
         calls = []
         original = dnnsdp.psd_distance
 
@@ -416,7 +424,7 @@ class TestSweepCertificate:
         monkeypatch.setattr(dnnsdp, "psd_distance", counted)
         res = cadmm_solve(generate_problem("biq:14:5"))
         assert res.status == "Converged" and res.iterations == 367
-        assert len(calls) == res.iterations + 2
+        assert len(calls) <= 0.1 * res.iterations + 2
 
 
 class TestDivergenceGuard:

@@ -10,7 +10,8 @@ from cadmm import dnnsdp
 from cadmm.cli import generate_problem
 from cadmm.linalg import (MAX_DENSE_GRAM, GramSingularError, PowerIterationWarning,
                           SparseSymList, gram_factor, gram_solve, lambda_max_gram,
-                          project_psd, psd_distance, smat, svec)
+                          project_psd, psd_distance, psd_distance_below, smat,
+                          svec)
 
 from conftest import (dense_gram_independent, random_constraints, random_psd,
                       random_sym, random_surjective_constraints)
@@ -333,3 +334,53 @@ class TestPsdDistance:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             psd_distance(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+
+def with_spectrum(rng, lam):
+    """Symmetric matrix with the eigenvalues ``lam`` and random eigenvectors."""
+    q = np.linalg.qr(rng.standard_normal((len(lam), len(lam))))[0]
+    m = (q * np.asarray(lam)) @ q.T
+    return 0.5 * (m + m.T)
+
+
+class TestPsdDistanceBelow:
+    def test_certifies_with_slack(self, rng):
+        for n in (1, 9, 49):
+            assert psd_distance_below(with_spectrum(rng, rng.uniform(0.1, 10.0, n)), 1e-6)
+            # a negative eigenvalue well inside the bound
+            lam = np.r_[-1e-3, rng.uniform(0.1, 10.0, n - 1)]
+            assert psd_distance_below(with_spectrum(rng, lam), 0.1)
+
+    def test_refuses_a_negative_eigenvalue_past_the_bound(self, rng):
+        for n in (1, 9, 49):
+            lam = np.r_[-0.5, rng.uniform(0.1, 10.0, n - 1)]
+            assert not psd_distance_below(with_spectrum(rng, lam), 0.4)
+
+    def test_refuses_a_bound_at_or_below_the_rounding_floor(self, rng):
+        # the input is PSD, but a shift this small proves nothing: the
+        # bound is sqrt(n) times the shift, which must clear
+        # (n + 1)^2 eps (1 + ||m||_F + shift)
+        m = with_spectrum(rng, rng.uniform(0.1, 10.0, 9))
+        floor = 3.0 * 10 ** 2 * np.finfo(float).eps * (1.0 + np.linalg.norm(m))
+        for bound in (0.0, 1e-20, 0.99 * floor):
+            assert not psd_distance_below(m, bound)
+        assert psd_distance_below(m, 1.01 * floor)
+
+    def test_never_certifies_a_false_bound(self, rng):
+        for n in (2, 9, 30):
+            for _ in range(40):
+                m = random_sym(rng, n)
+                dist = psd_distance(m)
+                for factor in (0.5, 0.9, 0.999, 1.001, 1.5, 3.0, 100.0):
+                    if psd_distance_below(m, factor * dist):
+                        assert dist <= factor * dist
+
+    def test_does_not_change_its_input(self, rng):
+        m = random_sym(rng, 6)
+        before = m.copy()
+        psd_distance_below(m, 10.0)
+        assert np.array_equal(m, before)
+
+    def test_nonfinite_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            psd_distance_below(np.array([[1.0, np.inf], [np.inf, 1.0]]), 1.0)
