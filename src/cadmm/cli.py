@@ -24,6 +24,7 @@ from .linalg import SparseSymList, lambda_max_gram, project_psd
 EXIT_BY_STATUS = {engine.CONVERGED: 0, engine.MAX_ITERS: 2, engine.DIVERGED: 3,
                   engine.ERROR: 1}
 POLICY_KEYS = tuple(f.name for f in dataclasses.fields(TuningPolicy))
+SOLVERS = ("cadmm", "dext")
 
 
 def generate_problem(spec: str) -> dnnsdp.DnnSdpProblem:
@@ -73,16 +74,20 @@ def _config_from_args(args) -> SolverConfig:
                            if hasattr(args, f.name)})
 
 
+def _check_solver(solver: str) -> None:
+    if solver not in SOLVERS:
+        raise ValueError(f"unknown solver {solver!r} (expected cadmm or dext)")
+
+
 def _run_one(prob, name: str, solver: str, cfg: SolverConfig, policy: TuningPolicy,
              tau: float, out=None):
     """Solve and print the summary line. With ``out`` given, also write the
     result document; its ``config`` records the run settings."""
+    _check_solver(solver)
     if solver == "cadmm":
         result = cadmm_solve(prob, cfg, policy)
-    elif solver == "dext":
-        result = dext_solve(prob, cfg, tau=tau, policy=policy)
     else:
-        raise ValueError(f"unknown solver {solver!r} (expected cadmm or dext)")
+        result = dext_solve(prob, cfg, tau=tau, policy=policy)
     echo = {**dataclasses.asdict(cfg), "solver": solver, "tau": tau,
             "policy": dataclasses.asdict(policy)}
     rec = (io.write_result(result, result.report, out, problem_name=name,
@@ -110,7 +115,12 @@ def cmd_bench(args) -> int:
         manifest = json.load(fh)
     if not isinstance(manifest, dict) or "problems" not in manifest:
         raise ValueError(f"manifest {args.manifest}: missing key 'problems'")
-    loaded = []  # every problem is read before any solve starts
+    # every solver name and problem is checked before any solve starts
+    solvers = (args.solvers.split(",") if args.solvers
+               else manifest.get("solvers", list(SOLVERS)))
+    for solver in solvers:
+        _check_solver(solver)
+    loaded = []
     for i, entry in enumerate(manifest["problems"]):
         if not isinstance(entry, dict) or not {"generate", "path"} & entry.keys():
             raise ValueError(f"manifest {args.manifest}: problem {i} needs a "
@@ -118,8 +128,6 @@ def cmd_bench(args) -> int:
         prob = (generate_problem(entry["generate"]) if "generate" in entry
                 else io.read_problem(entry["path"]))
         loaded.append((entry.get("name", prob.meta.get("name", "problem")), prob))
-    solvers = (args.solvers.split(",") if args.solvers
-               else manifest.get("solvers", ["cadmm", "dext"]))
     os.makedirs(args.out_dir, exist_ok=True)
     records = []
     for name, prob in loaded:
@@ -243,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = ps.add_mutually_exclusive_group(required=True)
     source.add_argument("--problem", help="path to a problem document")
     source.add_argument("--generate", help="family:size:seed instance spec")
-    ps.add_argument("--solver", choices=("cadmm", "dext"), default="cadmm")
+    ps.add_argument("--solver", choices=SOLVERS, default="cadmm")
     ps.add_argument("--tau", type=float, default=dnnsdp.DEXT_TAU,
                     help="fixed multiplier step for dext")
     ps.add_argument("--sigma", type=float, default=defaults.sigma)

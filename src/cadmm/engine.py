@@ -136,8 +136,8 @@ class SolverConfig:
     max_iters: Optional[int] = None
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if not self.tol >= 0:
             raise ValueError(f"tol must be >= 0, got {self.tol}")
         if self.max_iters is not None and self.max_iters < 1:

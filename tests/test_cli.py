@@ -129,6 +129,15 @@ class TestSolveCommand:
         assert out == ""
         assert err.startswith("error: ") and field in err
 
+    @pytest.mark.parametrize("sigma", ["inf", "1e999", "nan"])
+    def test_non_finite_sigma_fails_fast(self, sigma, capsys):
+        # only solve has a --sigma flag, so this case is not in the grid
+        # of test_bad_run_settings_fail_fast
+        assert main(["solve", "--generate", "biq:6:1", "--sigma", sigma]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: sigma must be positive and finite"), err
+
     def test_zero_tol_runs_max_iters(self):
         assert main(["solve", "--generate", "biq:6:1", "--tol", "0",
                      "--max-iters", "5"]) == 2
@@ -218,6 +227,24 @@ class TestBenchCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: manifest ") and missing in err, err
+
+
+    @pytest.mark.parametrize("flags, manifest_solvers", [
+        (["--solvers", "cadmm,foo"], None), ([], ["dext", "foo"])])
+    def test_unknown_solver_refused_before_any_solve(self, flags, manifest_solvers,
+                                                     tmp_path, capsys):
+        manifest = {"problems": [{"name": "biq6s1", "generate": "biq:6:1"}]}
+        if manifest_solvers:
+            manifest["solvers"] = manifest_solvers
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps(manifest))
+        outdir = tmp_path / "out"
+        assert main(["bench", "--manifest", str(mpath), "--out-dir", str(outdir)]
+                    + flags) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: unknown solver 'foo'"), err
+        assert not outdir.exists()
 
 
 class TestCheckCommand:

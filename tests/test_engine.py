@@ -52,7 +52,8 @@ class TestStepSizeFormulas:
 class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"sigma": 0.0}, {"tol": -1.0}, {"tol": float("nan")},
-        {"max_iters": 0}, {"max_iters": -3},
+        {"max_iters": 0}, {"max_iters": -3}, {"sigma": float("inf")},
+        {"sigma": float("nan")},
     ])
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
