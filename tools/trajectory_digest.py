@@ -10,6 +10,12 @@ it exports revision REV with ``git archive`` into a temporary directory,
 runs that export's copy of this script and then this checkout's, prints
 a unified diff of the two outputs and exits 1 when they differ.
 
+With ``--iterations`` only the first four fields of each line are
+printed or compared: the label, the status, the iteration count and the
+restart count. ``--against REV --iterations`` then shows in one step
+that a change which moves the iterates by a few ulps changed no solve's
+ending or iteration count.
+
 The solves are those of the benchmark (every instance and solver of
 ``perfbench.suite.WORKLOADS``, with the seed-1 relabelings) plus cadmm
 on ``biq:20:7``, a long run with many restarts, and on ``ebiq:10:5``, a
@@ -74,6 +80,11 @@ def solves():
         yield f"extra/{spec}/{solver}", cli.generate_problem(spec), solver, None
 
 
+def brief(line: str) -> str:
+    """The label, status, iteration count and restart count of a line."""
+    return " ".join(line.split()[:4])
+
+
 def run_digest(root: Path) -> list:
     """The digest lines printed by the copy of this script under ``root``."""
     script = root / "tools" / "trajectory_digest.py"
@@ -82,14 +93,17 @@ def run_digest(root: Path) -> list:
     return out.splitlines(keepends=True)
 
 
-def against(rev: str) -> int:
-    """Diff the digest of ``rev`` against this checkout's; 1 if they differ."""
+def against(rev: str, iterations: bool) -> int:
+    """Diff the digest of ``rev`` against this checkout's, or only the
+    fields of :func:`brief` with ``iterations``; 1 if they differ."""
     with tempfile.TemporaryDirectory() as tmp:
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
                                  check=True, stdout=subprocess.PIPE).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         old = run_digest(Path(tmp))
     new = run_digest(ROOT)
+    if iterations:
+        old, new = ([brief(x) + "\n" for x in lines] for lines in (old, new))
     diff = list(difflib.unified_diff(old, new, fromfile=rev, tofile="checkout"))
     sys.stdout.writelines(diff)
     return 1 if diff else 0
@@ -99,12 +113,16 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", metavar="REV",
                         help="diff the digest of git revision REV against this checkout's")
+    parser.add_argument("--iterations", action="store_true",
+                        help="keep only each solve's label, status, iteration "
+                             "count and restart count")
     args = parser.parse_args()
     if args.against:
-        return against(args.against)
+        return against(args.against, args.iterations)
     for label, prob, solver, max_iters in solves():
         suite.prepare(prob)
-        print(line(label, suite.solve(prob, solver, max_iters)), flush=True)
+        text = line(label, suite.solve(prob, solver, max_iters))
+        print(brief(text) if args.iterations else text, flush=True)
     return 0
 
 
