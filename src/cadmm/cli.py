@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -67,11 +66,14 @@ def _policy_from_overrides(pairs) -> TuningPolicy:
     return TuningPolicy(**overrides)
 
 
-def _config_from_args(args) -> SolverConfig:
-    """The settings the subcommand has flags for; the rest keep their defaults."""
-    return SolverConfig(**{f.name: getattr(args, f.name)
-                           for f in dataclasses.fields(SolverConfig)
-                           if hasattr(args, f.name)})
+def _settings_from_args(args) -> tuple:
+    """``(config, policy)`` of solve and bench, with every setting checked;
+    settings the subcommand has no flag for keep their defaults."""
+    dnnsdp.check_tau(args.tau)
+    cfg = SolverConfig(**{f.name: getattr(args, f.name)
+                          for f in dataclasses.fields(SolverConfig)
+                          if hasattr(args, f.name)})
+    return cfg, _policy_from_overrides(args.policy)
 
 
 def _check_solver(solver: str) -> None:
@@ -98,8 +100,7 @@ def _run_one(prob, name: str, solver: str, cfg: SolverConfig, policy: TuningPoli
 
 
 def cmd_solve(args) -> int:
-    cfg = _config_from_args(args)
-    policy = _policy_from_overrides(args.policy)
+    cfg, policy = _settings_from_args(args)
     prob = io.read_problem(args.problem) if args.problem else generate_problem(args.generate)
     name = prob.meta.get("name", args.problem or args.generate)
     result, _ = _run_one(prob, name, args.solver, cfg, policy, args.tau, args.out)
@@ -109,28 +110,32 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = _config_from_args(args)
-    policy = _policy_from_overrides(args.policy)
-    with open(args.manifest) as fh:
-        manifest = json.load(fh)
+    cfg, policy = _settings_from_args(args)
+    manifest = io.read_json(args.manifest, "manifest ")
+    where = f"manifest {args.manifest}"
     if not isinstance(manifest, dict) or "problems" not in manifest:
-        raise ValueError(f"manifest {args.manifest}: missing key 'problems'")
+        raise ValueError(f"{where}: missing key 'problems'")
+    for key in ("problems", "solvers"):
+        if not isinstance(manifest.get(key, []), list):
+            raise ValueError(f"{where}: {key!r} must be a list")
     # every solver name and problem is checked before any solve starts
     solvers = (args.solvers.split(",") if args.solvers
                else manifest.get("solvers", list(SOLVERS)))
     for solver in solvers:
         _check_solver(solver)
-    loaded = []
+    loaded = {}
     for i, entry in enumerate(manifest["problems"]):
         if not isinstance(entry, dict) or not {"generate", "path"} & entry.keys():
-            raise ValueError(f"manifest {args.manifest}: problem {i} needs a "
-                             f"'generate' or a 'path' key")
+            raise ValueError(f"{where}: problem {i} needs a 'generate' or a 'path' key")
         prob = (generate_problem(entry["generate"]) if "generate" in entry
                 else io.read_problem(entry["path"]))
-        loaded.append((entry.get("name", prob.meta.get("name", "problem")), prob))
+        name = entry.get("name", prob.meta.get("name", "problem"))
+        if name in loaded:
+            raise ValueError(f"{where}: problem {i} repeats the name {name!r}")
+        loaded[name] = prob
     os.makedirs(args.out_dir, exist_ok=True)
     records = []
-    for name, prob in loaded:
+    for name, prob in loaded.items():
         for solver in solvers:
             out = os.path.join(args.out_dir, f"{name}.{solver}.json")
             records.append(_run_one(prob, name, solver, cfg, policy, args.tau, out)[1])
@@ -245,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     defaults = SolverConfig()
     policy_help = (f"tuning policy override, KEY one of {', '.join(POLICY_KEYS)}; "
-                   "0 turns that part off (repeatable)")
+                   "check_period=0 keeps sigma fixed (repeatable)")
 
     ps = sub.add_parser("solve", help="solve one problem")
     source = ps.add_mutually_exclusive_group(required=True)

@@ -98,8 +98,8 @@ class DnnSdpIterate:
 
     ``f_full`` is the constraint map A_I* y_I + Z + A_E* y_E + S - C at the
     blocks, as the sweep that made them summed it; it is None on the start
-    and on iterates built by hand. A sigma change or a restart moves no
-    block, so it stays valid across both."""
+    and on iterates built by hand. A sigma change moves no block, so it
+    leaves ``f_full`` valid."""
 
     Z: np.ndarray
     yE: np.ndarray
@@ -353,25 +353,22 @@ def residuals(it: DnnSdpIterate, prob: DnnSdpProblem,
 
 
 # ---------------------------------------------------------------------------
-# Penalty tuning and restarts.
+# Penalty tuning.
 
-# The fixed settings of tune_sigma and maybe_restart.
+# The fixed settings of tune_sigma.
 BALANCE_RATIO = 5.0
 SIGMA_FACTOR = 1.5
 SIGMA_MIN = 1e-4
 SIGMA_MAX = 1e4
 FREEZE_FRACTION = 0.75
-RESTART_DECREASE = 0.01
 
 
 @dataclass(frozen=True)
 class TuningPolicy:
     """Residual-balancing adjustment of sigma every ``check_period``
-    iterations plus a restart of the corrected variables when eta stalls
-    over ``restart_stall_window`` iterations; 0 turns either off."""
+    iterations; 0 turns it off."""
 
     check_period: int = 50
-    restart_stall_window: int = 100
 
     def __post_init__(self):
         for name, value in vars(self).items():
@@ -380,8 +377,8 @@ class TuningPolicy:
 
     @classmethod
     def disabled(cls) -> "TuningPolicy":
-        """The paper's method: a fixed sigma and no restart."""
-        return cls(check_period=0, restart_stall_window=0)
+        """The paper's method: a fixed sigma."""
+        return cls(check_period=0)
 
 
 def tune_sigma(report: ResidualReport, sigma: float, k: int,
@@ -411,18 +408,9 @@ def tune_sigma(report: ResidualReport, sigma: float, k: int,
     return sigma
 
 
-def maybe_restart(eta_history: list, it: DnnSdpIterate, policy: TuningPolicy,
-                  tau0: float, last_restart: int) -> tuple:
-    """Overwrite the corrected variables with the predicted ones and reset
-    the step size when the residual stalled over the window."""
-    w = policy.restart_stall_window
-    if w <= 0 or len(eta_history) <= w or it.k - last_restart < w:
-        return it, False
-    now = eta_history[-1]
-    then = eta_history[-1 - w]
-    if now <= (1.0 - RESTART_DECREASE) * then:
-        return it, False
-    return replace(it, t_Z=it.Z.copy(), t_yE=it.yE.copy(), tau=tau0), True
+# Uncalled placeholder: perfbench/tracing.py wraps this name.
+def maybe_restart(*args):
+    pass
 
 
 # ---------------------------------------------------------------------------
@@ -443,23 +431,24 @@ def _diverged(it: DnnSdpIterate) -> Optional[tuple]:
     return None
 
 
-def _solve(prob: DnnSdpProblem, cfg: SolverConfig, policy: TuningPolicy,
-           callback, step) -> SolveResult:
+def _solve(prob: DnnSdpProblem, cfg: Optional[SolverConfig],
+           policy: Optional[TuningPolicy], callback, step) -> SolveResult:
     """The solve loop shared by the corrected and the directly extended
-    method; ``step(it, prob)`` makes one iteration. A diverged
+    method, with default settings where ``cfg`` or ``policy`` is None;
+    ``step(it, prob)`` makes one iteration. A diverged
     iterate is caught before anything reads it (overflow is silent, so an
     overflowing norm reads inf), and the run then reports no residuals.
 
     Each iterate is certified from its sweep's constraint map; the report
     and residual the run returns are recomputed in full from the blocks."""
     prob.validate()
+    cfg, policy = cfg or SolverConfig(), policy or TuningPolicy()
     max_iters = cfg.max_iters or (40000 if prob.four_block else 20000)
     freeze_after = int(FREEZE_FRACTION * max_iters)
 
     it = initial_iterate(prob, cfg.sigma, TAU0)
     eta_history: list = []
     tau_history: list = []
-    restarts: list = []
     report = None
     oversized = None
     status = MAX_ITERS
@@ -484,10 +473,6 @@ def _solve(prob: DnnSdpProblem, cfg: SolverConfig, policy: TuningPolicy,
             new_sigma = tune_sigma(report, it.sigma, it.k, policy, freeze_after)
             if new_sigma != it.sigma:
                 it = replace(it, sigma=new_sigma)
-            it, restarted = maybe_restart(eta_history, it, policy, TAU0,
-                                          restarts[-1] if restarts else 0)
-            if restarted:
-                restarts.append(it.k)
         if report is not None:
             report = residuals(it, prob)
     wall = time.perf_counter() - t0
@@ -495,8 +480,7 @@ def _solve(prob: DnnSdpProblem, cfg: SolverConfig, policy: TuningPolicy,
         status=status, iterations=it.k,
         residual=report.eta if report is not None else math.inf,
         z=[it.Z, it.yE, it.S] if not prob.four_block else [it.yI, it.Z, it.yE, it.S],
-        x=it.X, tau_final=it.tau, tau_history=tau_history,
-        wall_seconds=wall, restarts=restarts,
+        x=it.X, tau_final=it.tau, tau_history=tau_history, wall_seconds=wall,
         report=report, sigma_final=it.sigma,
         message="" if status != DIVERGED else
         f"non-finite or oversized iterate at k={it.k}: {oversized[0]} has norm "
@@ -506,21 +490,26 @@ def _solve(prob: DnnSdpProblem, cfg: SolverConfig, policy: TuningPolicy,
 
 def cadmm_solve(prob: DnnSdpProblem, cfg: SolverConfig = None,
                 policy: TuningPolicy = None, callback=None) -> SolveResult:
-    """Corrected ADMM with sigma balancing and restarts; terminates when
-    the max relative residual eta drops below ``cfg.tol``."""
-    return _solve(prob, cfg or SolverConfig(),
-                  policy if policy is not None else TuningPolicy(), callback,
-                  cadmm_step)
+    """Corrected ADMM with sigma balancing; terminates when the max
+    relative residual eta drops below ``cfg.tol``. The step size tau
+    never increases over the run."""
+    return _solve(prob, cfg, policy, callback, cadmm_step)
+
+
+def check_tau(tau: float) -> None:
+    """Refuse a multiplier step that is not positive and finite."""
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
 
 
 def dext_solve(prob: DnnSdpProblem, cfg: SolverConfig = None, tau: float = DEXT_TAU,
                policy: TuningPolicy = None, callback=None) -> SolveResult:
-    """Directly extended ADMM baseline on the same problem; no convergence
+    """Directly extended ADMM baseline on the same problem with the fixed
+    multiplier step ``tau`` (positive and finite); no convergence
     guarantee, same termination measure, sigma balancing and divergence
-    guard. It never restarts: its centres are already the previous
-    iterates and its step is fixed, so a restart would reset nothing."""
-    return _solve(prob, cfg or SolverConfig(),
-                  replace(policy or TuningPolicy(), restart_stall_window=0), callback,
+    guard."""
+    check_tau(tau)
+    return _solve(prob, cfg, policy, callback,
                   lambda it, prob: dext_step(it, prob, tau))
 
 

@@ -163,7 +163,7 @@ class SolveResult:
     tau_final: float = math.nan
     tau_history: list = field(default_factory=list)
     wall_seconds: float = 0.0
-    restarts: list = field(default_factory=list)
+    restarts: list = field(default_factory=list)   # always []: perfbench/suite.py reads it
     history: Optional[list] = None
     report: object = None
     sigma_final: float = math.nan

@@ -145,14 +145,19 @@ def write_problem(prob: DnnSdpProblem, path) -> None:
         fh.write("\n")
 
 
-def read_problem(path) -> DnnSdpProblem:
+def read_json(path, prefix: str = ""):
+    """The JSON document at ``path``; a malformed one raises ValueError
+    with a message that starts with ``prefix`` and the file name."""
     with open(path) as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: malformed document at line {exc.lineno}: "
-                             f"{exc.msg}") from exc
-    return problem_from_json(doc)
+            raise ValueError(f"{prefix}{path}: malformed document at line "
+                             f"{exc.lineno}: {exc.msg}") from exc
+
+
+def read_problem(path) -> DnnSdpProblem:
+    return problem_from_json(read_json(path))
 
 
 def record_from_result(problem_name: str, solver_name: str,
@@ -179,7 +184,6 @@ def write_result(result: SolveResult, report: Optional[ResidualReport], path,
     """Write a machine-readable run record (plus a human summary line)."""
     rec = record_from_result(problem_name, solver_name, result, report)
     doc = {"format": RESULT_FORMAT, **asdict(rec),
-           "restarts": list(result.restarts),
            "sigma_final": float(result.sigma_final),
            "message": result.message,
            "config": dict(config_echo or {}),

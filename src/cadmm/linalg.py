@@ -385,7 +385,7 @@ def gram_solve(a: SparseSymList, rhs: np.ndarray) -> np.ndarray:
     On the diagonal path ``(rhs * r) * r`` with ``r = 1/sqrt(diag)``
     reproduces ``cho_solve`` on the diagonal Cholesky factor bit for bit
     under OpenBLAS (``rhs / diag`` does not, and that last-bit drift
-    changes restart decisions of long runs). Both paths raise
+    changes the iterates of long runs). Both paths raise
     ``ValueError`` on a non-finite right-hand side.
     """
     cho = gram_factor(a)

@@ -102,22 +102,16 @@ def dense_gram_independent(a):
     return g
 
 
-def assert_tau_law(tau_history, restarts=(), tau_bar=TAU_BAR, tau0=TAU0):
-    """Nonincreasing within segments between restarts, bounded, and
-    absorbing at the floor."""
+def assert_tau_law(tau_history, tau_bar=TAU_BAR, tau0=TAU0):
+    """Nonincreasing over the whole run, bounded, and absorbing at the
+    floor."""
     taus = np.asarray(tau_history, dtype=float)
     assert taus.size == 0 or (taus >= tau_bar - 1e-12).all()
     assert taus.size == 0 or (taus <= tau0 + 1e-12).all()
-    boundaries = sorted(set(restarts))
-    start = 0
-    for b in boundaries + [len(taus)]:
-        seg = taus[start:b]
-        if seg.size:
-            assert (np.diff(seg) <= 1e-12).all(), "step size increased inside a segment"
-            hit = np.flatnonzero(np.isclose(seg, tau_bar))
-            if hit.size:
-                assert np.allclose(seg[hit[0]:], tau_bar), "floor is not absorbing"
-        start = b
+    assert (np.diff(taus) <= 1e-12).all(), "step size increased"
+    hit = np.flatnonzero(np.isclose(taus, tau_bar))
+    if hit.size:
+        assert np.allclose(taus[hit[0]:], tau_bar), "floor is not absorbing"
 
 
 @pytest.fixture

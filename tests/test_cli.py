@@ -88,9 +88,9 @@ class TestSolveCommand:
     def test_policy_override(self, tmp_path):
         out = tmp_path / "res.json"
         code = main(["solve", "--generate", "rcp:10:1", "--policy",
-                     "check_period=0", "--policy", "restart_stall_window=0",
-                     "--out", str(out)])
+                     "check_period=0", "--out", str(out)])
         assert code == 0
+        assert json.loads(out.read_text())["config"]["policy"] == {"check_period": 0}
 
     def test_requires_exactly_one_source(self):
         assert main(["solve"]) == 1
@@ -102,7 +102,8 @@ class TestSolveCommand:
             assert main(["solve", "--generate", "biq:6:1", flag, "0.5"]) == 1
 
     def test_unknown_policy_key(self, capsys):
-        for key in ("nope", "sigma_min"):
+        # restart_stall_window is no field: the loop has no stall restart
+        for key in ("nope", "sigma_min", "restart_stall_window"):
             assert main(["solve", "--generate", "biq:6:1", "--policy", f"{key}=1"]) == 1
             assert f"unknown policy field '{key}'" in capsys.readouterr().err
 
@@ -114,6 +115,10 @@ class TestSolveCommand:
         (["--policy", "check_period=-5"], "check_period"),
         (["--policy", "restart_stall_window=-1"], "restart_stall_window"),
         (["--policy", "check_period=1.5"], "check_period"),
+        (["--tau", "nan"], "tau"),
+        (["--tau", "inf"], "tau"),
+        (["--tau", "-1"], "tau"),
+        (["--tau", "0"], "tau"),
     ])
     def test_bad_run_settings_fail_fast(self, command, flags, field, tmp_path, capsys):
         # refused before any solve starts, naming the setting
@@ -212,21 +217,33 @@ class TestBenchCommand:
         config = json.loads((outdir / "biq8a.dext.json").read_text())["config"]
         assert config == {"sigma": 1.0, "tol": 1e-6, "max_iters": None,
                           "solver": "dext", "tau": 1.0,
-                          "policy": {"check_period": 50, "restart_stall_window": 100}}
+                          "policy": {"check_period": 50}}
 
     @pytest.mark.parametrize("manifest, missing", [
         ({"problem": [{"generate": "biq:6:1"}]}, "'problems'"),
         ([{"generate": "biq:6:1"}], "'problems'"),
         ({"problems": [{"generate": "biq:6:1"}, {"name": "x"}]}, "problem 1"),
+        ({"problems": [{"generate": "biq:6:1"}, {"generate": "biq:6:1"}]},
+         "problem 1 repeats the name 'biq6s1'"),
+        ({"problems": [{"generate": "biq:6:1"}, {"name": "a", "generate": "biq:6:2"},
+                       {"name": "a", "generate": "rcp:6:1"}]},
+         "problem 2 repeats the name 'a'"),
+        ({"problems": [{"generate": "biq:6:1"}], "solvers": "cadmm"},
+         "'solvers' must be a list"),
+        ({"problems": {"generate": "biq:6:1"}}, "'problems' must be a list"),
+        ({"problems": "biq:6:1"}, "'problems' must be a list"),
+        ('{"problems": [\n', "malformed document at line 2"),
     ])
     def test_bad_manifest_fails_cleanly(self, manifest, missing, tmp_path, capsys):
+        # refused before any solve starts, naming the manifest and the fault
         mpath = tmp_path / "manifest.json"
-        mpath.write_text(json.dumps(manifest))
+        mpath.write_text(manifest if isinstance(manifest, str) else json.dumps(manifest))
         assert main(["bench", "--manifest", str(mpath),
                      "--out-dir", str(tmp_path / "out")]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: manifest ") and missing in err, err
+        assert err.startswith(f"error: manifest {mpath}: ") and missing in err, err
+        assert not (tmp_path / "out").exists()
 
 
     @pytest.mark.parametrize("flags, manifest_solvers", [

@@ -12,8 +12,7 @@ from cadmm.cones import ConePattern, project_pattern, project_pattern_dual
 from cadmm.dnnsdp import (SIGMA_MAX, SIGMA_MIN, DnnSdpProblem, ResidualReport,
                           SolverConfig, TuningPolicy, cached_lambda_max,
                           cadmm_solve, cadmm_step, dext_solve, dext_step,
-                          initial_iterate,
-                          maybe_restart, objective_values, residuals,
+                          initial_iterate, objective_values, residuals,
                           to_multiblock, tune_sigma, update_S, update_Z,
                           update_yE, update_yI)
 from cadmm.io import write_problem
@@ -479,58 +478,13 @@ class TestTuneSigma:
         assert tune_sigma(cold, SIGMA_MAX, 50, pol, 1000) == SIGMA_MAX  # cap
 
     def test_policy_has_two_settings_and_refuses_negatives(self):
+        # one setting since the stall restart went; the name is kept
         names = [f.name for f in dataclasses.fields(TuningPolicy)]
-        assert names == ["check_period", "restart_stall_window"]
-        assert TuningPolicy.disabled() == TuningPolicy(0, 0)
+        assert names == ["check_period"]
+        assert TuningPolicy.disabled() == TuningPolicy(0)
         for name in names:
             with pytest.raises(ValueError, match=name):
                 TuningPolicy(**{name: -1})
-
-
-class TestRestart:
-    def test_no_restart_on_decreasing_history(self):
-        prob = build_biq(random_biq(4, 3))
-        it = random_state(prob, 3)
-        it.k = 300
-        pol = TuningPolicy()
-        hist = list(np.geomspace(1.0, 1e-4, 301))
-        out, restarted = maybe_restart(hist, it, pol, 1.95, last_restart=0)
-        assert not restarted and out is it
-
-    def test_restart_on_flat_history(self):
-        prob = build_biq(random_biq(4, 3))
-        it = random_state(prob, 3)
-        it.k = 300
-        it.tau = 0.7
-        pol = TuningPolicy()
-        hist = [1.0] * 301
-        out, restarted = maybe_restart(hist, it, pol, 1.95, last_restart=0)
-        assert restarted
-        assert out.tau == pytest.approx(1.95)
-        assert np.array_equal(out.t_Z, out.Z)
-        assert np.array_equal(out.t_yE, out.yE)
-
-    def test_restart_respects_window_spacing(self):
-        prob = build_biq(random_biq(4, 3))
-        it = random_state(prob, 3)
-        it.k = 150
-        pol = TuningPolicy()
-        hist = [1.0] * 151
-        _, restarted = maybe_restart(hist, it, pol, 1.95, last_restart=100)
-        assert not restarted
-
-    def test_step_after_restart_keeps_correction_identity(self):
-        prob = build_biq(random_biq(6, 9))
-        it = initial_iterate(prob, 1.0, engine.TAU0)
-        for _ in range(5):
-            it = cadmm_step(it, prob)
-        restarted, _ = maybe_restart([1.0] * 101, dataclasses.replace(it),
-                                     TuningPolicy(), engine.TAU0, -200)
-        it2 = cadmm_step(restarted, prob)
-        # corrected middle block must satisfy the triangular recursion
-        expect = (restarted.t_yE + engine.ALPHA * (it2.yE - restarted.t_yE)
-                  - gram_solve(prob.A_E, prob.A_E.apply(it2.S - restarted.S)))
-        assert np.linalg.norm(it2.t_yE - expect) <= 1e-11
 
 
 class TestSolvers:
@@ -547,7 +501,7 @@ class TestSolvers:
         assert res.status == "Converged"
         assert res.report.eta < 1e-6
         assert checks["ok"]
-        assert_tau_law(res.tau_history, res.restarts)
+        assert_tau_law(res.tau_history)
 
     def test_weak_duality_at_termination(self):
         prob = build_biq(random_biq(10, 6))
@@ -598,6 +552,11 @@ class TestSolvers:
         res = dext_solve(prob, SolverConfig(tol=1e-6), tau=1.618)
         assert res.status == "Converged"
         assert res.report.eta < 1e-6
+
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_dext_refuses_bad_tau(self, tau):
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            dext_solve(build_biq(random_biq(6, 1)), tau=tau)
 
     def test_solver_reports_max_iters(self):
         prob = build_biq(random_biq(12, 5))
