@@ -26,6 +26,23 @@ POLICY_KEYS = tuple(f.name for f in dataclasses.fields(TuningPolicy))
 SOLVERS = ("cadmm", "dext")
 
 
+# family: (smallest size, builder of (size, seed, name)). The smallest
+# size is the generator's: ebiq needs three variables for its first
+# inequality row, rcp a point in each of its two clusters, and fap the two
+# ends of an edge.
+FAMILIES = {
+    "biq": (1, lambda n, seed, name: problems.build_biq(problems.random_biq(n, seed),
+                                                        name=name)),
+    "ebiq": (3, lambda n, seed, name: problems.build_ext_biq(problems.random_biq(n, seed),
+                                                             name=name)),
+    "theta": (1, lambda n, seed, name: problems.build_theta_plus(
+        problems.random_graph(n, 0.3, seed), name=name)),
+    "rcp": (2, lambda n, seed, name: problems.random_rcp(n, seed)),
+    "fap": (2, lambda n, seed, name: problems.random_fap(n, seed)),
+    "qap": (1, lambda n, seed, name: problems.random_qap(n, seed)),
+}
+
+
 def generate_problem(spec: str) -> dnnsdp.DnnSdpProblem:
     """Build a seeded instance from a "family:size:seed" spec string."""
     try:
@@ -34,21 +51,14 @@ def generate_problem(spec: str) -> dnnsdp.DnnSdpProblem:
     except ValueError:
         raise ValueError(f"generate spec must be family:size:seed with an integer "
                          f"size and seed, got {spec!r}") from None
-    name = f"{family}{n}s{seed}"
-    if family == "biq":
-        return problems.build_biq(problems.random_biq(n, seed), name=name)
-    if family == "ebiq":
-        return problems.build_ext_biq(problems.random_biq(n, seed), name=name)
-    if family == "theta":
-        return problems.build_theta_plus(problems.random_graph(n, 0.3, seed), name=name)
-    if family == "rcp":
-        return problems.random_rcp(n, seed)
-    if family == "fap":
-        return problems.random_fap(n, seed)
-    if family == "qap":
-        return problems.random_qap(n, seed)
-    raise ValueError(f"unknown family {family!r} "
-                     f"(expected biq, ebiq, theta, rcp, fap or qap)")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r} "
+                         f"(expected biq, ebiq, theta, rcp, fap or qap)")
+    smallest, build = FAMILIES[family]
+    if n < smallest:
+        raise ValueError(f"generate spec {spec!r}: family {family} needs a size of "
+                         f"at least {smallest}, got {n}")
+    return build(n, seed, f"{family}{n}s{seed}")
 
 
 def _policy_from_overrides(pairs) -> TuningPolicy:
@@ -121,8 +131,10 @@ def cmd_bench(args) -> int:
     # every solver name and problem is checked before any solve starts
     solvers = (args.solvers.split(",") if args.solvers
                else manifest.get("solvers", list(SOLVERS)))
-    for solver in solvers:
+    for i, solver in enumerate(solvers):
         _check_solver(solver)
+        if solver in solvers[:i]:
+            raise ValueError(f"solver {solver!r} is listed twice")
     loaded = {}
     for i, entry in enumerate(manifest["problems"]):
         if not isinstance(entry, dict) or not {"generate", "path"} & entry.keys():

@@ -259,7 +259,11 @@ class ResidualReport:
     certifies that the value is below it. ``eta`` and the primal maximum
     max(eta_P, eta_S, eta_K, eta_I) are then the same as with the value.
     A report made without ``f_full``, such as the one a run returns,
-    holds the value."""
+    holds the value.
+
+    The loop makes such a report only on the iterations whose lower bound
+    max(eta_P, eta_D, eta_K, eta_I) is below the tolerance and at the
+    sigma checks; its callback gets None on the others."""
 
     eta_P: float
     eta_D: float
@@ -282,6 +286,30 @@ class ResidualReport:
         return {k: v for k, v in vars(self).items() if k != "eta_g" and v is not None}
 
 
+def _data_scales(prob: DnnSdpProblem) -> tuple:
+    """``(1 + ||b_E||, 1 + ||C||, 1 + ||b_I||)``, the fixed denominators of
+    eta_P, eta_D and eta_I; the last is None in the 3-block case."""
+    return (1.0 + float(np.linalg.norm(prob.b_E)), 1.0 + float(np.linalg.norm(prob.C)),
+            1.0 + float(np.linalg.norm(prob.b_I)) if prob.four_block else None)
+
+
+def _feasibility(it: DnnSdpIterate, prob: DnnSdpProblem, dual_res: np.ndarray,
+                 norm_X: float, scales: tuple):
+    """Yields eta_D, eta_P, eta_K and eta_I (None in the 3-block case),
+    cheapest first, from the constraint map ``dual_res``,
+    ``norm_X = ||X||`` and ``scales = _data_scales(prob)``. ``residuals``
+    takes all four; the solve loop takes them only until one shows that
+    eta is not below the tolerance. Both read the same values."""
+    X = it.X
+    scale_E, scale_C, scale_I = scales
+    yield float(np.linalg.norm(dual_res)) / scale_C
+    yield float(np.linalg.norm(prob.A_E.apply(X) - prob.b_E)) / scale_E
+    yield float(np.linalg.norm(project_pattern_dual(-(X - prob.M), prob.pattern))) / (
+        1.0 + norm_X)
+    yield (float(np.linalg.norm(np.maximum(0.0, prob.b_I - prob.A_I.apply(X)))) / scale_I
+           if prob.four_block else None)
+
+
 def residuals(it: DnnSdpIterate, prob: DnnSdpProblem,
               f_full: Optional[np.ndarray] = None) -> ResidualReport:
     """Relative primal/dual feasibility, cone and complementarity
@@ -301,6 +329,10 @@ def residuals(it: DnnSdpIterate, prob: DnnSdpProblem,
     ``psd_distance_below`` certifies that bound, and the eigenvalues of X
     are computed only when it does not. Without ``f_full`` every
     component is recomputed from the blocks.
+
+    The solve loop makes this full report only on the iterations that
+    read it: where its lower bound max(eta_P, eta_D, eta_K, eta_I) is
+    below the tolerance, and at the sigma checks (see ``_solve``).
     """
     X, S, Z, yE = it.X, it.S, it.Z, it.yE
     C = prob.C
@@ -308,23 +340,16 @@ def residuals(it: DnnSdpIterate, prob: DnnSdpProblem,
     norm_S = float(np.linalg.norm(S))
     norm_Z = float(np.linalg.norm(Z))
 
-    eta_P = float(np.linalg.norm(prob.A_E.apply(X) - prob.b_E)) / (
-        1.0 + float(np.linalg.norm(prob.b_E)))
     if f_full is not None:
         dual_res = f_full
     elif prob.four_block:
         dual_res = prob.A_I.adjoint(it.yI) + Z + prob.A_E.adjoint(yE) + S - C
     else:
         dual_res = prob.A_E.adjoint(yE) + S + Z - C
-    eta_D = float(np.linalg.norm(dual_res)) / (1.0 + float(np.linalg.norm(C)))
-
-    shifted = X - prob.M
-    eta_K = float(np.linalg.norm(project_pattern_dual(-shifted, prob.pattern))) / (
-        1.0 + norm_X)
-    eta_I = eta_Istar = None
+    eta_D, eta_P, eta_K, eta_I = _feasibility(it, prob, dual_res, norm_X,
+                                              _data_scales(prob))
+    eta_Istar = None
     if prob.four_block:
-        eta_I = float(np.linalg.norm(np.maximum(0.0, prob.b_I - prob.A_I.apply(X)))) / (
-            1.0 + float(np.linalg.norm(prob.b_I)))
         eta_Istar = 0.0
         if f_full is None:
             eta_Istar = float(np.linalg.norm(np.maximum(0.0, -it.yI))) / (
@@ -342,7 +367,7 @@ def residuals(it: DnnSdpIterate, prob: DnnSdpProblem,
         eta_Kstar = float(np.linalg.norm(project_pattern(-Z, prob.pattern))) / (
             1.0 + norm_Z)
     eta_C1 = abs(frob_inner(X, S)) / (1.0 + norm_X + norm_S)
-    eta_C2 = abs(frob_inner(shifted, Z)) / (1.0 + norm_X + norm_Z)
+    eta_C2 = abs(frob_inner(X - prob.M, Z)) / (1.0 + norm_X + norm_Z)
 
     obj = objective_values(prob, it)
     cx, bey, mz = obj["cx"], obj["b_E_y"], obj["M_Z"]
@@ -381,6 +406,12 @@ class TuningPolicy:
         return cls(check_period=0)
 
 
+def sigma_check_due(k: int, policy: TuningPolicy, freeze_after: int) -> bool:
+    """Whether ``tune_sigma`` acts at iteration k: every ``check_period``
+    iterations while k is below the freeze point."""
+    return policy.check_period > 0 and k % policy.check_period == 0 and k < freeze_after
+
+
 def tune_sigma(report: ResidualReport, sigma: float, k: int,
                policy: TuningPolicy, freeze_after: int) -> float:
     """Rescale sigma to balance primal and dual feasibility progress.
@@ -388,11 +419,10 @@ def tune_sigma(report: ResidualReport, sigma: float, k: int,
     Larger sigma drives the dual-side residuals down and starves the
     primal side (the multiplier X carries the primal variable here), so
     when the primal group lags sigma is decreased and vice versa. Only
-    acts every ``check_period`` iterations and while k is below the
-    freeze point; afterwards sigma is left alone so the fixed-penalty
-    convergence behaviour takes over.
+    acts where ``sigma_check_due``; after the freeze point sigma is left
+    alone so the fixed-penalty convergence behaviour takes over.
     """
-    if policy.check_period <= 0 or k % policy.check_period != 0 or k >= freeze_after:
+    if not sigma_check_due(k, policy, freeze_after):
         return sigma
     primal = max(report.eta_P, report.eta_S, report.eta_K)
     dual = max(report.eta_D, report.eta_Sstar, report.eta_Kstar, 1e-16)
@@ -416,16 +446,17 @@ def maybe_restart(*args):
 # ---------------------------------------------------------------------------
 # Full solver loops.
 
-def _diverged(it: DnnSdpIterate) -> Optional[tuple]:
+def _diverged(it: DnnSdpIterate, norm_X: Optional[float] = None) -> Optional[tuple]:
     """``(name, norm)`` of the first block, in sweep order and then X,
-    whose norm fails the divergence guard; None when every block passes."""
+    whose norm fails the divergence guard; None when every block passes.
+    ``norm_X`` is ||X|| when the caller already has it."""
     blocks = {"yI": it.yI, "Z": it.Z, "yE": it.yE, "S": it.S, "X": it.X}
     for name, b in blocks.items():
         if b is None:
             continue
         # A NaN or inf entry makes the norm NaN or inf, and so does a
         # finite block whose norm overflows; neither passes the comparison.
-        norm = float(np.linalg.norm(b))
+        norm = norm_X if name == "X" and norm_X is not None else float(np.linalg.norm(b))
         if not norm <= engine.DIVERGENCE_GUARD:
             return name, norm
     return None
@@ -439,17 +470,26 @@ def _solve(prob: DnnSdpProblem, cfg: Optional[SolverConfig],
     iterate is caught before anything reads it (overflow is silent, so an
     overflowing norm reads inf), and the run then reports no residuals.
 
-    Each iterate is certified from its sweep's constraint map; the report
-    and residual the run returns are recomputed in full from the blocks."""
+    Each iterate is first held against the lower bound
+    max(eta_P, eta_D, eta_K, eta_I) of its eta, one component at a time,
+    cheapest first, until one reaches ``cfg.tol``. The full report,
+    certified from the sweep's constraint map by
+    ``residuals(it, prob, it.f_full)``, is made only where it is read:
+    where the bound is below ``cfg.tol``, so the run may stop, and where
+    a sigma check is due (``sigma_check_due``). Elsewhere eta is at
+    least the bound, so the run cannot stop, and ``callback(it, report)``
+    gets ``report=None``. The run stops at the same iteration as with a
+    full report on every iterate. The report and residual the run
+    returns are recomputed in full from the blocks."""
     prob.validate()
     cfg, policy = cfg or SolverConfig(), policy or TuningPolicy()
     max_iters = cfg.max_iters or (40000 if prob.four_block else 20000)
     freeze_after = int(FREEZE_FRACTION * max_iters)
+    scales = _data_scales(prob)
 
     it = initial_iterate(prob, cfg.sigma, TAU0)
-    eta_history: list = []
     tau_history: list = []
-    report = None
+    full_etas: list = []  # (k, eta) of the last full reports
     oversized = None
     status = MAX_ITERS
     t0 = time.perf_counter()
@@ -457,24 +497,30 @@ def _solve(prob: DnnSdpProblem, cfg: Optional[SolverConfig],
         while it.k < max_iters:
             it = step(it, prob)
             tau_history.append(it.tau)
-            oversized = _diverged(it)
+            norm_X = float(np.linalg.norm(it.X))
+            oversized = _diverged(it, norm_X)
             if oversized:
                 status = DIVERGED
-                report = None
                 break
-            report = residuals(it, prob, it.f_full)
-            eta = report.eta
-            eta_history.append(eta)
+            # eta is at least each of these components, so the run may stop
+            # only when all are below tol; all() stops at the first that is not
+            may_stop = all(e is None or e < cfg.tol
+                           for e in _feasibility(it, prob, it.f_full, norm_X, scales))
+            report = None
+            if may_stop or sigma_check_due(it.k, policy, freeze_after):
+                report = residuals(it, prob, it.f_full)
+                full_etas = [*full_etas[-2:], (it.k, report.eta)]
             if callback is not None:
                 callback(it, report)
-            if eta < cfg.tol:
+            if report is None:
+                continue
+            if report.eta < cfg.tol:
                 status = CONVERGED
                 break
             new_sigma = tune_sigma(report, it.sigma, it.k, policy, freeze_after)
             if new_sigma != it.sigma:
                 it = replace(it, sigma=new_sigma)
-        if report is not None:
-            report = residuals(it, prob)
+        report = residuals(it, prob) if status != DIVERGED else None
     wall = time.perf_counter() - t0
     return SolveResult(
         status=status, iterations=it.k,
@@ -484,15 +530,21 @@ def _solve(prob: DnnSdpProblem, cfg: Optional[SolverConfig],
         report=report, sigma_final=it.sigma,
         message="" if status != DIVERGED else
         f"non-finite or oversized iterate at k={it.k}: {oversized[0]} has norm "
-        f"{oversized[1]:.2e}; last eta history "
-        f"{[f'{e:.2e}' for e in eta_history[-3:]]}")
+        f"{oversized[1]:.2e}; eta of the last full reports: "
+        + (", ".join(f"{e:.2e} at k={k}" for k, e in full_etas) or "none"))
 
 
 def cadmm_solve(prob: DnnSdpProblem, cfg: SolverConfig = None,
                 policy: TuningPolicy = None, callback=None) -> SolveResult:
     """Corrected ADMM with sigma balancing; terminates when the max
     relative residual eta drops below ``cfg.tol``. The step size tau
-    never increases over the run."""
+    never increases over the run.
+
+    ``callback(it, report)`` runs after every iteration. ``report`` is the
+    in-loop full report on the iterations that make one (a lower bound of
+    eta below ``cfg.tol``, or a sigma check) and None on the others; see
+    ``_solve``. The returned report is the full recomputation at the last
+    iterate."""
     return _solve(prob, cfg, policy, callback, cadmm_step)
 
 

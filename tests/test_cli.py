@@ -31,6 +31,20 @@ class TestGenerate:
             with pytest.raises(ValueError, match="integer size and seed"):
                 generate_problem(spec)
 
+    # (family, smallest size, a seed whose smallest instance exists); a
+    # fap graph on two vertices has its one edge for some seeds only
+    @pytest.mark.parametrize("family, smallest, seed", [
+        ("biq", 1, 1), ("ebiq", 3, 1), ("theta", 1, 1), ("rcp", 2, 1),
+        ("fap", 2, 2), ("qap", 1, 1)])
+    def test_size_below_the_smallest_instance_refused(self, family, smallest, seed):
+        generate_problem(f"{family}:{smallest}:{seed}").validate()
+        for size in sorted({smallest - 1, 0, -1}):
+            spec = f"{family}:{size}:{seed}"
+            with pytest.raises(ValueError) as exc:
+                generate_problem(spec)
+            assert str(exc.value) == (f"generate spec {spec!r}: family {family} needs "
+                                      f"a size of at least {smallest}, got {size}")
+
 
 class TestSolveCommand:
     def test_cadmm_end_to_end(self, tmp_path):
@@ -261,6 +275,26 @@ class TestBenchCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: unknown solver 'foo'"), err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("flags, manifest_solvers", [
+        (["--solvers", "cadmm,cadmm"], None), ([], ["cadmm", "dext", "cadmm"])])
+    def test_repeated_solver_refused_before_any_solve(self, flags, manifest_solvers,
+                                                      tmp_path, capsys):
+        # a repeated solver would solve every problem twice and overwrite
+        # the first result file with the second
+        manifest = {"problems": [{"name": "biq6s1", "generate": "biq:6:1"}]}
+        if manifest_solvers:
+            manifest["solvers"] = manifest_solvers
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps(manifest))
+        outdir = tmp_path / "out"
+        assert main(["bench", "--manifest", str(mpath), "--out-dir", str(outdir)]
+                    + flags) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: solver 'cadmm' is listed twice"), err
+        assert not (outdir / "biq6s1.cadmm.json").exists()
         assert not outdir.exists()
 
 

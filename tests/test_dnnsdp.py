@@ -380,15 +380,28 @@ class TestSweepCertificate:
                              ids=["cadmm-biq:14:5", "cadmm-ebiq:8:2", "dext-ebiq:8:2"])
     def test_loop_report_matches_full_recomputation(self, solve, spec):
         # every in-loop report against the full check of the same iterate;
-        # the returned report is the full check of the last one
+        # an iterate without a report cannot have stopped the run, and the
+        # returned report is the full check of the last one
         prob = generate_problem(spec)
+        tol, period = SolverConfig().tol, TuningPolicy().check_period
         seen = []
         res = solve(prob, callback=lambda it, rep: seen.append(
             (it, rep, residuals(it, prob))))
         assert res.status == "Converged"
         assert len(seen) == res.iterations
+        # these runs end long before the sigma checks freeze, so every
+        # check_period-th iteration is a sigma check
+        assert res.iterations < dnnsdp.FREEZE_FRACTION * 20000
+        assert seen[-1][1] is not None
+        assert any(loop is None for _, loop, _ in seen)
         for it, loop, fresh in seen:
             assert it.f_full is not None
+            if loop is None:
+                cheap = [fresh.eta_P, fresh.eta_D, fresh.eta_K]
+                cheap += [fresh.eta_I] if prob.four_block else []
+                assert fresh.eta >= tol and max(cheap) >= tol, it.k
+                assert it.k % period != 0, it.k
+                continue
             a, b = dataclasses.asdict(loop), dataclasses.asdict(fresh)
             for key in a.keys() - {"eta_D", "eta_Sstar", "eta_S"}:
                 assert a[key] == b[key], (it.k, key)
@@ -409,6 +422,39 @@ class TestSweepCertificate:
             assert 0.0 <= fresh.eta_Sstar <= 1e-15
         assert res.report == seen[-1][2]
         assert res.residual == res.report.eta
+
+    @pytest.mark.parametrize("policy", [TuningPolicy.disabled(), TuningPolicy()],
+                             ids=["disabled", "default"])
+    def test_certificate_only_where_the_bound_may_stop(self, policy, monkeypatch):
+        # the Cholesky certificate of eta_S runs once per full report: on
+        # the iterations whose lower bound max(eta_P, eta_D, eta_K) of eta
+        # is below tol, and at the sigma checks besides
+        prob = generate_problem("biq:14:5")
+        tol = SolverConfig().tol
+        calls = []
+        original = dnnsdp.psd_distance_below
+
+        def counted(m, bound):
+            calls.append(m.shape)
+            return original(m, bound)
+
+        below, made = [], []
+
+        def cb(it, rep):
+            cheap = dnnsdp._feasibility(it, prob, it.f_full, float(np.linalg.norm(it.X)),
+                                        dnnsdp._data_scales(prob))
+            below.append(max(e for e in cheap if e is not None) < tol)
+            made.append(len(calls) - sum(made))
+
+        monkeypatch.setattr(dnnsdp, "psd_distance_below", counted)
+        res = cadmm_solve(prob, policy=policy, callback=cb)
+        assert res.status == "Converged" and res.iterations == len(below)
+        assert below[-1] and sum(made) == len(calls)
+        assert all(m >= b for m, b in zip(made, below)) and max(made) == 1
+        if policy.check_period == 0:
+            assert made == below
+        else:
+            assert len(calls) <= sum(below) + res.iterations // 50 + 1
 
     def test_one_eigenvalue_call_per_iteration(self, monkeypatch):
         # at most one: X only on the iterations whose Cholesky certificate
