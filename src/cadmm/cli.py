@@ -58,7 +58,10 @@ def generate_problem(spec: str) -> dnnsdp.DnnSdpProblem:
     if n < smallest:
         raise ValueError(f"generate spec {spec!r}: family {family} needs a size of "
                          f"at least {smallest}, got {n}")
-    return build(n, seed, f"{family}{n}s{seed}")
+    try:
+        return build(n, seed, f"{family}{n}s{seed}")
+    except ValueError as exc:
+        raise ValueError(f"generate spec {spec!r}: {exc}") from exc
 
 
 def _policy_from_overrides(pairs) -> TuningPolicy:
@@ -235,7 +238,7 @@ def cmd_check(args) -> int:
     it.X = rng.standard_normal((prob.n, prob.n))
     it.X = 0.5 * (it.X + it.X.T)
     r1 = it.t_Z + prob.A_E.adjoint(it.t_yE) + it.S - prob.C
-    y_closed = dnnsdp.update_yI(prob, lamI, it.X, r1, it.yI, 1.0)
+    y_closed = dnnsdp.update_yI(prob, lamI, it.X, r1, it.yI, prob.A_I.adjoint(it.yI), 1.0)
     y = np.zeros(prob.A_I.m)
     step = 0.4 / lamI
     for _ in range(400):

@@ -97,9 +97,11 @@ class DnnSdpIterate:
     last blocks are never corrected: their centres are the blocks.
 
     ``f_full`` is the constraint map A_I* y_I + Z + A_E* y_E + S - C at the
-    blocks, as the sweep that made them summed it; it is None on the start
-    and on iterates built by hand. A sigma change moves no block, so it
-    leaves ``f_full`` valid."""
+    blocks, as the sweep that made them summed it, and ``adj_yI`` and
+    ``adj_t_yE`` are A_I* y_I and A_E* t_yE as it computed them, for the
+    next sweep to reuse. Each is None where no sweep computed it: on the
+    start, on iterates built by hand, and ``adj_t_yE`` after a correction
+    moved t_yE. A sigma change moves no block, so it leaves them valid."""
 
     Z: np.ndarray
     yE: np.ndarray
@@ -112,6 +114,8 @@ class DnnSdpIterate:
     sigma: float = 1.0
     k: int = 0
     f_full: Optional[np.ndarray] = None
+    adj_yI: Optional[np.ndarray] = None
+    adj_t_yE: Optional[np.ndarray] = None
 
 
 def initial_iterate(prob: DnnSdpProblem, sigma: float, tau0: float) -> DnnSdpIterate:
@@ -131,16 +135,17 @@ def initial_iterate(prob: DnnSdpProblem, sigma: float, tau0: float) -> DnnSdpIte
 # functions back both the specialized stepper and the generic BlockSpecs.
 
 def update_yI(prob: DnnSdpProblem, lam: float, x: np.ndarray, r: np.ndarray,
-              center: np.ndarray, sigma: float) -> np.ndarray:
+              center: np.ndarray, center_adj: np.ndarray, sigma: float) -> np.ndarray:
     """First-block update with the rho*I - A_I A_I* proximal operator.
 
     The semi-proximal choice collapses the quadratic to sigma*lam/2 ||y||^2
     plus linear terms, so the minimizer is a nonnegative projection of
-    center + (b_I/sigma - A_I(x/sigma + r + A_I* center)) / lam.
+    center + (b_I/sigma - A_I(x/sigma + r + A_I* center)) / lam, where
+    ``center_adj`` is A_I* center.
     """
     if lam <= 0.0:
         raise ValueError("lambda_max(A_I A_I*) must be positive")
-    w_full = x / sigma + r + prob.A_I.adjoint(center)
+    w_full = x / sigma + r + center_adj
     v = center + (prob.b_I / sigma - prob.A_I.apply(w_full)) / lam
     return project_nonneg(v)
 
@@ -173,35 +178,45 @@ def cached_lambda_max(prob: DnnSdpProblem) -> float:
 
 def _sweep(it: DnnSdpIterate, prob: DnnSdpProblem):
     """Gauss-Seidel sweep y_I -> Z -> y_E -> S with proximal centres at
-    ``it.yI``, ``it.t_Z``, ``it.t_yE`` and ``it.S``.
+    ``it.yI``, ``it.t_Z``, ``it.t_yE`` and ``it.S``. The adjoints at the
+    centres are taken from ``it.adj_yI`` and ``it.adj_t_yE`` where the
+    previous sweep left them, and computed where it did not.
 
-    Returns ``(yI, Z, yE, S, f_pred, f_full)``: the new blocks (``yI`` is
-    None in the 3-block case) and the constraint map
+    Returns ``(yI, Z, yE, S, f_pred, f_full, adj_yI, adj_yE)``: the new
+    blocks (``yI`` is None in the 3-block case), the constraint map
     A_I* y_I + Z + A_E* y_E + S - C after the first block only and after
-    all of them.
+    all of them, and the adjoints A_I* y_I (None in the 3-block case) and
+    A_E* y_E at the new blocks.
     """
     # Constraint contribution of each block in sweep order, at its centre
     # until the block is updated (the first block's is never read).
-    terms = {"Z": it.t_Z, "yE": prob.A_E.adjoint(it.t_yE), "S": it.S}
+    adj_t_yE = it.adj_t_yE if it.adj_t_yE is not None else prob.A_E.adjoint(it.t_yE)
+    terms = {"Z": it.t_Z, "yE": adj_t_yE, "S": it.S}
     if prob.four_block:
         terms = {"yI": None, **terms}
 
     def f(skip=None):
-        rest = [t for name, t in terms.items() if name != skip]
-        return sum(rest[1:], rest[0]) - prob.C
+        first, second, *rest = (t for name, t in terms.items() if name != skip)
+        acc = first + second
+        for t in rest:
+            acc += t
+        acc -= prob.C
+        return acc
 
-    yI = None
+    yI = adj_yI = None
     if prob.four_block:
-        yI = update_yI(prob, cached_lambda_max(prob), it.X, f("yI"), it.yI, it.sigma)
-        terms["yI"] = prob.A_I.adjoint(yI)
+        center_adj = it.adj_yI if it.adj_yI is not None else prob.A_I.adjoint(it.yI)
+        yI = update_yI(prob, cached_lambda_max(prob), it.X, f("yI"), it.yI, center_adj,
+                       it.sigma)
+        adj_yI = terms["yI"] = prob.A_I.adjoint(yI)
         f_pred = f()
     Z = terms["Z"] = update_Z(prob, it.X, f("Z"), it.sigma)
     if yI is None:
         f_pred = f()
     yE = update_yE(prob, it.X, f("yE"), it.sigma)
-    terms["yE"] = prob.A_E.adjoint(yE)
+    adj_yE = terms["yE"] = prob.A_E.adjoint(yE)
     S = terms["S"] = update_S(it.X, f("S"), it.sigma)
-    return yI, Z, yE, S, f_pred, f()
+    return yI, Z, yE, S, f_pred, f(), adj_yI, adj_yE
 
 
 def cadmm_step(it: DnnSdpIterate, prob: DnnSdpProblem) -> DnnSdpIterate:
@@ -209,7 +224,7 @@ def cadmm_step(it: DnnSdpIterate, prob: DnnSdpProblem) -> DnnSdpIterate:
     y_I -> Z -> y_E -> S, adaptive multiplier step, then correction of the
     middle blocks (y_E, and Z in the 4-block case) against the corrected
     base points."""
-    yI_new, Z_new, yE_new, S_new, f_pred, f_full = _sweep(it, prob)
+    yI_new, Z_new, yE_new, S_new, f_pred, f_full, adj_yI, _ = _sweep(it, prob)
     dS = S_new - it.S
     if it.k == 0:
         tau_k = TAU0
@@ -230,18 +245,21 @@ def cadmm_step(it: DnnSdpIterate, prob: DnnSdpProblem) -> DnnSdpIterate:
 
     return DnnSdpIterate(
         Z=Z_new, yE=yE_new, S=S_new, X=X_new, t_Z=t_Z_new, t_yE=t_yE_new,
-        yI=yI_new, tau=tau_k, sigma=it.sigma, k=it.k + 1, f_full=f_full)
+        yI=yI_new, tau=tau_k, sigma=it.sigma, k=it.k + 1, f_full=f_full,
+        adj_yI=adj_yI)
 
 
 def dext_step(it: DnnSdpIterate, prob: DnnSdpProblem, tau: float) -> DnnSdpIterate:
     """Directly extended iteration: the same sweep, a fixed multiplier step
     and no correction. The centres ``t_Z`` and ``t_yE`` are set to the new
-    iterates, so the next sweep is centred at the previous iterates."""
-    yI_new, Z_new, yE_new, S_new, _, f_full = _sweep(it, prob)
+    iterates, so the next sweep is centred at the previous iterates and
+    reuses this sweep's A_E* y_E."""
+    yI_new, Z_new, yE_new, S_new, _, f_full, adj_yI, adj_yE = _sweep(it, prob)
     X_new = it.X + (tau * it.sigma) * f_full
     return DnnSdpIterate(
         Z=Z_new, yE=yE_new, S=S_new, X=X_new, t_Z=Z_new, t_yE=yE_new,
-        yI=yI_new, tau=tau, sigma=it.sigma, k=it.k + 1, f_full=f_full)
+        yI=yI_new, tau=tau, sigma=it.sigma, k=it.k + 1, f_full=f_full,
+        adj_yI=adj_yI, adj_t_yE=adj_yE)
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +631,8 @@ def to_multiblock(prob: DnnSdpProblem):
         lam = cached_lambda_max(prob)
         yi_block = engine.BlockSpec(
             map=prob.A_I.as_block_map(),
-            subsolve=lambda x, r, center, sigma: update_yI(prob, lam, x, r, center, sigma),
+            subsolve=lambda x, r, center, sigma: update_yI(
+                prob, lam, x, r, center, prob.A_I.adjoint(center), sigma),
             shape=(prob.A_I.m,), rho=lam,
             prox=prox_nonneg_linear(prob.b_I))
         blocks = (yi_block, z_block, ye_block, s_block)

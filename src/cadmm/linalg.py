@@ -188,10 +188,17 @@ class SparseSymList:
 
     Each matrix is given by COO triples ``(i, j, value)`` with ``i <= j``;
     a triple with ``i < j`` stands for the pair of symmetric entries.
-    Internally the collection is a CSR matrix over svec coordinates, so
-    ``apply`` and ``adjoint`` are single sparse mat-vecs and the Gram
-    matrix of the collection is ``P @ P.T``. The transposed CSR, the Gram
-    factor and the Gram spectral bound are cached on it on first use.
+    Each entry is stored once, in arrays in row order and, within a row,
+    in svec order: the order of ``_csr``, a CSR matrix over svec
+    coordinates whose Gram matrix ``P @ P.T`` the set-up routines use.
+    ``apply`` and ``adjoint`` never touch the CSR. ``apply`` gathers X at
+    the flat position of each entry and sums the svec-weighted products
+    per row with ``np.bincount``; ``adjoint`` sums the products with y
+    per svec coordinate, in the order of ``_transpose()``, and scatters
+    them into both triangles. These are the products and summation
+    orders of ``_csr @ svec(x)`` and ``smat(_csr.T @ y)``, so the results
+    are bit for bit the same. The Gram factor and the Gram spectral
+    bound are cached on the collection on first use.
     """
 
     def __init__(self, n: int, triples: Sequence[tuple]):
@@ -201,7 +208,7 @@ class SparseSymList:
         self.m = len(triples)
         if self.m == 0:
             raise ValueError("constraint list must be nonempty")
-        rows, cols, vals = [], [], []
+        ics, jcs, vals = [], [], []
         for k, (ii, jj, vv) in enumerate(triples):
             ii = np.asarray(ii, dtype=np.int64).ravel()
             jj = np.asarray(jj, dtype=np.int64).ravel()
@@ -212,48 +219,60 @@ class SparseSymList:
                 raise ValueError(f"constraint {k}: index out of range")
             if np.any(ii > jj):
                 raise ValueError(f"constraint {k}: triples must have i <= j")
-            flat = _svec_index(ii, jj, n)
-            if np.unique(flat).size != flat.size:
+            if np.unique(_svec_index(ii, jj, n)).size != ii.size:
                 raise ValueError(f"constraint {k}: duplicate (i, j) entry")
-            rows.append(np.full(ii.shape, k, dtype=np.int64))
-            cols.append(flat)
-            svals = vv.copy()
-            svals[ii != jj] *= _SQRT2
-            vals.append(svals)
-        data = np.concatenate(vals)
+            ics.append(ii)
+            jcs.append(jj)
+            vals.append(vv)
+        i, j, raw = np.concatenate(ics), np.concatenate(jcs), np.concatenate(vals)
+        row = np.repeat(np.arange(self.m), [ii.size for ii in ics])
+        col = _svec_index(i, j, n)
+        # CSR order: by row, then by svec coordinate
+        order = np.lexsort((col, row))
+        row, col, i, j, raw = row[order], col[order], i[order], j[order], raw[order]
+        scale = np.where(i != j, _SQRT2, 1.0)
+        data = raw * scale
         if not np.isfinite(data).all():
-            k = next(k for k, v in enumerate(vals) if not np.isfinite(v).all())
-            raise ValueError(f"constraint {k}: non-finite value")
-        dim = n * (n + 1) // 2
+            raise ValueError(f"constraint {row[~np.isfinite(data)][0]}: non-finite value")
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=self.m))))
         self._csr = scipy.sparse.csr_matrix(
-            (data, (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.m, dim),
-        )
-        self._triples = [
-            (np.asarray(t[0], dtype=np.int64).ravel().copy(),
-             np.asarray(t[1], dtype=np.int64).ravel().copy(),
-             np.asarray(t[2], dtype=float).ravel().copy())
-            for t in triples
-        ]
+            (data, col, indptr), shape=(self.m, n * (n + 1) // 2))
+        self._indptr = indptr
+        self._i, self._j, self._raw = i, j, raw
+        self._row, self._pos, self._scale, self._data = row, i * n + j, scale, data
+        for arr in (i, j, raw):
+            arr.flags.writeable = False
+        # the transpose: entries by svec coordinate, then by row
+        t = self._csr_t = self._csr.T.tocsr()
+        counts = np.diff(t.indptr)
+        touched = np.flatnonzero(counts)
+        tri = upper_triangle(n)
+        self._row_t = t.indices.astype(np.intp)
+        self._data_t = t.data
+        self._coord_t = np.repeat(np.arange(touched.size), counts[touched])
+        self._upper_t = tri.upper[touched]
+        self._lower_t = tri.lower[touched]
+        self._scale_t = tri.scale[touched]
         self._gram_cho = None
-        self._csr_t = None
         self._lam_max = None
 
     def _transpose(self) -> scipy.sparse.csr_matrix:
-        """CSR copy of ``_csr.T``, built on the first call only. Its
-        mat-vec sums each output's terms in increasing row order of
-        ``_csr``, the order of the CSC product with ``_csr.T``, so the
-        results are bit for bit the same."""
-        if self._csr_t is None:
-            self._csr_t = self._csr.T.tocsr()
+        """CSR copy of ``_csr.T``, built with the collection. Its mat-vec
+        sums each output's terms in increasing row order of ``_csr``, the
+        order of the CSC product with ``_csr.T``, so the results are bit
+        for bit the same."""
         return self._csr_t
 
     def triples(self, k: int) -> tuple:
-        return self._triples[k]
+        """``(i, j, value)`` of constraint k in svec order: read-only views
+        of the stored entries, with the values as given (not svec-scaled)."""
+        k = range(self.m)[k]
+        lo, hi = self._indptr[k], self._indptr[k + 1]
+        return self._i[lo:hi], self._j[lo:hi], self._raw[lo:hi]
 
     def matrix(self, k: int) -> np.ndarray:
         """Dense symmetric matrix of constraint k."""
-        i, j, v = self._triples[k]
+        i, j, v = self.triples(k)
         out = np.zeros((self.n, self.n))
         out[i, j] = v
         out[j, i] = v
@@ -261,11 +280,24 @@ class SparseSymList:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Evaluate [<A_k, X>]_k."""
-        return self._csr @ svec(x)
+        x = np.asarray(x)
+        if x.shape != (self.n, self.n):
+            raise ValueError(f"apply: X has shape {x.shape}, expected {(self.n, self.n)}")
+        return np.bincount(self._row, self._data * (x.take(self._pos) * self._scale),
+                           minlength=self.m)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """Evaluate sum_k y_k A_k."""
-        return smat(self._transpose() @ np.asarray(y, dtype=float), self.n)
+        y = np.asarray(y)
+        if y.shape != (self.m,):
+            raise ValueError(f"adjoint: y has shape {y.shape}, expected {(self.m,)}")
+        v = np.bincount(self._coord_t, self._data_t * y.take(self._row_t),
+                        minlength=self._scale_t.size)
+        w = v / self._scale_t
+        out = np.zeros(self.n * self.n)
+        out[self._upper_t] = w
+        out[self._lower_t] = w
+        return out.reshape(self.n, self.n)
 
     def as_block_map(self) -> "LinearBlockMap":
         return LinearBlockMap(apply=self.apply, apply_adjoint=self.adjoint)

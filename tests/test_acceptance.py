@@ -138,7 +138,7 @@ class TestCriterion5:
             it = random_state(prob, seed)
             sig = it.sigma
             r1 = it.t_Z + prob.A_E.adjoint(it.t_yE) + it.S - prob.C
-            got = update_yI(prob, lam, it.X, r1, it.yI, sig)
+            got = update_yI(prob, lam, it.X, r1, it.yI, prob.A_I.adjoint(it.yI), sig)
             oracle = pg_oracle_yI(prob, lam, it.X, r1, it.yI, sig)
             worst["yI"] = max(worst["yI"],
                               float(np.linalg.norm(got - oracle))

@@ -45,6 +45,14 @@ class TestGenerate:
             assert str(exc.value) == (f"generate spec {spec!r}: family {family} needs "
                                       f"a size of at least {smallest}, got {size}")
 
+    @pytest.mark.parametrize("spec, reason", [
+        ("fap:2:1", "random graph came out empty; use a larger p or n"),
+        ("qap:9:1", "order 9 exceeds the desk-scale cap 8")])
+    def test_builder_error_names_the_spec(self, spec, reason):
+        with pytest.raises(ValueError) as exc:
+            generate_problem(spec)
+        assert str(exc.value).startswith(f"generate spec {spec!r}: {reason}")
+
 
 class TestSolveCommand:
     def test_cadmm_end_to_end(self, tmp_path):

@@ -69,7 +69,7 @@ class TestSubproblemUpdates:
                                  A_I=prob.A_I, b_I=b_pos, pattern=prob.pattern)
         zero = np.zeros((prob.n, prob.n))
         r = zero - prob.C
-        got = update_yI(prob_pos, lam, zero, r, np.zeros(m_i), 1.0)
+        got = update_yI(prob_pos, lam, zero, r, np.zeros(m_i), zero, 1.0)
         # with x = 0, center = 0 and r = -C the shifted point is
         # (b_I/sigma + A_I C)/lam elementwise, positive by construction
         expect = (b_pos / 1.0 + prob.A_I.apply(prob.C)) / lam
@@ -83,7 +83,7 @@ class TestSubproblemUpdates:
         prob_neg = DnnSdpProblem(n=prob.n, C=prob.C * 0, A_E=prob.A_E, b_E=prob.b_E,
                                  A_I=prob.A_I, b_I=b_neg, pattern=prob.pattern)
         zero = np.zeros((prob.n, prob.n))
-        got = update_yI(prob_neg, lam, zero, zero, np.zeros(prob.A_I.m), 1.0)
+        got = update_yI(prob_neg, lam, zero, zero, np.zeros(prob.A_I.m), zero, 1.0)
         assert np.allclose(got, 0.0)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -92,7 +92,7 @@ class TestSubproblemUpdates:
         lam = cached_lambda_max(prob)
         it = random_state(prob, seed)
         r = it.t_Z + prob.A_E.adjoint(it.t_yE) + it.S - prob.C
-        got = update_yI(prob, lam, it.X, r, it.yI, it.sigma)
+        got = update_yI(prob, lam, it.X, r, it.yI, prob.A_I.adjoint(it.yI), it.sigma)
         oracle = pg_oracle_yI(prob, lam, it.X, r, it.yI, it.sigma)
         assert np.linalg.norm(got - oracle) <= 1e-8 * (1 + np.linalg.norm(oracle))
 
@@ -369,6 +369,54 @@ class TestResiduals:
         residuals(it, prob)
         dext_step(it, prob, 1.618)
         assert calls == []
+
+
+class TestConstraintMapsInTheLoop:
+    """The loop applies A and A* through the entry arrays and reuses the
+    adjoints the previous sweep computed."""
+
+    @pytest.mark.parametrize("spec", ["biq:10:2", "ebiq:7:3"])
+    def test_no_sparse_matvec_after_validate(self, monkeypatch, spec):
+        prob = generate_problem(spec)
+        prob.validate()
+        csr_type = type(prob.A_E._csr)
+        calls = []
+        for name in ("_matmul_vector", "_matmul_multivector", "_matmul_sparse"):
+            original = getattr(csr_type, name)
+
+            def counted(self, *args, name=name, original=original, **kwargs):
+                calls.append(name)
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(csr_type, name, counted)
+        prob.A_E._csr @ np.ones(prob.A_E._csr.shape[1])   # the counter counts
+        assert calls == ["_matmul_vector"]
+        calls.clear()
+        cfg = SolverConfig(max_iters=120)
+        for res in (cadmm_solve(prob, cfg), dext_solve(prob, cfg)):
+            assert res.iterations > 50
+        assert calls == []
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cached_adjoints_change_nothing(self, seed):
+        prob = random_four_block(seed + 30, n=7)
+        prob.validate()
+        bare = random_state(prob, seed)
+        assert bare.adj_yI is None and bare.adj_t_yE is None
+        cached = dataclasses.replace(bare, adj_yI=prob.A_I.adjoint(bare.yI),
+                                     adj_t_yE=prob.A_E.adjoint(bare.t_yE))
+        fields = [f.name for f in dataclasses.fields(dnnsdp.DnnSdpIterate)]
+        for step in (cadmm_step, lambda it, prob: dext_step(it, prob, 1.618)):
+            a, b = step(bare, prob), step(cached, prob)
+            for name in fields:
+                u, v = getattr(a, name), getattr(b, name)
+                assert (np.array_equal(u, v) if isinstance(u, np.ndarray) else u == v), name
+            # what a step leaves is what the next sweep would compute
+            assert np.array_equal(a.adj_yI, prob.A_I.adjoint(a.yI))
+            if a.adj_t_yE is not None:
+                assert np.array_equal(a.adj_t_yE, prob.A_E.adjoint(a.t_yE))
+        assert cadmm_step(bare, prob).adj_t_yE is None   # t_yE was corrected
+        assert dext_step(bare, prob, 1.0).adj_t_yE is not None
 
 
 class TestSweepCertificate:

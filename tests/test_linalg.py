@@ -167,9 +167,12 @@ def family_collections(spec):
     return [prob.A_E] + ([prob.A_I] if prob.four_block else [])
 
 
+FAMILY_SPECS = ["biq:12:3", "ebiq:8:2", "theta:14:1", "rcp:20:1", "fap:10:2", "qap:3:4",
+                "random"]
+
+
 class TestTransposedCsr:
-    @pytest.mark.parametrize("spec", ["biq:12:3", "ebiq:8:2", "theta:14:1", "rcp:20:1",
-                                      "fap:10:2", "qap:3:4", "random"])
+    @pytest.mark.parametrize("spec", FAMILY_SPECS)
     def test_adjoint_and_gram_apply_bitwise(self, rng, spec):
         # the cached CSR of the transpose sums in the CSC product's order
         for a in family_collections(spec):
@@ -178,6 +181,51 @@ class TestTransposedCsr:
                 assert np.array_equal(a.adjoint(y), smat(a._csr.T @ y, a.n))
                 assert np.array_equal(a.gram_apply(y), a._csr @ (a._csr.T @ y))
             assert np.array_equal(a.gram(), (a._csr @ a._csr.T).toarray())
+
+    @pytest.mark.parametrize("spec", FAMILY_SPECS)
+    def test_entry_maps_match_the_csr_bitwise(self, rng, spec):
+        # the entry arrays make the CSR's products in the CSR's order; X need
+        # not be symmetric, both read its upper triangle
+        for a in family_collections(spec):
+            for _ in range(20):
+                x = rng.standard_normal((a.n, a.n))
+                y = rng.standard_normal(a.m)
+                y[rng.random(a.m) < 0.2] = 0.0
+                assert np.array_equal(a.apply(x), a._csr @ svec(x))
+                adj, ref = a.adjoint(y), smat(a._csr.T @ y, a.n)
+                assert np.array_equal(adj, ref)
+                assert np.array_equal(np.signbit(adj), np.signbit(ref))
+
+    def test_wrong_shapes_refused(self, rng):
+        a = random_constraints(rng, 6, 5)
+        for x in (np.zeros((7, 7)), np.zeros(36), np.zeros((6, 6, 1)), np.zeros((6, 7))):
+            with pytest.raises(ValueError, match="apply: X has shape"):
+                a.apply(x)
+        for y in (np.zeros(6), np.zeros(4), np.zeros((5, 1)), np.zeros((5, 5))):
+            with pytest.raises(ValueError, match="adjoint: y has shape"):
+                a.adjoint(y)
+
+    @pytest.mark.parametrize("spec", FAMILY_SPECS)
+    def test_triples_round_trip(self, spec):
+        for a in family_collections(spec):
+            b = SparseSymList(a.n, [a.triples(k) for k in range(a.m)])
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(b._csr, name), getattr(a._csr, name))
+            assert a._csr.nnz == sum(a.triples(k)[0].size for k in range(a.m))
+            i, j, v = a.triples(a.m - 1)
+            assert not v.flags.writeable
+            assert all(np.array_equal(u, w) for u, w in zip(a.triples(-1), (i, j, v)))
+
+    def test_triples_keep_the_given_values_in_svec_order(self):
+        # given out of svec order, with an off-diagonal value that sqrt(2)
+        # would not scale back exactly, and an empty row
+        v = 0.1 + 0.2
+        a = SparseSymList(3, [([1, 0, 0], [2, 1, 0], [v, -2.0, 3.0]), ([], [], [])])
+        i, j, vals = a.triples(0)
+        assert i.tolist() == [0, 0, 1] and j.tolist() == [0, 1, 2]
+        assert vals.tolist() == [3.0, -2.0, v]
+        assert [t.size for t in a.triples(1)] == [0, 0, 0]
+        assert a.apply(np.ones((3, 3)))[1] == 0.0
 
     def test_built_once(self, rng):
         a = random_constraints(rng, 6, 5)
