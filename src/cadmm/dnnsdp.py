@@ -32,8 +32,8 @@ from .cones import (ConePattern, project_nonneg, project_pattern,
                     prox_pattern_dual_linear, prox_psd_indicator)
 from .engine import (ALPHA, CONVERGED, DEXT_TAU, DIVERGED, EPS, MAX_ITERS, TAU0,
                      TAU_BAR, SolveResult, SolverConfig, compute_delta, update_tau)
-from .linalg import (GramSingularError, SparseSymList, frob_inner, gram_factor,
-                     gram_solve, identity_block_map, is_symmetric,
+from .linalg import (GramSingularError, SparseSymList, frob_inner, frob_norm,
+                     gram_factor, gram_solve, identity_block_map, is_symmetric,
                      lambda_max_gram, project_psd, psd_distance,
                      psd_distance_below)
 
@@ -129,43 +129,47 @@ def initial_iterate(prob: DnnSdpProblem, sigma: float, tau0: float) -> DnnSdpIte
 
 
 # ---------------------------------------------------------------------------
-# Closed-form subproblem solvers. Each takes the multiplier x, the partial
-# residual r (all other blocks' constraint contributions minus C) and the
-# proximal center, exactly as the generic engine passes them, so the same
-# functions back both the specialized stepper and the generic BlockSpecs.
+# Closed-form subproblem solvers. Each takes the scaled multiplier
+# xs = x/sigma, the partial residual r (all other blocks' constraint
+# contributions minus C) and the proximal center. The sweep forms xs once;
+# the generic engine's subsolves (``to_multiblock``) divide before they
+# call, so the same functions back both the specialized stepper and the
+# generic BlockSpecs.
 
-def update_yI(prob: DnnSdpProblem, lam: float, x: np.ndarray, r: np.ndarray,
+def update_yI(prob: DnnSdpProblem, lam: float, xs: np.ndarray, r: np.ndarray,
               center: np.ndarray, center_adj: np.ndarray, sigma: float) -> np.ndarray:
     """First-block update with the rho*I - A_I A_I* proximal operator.
 
     The semi-proximal choice collapses the quadratic to sigma*lam/2 ||y||^2
     plus linear terms, so the minimizer is a nonnegative projection of
-    center + (b_I/sigma - A_I(x/sigma + r + A_I* center)) / lam, where
-    ``center_adj`` is A_I* center.
+    center + (b_I/sigma - A_I(xs + r + A_I* center)) / lam, where
+    ``xs`` is x/sigma and ``center_adj`` is A_I* center.
     """
     if lam <= 0.0:
         raise ValueError("lambda_max(A_I A_I*) must be positive")
-    w_full = x / sigma + r + center_adj
+    w_full = xs + r + center_adj
     v = center + (prob.b_I / sigma - prob.A_I.apply(w_full)) / lam
     return project_nonneg(v)
 
 
-def update_Z(prob: DnnSdpProblem, x: np.ndarray, r: np.ndarray,
+def update_Z(prob: DnnSdpProblem, xs: np.ndarray, r: np.ndarray,
              sigma: float) -> np.ndarray:
-    """Projection onto the dual pattern cone of M/sigma - x/sigma - r."""
-    return project_pattern_dual(prob.M / sigma - x / sigma - r, prob.pattern)
+    """Projection onto the dual pattern cone of M/sigma - xs - r, with
+    ``xs`` = x/sigma."""
+    return project_pattern_dual(prob.M / sigma - xs - r, prob.pattern)
 
 
-def update_yE(prob: DnnSdpProblem, x: np.ndarray, r: np.ndarray,
+def update_yE(prob: DnnSdpProblem, xs: np.ndarray, r: np.ndarray,
               sigma: float) -> np.ndarray:
-    """Unconstrained linear-block minimizer via the cached Gram factor."""
-    rhs = prob.b_E / sigma - prob.A_E.apply(x / sigma + r)
+    """Unconstrained linear-block minimizer via the cached Gram factor;
+    ``xs`` is x/sigma."""
+    rhs = prob.b_E / sigma - prob.A_E.apply(xs + r)
     return gram_solve(prob.A_E, rhs)
 
 
-def update_S(x: np.ndarray, r: np.ndarray, sigma: float) -> np.ndarray:
-    """PSD projection of -r - x/sigma."""
-    return project_psd(-r - x / sigma)
+def update_S(xs: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """PSD projection of -r - xs, with ``xs`` = x/sigma."""
+    return project_psd(-r - xs)
 
 
 def cached_lambda_max(prob: DnnSdpProblem) -> float:
@@ -187,36 +191,50 @@ def _sweep(it: DnnSdpIterate, prob: DnnSdpProblem):
     A_I* y_I + Z + A_E* y_E + S - C after the first block only and after
     all of them, and the adjoints A_I* y_I (None in the 3-block case) and
     A_E* y_E at the new blocks.
+
+    Every sum adds the block terms in sweep order, each block at its new
+    value once updated and at its centre before, leaving out the block
+    being updated, and subtracts C last. Two prefixes are shared:
+    P = A_I* y_I + Z (Z alone in the 3-block case) and
+    Q = P + A_E* y_E. The y_E input is P + S - C, the S input Q - C and
+    ``f_full`` Q + S - C.
     """
-    # Constraint contribution of each block in sweep order, at its centre
-    # until the block is updated (the first block's is never read).
+    C, S0, sigma = prob.C, it.S, it.sigma
+    xs = it.X / sigma
     adj_t_yE = it.adj_t_yE if it.adj_t_yE is not None else prob.A_E.adjoint(it.t_yE)
-    terms = {"Z": it.t_Z, "yE": adj_t_yE, "S": it.S}
-    if prob.four_block:
-        terms = {"yI": None, **terms}
-
-    def f(skip=None):
-        first, second, *rest = (t for name, t in terms.items() if name != skip)
-        acc = first + second
-        for t in rest:
-            acc += t
-        acc -= prob.C
-        return acc
-
     yI = adj_yI = None
     if prob.four_block:
         center_adj = it.adj_yI if it.adj_yI is not None else prob.A_I.adjoint(it.yI)
-        yI = update_yI(prob, cached_lambda_max(prob), it.X, f("yI"), it.yI, center_adj,
-                       it.sigma)
-        adj_yI = terms["yI"] = prob.A_I.adjoint(yI)
-        f_pred = f()
-    Z = terms["Z"] = update_Z(prob, it.X, f("Z"), it.sigma)
-    if yI is None:
-        f_pred = f()
-    yE = update_yE(prob, it.X, f("yE"), it.sigma)
-    adj_yE = terms["yE"] = prob.A_E.adjoint(yE)
-    S = terms["S"] = update_S(it.X, f("S"), it.sigma)
-    return yI, Z, yE, S, f_pred, f(), adj_yI, adj_yE
+        r = it.t_Z + adj_t_yE
+        r += S0
+        r -= C
+        yI = update_yI(prob, cached_lambda_max(prob), xs, r, it.yI, center_adj, sigma)
+        adj_yI = prob.A_I.adjoint(yI)
+        r = adj_yI + adj_t_yE
+        r += S0
+        r -= C
+        Z = update_Z(prob, xs, r, sigma)
+        f_pred = adj_yI + it.t_Z
+        f_pred += adj_t_yE
+        P = adj_yI + Z
+    else:
+        r = adj_t_yE + S0
+        r -= C
+        Z = update_Z(prob, xs, r, sigma)
+        f_pred = Z + adj_t_yE
+        P = Z
+    f_pred += S0
+    f_pred -= C
+    r = P + S0
+    r -= C
+    yE = update_yE(prob, xs, r, sigma)
+    adj_yE = prob.A_E.adjoint(yE)
+    Q = P + adj_yE
+    S = update_S(xs, Q - C)
+    f_full = Q
+    f_full += S
+    f_full -= C
+    return yI, Z, yE, S, f_pred, f_full, adj_yI, adj_yE
 
 
 def cadmm_step(it: DnnSdpIterate, prob: DnnSdpProblem) -> DnnSdpIterate:
@@ -320,11 +338,11 @@ def _feasibility(it: DnnSdpIterate, prob: DnnSdpProblem, dual_res: np.ndarray,
     eta is not below the tolerance. Both read the same values."""
     X = it.X
     scale_E, scale_C, scale_I = scales
-    yield float(np.linalg.norm(dual_res)) / scale_C
-    yield float(np.linalg.norm(prob.A_E.apply(X) - prob.b_E)) / scale_E
-    yield float(np.linalg.norm(project_pattern_dual(-(X - prob.M), prob.pattern))) / (
+    yield frob_norm(dual_res) / scale_C
+    yield frob_norm(prob.A_E.apply(X) - prob.b_E) / scale_E
+    yield frob_norm(project_pattern_dual(-(X - prob.M), prob.pattern)) / (
         1.0 + norm_X)
-    yield (float(np.linalg.norm(np.maximum(0.0, prob.b_I - prob.A_I.apply(X)))) / scale_I
+    yield (frob_norm(np.maximum(0.0, prob.b_I - prob.A_I.apply(X))) / scale_I
            if prob.four_block else None)
 
 
@@ -354,9 +372,9 @@ def residuals(it: DnnSdpIterate, prob: DnnSdpProblem,
     """
     X, S, Z, yE = it.X, it.S, it.Z, it.yE
     C = prob.C
-    norm_X = float(np.linalg.norm(X))
-    norm_S = float(np.linalg.norm(S))
-    norm_Z = float(np.linalg.norm(Z))
+    norm_X = frob_norm(X)
+    norm_S = frob_norm(S)
+    norm_Z = frob_norm(Z)
 
     if f_full is not None:
         dual_res = f_full
@@ -370,8 +388,8 @@ def residuals(it: DnnSdpIterate, prob: DnnSdpProblem,
     if prob.four_block:
         eta_Istar = 0.0
         if f_full is None:
-            eta_Istar = float(np.linalg.norm(np.maximum(0.0, -it.yI))) / (
-                1.0 + float(np.linalg.norm(it.yI)))
+            eta_Istar = frob_norm(np.maximum(0.0, -it.yI)) / (
+                1.0 + frob_norm(it.yI))
     if f_full is not None:
         # a bound, when one Cholesky factorization shows it is below the
         # other primal components (see ResidualReport)
@@ -382,7 +400,7 @@ def residuals(it: DnnSdpIterate, prob: DnnSdpProblem,
     else:
         eta_S = psd_distance(X) / (1.0 + norm_X)
         eta_Sstar = psd_distance(S) / (1.0 + norm_S)
-        eta_Kstar = float(np.linalg.norm(project_pattern(-Z, prob.pattern))) / (
+        eta_Kstar = frob_norm(project_pattern(-Z, prob.pattern)) / (
             1.0 + norm_Z)
     eta_C1 = abs(frob_inner(X, S)) / (1.0 + norm_X + norm_S)
     eta_C2 = abs(frob_inner(X - prob.M, Z)) / (1.0 + norm_X + norm_Z)
@@ -468,16 +486,17 @@ def _diverged(it: DnnSdpIterate, norm_X: Optional[float] = None) -> Optional[tup
     """``(name, norm)`` of the first block, in sweep order and then X,
     whose norm fails the divergence guard; None when every block passes.
     ``norm_X`` is ||X|| when the caller already has it."""
-    blocks = {"yI": it.yI, "Z": it.Z, "yE": it.yE, "S": it.S, "X": it.X}
-    for name, b in blocks.items():
-        if b is None:
-            continue
-        # A NaN or inf entry makes the norm NaN or inf, and so does a
-        # finite block whose norm overflows; neither passes the comparison.
-        norm = norm_X if name == "X" and norm_X is not None else float(np.linalg.norm(b))
-        if not norm <= engine.DIVERGENCE_GUARD:
-            return name, norm
-    return None
+    guard = engine.DIVERGENCE_GUARD
+    # A NaN or inf entry makes the norm NaN or inf, and so does a finite
+    # block whose norm overflows; neither passes the comparison.
+    for name, b in (("yI", it.yI), ("Z", it.Z), ("yE", it.yE), ("S", it.S)):
+        if b is not None:
+            norm = frob_norm(b)
+            if not norm <= guard:
+                return name, norm
+    if norm_X is None:
+        norm_X = frob_norm(it.X)
+    return None if norm_X <= guard else ("X", norm_X)
 
 
 def _solve(prob: DnnSdpProblem, cfg: Optional[SolverConfig],
@@ -515,7 +534,7 @@ def _solve(prob: DnnSdpProblem, cfg: Optional[SolverConfig],
         while it.k < max_iters:
             it = step(it, prob)
             tau_history.append(it.tau)
-            norm_X = float(np.linalg.norm(it.X))
+            norm_X = frob_norm(it.X)
             oversized = _diverged(it, norm_X)
             if oversized:
                 status = DIVERGED
@@ -613,18 +632,18 @@ def to_multiblock(prob: DnnSdpProblem):
     ident = identity_block_map()
     z_block = engine.BlockSpec(
         map=ident,
-        subsolve=lambda x, r, center, sigma: update_Z(prob, x, r, sigma),
+        subsolve=lambda x, r, center, sigma: update_Z(prob, x / sigma, r, sigma),
         shape=(n, n), rho=None, einv=lambda v: v,
         prox=prox_pattern_dual_linear(prob.M, prob.pattern))
     ye_block = engine.BlockSpec(
         map=prob.A_E.as_block_map(),
-        subsolve=lambda x, r, center, sigma: update_yE(prob, x, r, sigma),
+        subsolve=lambda x, r, center, sigma: update_yE(prob, x / sigma, r, sigma),
         shape=(prob.A_E.m,), rho=None,
         einv=lambda v: gram_solve(prob.A_E, v),
         prox=prox_linear(prob.b_E))
     s_block = engine.BlockSpec(
         map=ident,
-        subsolve=lambda x, r, center, sigma: update_S(x, r, sigma),
+        subsolve=lambda x, r, center, sigma: update_S(x / sigma, r),
         shape=(n, n), rho=None, einv=lambda v: v,
         prox=prox_psd_indicator())
     if prob.four_block:
@@ -632,7 +651,7 @@ def to_multiblock(prob: DnnSdpProblem):
         yi_block = engine.BlockSpec(
             map=prob.A_I.as_block_map(),
             subsolve=lambda x, r, center, sigma: update_yI(
-                prob, lam, x, r, center, prob.A_I.adjoint(center), sigma),
+                prob, lam, x / sigma, r, center, prob.A_I.adjoint(center), sigma),
             shape=(prob.A_I.m,), rho=lam,
             prox=prox_nonneg_linear(prob.b_I))
         blocks = (yi_block, z_block, ye_block, s_block)

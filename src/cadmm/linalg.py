@@ -12,6 +12,7 @@ symmetry. All inner products are Frobenius / Euclidean.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -59,6 +60,16 @@ def is_symmetric(a: np.ndarray, tol: float = 1e-12) -> bool:
 
 def frob_inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(a, b))
+
+
+def frob_norm(a: np.ndarray) -> float:
+    """Frobenius (Euclidean) norm of a float array: ``float(np.linalg.norm(a))``
+    bit for bit, since it is the computation ``norm`` makes, the square
+    root of the dot product of the entries in memory order with
+    themselves, without its argument dispatch. A NaN entry gives NaN and
+    an infinite one inf."""
+    v = a.ravel("K")
+    return math.sqrt(v.dot(v))
 
 
 def _svec_index(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
@@ -132,8 +143,10 @@ def project_psd(m: np.ndarray) -> np.ndarray:
     ``LinAlgError`` when ``dsyevr`` fails.
     """
     b = _finite_symmetric(m, "project_psd")
+    # b is symmetric, so its transpose is the same matrix in Fortran order,
+    # which dsyevr reads without a transposing copy
     _, v, k, _, info = scipy.linalg.lapack.dsyevr(
-        b, compute_v=1, range="V", vl=-np.inf, vu=0.0, lower=1)
+        b.T, compute_v=1, range="V", vl=-np.inf, vu=0.0, lower=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"project_psd: dsyevr failed with info {info}")
     if k == 0:
@@ -172,7 +185,7 @@ def psd_distance_below(m: np.ndarray, bound: float) -> bool:
     b = _finite_symmetric(m, "psd_distance_below")
     n = b.shape[0]
     shift = bound / np.sqrt(n)
-    r = (n + 1) ** 2 * np.finfo(float).eps * (1.0 + float(np.linalg.norm(b)) + shift)
+    r = (n + 1) ** 2 * np.finfo(float).eps * (1.0 + frob_norm(b) + shift)
     if not shift > r:
         return False
     b.flat[::n + 1] += shift - r
@@ -385,7 +398,9 @@ def gram_factor(a: SparseSymList):
     ``MAX_DENSE_GRAM``. Raises :class:`GramSingularError` when a pivot is
     not positive or falls below 1e-12 times the largest pivot (the
     constraint rows are then linearly dependent to working precision),
-    with the row index ``dpotrf`` reports.
+    with the row index ``dpotrf`` reports, and ``ValueError`` when the
+    dense factor has a non-finite entry (a Gram that overflows), so that
+    ``gram_solve`` need not check the factor on every call.
     """
     if a._gram_cho is not None:
         return a._gram_cho
@@ -407,6 +422,8 @@ def gram_factor(a: SparseSymList):
     if info < 0:
         raise ValueError(f"dpotrf: illegal argument {-info}")
     _check_pivots(np.diag(c) ** 2)
+    if not np.isfinite(c).all():
+        raise ValueError("Gram factor has non-finite entries")
     a._gram_cho = (c, True)
     return a._gram_cho
 
@@ -414,17 +431,24 @@ def gram_factor(a: SparseSymList):
 def gram_solve(a: SparseSymList, rhs: np.ndarray) -> np.ndarray:
     """Solve (A A*) y = rhs using the cached factor of :func:`gram_factor`.
 
-    On the diagonal path ``(rhs * r) * r`` with ``r = 1/sqrt(diag)``
-    reproduces ``cho_solve`` on the diagonal Cholesky factor bit for bit
-    under OpenBLAS (``rhs / diag`` does not, and that last-bit drift
-    changes the iterates of long runs). Both paths raise
+    The dense path calls ``dpotrs`` on the factor, as ``cho_solve`` does
+    after its finiteness checks; the factor's entries were checked once,
+    when it was made. On the diagonal path ``(rhs * r) * r`` with
+    ``r = 1/sqrt(diag)`` reproduces ``cho_solve`` on the diagonal Cholesky
+    factor bit for bit under OpenBLAS (``rhs / diag`` does not, and that
+    last-bit drift changes the iterates of long runs). Both paths raise
     ``ValueError`` on a non-finite right-hand side.
     """
-    cho = gram_factor(a)
+    cho = a._gram_cho if a._gram_cho is not None else gram_factor(a)
     rhs = np.asarray(rhs, dtype=float)
-    if isinstance(cho, tuple):
-        return scipy.linalg.cho_solve(cho, rhs)
     if not np.isfinite(rhs).all():
         raise ValueError("gram_solve: right-hand side has non-finite entries")
+    if isinstance(cho, tuple):
+        y, info = scipy.linalg.lapack.dpotrs(cho[0], rhs, lower=1)
+        if info != 0:
+            raise ValueError(f"dpotrs: illegal argument {-info}")
+        return y
+    if rhs.ndim == 1:
+        return (rhs * cho) * cho
     r = cho.reshape((-1,) + (1,) * (rhs.ndim - 1))   # rows of a 2-D rhs
     return (rhs * r) * r

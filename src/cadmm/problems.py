@@ -346,7 +346,9 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     return Graph(n=n, edges=edges)
 
 
-def random_weighted_graph(n: int, p: float, seed: int) -> Graph:
+def random_weighted_graph(n: int, p: float, seed) -> Graph:
+    """Random graph with integer weights 1..10; ``seed`` is anything
+    ``np.random.default_rng`` takes."""
     rng = np.random.default_rng(seed)
     edges = []
     weights = {}
@@ -377,17 +379,30 @@ def random_rcp(n: int, seed: int, kappa: int = 2) -> DnnSdpProblem:
     return build_rcp(w, kappa, name=f"rcp{n}s{seed}")
 
 
+# How often random_fap redraws an empty graph. On two vertices at the
+# default p = 0.4 every draw is empty with probability 0.6, so all 65 are
+# with probability 0.6**65, below 1e-14.
+FAP_REDRAWS = 64
+
+
 def random_fap(n: int, seed: int, p: float = 0.4, kappa: int = 3,
                u_fraction: float = 0.25) -> DnnSdpProblem:
     # kappa = 2 pins the U-edge entries of X at -1, which together with the
     # unit diagonal puts every feasible point on the psd boundary; kappa >= 3
     # keeps the pinned value at -1/(kappa-1) and the instances well behaved.
+    # An empty graph is redrawn, from the streams seeded by (seed, 1),
+    # (seed, 2), ..., up to FAP_REDRAWS times; a graph that has an edge on
+    # the first draw is kept, so such instances do not depend on the bound.
     g = random_weighted_graph(n, p, seed)
+    for redraw in range(1, FAP_REDRAWS + 1):
+        if g.edges:
+            break
+        g = random_weighted_graph(n, p, [seed, redraw])
     rng = np.random.default_rng(seed + 1)
     edges = sorted(g.edges)
-    n_u = max(1, int(u_fraction * len(edges))) if edges else 0
     if not edges:
         raise ValueError("random graph came out empty; use a larger p or n")
+    n_u = max(1, int(u_fraction * len(edges)))
     keep = rng.choice(len(edges), size=n_u, replace=False)
     u = [edges[k] for k in sorted(keep)]
     return build_fap(g, u, kappa, name=f"fap{n}s{seed}")

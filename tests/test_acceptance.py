@@ -138,7 +138,7 @@ class TestCriterion5:
             it = random_state(prob, seed)
             sig = it.sigma
             r1 = it.t_Z + prob.A_E.adjoint(it.t_yE) + it.S - prob.C
-            got = update_yI(prob, lam, it.X, r1, it.yI, prob.A_I.adjoint(it.yI), sig)
+            got = update_yI(prob, lam, it.X / sig, r1, it.yI, prob.A_I.adjoint(it.yI), sig)
             oracle = pg_oracle_yI(prob, lam, it.X, r1, it.yI, sig)
             worst["yI"] = max(worst["yI"],
                               float(np.linalg.norm(got - oracle))
@@ -146,14 +146,14 @@ class TestCriterion5:
 
             adjI = prob.A_I.adjoint(got)
             r2 = adjI + prob.A_E.adjoint(it.t_yE) + it.S - prob.C
-            got_z = update_Z(prob, it.X, r2, sig)
+            got_z = update_Z(prob, it.X / sig, r2, sig)
             oracle_z = pg_oracle_Z(prob, it.X, r2, sig)
             worst["Z"] = max(worst["Z"],
                              float(np.linalg.norm(got_z - oracle_z))
                              / (1 + np.linalg.norm(oracle_z)))
 
             r3 = adjI + got_z + it.S - prob.C
-            got_ye = update_yE(prob, it.X, r3, sig)
+            got_ye = update_yE(prob, it.X / sig, r3, sig)
             gram = dense_gram_independent(prob.A_E)
             rhs = prob.b_E / sig - prob.A_E.apply(it.X / sig + r3)
             oracle_ye = np.linalg.solve(gram, rhs)
@@ -162,7 +162,7 @@ class TestCriterion5:
                               / (1 + np.linalg.norm(oracle_ye)))
 
             r4 = adjI + got_z + prob.A_E.adjoint(got_ye) - prob.C
-            got_s = update_S(it.X, r4, sig)
+            got_s = update_S(it.X / sig, r4)
             oracle_s = pg_oracle_S(it.X, r4, sig, prob.n)
             worst["S"] = max(worst["S"],
                              float(np.linalg.norm(got_s - oracle_s))

@@ -31,8 +31,7 @@ class TestGenerate:
             with pytest.raises(ValueError, match="integer size and seed"):
                 generate_problem(spec)
 
-    # (family, smallest size, a seed whose smallest instance exists); a
-    # fap graph on two vertices has its one edge for some seeds only
+    # (family, smallest size, a seed)
     @pytest.mark.parametrize("family, smallest, seed", [
         ("biq", 1, 1), ("ebiq", 3, 1), ("theta", 1, 1), ("rcp", 2, 1),
         ("fap", 2, 2), ("qap", 1, 1)])
@@ -46,7 +45,6 @@ class TestGenerate:
                                       f"a size of at least {smallest}, got {size}")
 
     @pytest.mark.parametrize("spec, reason", [
-        ("fap:2:1", "random graph came out empty; use a larger p or n"),
         ("qap:9:1", "order 9 exceeds the desk-scale cap 8")])
     def test_builder_error_names_the_spec(self, spec, reason):
         with pytest.raises(ValueError) as exc:

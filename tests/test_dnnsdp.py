@@ -92,7 +92,8 @@ class TestSubproblemUpdates:
         lam = cached_lambda_max(prob)
         it = random_state(prob, seed)
         r = it.t_Z + prob.A_E.adjoint(it.t_yE) + it.S - prob.C
-        got = update_yI(prob, lam, it.X, r, it.yI, prob.A_I.adjoint(it.yI), it.sigma)
+        got = update_yI(prob, lam, it.X / it.sigma, r, it.yI, prob.A_I.adjoint(it.yI),
+                        it.sigma)
         oracle = pg_oracle_yI(prob, lam, it.X, r, it.yI, it.sigma)
         assert np.linalg.norm(got - oracle) <= 1e-8 * (1 + np.linalg.norm(oracle))
 
@@ -100,21 +101,21 @@ class TestSubproblemUpdates:
         prob = build_theta_plus(random_graph(6, 0.4, 3))
         free = DnnSdpProblem(n=prob.n, C=prob.C, A_E=prob.A_E, b_E=prob.b_E,
                              pattern=ConePattern.all_free(prob.n))
-        out = update_Z(free, random_sym(rng, 6), random_sym(rng, 6), 1.3)
+        out = update_Z(free, random_sym(rng, 6) / 1.3, random_sym(rng, 6), 1.3)
         assert np.allclose(out, 0.0)
 
     def test_Z_projecting_the_origin(self, rng):
         prob = build_theta_plus(random_graph(6, 0.4, 3))
         x = random_sym(rng, 6)
         r = (prob.M - x) / 2.0  # sigma = 2 makes M/sigma - X/sigma - r = 0
-        assert np.allclose(update_Z(prob, x, r, 2.0), 0.0)
+        assert np.allclose(update_Z(prob, x / 2.0, r, 2.0), 0.0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_Z_matches_projected_gradient(self, seed):
         prob = random_fap(7, seed + 1)
         it = random_state(prob, seed)
         r = prob.A_E.adjoint(it.t_yE) + it.S - prob.C
-        got = update_Z(prob, it.X, r, it.sigma)
+        got = update_Z(prob, it.X / it.sigma, r, it.sigma)
         oracle = pg_oracle_Z(prob, it.X, r, it.sigma)
         assert np.linalg.norm(got - oracle) <= 1e-8 * (1 + np.linalg.norm(oracle))
 
@@ -132,7 +133,7 @@ class TestSubproblemUpdates:
         prob = DnnSdpProblem(n=2, C=np.zeros((2, 2)), A_E=a, b_E=np.zeros(2))
         x = random_sym(rng, 2)
         r = random_sym(rng, 2)
-        got = update_yE(prob, x, r, 1.5)
+        got = update_yE(prob, x / 1.5, r, 1.5)
         rhs = prob.b_E / 1.5 - a.apply(x / 1.5 + r)
         assert np.allclose(got, rhs, atol=1e-12)
 
@@ -141,7 +142,7 @@ class TestSubproblemUpdates:
         prob = build_biq(random_biq(6, seed + 20))
         it = random_state(prob, seed)
         r = it.Z + it.S - prob.C
-        y = update_yE(prob, it.X, r, it.sigma)
+        y = update_yE(prob, it.X / it.sigma, r, it.sigma)
         # gradient of the literal objective -b'y + <X, A*y> + sigma/2||A*y + r||^2
         grad = (-prob.b_E + prob.A_E.apply(it.X)
                 + it.sigma * prob.A_E.apply(prob.A_E.adjoint(y) + r))
@@ -151,7 +152,7 @@ class TestSubproblemUpdates:
         prob = build_biq(random_biq(6, seed))
         it = random_state(prob, seed)
         r = it.Z + it.S - prob.C
-        y = update_yE(prob, it.X, r, it.sigma)
+        y = update_yE(prob, it.X / it.sigma, r, it.sigma)
         gram = dense_gram_independent(prob.A_E)
         rhs = prob.b_E / it.sigma - prob.A_E.apply(it.X / it.sigma + r)
         expect = np.linalg.solve(gram, rhs)
@@ -161,12 +162,12 @@ class TestSubproblemUpdates:
         s = rng.standard_normal((6, 6))
         target = s @ s.T / 6
         x = np.zeros((6, 6))
-        got = update_S(x, -target, 1.0)  # r = -target makes the argument psd
+        got = update_S(x, -target)  # r = -target makes the argument psd
         assert np.linalg.norm(got - target) <= 1e-12
 
     def test_S_negative_definite_argument(self):
         n = 5
-        got = update_S(np.zeros((n, n)), np.eye(n), 1.0)  # argument = -I
+        got = update_S(np.zeros((n, n)), np.eye(n))  # argument = -I
         assert np.allclose(got, 0.0)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -174,7 +175,7 @@ class TestSubproblemUpdates:
         prob = build_biq(random_biq(6, seed + 30))
         it = random_state(prob, seed)
         r = it.Z + prob.A_E.adjoint(it.yE) - prob.C
-        got = update_S(it.X, r, it.sigma)
+        got = update_S(it.X / it.sigma, r)
         oracle = pg_oracle_S(it.X, r, it.sigma, prob.n)
         assert np.linalg.norm(got - oracle) <= 1e-8 * (1 + np.linalg.norm(oracle))
 
@@ -417,6 +418,87 @@ class TestConstraintMapsInTheLoop:
                 assert np.array_equal(a.adj_t_yE, prob.A_E.adjoint(a.t_yE))
         assert cadmm_step(bare, prob).adj_t_yE is None   # t_yE was corrected
         assert dext_step(bare, prob, 1.0).adj_t_yE is not None
+
+
+def summed(C, *terms):
+    """The terms added one at a time, left to right, then C subtracted."""
+    acc = terms[0]
+    for t in terms[1:]:
+        acc = acc + t
+    return acc - C
+
+
+def reference_sweep_sums(it, prob, new):
+    """Each block update's input and ``f_pred``/``f_full`` as the terms of
+    the constraint map summed in sweep order: every block's term at its
+    centre until it is updated and at its new value after, the updated
+    block's term left out, and C subtracted last. ``new`` maps block names
+    to the sweep's new blocks."""
+    order = ["yI", "Z", "yE", "S"] if prob.four_block else ["Z", "yE", "S"]
+    maps = {"yI": prob.A_I.adjoint if prob.four_block else None,
+            "Z": lambda z: z, "yE": prob.A_E.adjoint, "S": lambda s: s}
+    centres = {"yI": it.yI, "Z": it.t_Z, "yE": it.t_yE, "S": it.S}
+    terms = {name: maps[name](centres[name]) for name in order}
+    inputs, f_pred = {}, None
+    for name in order:
+        inputs[name] = summed(prob.C, *(t for k, t in terms.items() if k != name))
+        terms[name] = maps[name](new[name])
+        if f_pred is None:
+            f_pred = summed(prob.C, *terms.values())
+    return inputs, f_pred, summed(prob.C, *terms.values())
+
+
+class TestSweepSums:
+    """The sweep sums each partial constraint map once, with shared
+    prefixes, and still gets every bit of the term-by-term sums."""
+
+    STEPS = {"cadmm": cadmm_step, "dext": lambda it, prob: dext_step(it, prob, 1.618)}
+
+    @pytest.mark.parametrize("step", sorted(STEPS))
+    @pytest.mark.parametrize("spec", ["biq:10:2", "fap:9:3", "ebiq:7:3", "ebiq:9:1"])
+    def test_update_inputs_and_maps_in_sweep_order(self, monkeypatch, spec, step):
+        prob = generate_problem(spec)
+        prob.validate()
+        args = {}
+        positions = {"update_yI": 3, "update_Z": 2, "update_yE": 2, "update_S": 1}
+        for name, r_at in positions.items():
+            original = getattr(dnnsdp, name)
+
+            def recorded(*a, name=name, r_at=r_at, original=original):
+                out = original(*a)
+                args[name] = (a[r_at - 1], a[r_at], out)   # xs, r, new block
+                return out
+
+            monkeypatch.setattr(dnnsdp, name, recorded)
+        sweeps = []
+        original_sweep = dnnsdp._sweep
+
+        def recorded_sweep(it, prob):
+            args.clear()
+            out = original_sweep(it, prob)
+            sweeps.append((it, dict(args), out))
+            return out
+
+        monkeypatch.setattr(dnnsdp, "_sweep", recorded_sweep)
+        it = random_state(prob, 4)
+        for _ in range(15):
+            it = self.STEPS[step](it, prob)
+        assert len(sweeps) == 15
+        for k, (before, calls, out) in enumerate(sweeps):
+            yI, Z, yE, S, f_pred, f_full, adj_yI, adj_yE = out
+            new = {"yI": yI, "Z": Z, "yE": yE, "S": S}
+            inputs, ref_pred, ref_full = reference_sweep_sums(before, prob, new)
+            assert list(calls) == [f"update_{name}" for name in inputs]
+            for name, ref in inputs.items():
+                xs, r, new_block = calls[f"update_{name}"]
+                assert np.array_equal(xs, before.X / before.sigma), (k, name)
+                assert np.array_equal(r, ref), (k, name)
+                assert new_block is new[name]
+            assert np.array_equal(f_pred, ref_pred), k
+            assert np.array_equal(f_full, ref_full), k
+            assert np.array_equal(adj_yE, prob.A_E.adjoint(yE))
+            if prob.four_block:
+                assert np.array_equal(adj_yI, prob.A_I.adjoint(yI))
 
 
 class TestSweepCertificate:

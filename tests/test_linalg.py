@@ -1,5 +1,6 @@
 # -*- coding: utf-8 -*-
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,8 @@ import scipy.linalg
 from cadmm import dnnsdp
 from cadmm.cli import generate_problem
 from cadmm.linalg import (MAX_DENSE_GRAM, GramSingularError, PowerIterationWarning,
-                          SparseSymList, gram_factor, gram_solve, lambda_max_gram,
+                          SparseSymList, frob_norm, gram_factor, gram_solve,
+                          lambda_max_gram,
                           project_psd, psd_distance, psd_distance_below, smat,
                           svec)
 
@@ -117,12 +119,64 @@ class TestProjectPsd:
         ref = (v * np.maximum(w, 0.0)) @ v.T
         assert np.linalg.norm(project_psd(m) - ref) <= 1e-12 * np.linalg.norm(m)
 
+    @pytest.mark.parametrize("n", [1, 9, 49])
+    def test_same_bits_as_dsyevr_on_the_c_ordered_copy(self, n):
+        # project_psd hands dsyevr the Fortran-ordered transpose of the
+        # symmetrized input; f2py would copy the C-ordered array into the
+        # same Fortran layout, so the eigenvectors and the result keep
+        # every bit
+        rng = np.random.default_rng(n + 100)
+        for _ in range(20):
+            m = random_sym(rng, n)
+            b = 0.5 * (m + m.T)
+            _, v, k, _, info = scipy.linalg.lapack.dsyevr(
+                b, compute_v=1, range="V", vl=-np.inf, vu=0.0, lower=1)
+            assert info == 0
+            if k == 0:
+                ref = b
+            else:
+                v = v[:, :k]
+                bv = b @ v
+                t = v @ (bv - 0.5 * (v @ (v.T @ bv))).T
+                ref = b - (t + t.T)
+            assert np.array_equal(project_psd(m), ref)
+
     def test_psd_input_comes_back_unchanged(self):
         rng = np.random.default_rng(3)
         q = np.linalg.qr(rng.standard_normal((9, 9)))[0]
         m = (q * rng.uniform(0.1, 10.0, 9)) @ q.T
         m = 0.5 * (m + m.T)
         assert np.array_equal(project_psd(m), m)
+
+
+class TestFrobNorm:
+    """``frob_norm`` is ``float(np.linalg.norm(a))`` bit for bit."""
+
+    @staticmethod
+    def same_bits(got, want):
+        if math.isnan(want):
+            return math.isnan(got)
+        return np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("special", [None, np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("shape", [(1,), (37,), (1000,), (9, 9), (7, 12), (49, 49)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matches_numpy_norm(self, rng, shape, order, special):
+        a = np.asarray(rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3), order=order)
+        if special is not None:
+            a.flat[a.size // 2] = special
+        views = [a, a[::2], a.T] if a.ndim == 1 else [a, a.T, a[:, ::2], a[1:, 1:]]
+        for v in views:
+            got = frob_norm(v)
+            assert type(got) is float
+            assert self.same_bits(got, float(np.linalg.norm(v))), (v.shape, v.strides)
+
+    def test_overflow_and_zero(self):
+        with np.errstate(over="ignore"):
+            assert frob_norm(np.full((3, 3), 1e200)) == math.inf == np.linalg.norm(
+                np.full((3, 3), 1e200))
+        z = np.array([[-0.0, 0.0], [0.0, -0.0]])
+        assert self.same_bits(frob_norm(z), float(np.linalg.norm(z)))
 
 
 class TestSparseSymList:
@@ -304,6 +358,26 @@ class TestGramSolve:
         with pytest.raises(GramSingularError) as err:
             gram_solve(a, np.ones(3))
         assert err.value.index == 2
+
+    @pytest.mark.parametrize("spec", ["rcp:8:1", "rcp:30:1", "qap:3:4", "random"])
+    def test_dense_path_matches_cho_solve_bitwise(self, rng, spec):
+        a = (random_surjective_constraints(rng, 6, 5) if spec == "random"
+             else generate_problem(spec).A_E)
+        assert isinstance(gram_factor(a), tuple)
+        for _ in range(50):
+            rhs = rng.standard_normal(a.m) * 10.0 ** rng.uniform(-6, 6)
+            assert np.array_equal(gram_solve(a, rhs), dense_cho_solve(a, rhs))
+        rhs = rng.standard_normal((a.m, 3))
+        assert np.array_equal(gram_solve(a, rhs), dense_cho_solve(a, rhs))
+
+    def test_nonfinite_dense_factor_refused_once(self):
+        # finite entries whose Gram overflows: dpotrf returns a NaN factor
+        # whose pivots pass the ratio check, so the factor itself is checked
+        a = SparseSymList(2, [([0], [0], [1e200]), ([0, 0], [0, 1], [1e200, 1.0])])
+        with pytest.raises(ValueError, match="Gram factor has non-finite entries"):
+            gram_factor(a)
+        with pytest.raises(ValueError, match="non-finite"):
+            gram_solve(a, np.ones(2))
 
     def test_factorization_cached(self, rng):
         for a in (random_surjective_constraints(rng, 5, 3),

@@ -1,10 +1,12 @@
 # -*- coding: utf-8 -*-
 
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
+from cadmm.cli import generate_problem
 from cadmm.cones import FREE, NONNEG, ZERO
 from cadmm.dnnsdp import SolverConfig, cadmm_solve
 from cadmm.io import problem_to_json
@@ -12,7 +14,8 @@ from cadmm.problems import (BiqData, Graph, brute_force_biq, build_biq,
                             build_ext_biq, build_fap, build_qap, build_rcp,
                             build_theta_plus, ext_biq_inequality_rows,
                             family_objective, gaussian_affinity, random_biq,
-                            random_graph, random_rcp, read_biqmac, read_dimacs,
+                            random_fap, random_graph, random_rcp,
+                            random_weighted_graph, read_biqmac, read_dimacs,
                             read_qaplib)
 
 
@@ -203,6 +206,53 @@ class TestBuildFap:
         g = Graph(3, ((0, 1),))
         with pytest.raises(ValueError, match="subset"):
             build_fap(g, [(1, 2)], kappa=2)
+
+
+def problem_digest(prob) -> str:
+    """sha256 (16 hex digits) of the data of a problem without inequality
+    block: n, C, b_E, M, the pattern and every constraint's triples."""
+    h = hashlib.sha256(str(prob.n).encode())
+    for a in (prob.C, prob.b_E, prob.M, prob.pattern.kinds):
+        h.update(np.ascontiguousarray(a).tobytes())
+    for k in range(prob.A_E.m):
+        for a in prob.A_E.triples(k):
+            h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestRandomFap:
+    # digests of the problems random_fap built before it redrew empty
+    # graphs; an instance whose first graph has an edge must not move
+    BENCHMARK_DIGESTS = {"fap:12:4": "ff8faa16d0e97e25", "fap:30:1": "df369448a95a2b62"}
+    SMALL_DIGEST = "12bf6388e2e3635d"   # fap:n:s, n = 2..6, s = 1..40, first draw nonempty
+
+    @pytest.mark.parametrize("spec", sorted(BENCHMARK_DIGESTS))
+    def test_benchmark_instances_unchanged(self, spec):
+        assert problem_digest(generate_problem(spec)) == self.BENCHMARK_DIGESTS[spec]
+
+    def test_instances_that_built_before_unchanged(self):
+        h = hashlib.sha256()
+        redrawn = 0
+        for n in range(2, 7):
+            for seed in range(1, 41):
+                if not random_weighted_graph(n, 0.4, seed).edges:
+                    redrawn += 1
+                    continue
+                h.update(problem_digest(generate_problem(f"fap:{n}:{seed}")).encode())
+        # 24 of the seeds at n = 2 and 8 at n = 3 draw an empty graph first
+        assert redrawn == 32
+        assert h.hexdigest()[:16] == self.SMALL_DIGEST
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_smallest_sizes_build_for_every_seed(self, n):
+        for seed in range(1, 41):
+            prob = generate_problem(f"fap:{n}:{seed}")
+            prob.validate()
+            assert prob.meta["name"] == f"fap{n}s{seed}"
+
+    def test_graph_without_possible_edge_still_refused(self):
+        with pytest.raises(ValueError, match="random graph came out empty"):
+            random_fap(1, 1)
 
 
 class TestBuildQap:
