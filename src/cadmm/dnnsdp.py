@@ -61,6 +61,17 @@ class DnnSdpProblem:
             object.__setattr__(self, "pattern", ConePattern.all_nonneg(self.n))
         if self.M is None:
             object.__setattr__(self, "M", np.zeros((self.n, self.n)))
+        n = self.n
+        for name in ("C", "M"):
+            shape = np.shape(getattr(self, name))
+            if shape != (n, n):
+                raise ValueError(f"{name} has shape {shape}, expected {(n, n)}")
+        for name in ("b_E", "b_I"):
+            value = getattr(self, name)
+            if value is not None and np.ndim(value) != 1:
+                raise ValueError(f"{name} has shape {np.shape(value)}, expected a vector")
+        if self.pattern.n != n:
+            raise ValueError(f"pattern has order {self.pattern.n}, expected {n}")
         for name in ("C", "b_E", "b_I", "M"):
             value = getattr(self, name)
             if value is not None and not np.isfinite(np.asarray(value, dtype=float)).all():

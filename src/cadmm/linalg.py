@@ -195,12 +195,73 @@ def psd_distance_below(m: np.ndarray, bound: float) -> bool:
     return info == 0
 
 
+def _concatenated(parts: Sequence, dtype) -> tuple:
+    """``(entries, counts)``: one part of every triple (the i's, the j's or
+    the values) concatenated into a ``dtype`` array, and the number of
+    entries each triple gave. Each part must be one-dimensional."""
+    try:
+        flat = np.concatenate(parts, dtype=dtype, casting="unsafe")
+    except ValueError:
+        _refuse_non_vector(parts)
+        raise
+    if flat.ndim != 1:
+        _refuse_non_vector(parts)
+    return flat, np.fromiter(map(len, parts), np.intp, len(parts))
+
+
+def _refuse_non_vector(parts: Sequence) -> None:
+    for k, part in enumerate(parts):
+        if np.ndim(part) != 1:
+            raise ValueError(f"constraint {k}: triple arrays must be one-dimensional")
+
+
+def _entries_in_csr_order(n: int, triples: Sequence[tuple]) -> tuple:
+    """``(row, col, i, j, value)`` of every entry of the triples, ordered
+    by row and then by svec coordinate ``col``, with the values as given.
+
+    The triples are validated on the whole entry arrays at once. The
+    first constraint with a defect is reported, and of its defects the
+    first in the order: lengths that disagree, an index out of range,
+    i > j, a repeated (i, j). Rows from the first one whose lengths
+    disagree on are not checked further, since their entries cannot be
+    paired up.
+    """
+    ics, jcs, vals = zip(*[(ii, jj, vv) for ii, jj, vv in triples])
+    i, li = _concatenated(ics, np.int64)
+    j, lj = _concatenated(jcs, np.int64)
+    raw, lv = _concatenated(vals, float)
+    uneven = np.flatnonzero((li != lj) | (li != lv))
+    m = uneven[0] if uneven.size else len(li)   # rows whose entries pair up
+    size = li[:m].sum()
+    i, j, raw = i[:size], j[:size], raw[:size]
+    row = np.repeat(np.arange(m), li[:m])
+    col = _svec_index(i, j, n)
+    order = np.lexsort((col, row))
+    row, col, i, j, raw = row[order], col[order], i[order], j[order], raw[order]
+    repeated = np.concatenate(([False], (row[1:] == row[:-1]) & (col[1:] == col[:-1])))
+    defects = (((i < 0) | (j >= n), "index out of range"),
+               (i > j, "triples must have i <= j"),
+               (repeated, "duplicate (i, j) entry"))
+    # rows are ascending, so a defect's first entry is in its first row
+    firsts = [row[np.argmax(mask)] if mask.any() else m for mask, _ in defects]
+    k = int(min(firsts))
+    if k < m:
+        message = next(msg for first, (_, msg) in zip(firsts, defects) if first == k)
+        raise ValueError(f"constraint {k}: {message}")
+    if m < len(li):
+        raise ValueError(f"constraint {m}: triple arrays disagree in length")
+    return row, col, i, j, raw
+
+
 class SparseSymList:
     """A list of m sparse symmetric n x n matrices, i.e. a linear map
     from the symmetric matrices into R^m and its adjoint.
 
-    Each matrix is given by COO triples ``(i, j, value)`` with ``i <= j``;
-    a triple with ``i < j`` stands for the pair of symmetric entries.
+    Each matrix is given by COO triples ``(i, j, value)`` of
+    one-dimensional sequences with ``i <= j``; a triple with ``i < j``
+    stands for the pair of symmetric entries. The triples are
+    concatenated once and validated on the whole entry arrays (see
+    ``_entries_in_csr_order``), with no per-row pass.
     Each entry is stored once, in arrays in row order and, within a row,
     in svec order: the order of ``_csr``, a CSR matrix over svec
     coordinates whose Gram matrix ``P @ P.T`` the set-up routines use.
@@ -221,28 +282,7 @@ class SparseSymList:
         self.m = len(triples)
         if self.m == 0:
             raise ValueError("constraint list must be nonempty")
-        ics, jcs, vals = [], [], []
-        for k, (ii, jj, vv) in enumerate(triples):
-            ii = np.asarray(ii, dtype=np.int64).ravel()
-            jj = np.asarray(jj, dtype=np.int64).ravel()
-            vv = np.asarray(vv, dtype=float).ravel()
-            if ii.shape != jj.shape or ii.shape != vv.shape:
-                raise ValueError(f"constraint {k}: triple arrays disagree in length")
-            if ii.size and (ii.min() < 0 or jj.max() >= n):
-                raise ValueError(f"constraint {k}: index out of range")
-            if np.any(ii > jj):
-                raise ValueError(f"constraint {k}: triples must have i <= j")
-            if np.unique(_svec_index(ii, jj, n)).size != ii.size:
-                raise ValueError(f"constraint {k}: duplicate (i, j) entry")
-            ics.append(ii)
-            jcs.append(jj)
-            vals.append(vv)
-        i, j, raw = np.concatenate(ics), np.concatenate(jcs), np.concatenate(vals)
-        row = np.repeat(np.arange(self.m), [ii.size for ii in ics])
-        col = _svec_index(i, j, n)
-        # CSR order: by row, then by svec coordinate
-        order = np.lexsort((col, row))
-        row, col, i, j, raw = row[order], col[order], i[order], j[order], raw[order]
+        row, col, i, j, raw = _entries_in_csr_order(self.n, triples)
         scale = np.where(i != j, _SQRT2, 1.0)
         data = raw * scale
         if not np.isfinite(data).all():

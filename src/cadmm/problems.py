@@ -13,7 +13,6 @@ factorizations are reproducible across runs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -33,13 +32,20 @@ class Graph:
     weights: Optional[dict] = None
 
     def __post_init__(self):
-        seen = set()
-        for (i, j) in self.edges:
-            if not (0 <= i < j < self.n):
-                raise ValueError(f"bad edge ({i}, {j})")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate edge ({i}, {j})")
-            seen.add((i, j))
+        # checked on the whole edge array; the first bad or repeated edge
+        # is reported, a bad one before a repeat of an earlier one
+        count = len(self.edges)
+        e = np.asarray(self.edges, dtype=np.int64).reshape(count, 2)
+        i, j = e[:, 0], e[:, 1]
+        bad = np.flatnonzero((i < 0) | (i >= j) | (j >= self.n))
+        order = np.lexsort((j, i))
+        same = (i[order][1:] == i[order][:-1]) & (j[order][1:] == j[order][:-1])
+        repeat = order[1:][same]   # every copy but the first, which lexsort keeps first
+        first_bad = bad[0] if bad.size else count
+        k = min(first_bad, repeat.min() if repeat.size else count)
+        if k < count:
+            i, j = self.edges[k]
+            raise ValueError(f"{'bad' if k == first_bad else 'duplicate'} edge ({i}, {j})")
 
     def weight(self, i: int, j: int) -> float:
         if self.weights is None:
@@ -71,13 +77,11 @@ class BiqData:
         return len(self.c)
 
 
-def _row(i, j, v):
-    i = np.asarray(i, dtype=np.int64)
-    j = np.asarray(j, dtype=np.int64)
-    v = np.asarray(v, dtype=float)
-    lo = np.minimum(i, j)
-    hi = np.maximum(i, j)
-    return (lo, hi, v)
+def _rows(i, j, v) -> list:
+    """One ``(i, j, value)`` triple of views per row of ``i``, ``j`` and
+    ``v`` broadcast to one (rows, entries) shape: a run of constraint
+    rows of equal length, built from whole arrays."""
+    return list(zip(*np.broadcast_arrays(i, j, v)))
 
 
 def build_biq(d: BiqData, name: str = "biq") -> DnnSdpProblem:
@@ -92,11 +96,10 @@ def build_biq(d: BiqData, name: str = "biq") -> DnnSdpProblem:
     C[:n, :n] = 0.5 * d.Q
     C[:n, n] = 0.5 * d.c
     C[n, :n] = 0.5 * d.c
-    rows = []
+    k = np.arange(n)[:, None]
+    rows = _rows(np.hstack([k, k]), np.hstack([k, np.full_like(k, n)]), [1.0, -0.5])
+    rows += _rows([[n]], [[n]], [1.0])
     b = np.zeros(n + 1)
-    for i in range(n):
-        rows.append(_row([i, i], [i, n], [1.0, -0.5]))
-    rows.append(_row([order - 1], [order - 1], [1.0]))
     b[n] = 1.0
     a_e = SparseSymList(order, rows)
     return DnnSdpProblem(
@@ -110,11 +113,13 @@ def ext_biq_inequality_rows(n: int):
 
     Pairwise cuts run over all i < j with j up to n-2 (0-based), three
     rows per pair in the listed order; triangle rows run over unordered
-    triples i < j < k. Returns (pair list, triple list).
+    triples i < j < k in lexicographic order. Returns integer arrays of
+    shape (pairs, 2) and (triples, 3).
     """
-    pairs = [(i, j) for j in range(1, n - 1) for i in range(j)]
-    triples = list(itertools.combinations(range(n), 3))
-    return pairs, triples
+    j, i = np.tril_indices(max(n - 1, 0), -1)   # by j, then i < j
+    r = np.arange(n)
+    triples = np.nonzero((r[:, None, None] < r[:, None]) & (r[:, None] < r))   # i < j < k
+    return np.column_stack([i, j]), np.column_stack(triples)
 
 
 def build_ext_biq(d: BiqData, name: str = "ebiq", triangle_cap: Optional[int] = None,
@@ -133,27 +138,25 @@ def build_ext_biq(d: BiqData, name: str = "ebiq", triangle_cap: Optional[int] = 
     if triangle_cap is not None and len(triples) > triangle_cap:
         rng = np.random.default_rng(cap_seed)
         keep = rng.choice(len(triples), size=triangle_cap, replace=False)
-        triples = [triples[t] for t in sorted(keep)]
-    rows = []
-    b = []
-    for (i, j) in pairs:
-        rows.append(_row([i, i], [j, corner], [-0.5, 0.5]))     # -Y_ij + x_i >= 0
-        b.append(0.0)
-        rows.append(_row([i, j], [j, corner], [-0.5, 0.5]))     # -Y_ij + x_j >= 0
-        b.append(0.0)
-        rows.append(_row([i, i, j], [j, corner, corner], [0.5, -0.5, -0.5]))
-        b.append(-1.0)                                          # Y_ij - x_i - x_j >= -1
-    for (i, j, k) in triples:
-        rows.append(_row([i, i, j, i, j, k],
-                         [j, k, k, corner, corner, corner],
-                         [0.5, 0.5, 0.5, -0.5, -0.5, -0.5]))
-        b.append(-1.0)
+        triples = triples[np.sort(keep)]
+    i, j = pairs[:, :1], pairs[:, 1:]
+    c = np.full_like(i, corner)
+    by_pair = zip(_rows(np.hstack([i, i]), np.hstack([j, c]), [-0.5, 0.5]),  # -Y_ij + x_i >= 0
+                  _rows(np.hstack([i, j]), np.hstack([j, c]), [-0.5, 0.5]),  # -Y_ij + x_j >= 0
+                  _rows(np.hstack([i, i, j]), np.hstack([j, c, c]),           # Y_ij - x_i - x_j
+                        [0.5, -0.5, -0.5]))                                   #   >= -1
+    rows = [row for three in by_pair for row in three]
+    i, j, k = triples[:, :1], triples[:, 1:2], triples[:, 2:]
+    c = np.full_like(i, corner)
+    rows += _rows(np.hstack([i, i, j, i, j, k]), np.hstack([j, k, k, c, c, c]),
+                  [0.5, 0.5, 0.5, -0.5, -0.5, -0.5])
+    b = np.concatenate([np.tile([0.0, 0.0, -1.0], len(pairs)), np.full(len(triples), -1.0)])
     a_i = SparseSymList(n + 1, rows)
     meta = dict(base.meta)
     meta.update({"family": "ebiq", "name": name})
     return DnnSdpProblem(
         n=n + 1, C=base.C, A_E=base.A_E, b_E=base.b_E,
-        A_I=a_i, b_I=np.asarray(b), pattern=base.pattern, meta=meta)
+        A_I=a_i, b_I=b, pattern=base.pattern, meta=meta)
 
 
 def build_theta_plus(g: Graph, name: str = "theta") -> DnnSdpProblem:
@@ -163,8 +166,10 @@ def build_theta_plus(g: Graph, name: str = "theta") -> DnnSdpProblem:
     trace row.
     """
     n = g.n
-    rows = [_row([i], [j], [1.0]) for (i, j) in sorted(g.edges)]
-    rows.append(_row(list(range(n)), list(range(n)), [1.0] * n))
+    e = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2)
+    e = e[np.lexsort((e[:, 1], e[:, 0]))]
+    d = np.arange(n)
+    rows = _rows(e[:, :1], e[:, 1:], [1.0]) + _rows([d], [d], 1.0)
     b = np.zeros(len(rows))
     b[-1] = 1.0
     a_e = SparseSymList(n, rows)
@@ -186,13 +191,11 @@ def build_rcp(w: np.ndarray, kappa: int, name: str = "rcp") -> DnnSdpProblem:
         raise ValueError("affinity matrix must be symmetric")
     if not 1 <= kappa <= n:
         raise ValueError(f"kappa must lie in [1, {n}]")
-    rows = []
-    for i in range(n):
-        idx_i = np.full(n, i)
-        idx_j = np.arange(n)
-        vals = np.where(idx_j == i, 1.0, 0.5)
-        rows.append(_row(idx_i, idx_j, vals))
-    rows.append(_row(list(range(n)), list(range(n)), [1.0] * n))
+    # row r holds (min(r, c), max(r, c)) for c = 0, ..., n-1
+    d = np.arange(n)
+    rows = _rows(np.minimum(d[:, None], d), np.maximum(d[:, None], d),
+                 np.where(d[:, None] == d, 1.0, 0.5))
+    rows += _rows([d], [d], 1.0)
     b = np.ones(n + 1)
     b[n] = float(kappa)
     a_e = SparseSymList(n, rows)
@@ -219,7 +222,8 @@ def build_fap(g: Graph, u_edges: Sequence[tuple], kappa: int,
     w = g.weight_matrix()
     lap = np.diag(w.sum(axis=1)) - w
     obj = ((kappa - 1) / (2.0 * kappa)) * lap - 0.5 * np.diag(w.sum(axis=1))
-    rows = [_row([i], [i], [1.0]) for i in range(n)]
+    d = np.arange(n)[:, None]
+    rows = _rows(d, d, 1.0)
     b = np.ones(n)
     a_e = SparseSymList(n, rows)
     m = np.zeros((n, n))
@@ -256,47 +260,28 @@ def build_qap(a: np.ndarray, b: np.ndarray, name: str = "qap") -> DnnSdpProblem:
         raise ValueError(f"order {n} exceeds the desk-scale cap {MAX_QAP_ORDER} "
                          f"(lifted order would be {n * n})")
     order = n * n
-    rows = []
-    rhs = []
+    d = np.arange(n)
+    r, s = np.triu_indices(n)   # entries (r, s) and blocks (i, j) = (r, s)
+    diag = (r == s)[:, None]
     # sum_i Y^{ii} = I, entry (r, s)
-    for r in range(n):
-        for s in range(r, n):
-            ii = np.array([i * n + r for i in range(n)])
-            jj = np.array([i * n + s for i in range(n)])
-            vv = np.full(n, 1.0 if r == s else 0.5)
-            rows.append(_row(ii, jj, vv))
-            rhs.append(1.0 if r == s else 0.0)
+    rows = _rows(d * n + r[:, None], d * n + s[:, None], np.where(diag, 1.0, 0.5))
+    rhs = [np.where(diag[:, 0], 1.0, 0.0)]
     # <I, Y^{ij}> = delta_ij (last diagonal block implied, omitted)
-    for i in range(n):
-        for j in range(i, n):
-            if i == j == n - 1:
-                continue
-            ii = np.array([i * n + r for r in range(n)])
-            jj = np.array([j * n + r for r in range(n)])
-            vv = np.full(n, 1.0 if i == j else 0.5)
-            rows.append(_row(ii, jj, vv))
-            rhs.append(1.0 if i == j else 0.0)
-    # <ones, Y^{ij}> = 1 (last diagonal block implied, omitted)
-    for i in range(n):
-        for j in range(i, n):
-            if i == j == n - 1:
-                continue
-            if i == j:
-                rr, ss = np.triu_indices(n)
-                ii = i * n + rr
-                jj = j * n + ss
-                vv = np.ones(rr.size)
-            else:
-                rr, ss = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-                ii = (i * n + rr).ravel()
-                jj = (j * n + ss).ravel()
-                vv = np.full(ii.size, 0.5)
-            rows.append(_row(ii, jj, vv))
-            rhs.append(1.0)
+    rows += _rows(r[:-1, None] * n + d, s[:-1, None] * n + d, np.where(diag[:-1], 1.0, 0.5))
+    rhs.append(np.where(diag[:-1, 0], 1.0, 0.0))
+    # <ones, Y^{ij}> = 1 (last diagonal block implied, omitted): the upper
+    # triangle of a diagonal block, every entry of the others (row-major)
+    rr, ss = np.repeat(d, n), np.tile(d, n)
+    for i, j in zip(r[:-1], s[:-1]):
+        if i == j:
+            rows.append((i * n + r, j * n + s, np.ones(r.size)))
+        else:
+            rows.append((i * n + rr, j * n + ss, np.full(n * n, 0.5)))
+    rhs.append(np.ones(r.size - 1))
     a_e = SparseSymList(order, rows)
     c = np.kron(b, a)
     return DnnSdpProblem(
-        n=order, C=c, A_E=a_e, b_E=np.asarray(rhs),
+        n=order, C=c, A_E=a_e, b_E=np.concatenate(rhs),
         pattern=ConePattern.all_nonneg(order),
         meta={"family": "qap", "name": name, "obj_sense": "min", "obj_offset": 0.0})
 
@@ -340,10 +325,13 @@ def random_biq(n: int, seed: int) -> BiqData:
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
+    """Each pair i < j is an edge with probability p. The pair uniforms
+    are drawn in one call, in the row-major order of the upper triangle:
+    the stream and the edges of one scalar draw per pair in that order."""
     rng = np.random.default_rng(seed)
-    edges = tuple((i, j) for i in range(n) for j in range(i + 1, n)
-                  if rng.random() < p)
-    return Graph(n=n, edges=edges)
+    i, j = np.triu_indices(n, 1)
+    keep = rng.random(i.size) < p
+    return Graph(n=n, edges=tuple(zip(i[keep].tolist(), j[keep].tolist())))
 
 
 def random_weighted_graph(n: int, p: float, seed) -> Graph:

@@ -79,3 +79,12 @@ def test_format_names_sides_wins_and_gain():
     (line,) = ab_pairs.format_rows(rows)
     assert line == ("solve_ref: rev 100 [100, 100], checkout 80 [80, 80], "
                     "change -20.0 %, checkout won 10 of 10, gain shown")
+
+
+def test_pair_line_shows_solve_setup_and_total():
+    metrics = {"solve_ref": 48.04, "setup_s": 0.006312, "total_ref": 57.5, "iters": 428}
+    assert ab_pairs.pair_line(3, "checkout", metrics, True) == (
+        "pair 3 checkout: ok, solve_ref 48.04, setup_s 0.006312, total_ref 57.5")
+    assert ab_pairs.pair_line(1, "rev", {"solve_ref": 50.0}, False) == (
+        "pair 1 rev: CHECK FAILED, solve_ref 50")
+    assert ab_pairs.pair_line(2, "rev", None, False) == "pair 2 rev: no result"

@@ -9,6 +9,7 @@ import pytest
 
 from cadmm import engine
 from cadmm.cli import EXIT_BY_STATUS, generate_problem, main
+from cadmm.cones import ConePattern
 from cadmm.io import (STATUSES, problem_to_json, read_profile_csv, read_result,
                       write_result)
 
@@ -169,8 +170,8 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("fault, field", [
         ("nan-C", "C"), ("duplicate-A_E-row", "A_E"), ("empty-A_I", "A_I"),
-        ("zero-A_I", "A_I"), ("missing-b_E", "b_E"),
-        ("not-an-object", "problem document"),
+        ("zero-A_I", "A_I"), ("missing-b_E", "b_E"), ("2-D-b_E", "b_E has shape"),
+        ("pattern-order", "pattern has order"), ("not-an-object", "problem document"),
     ])
     def test_faulty_problem_document_names_field(self, fault, field, tmp_path,
                                                  capsys):
@@ -188,6 +189,11 @@ class TestSolveCommand:
                 mat[2] = [0.0] * len(mat[2])
         elif fault == "missing-b_E":
             del doc["b_E"]
+        elif fault == "2-D-b_E":
+            doc["b_E"] = [[v] for v in doc["b_E"]]
+        elif fault == "pattern-order":
+            doc["pattern"] = {"n": doc["n"] + 1,
+                              "rle": ConePattern.all_nonneg(doc["n"] + 1).rle()}
         else:
             doc = [doc]
         path = tmp_path / "p.json"

@@ -772,6 +772,24 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match=f"^{name} has non-finite entries"):
             DnnSdpProblem(**data)
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("C", np.eye(3), r"C has shape \(3, 3\), expected \(2, 2\)"),
+        ("C", np.zeros((2, 3)), r"C has shape \(2, 3\), expected \(2, 2\)"),
+        ("M", np.zeros((3, 3)), r"M has shape \(3, 3\), expected \(2, 2\)"),
+        ("M", np.zeros(4), r"M has shape \(4,\), expected \(2, 2\)"),
+        ("b_E", np.ones((1, 1)), r"b_E has shape \(1, 1\), expected a vector"),
+        ("b_I", np.zeros((1, 1)), r"b_I has shape \(1, 1\), expected a vector"),
+        ("pattern", ConePattern.all_nonneg(3), "pattern has order 3, expected 2"),
+    ])
+    def test_rejects_misshapen_data_naming_the_field(self, name, value, message):
+        # each would otherwise first fail inside an iteration
+        a = SparseSymList(2, [([0], [0], [1.0])])
+        data = dict(n=2, C=np.eye(2), A_E=a, b_E=np.ones(1), A_I=a,
+                    b_I=np.zeros(1), M=np.zeros((2, 2)))
+        data[name] = value
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DnnSdpProblem(**data)
+
     @pytest.mark.parametrize("solve", [cadmm_solve, dext_solve], ids=["cadmm", "dext"])
     def test_solve_validates_first(self, solve):
         a = SparseSymList(2, [([0], [0], [1.0])])

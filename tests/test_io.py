@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from cadmm.cones import ConePattern
 from cadmm.dnnsdp import SolverConfig, cadmm_solve
 from cadmm.io import (RunRecord, emit_performance_profile,
                       problem_to_json, read_problem, read_profile_csv,
@@ -72,6 +73,22 @@ class TestProblemRoundTrip:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="equality data"):
+            read_problem(path)
+
+
+    @pytest.mark.parametrize("fault, message", [
+        ("2-D b_E", r"^b_E has shape \(5, 1\), expected a vector$"),
+        ("pattern of order n+1", "^pattern has order 6, expected 5$"),
+    ])
+    def test_misshapen_field_named_on_read(self, fault, message, tmp_path):
+        doc = problem_to_json(build_biq(random_biq(4, 1)))
+        if fault == "2-D b_E":
+            doc["b_E"] = [[v] for v in doc["b_E"]]
+        else:
+            doc["pattern"] = {"n": 6, "rle": ConePattern.all_nonneg(6).rle()}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
             read_problem(path)
 
 

@@ -6,9 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from cadmm import dnnsdp
 from cadmm.cli import generate_problem
+from cadmm.io import problem_from_json, problem_to_json
 from cadmm.linalg import (MAX_DENSE_GRAM, GramSingularError, PowerIterationWarning,
                           SparseSymList, frob_norm, gram_factor, gram_solve,
                           lambda_max_gram,
@@ -288,6 +290,149 @@ class TestTransposedCsr:
         a.gram_apply(np.ones(5))
         gram_factor(a)
         assert a._csr_t is first
+
+
+def per_row_reference(n, triples):
+    """The stored arrays of a collection as a per-row constructor makes
+    them: every triple converted and checked on its own, then all entries
+    sorted into CSR order. Raises the collection's messages."""
+    ics, jcs, vals = [], [], []
+    for k, (ii, jj, vv) in enumerate(triples):
+        ii = np.asarray(ii, dtype=np.int64)
+        jj = np.asarray(jj, dtype=np.int64)
+        vv = np.asarray(vv, dtype=float)
+        if ii.shape != jj.shape or ii.shape != vv.shape:
+            raise ValueError(f"constraint {k}: triple arrays disagree in length")
+        if ii.size and (ii.min() < 0 or jj.max() >= n):
+            raise ValueError(f"constraint {k}: index out of range")
+        if np.any(ii > jj):
+            raise ValueError(f"constraint {k}: triples must have i <= j")
+        if np.unique(ii * (2 * n - ii + 1) // 2 + (jj - ii)).size != ii.size:
+            raise ValueError(f"constraint {k}: duplicate (i, j) entry")
+        ics.append(ii)
+        jcs.append(jj)
+        vals.append(vv)
+    m = len(triples)
+    i, j, raw = np.concatenate(ics), np.concatenate(jcs), np.concatenate(vals)
+    row = np.repeat(np.arange(m), [ii.size for ii in ics])
+    col = i * (2 * n - i + 1) // 2 + (j - i)
+    order = np.lexsort((col, row))
+    row, col, i, j, raw = row[order], col[order], i[order], j[order], raw[order]
+    scale = np.where(i != j, np.sqrt(2.0), 1.0)
+    data = raw * scale
+    if not np.isfinite(data).all():
+        raise ValueError(f"constraint {row[~np.isfinite(data)][0]}: non-finite value")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=m))))
+    csr = scipy.sparse.csr_matrix((data, col, indptr), shape=(m, n * (n + 1) // 2))
+    t = csr.T.tocsr()
+    counts = np.diff(t.indptr)
+    touched = np.flatnonzero(counts)
+    iu, ju = np.triu_indices(n)
+    return {"_i": i, "_j": j, "_raw": raw, "_row": row, "_pos": i * n + j,
+            "_scale": scale, "_data": data, "_indptr": indptr,
+            "_row_t": t.indices.astype(np.intp), "_data_t": t.data,
+            "_coord_t": np.repeat(np.arange(touched.size), counts[touched]),
+            "_upper_t": (iu * n + ju)[touched], "_lower_t": (ju * n + iu)[touched],
+            "_scale_t": np.where(iu != ju, np.sqrt(2.0), 1.0)[touched],
+            "_csr": csr, "_csr_t": t}
+
+
+def assert_same_arrays(a, ref):
+    for name, want in ref.items():
+        got = getattr(a, name)
+        pieces = ([(got, want)] if isinstance(want, np.ndarray) else
+                  [(getattr(got, f), getattr(want, f)) for f in ("indptr", "indices", "data")])
+        for g, w in pieces:
+            assert g.dtype == w.dtype, name
+            assert g.tobytes() == w.tobytes(), name
+    assert not any(getattr(a, name).flags.writeable for name in ("_i", "_j", "_raw"))
+
+
+def relabelled(a, seed):
+    """Triples of ``a`` after the seeded renaming of variables the
+    benchmark applies: ``perm[p]`` becomes ``p``, rows keep their order."""
+    perm = np.random.default_rng(seed).permutation(a.n)
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(a.n)
+    return [(np.minimum(inv[i], inv[j]), np.maximum(inv[i], inv[j]), v)
+            for i, j, v in map(a.triples, range(a.m))]
+
+
+class TestBulkConstruction:
+    """The collection is validated and stored from the concatenated
+    entries; it must store what a per-row constructor stores and report
+    the defect a per-row pass meets first."""
+
+    @pytest.mark.parametrize("spec", FAMILY_SPECS)
+    def test_same_arrays_as_per_row_construction(self, spec):
+        for a in family_collections(spec):
+            rows = [a.triples(k) for k in range(a.m)]
+            assert_same_arrays(SparseSymList(a.n, rows), per_row_reference(a.n, rows))
+            rows = relabelled(a, 1)
+            assert_same_arrays(SparseSymList(a.n, rows), per_row_reference(a.n, rows))
+
+    @pytest.mark.parametrize("spec", ["ebiq:8:2", "qap:3:4"])
+    def test_same_arrays_after_an_io_round_trip(self, spec):
+        doc = problem_to_json(generate_problem(spec))
+        prob = problem_from_json(doc)
+        for name in ("A_E", "A_I"):
+            if doc[name] is not None:
+                assert_same_arrays(getattr(prob, name), per_row_reference(
+                    prob.n, [tuple(t) for t in doc[name]["mats"]]))
+
+    def test_same_arrays_with_empty_rows_and_mixed_inputs(self):
+        v = 0.1 + 0.2
+        rows = [([], [], []), ([1, 0, 0], [2, 1, 0], [v, -2.0, 3.0]),
+                (np.array([2], dtype=np.int32), (2,), np.array([1], dtype=np.int8)),
+                ([], [], [])]
+        a = SparseSymList(3, rows)
+        assert_same_arrays(a, per_row_reference(3, rows))
+        assert a._indptr.tolist() == [0, 0, 3, 4, 4]
+        only_empty = [([], [], [])]
+        assert_same_arrays(SparseSymList(3, only_empty), per_row_reference(3, only_empty))
+
+    @pytest.mark.parametrize("rows, message", [
+        # two defects in different rows: the earlier row is reported
+        ([([0], [0], [1.0]), ([0, 0], [1, 1], [1.0, 2.0]), ([0], [3], [1.0])],
+         "constraint 1: duplicate (i, j) entry"),
+        ([([0], [3], [1.0]), ([0, 0], [1, 1], [1.0, 2.0])],
+         "constraint 0: index out of range"),
+        ([([0], [0], [1.0]), ([0], [3], [1.0]), ([0], [0], [1.0]), ([-1], [0], [1.0])],
+         "constraint 1: index out of range"),
+        ([([0, 0], [1, 1], [1.0, 2.0]), ([0], [0], [1.0]), ([2, 2], [2, 2], [1.0, 2.0])],
+         "constraint 0: duplicate (i, j) entry"),
+        ([([1], [0], [1.0]), ([0, 1], [0], [1.0])], "constraint 0: triples must have i <= j"),
+        ([([0], [0], [1.0]), ([0, 1], [0], [1.0]), ([2], [1], [1.0])],
+         "constraint 1: triple arrays disagree in length"),
+        ([([0], [0], [1.0]), ([2], [1], [1.0]), ([0, 1], [0], [1.0])],
+         "constraint 1: triples must have i <= j"),
+        # two defects in one row: length, then range, then order, then repeat
+        ([([0], [0], [1.0]), ([0, -1], [0], [1.0, 2.0])],
+         "constraint 1: triple arrays disagree in length"),
+        ([([0], [0], [1.0]), ([2, 0], [1, 3], [1.0, 2.0])], "constraint 1: index out of range"),
+        ([([0], [0], [1.0]), ([1, -1], [0, 1], [1.0, 2.0])], "constraint 1: index out of range"),
+        ([([1, 1, 0], [0, 2, 2], [1.0, 2.0, 3.0]), ([0], [0], [1.0])],
+         "constraint 0: triples must have i <= j"),
+        ([([0], [0], [1.0]), ([2, 0, 0], [1, 1, 1], [1.0, 2.0, 3.0])],
+         "constraint 1: triples must have i <= j"),
+        # a non-finite value is reported after every other defect
+        ([([0], [0], [np.nan]), ([0], [1], [1.0]), ([1, 1], [2, 2], [1.0, 1.0])],
+         "constraint 2: duplicate (i, j) entry"),
+        ([([0], [0], [1.0]), ([0], [1], [np.inf]), ([0], [1], [-np.inf])],
+         "constraint 1: non-finite value"),
+    ])
+    def test_first_defect_reported(self, rows, message):
+        for build in (SparseSymList, per_row_reference):
+            with pytest.raises(ValueError) as err:
+                build(3, rows)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("bad", [0, np.array(1), [[0]], np.zeros((1, 1), dtype=int)])
+    def test_parts_must_be_one_dimensional(self, bad):
+        rows = [([0], [0], [1.0]), ([0, 1], [1, 2], [1.0, 1.0]), (bad, [0], [1.0])]
+        with pytest.raises(ValueError, match="^constraint 2: triple arrays must be "
+                                             "one-dimensional$"):
+            SparseSymList(3, rows)
 
 
 class TestLambdaMaxGram:

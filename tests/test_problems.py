@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -218,6 +219,69 @@ def problem_digest(prob) -> str:
         for a in prob.A_E.triples(k):
             h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()[:16]
+
+
+def triples_digest(prob) -> str:
+    """sha256 (16 hex digits) of the constraint data of a problem: for
+    A_E and then A_I, the order, row count, right-hand side and every
+    row's stored triples with their dtypes."""
+    h = hashlib.sha256()
+    for a, b in ((prob.A_E, prob.b_E), (prob.A_I, prob.b_I)):
+        if a is None:
+            continue
+        h.update(f"{a.n} {a.m}".encode())
+        h.update(np.ascontiguousarray(b).tobytes())
+        for k in range(a.m):
+            for t in a.triples(k):
+                h.update(t.dtype.str.encode())
+                h.update(t.tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestBuilderRows:
+    """The builders make their rows with whole-array numpy; the rows, in
+    the canonical order the module documents, must not drift."""
+
+    # taken with the per-row builders; ebiq:27:1 subsamples its triangles
+    DIGESTS = {"biq:12:3": "9d63b5c567231ade", "ebiq:8:2": "b52e068970acd7bc",
+               "ebiq:27:1": "702391cf4b4f37b3", "theta:14:1": "54b6d1bd4daad847",
+               "rcp:20:1": "e005d9e8167bda86", "fap:10:2": "1dd73727fb616d19",
+               "qap:3:4": "97813ec1b8defa3b"}
+
+    @pytest.mark.parametrize("spec", sorted(DIGESTS))
+    def test_family_rows_pinned(self, spec):
+        assert triples_digest(generate_problem(spec)) == self.DIGESTS[spec]
+
+    def test_benchmark_theta_rows_pinned(self):
+        prob = build_theta_plus(random_graph(48, 0.85, 2))
+        assert prob.A_E.m == 948
+        assert triples_digest(prob) == "5a621efb8f98a550"
+
+    def test_theta_edge_rows_in_lexicographic_order(self):
+        prob = build_theta_plus(Graph(4, ((2, 3), (0, 2), (1, 2), (0, 1))))
+        rows = [tuple(int(t[0]) for t in prob.A_E.triples(k)[:2]) for k in range(4)]
+        assert rows == [(0, 1), (0, 2), (1, 2), (2, 3)]
+
+    @pytest.mark.parametrize("n", [2, 14, 48])
+    @pytest.mark.parametrize("p", [0.3, 0.85])
+    def test_random_graph_matches_one_draw_per_pair(self, n, p):
+        for seed in range(1, 41):
+            rng = np.random.default_rng(seed)
+            edges = tuple((i, j) for i in range(n) for j in range(i + 1, n)
+                          if rng.random() < p)
+            assert random_graph(n, p, seed).edges == edges
+
+    def test_graph_reports_the_first_bad_or_repeated_edge(self):
+        cases = [(((0, 1), (1, 2), (0, 1), (-1, 2)), "duplicate edge (0, 1)"),
+                 (((0, 1), (-1, 2), (0, 1)), "bad edge (-1, 2)"),
+                 (((2, 1), (2, 1)), "bad edge (2, 1)"),
+                 (((0, 2), (0, 1), (0, 2), (1, 1)), "duplicate edge (0, 2)"),
+                 (((0, 1), (0, 2), (0, 2), (0, 1)), "duplicate edge (0, 2)"),
+                 (((0, 1), (1, 3)), "bad edge (1, 3)")]
+        for edges, message in cases:
+            with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+                Graph(3, edges)
+        assert Graph(3, ()).edges == ()
 
 
 class TestRandomFap:

@@ -7,7 +7,8 @@ exports revision REV with ``git archive`` into a temporary directory, as
 ``tools/trajectory_digest.py --against`` does, and runs
 ``perfbench/run.py --workload W --seed S --seconds T`` from that export
 and from this checkout, N times each, in pairs. The export runs first in
-odd pairs and the checkout in even ones. For every end-to-end metric of
+odd pairs and the checkout in even ones. After each run it prints that
+run's ``solve_ref``, ``setup_s`` and ``total_ref``. For every end-to-end metric of
 ``BENCHMARK.json`` it then prints each side's median and quartiles over
 its runs, the relative change of the medians, the pairs the checkout won
 (a tie counts for neither side) and whether a gain is shown: the
@@ -34,6 +35,7 @@ sys.path.insert(0, str(ROOT / "tools"))
 from bench_record import parse_output  # noqa: E402
 
 WIN_SHARE = 0.9
+PAIR_METRICS = ("solve_ref", "setup_s", "total_ref")   # printed run by run
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple:
@@ -50,6 +52,15 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple:
         return None, False
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
     return metrics, proc.returncode == 0 and result.get("correct") is True
+
+
+def pair_line(k: int, side: str, metrics, ok: bool) -> str:
+    """The line printed after one run: the pair, the side, how the run
+    ended and the metrics of ``PAIR_METRICS`` it reported."""
+    shown = "no result" if metrics is None else "ok" if ok else "CHECK FAILED"
+    values = [f"{name} {metrics[name]:.6g}" for name in PAIR_METRICS
+              if metrics and name in metrics]
+    return ", ".join([f"pair {k} {side}: {shown}"] + values)
 
 
 def quartiles(values: list) -> tuple:
@@ -117,10 +128,7 @@ def main() -> int:
                 got[side], ok = run_once(sides[side], args.workload, args.seed,
                                          args.seconds)
                 failed += not ok
-                shown = "no result" if got[side] is None else "ok" if ok else "CHECK FAILED"
-                print(f"pair {k + 1} {side}: {shown}"
-                      + (f", solve_ref {got[side]['solve_ref']:.6g}"
-                         if got[side] and "solve_ref" in got[side] else ""), flush=True)
+                print(pair_line(k + 1, side, got[side], ok), flush=True)
             pairs.append((got["rev"], got["checkout"]))
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s "
           f"runs, {args.against} against this checkout:")
