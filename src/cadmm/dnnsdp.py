@@ -78,12 +78,14 @@ class DnnSdpProblem:
                 raise ValueError(f"{name} has non-finite entries")
         if not is_symmetric(self.C, 1e-10):
             raise ValueError("C must be symmetric")
-        if self.A_E.n != self.n or len(self.b_E) != self.A_E.m:
-            raise ValueError("equality data dimensions disagree")
         if (self.A_I is None) != (self.b_I is None):
             raise ValueError("inequality data needs both A_I and b_I")
-        if self.A_I is not None and (self.A_I.n != self.n or len(self.b_I) != self.A_I.m):
-            raise ValueError("inequality data dimensions disagree")
+        for a, b, s in ((self.A_E, self.b_E, "E"), (self.A_I, self.b_I, "I")):
+            if a is not None and a.n != n:
+                raise ValueError(f"A_{s} has order {a.n}, expected {n}")
+            if a is not None and len(b) != a.m:
+                raise ValueError(f"b_{s} has length {len(b)}, expected {a.m} "
+                                 f"(the rows of A_{s})")
 
     @property
     def four_block(self) -> bool:

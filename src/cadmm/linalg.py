@@ -19,7 +19,6 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 
 class GramSingularError(ValueError):
@@ -39,12 +38,6 @@ class PowerIterationWarning(UserWarning):
 # A Gram matrix that is not diagonal is factored densely (m x m) once;
 # beyond this row count that desk-scale dense path is refused.
 MAX_DENSE_GRAM = 5000
-
-
-def _refuse_dense_gram(m: int) -> None:
-    if m > MAX_DENSE_GRAM:
-        raise ValueError(
-            f"Gram matrix with m={m} exceeds the dense limit {MAX_DENSE_GRAM}")
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -262,16 +255,19 @@ class SparseSymList:
     stands for the pair of symmetric entries. The triples are
     concatenated once and validated on the whole entry arrays (see
     ``_entries_in_csr_order``), with no per-row pass.
-    Each entry is stored once, in arrays in row order and, within a row,
-    in svec order: the order of ``_csr``, a CSR matrix over svec
-    coordinates whose Gram matrix ``P @ P.T`` the set-up routines use.
-    ``apply`` and ``adjoint`` never touch the CSR. ``apply`` gathers X at
-    the flat position of each entry and sums the svec-weighted products
-    per row with ``np.bincount``; ``adjoint`` sums the products with y
-    per svec coordinate, in the order of ``_transpose()``, and scatters
-    them into both triangles. These are the products and summation
-    orders of ``_csr @ svec(x)`` and ``smat(_csr.T @ y)``, so the results
-    are bit for bit the same. The Gram factor and the Gram spectral
+
+    The entries are kept in one format: flat arrays in CSR order (by row,
+    then by svec coordinate), with the svec-weighted values, plus the
+    same entries in transpose order (by svec coordinate, then by row),
+    taken from them by one stable sort. ``apply`` gathers X at the flat
+    position of each entry and sums the weighted products per row with
+    ``np.bincount``; ``adjoint`` sums the products with y per svec
+    coordinate in transpose order and scatters them into both triangles.
+    ``gram``, ``gram_apply`` and ``frob_norms_sq`` are made the same way.
+    Every sum adds its terms in the order a CSR product over svec
+    coordinates does, so the results are bit for bit those of
+    ``P @ svec(x)``, ``smat(P.T @ y)``, ``P @ P.T`` and so on for the CSR
+    matrix P of the collection. The Gram factor and the Gram spectral
     bound are cached on the collection on first use.
     """
 
@@ -287,34 +283,20 @@ class SparseSymList:
         data = raw * scale
         if not np.isfinite(data).all():
             raise ValueError(f"constraint {row[~np.isfinite(data)][0]}: non-finite value")
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=self.m))))
-        self._csr = scipy.sparse.csr_matrix(
-            (data, col, indptr), shape=(self.m, n * (n + 1) // 2))
-        self._indptr = indptr
+        self._indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=self.m))))
         self._i, self._j, self._raw = i, j, raw
         self._row, self._pos, self._scale, self._data = row, i * n + j, scale, data
         for arr in (i, j, raw):
             arr.flags.writeable = False
-        # the transpose: entries by svec coordinate, then by row
-        t = self._csr_t = self._csr.T.tocsr()
-        counts = np.diff(t.indptr)
-        touched = np.flatnonzero(counts)
-        tri = upper_triangle(n)
-        self._row_t = t.indices.astype(np.intp)
-        self._data_t = t.data
-        self._coord_t = np.repeat(np.arange(touched.size), counts[touched])
-        self._upper_t = tri.upper[touched]
-        self._lower_t = tri.lower[touched]
-        self._scale_t = tri.scale[touched]
+        # the transpose: entries by svec coordinate, then by row, with the
+        # touched coordinates numbered in ascending order
+        touched, coord = np.unique(col, return_inverse=True)
+        order = np.argsort(coord, kind="stable")
+        self._row_t, self._data_t, self._coord_t = row[order], data[order], coord[order]
+        tri = upper_triangle(n)   # (iu, ju, upper, lower, scale)
+        self._upper_t, self._lower_t, self._scale_t = (t[touched] for t in tri[2:])
         self._gram_cho = None
         self._lam_max = None
-
-    def _transpose(self) -> scipy.sparse.csr_matrix:
-        """CSR copy of ``_csr.T``, built with the collection. Its mat-vec
-        sums each output's terms in increasing row order of ``_csr``, the
-        order of the CSC product with ``_csr.T``, so the results are bit
-        for bit the same."""
-        return self._csr_t
 
     def triples(self, k: int) -> tuple:
         """``(i, j, value)`` of constraint k in svec order: read-only views
@@ -355,17 +337,42 @@ class SparseSymList:
     def as_block_map(self) -> "LinearBlockMap":
         return LinearBlockMap(apply=self.apply, apply_adjoint=self.adjoint)
 
+    def _gram_terms(self) -> tuple:
+        """``(k, l, product)`` for every pair of entries of rows k and l at
+        one svec coordinate, ordered by coordinate, so that ``np.bincount``
+        adds each Gram entry's products in ascending coordinate order, as
+        the CSR product does. A product may overflow to inf; the Gram
+        factor refuses the result."""
+        counts = np.bincount(self._coord_t)   # entries per touched coordinate
+        reps, ends = counts[self._coord_t], np.cumsum(counts)[self._coord_t]
+        a = np.repeat(np.arange(reps.size), reps)   # once per entry at its coordinate
+        b = np.arange(a.size) - np.repeat(np.cumsum(reps) - ends, reps)
+        with np.errstate(over="ignore"):
+            return self._row_t[a], self._row_t[b], self._data_t[a] * self._data_t[b]
+
     def gram(self) -> np.ndarray:
         """Dense m x m Gram matrix <A_k, A_l>."""
-        _refuse_dense_gram(self.m)
-        return (self._csr @ self._transpose()).toarray()
+        if self.m > MAX_DENSE_GRAM:
+            raise ValueError(
+                f"Gram matrix with m={self.m} exceeds the dense limit {MAX_DENSE_GRAM}")
+        k, l, prod = self._gram_terms()
+        g = np.bincount(k * self.m + l, prod, minlength=self.m * self.m)
+        return g.astype(float, copy=False).reshape(self.m, self.m)
 
     def frob_norms_sq(self) -> np.ndarray:
-        return np.asarray(self._csr.multiply(self._csr).sum(axis=1)).ravel()
+        """||A_k||_F^2 per row: the diagonal of ``gram()``, bit for bit.
+        Like ``gram`` and ``gram_apply`` it gives floats also when there is
+        no entry, where ``np.bincount`` gives integers."""
+        with np.errstate(over="ignore"):
+            return np.bincount(self._row, self._data ** 2, self.m).astype(float, copy=False)
 
     def gram_apply(self, y: np.ndarray) -> np.ndarray:
-        """Matrix-free application of the Gram operator A A*."""
-        return self._csr @ (self._transpose() @ np.asarray(y, dtype=float))
+        """Matrix-free application of the Gram operator A A*: A* y summed per
+        coordinate, then A of it summed per row; the transpose order holds
+        each row's entries in ascending coordinate order, as a CSR row."""
+        v = np.bincount(self._coord_t, self._data_t * np.asarray(y, float).take(self._row_t))
+        w = np.bincount(self._row_t, self._data_t * v[self._coord_t], self.m)
+        return w.astype(float, copy=False)
 
 
 @dataclass(frozen=True)
@@ -431,23 +438,25 @@ def _check_pivots(piv: np.ndarray) -> None:
 def gram_factor(a: SparseSymList):
     """Factor of the Gram matrix A A*, cached on the collection.
 
-    The sparse Gram is formed once. When it has no nonzero off-diagonal
-    entry (as for biq, ebiq, theta and fap) the factor is the 1-D array
-    ``1/sqrt(diag)``; otherwise it is the dense lower Cholesky factor
-    ``(c, True)`` from ``dpotrf``, and only this dense path is bounded by
-    ``MAX_DENSE_GRAM``. Raises :class:`GramSingularError` when a pivot is
-    not positive or falls below 1e-12 times the largest pivot (the
-    constraint rows are then linearly dependent to working precision),
-    with the row index ``dpotrf`` reports, and ``ValueError`` when the
-    dense factor has a non-finite entry (a Gram that overflows), so that
-    ``gram_solve`` need not check the factor on every call.
+    The off-diagonal Gram entries are summed first, without forming the
+    m x m matrix; one that sums to exactly 0.0 counts as absent, as in a
+    sparse product. When none is left (as for biq, ebiq, theta and fap)
+    the factor is the 1-D array ``1/sqrt(diag)``; otherwise it is the
+    dense lower Cholesky factor, a 2-D array from ``dpotrf``, and only
+    this dense path is bounded by ``MAX_DENSE_GRAM``. Raises
+    :class:`GramSingularError` when a pivot is not positive or falls below
+    1e-12 times the largest pivot (the constraint rows are then linearly
+    dependent to working precision), with the row index ``dpotrf``
+    reports, and ``ValueError`` when the dense factor has a non-finite
+    entry (a Gram that overflows), so that ``gram_solve`` need not check
+    the factor on every call.
     """
     if a._gram_cho is not None:
         return a._gram_cho
-    g = a._csr @ a._transpose()
-    row = np.repeat(np.arange(a.m), np.diff(g.indptr))
-    if not g.data[row != g.indices].any():
-        d = g.diagonal()
+    k, l, prod = a._gram_terms()
+    _, pair = np.unique((k * a.m + l)[k != l], return_inverse=True)
+    if not np.bincount(pair, prod[k != l]).any():   # the off-diagonal sums
+        d = a.frob_norms_sq()
         bad = np.flatnonzero(~(d > 0.0))
         if bad.size:
             raise _gram_singular(int(bad[0]))
@@ -455,8 +464,7 @@ def gram_factor(a: SparseSymList):
         _check_pivots(c_diag ** 2)
         a._gram_cho = 1.0 / c_diag
         return a._gram_cho
-    _refuse_dense_gram(a.m)
-    c, info = scipy.linalg.lapack.dpotrf(g.toarray(), lower=1)
+    c, info = scipy.linalg.lapack.dpotrf(a.gram(), lower=1)
     if info > 0:
         raise _gram_singular(info - 1)
     if info < 0:
@@ -464,8 +472,8 @@ def gram_factor(a: SparseSymList):
     _check_pivots(np.diag(c) ** 2)
     if not np.isfinite(c).all():
         raise ValueError("Gram factor has non-finite entries")
-    a._gram_cho = (c, True)
-    return a._gram_cho
+    a._gram_cho = c
+    return c
 
 
 def gram_solve(a: SparseSymList, rhs: np.ndarray) -> np.ndarray:
@@ -483,8 +491,8 @@ def gram_solve(a: SparseSymList, rhs: np.ndarray) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=float)
     if not np.isfinite(rhs).all():
         raise ValueError("gram_solve: right-hand side has non-finite entries")
-    if isinstance(cho, tuple):
-        y, info = scipy.linalg.lapack.dpotrs(cho[0], rhs, lower=1)
+    if cho.ndim == 2:
+        y, info = scipy.linalg.lapack.dpotrs(cho, rhs, lower=1)
         if info != 0:
             raise ValueError(f"dpotrs: illegal argument {-info}")
         return y

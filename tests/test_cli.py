@@ -172,6 +172,7 @@ class TestSolveCommand:
         ("nan-C", "C"), ("duplicate-A_E-row", "A_E"), ("empty-A_I", "A_I"),
         ("zero-A_I", "A_I"), ("missing-b_E", "b_E"), ("2-D-b_E", "b_E has shape"),
         ("pattern-order", "pattern has order"), ("not-an-object", "problem document"),
+        ("short-b_E", "b_E has length"), ("long-b_I", "b_I has length"),
     ])
     def test_faulty_problem_document_names_field(self, fault, field, tmp_path,
                                                  capsys):
@@ -191,6 +192,10 @@ class TestSolveCommand:
             del doc["b_E"]
         elif fault == "2-D-b_E":
             doc["b_E"] = [[v] for v in doc["b_E"]]
+        elif fault == "short-b_E":
+            doc["b_E"].pop()
+        elif fault == "long-b_I":
+            doc["b_I"].append(0.0)
         elif fault == "pattern-order":
             doc["pattern"] = {"n": doc["n"] + 1,
                               "rle": ConePattern.all_nonneg(doc["n"] + 1).rle()}

@@ -72,18 +72,26 @@ class TestProblemRoundTrip:
         doc["b_E"] = doc["b_E"][:-1]  # break the length invariant
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="equality data"):
+        with pytest.raises(ValueError, match=r"^b_E has length 4, expected 5 "
+                                             r"\(the rows of A_E\)$"):
             read_problem(path)
 
 
     @pytest.mark.parametrize("fault, message", [
         ("2-D b_E", r"^b_E has shape \(5, 1\), expected a vector$"),
         ("pattern of order n+1", "^pattern has order 6, expected 5$"),
+        ("long b_E", r"^b_E has length 6, expected 5 \(the rows of A_E\)$"),
+        ("short b_I", r"^b_I has length 12, expected 13 \(the rows of A_I\)$"),
     ])
     def test_misshapen_field_named_on_read(self, fault, message, tmp_path):
         doc = problem_to_json(build_biq(random_biq(4, 1)))
         if fault == "2-D b_E":
             doc["b_E"] = [[v] for v in doc["b_E"]]
+        elif fault == "long b_E":
+            doc["b_E"].append(0.0)
+        elif fault == "short b_I":
+            doc = problem_to_json(build_ext_biq(random_biq(4, 1)))
+            doc["b_I"] = doc["b_I"][:-1]
         else:
             doc["pattern"] = {"n": 6, "rle": ConePattern.all_nonneg(6).rle()}
         path = tmp_path / "bad.json"

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -227,16 +228,54 @@ FAMILY_SPECS = ["biq:12:3", "ebiq:8:2", "theta:14:1", "rcp:20:1", "fap:10:2", "q
                 "random"]
 
 
+def reference_csr(a):
+    """The oracle of the entry-array maps: the collection as a
+    scipy.sparse CSR matrix P over svec coordinates, built from its
+    triples, so that A(X) = P svec(X), A*(y) = smat(P^T y) and the Gram
+    matrix is P P^T."""
+    rows = [a.triples(k) for k in range(a.m)]
+    i, j, v = (np.concatenate(part) for part in zip(*rows))
+    col = i * (2 * a.n - i + 1) // 2 + (j - i)
+    indptr = np.concatenate(([0], np.cumsum([r[0].size for r in rows])))
+    return scipy.sparse.csr_matrix((v * np.where(i != j, np.sqrt(2.0), 1.0), col, indptr),
+                                   shape=(a.m, a.n * (a.n + 1) // 2))
+
+
+def reference_factor(p):
+    """``gram_factor`` from the reference CSR's sparse Gram product: 1/sqrt of
+    its diagonal when it stores no off-diagonal entry (the product drops
+    sums that are exactly 0.0), else the dpotrf factor of its dense form."""
+    g = p @ p.T
+    row = np.repeat(np.arange(g.shape[0]), np.diff(g.indptr))
+    if not g.data[row != g.indices].any():
+        return 1.0 / np.sqrt(g.diagonal())
+    c, info = scipy.linalg.lapack.dpotrf(g.toarray(), lower=1)
+    assert info == 0
+    return c
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 class TestTransposedCsr:
     @pytest.mark.parametrize("spec", FAMILY_SPECS)
     def test_adjoint_and_gram_apply_bitwise(self, rng, spec):
-        # the cached CSR of the transpose sums in the CSC product's order
+        # the transpose-order arrays sum in the CSC product's order, and the
+        # Gram sums each entry's products in ascending svec coordinate
         for a in family_collections(spec):
-            for _ in range(20):
-                y = rng.standard_normal(a.m)
-                assert np.array_equal(a.adjoint(y), smat(a._csr.T @ y, a.n))
-                assert np.array_equal(a.gram_apply(y), a._csr @ (a._csr.T @ y))
-            assert np.array_equal(a.gram(), (a._csr @ a._csr.T).toarray())
+            for b in (a, SparseSymList(a.n, relabelled(a, 1))):
+                p = reference_csr(b)
+                for _ in range(20):
+                    y = rng.standard_normal(b.m)
+                    assert np.array_equal(b.adjoint(y), smat(p.T @ y, b.n))
+                    assert_same_bits(b.gram_apply(y), p @ (p.T @ y))
+                g = b.gram()
+                assert_same_bits(g, (p @ p.T).toarray())
+                assert_same_bits(b.frob_norms_sq(), np.diagonal(g).copy())
+                assert np.allclose(b.frob_norms_sq(), p.multiply(p).sum(axis=1).A1,
+                                   rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("spec", FAMILY_SPECS)
     def test_entry_maps_match_the_csr_bitwise(self, rng, spec):
@@ -247,8 +286,9 @@ class TestTransposedCsr:
                 x = rng.standard_normal((a.n, a.n))
                 y = rng.standard_normal(a.m)
                 y[rng.random(a.m) < 0.2] = 0.0
-                assert np.array_equal(a.apply(x), a._csr @ svec(x))
-                adj, ref = a.adjoint(y), smat(a._csr.T @ y, a.n)
+                p = reference_csr(a)
+                assert np.array_equal(a.apply(x), p @ svec(x))
+                adj, ref = a.adjoint(y), smat(p.T @ y, a.n)
                 assert np.array_equal(adj, ref)
                 assert np.array_equal(np.signbit(adj), np.signbit(ref))
 
@@ -265,9 +305,9 @@ class TestTransposedCsr:
     def test_triples_round_trip(self, spec):
         for a in family_collections(spec):
             b = SparseSymList(a.n, [a.triples(k) for k in range(a.m)])
-            for name in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(b._csr, name), getattr(a._csr, name))
-            assert a._csr.nnz == sum(a.triples(k)[0].size for k in range(a.m))
+            for name in ("_indptr", "_row", "_pos", "_data", "_row_t", "_data_t", "_coord_t"):
+                assert_same_bits(getattr(b, name), getattr(a, name))
+            assert a._data.size == sum(a.triples(k)[0].size for k in range(a.m))
             i, j, v = a.triples(a.m - 1)
             assert not v.flags.writeable
             assert all(np.array_equal(u, w) for u, w in zip(a.triples(-1), (i, j, v)))
@@ -285,11 +325,11 @@ class TestTransposedCsr:
 
     def test_built_once(self, rng):
         a = random_constraints(rng, 6, 5)
+        first = a._data_t
         a.adjoint(np.ones(5))
-        first = a._csr_t
         a.gram_apply(np.ones(5))
         gram_factor(a)
-        assert a._csr_t is first
+        assert a._data_t is first
 
 
 def per_row_reference(n, triples):
@@ -333,18 +373,14 @@ def per_row_reference(n, triples):
             "_row_t": t.indices.astype(np.intp), "_data_t": t.data,
             "_coord_t": np.repeat(np.arange(touched.size), counts[touched]),
             "_upper_t": (iu * n + ju)[touched], "_lower_t": (ju * n + iu)[touched],
-            "_scale_t": np.where(iu != ju, np.sqrt(2.0), 1.0)[touched],
-            "_csr": csr, "_csr_t": t}
+            "_scale_t": np.where(iu != ju, np.sqrt(2.0), 1.0)[touched]}
 
 
 def assert_same_arrays(a, ref):
     for name, want in ref.items():
         got = getattr(a, name)
-        pieces = ([(got, want)] if isinstance(want, np.ndarray) else
-                  [(getattr(got, f), getattr(want, f)) for f in ("indptr", "indices", "data")])
-        for g, w in pieces:
-            assert g.dtype == w.dtype, name
-            assert g.tobytes() == w.tobytes(), name
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
     assert not any(getattr(a, name).flags.writeable for name in ("_i", "_j", "_raw"))
 
 
@@ -508,7 +544,7 @@ class TestGramSolve:
     def test_dense_path_matches_cho_solve_bitwise(self, rng, spec):
         a = (random_surjective_constraints(rng, 6, 5) if spec == "random"
              else generate_problem(spec).A_E)
-        assert isinstance(gram_factor(a), tuple)
+        assert gram_factor(a).ndim == 2
         for _ in range(50):
             rhs = rng.standard_normal(a.m) * 10.0 ** rng.uniform(-6, 6)
             assert np.array_equal(gram_solve(a, rhs), dense_cho_solve(a, rhs))
@@ -517,10 +553,17 @@ class TestGramSolve:
 
     def test_nonfinite_dense_factor_refused_once(self):
         # finite entries whose Gram overflows: dpotrf returns a NaN factor
-        # whose pivots pass the ratio check, so the factor itself is checked
+        # whose pivots pass the ratio check, so the factor itself is checked;
+        # the overflowing products raise no warning
         a = SparseSymList(2, [([0], [0], [1e200]), ([0, 0], [0, 1], [1e200, 1.0])])
-        with pytest.raises(ValueError, match="Gram factor has non-finite entries"):
-            gram_factor(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^Gram factor has non-finite entries$"):
+                gram_factor(a)
+            g = a.gram()
+            assert np.isinf(a.frob_norms_sq()).all()
+        p = reference_csr(a)
+        assert_same_bits(g, (p @ p.T).toarray())
         with pytest.raises(ValueError, match="non-finite"):
             gram_solve(a, np.ones(2))
 
@@ -557,10 +600,76 @@ class TestDiagonalGram:
     def test_nonfinite_rhs_rejected_on_both_paths(self, rng):
         diagonal = random_diagonal_collection(rng, 5, 4)
         dense = random_surjective_constraints(rng, 5, 4)
-        assert gram_factor(diagonal).ndim == 1 and isinstance(gram_factor(dense), tuple)
+        assert gram_factor(diagonal).ndim == 1 and gram_factor(dense).ndim == 2
         for a in (diagonal, dense):
             with pytest.raises(ValueError):
                 gram_solve(a, np.array([1.0, np.nan, 0.0, 2.0]))
+
+
+class TestGramFromEntries:
+    """``gram``, ``gram_apply`` and ``gram_factor`` sum the products of
+    entries that share an svec coordinate; they must give the reference
+    CSR's Gram product bit for bit, and take the diagonal path exactly
+    when that product stores no off-diagonal entry."""
+
+    def check(self, a, rng):
+        p = reference_csr(a)
+        assert_same_bits(a.gram(), (p @ p.T).toarray())
+        for _ in range(10):
+            y = rng.standard_normal(a.m)
+            assert_same_bits(a.gram_apply(y), p @ (p.T @ y))
+        assert_same_bits(gram_factor(a), reference_factor(p))
+        rhs = rng.standard_normal(a.m)
+        assert np.array_equal(gram_solve(a, rhs), dense_cho_solve(a, rhs))
+
+    @pytest.mark.parametrize("spec", FAMILY_SPECS)
+    def test_factor_matches_the_reference(self, spec):
+        for a in family_collections(spec):
+            p = reference_csr(a)
+            if np.linalg.matrix_rank((p @ p.T).toarray()) < a.m:
+                with pytest.raises(GramSingularError):
+                    gram_factor(a)
+            else:
+                assert_same_bits(gram_factor(a), reference_factor(p))
+
+    def test_off_diagonal_sum_cancelling_exactly_keeps_the_diagonal_path(self, rng):
+        # rows 0 and 1 meet at svec coordinates 0, 3 and 5 with products 1,
+        # 1e-16 and -1: in ascending coordinate order 1 + 1e-16 rounds to 1
+        # and the sum is exactly 0.0; in another order it would be 1e-16
+        assert (1.0 + 1e-8 * 1e-8) - 1.0 == 0.0 != (1.0 - 1.0) + 1e-8 * 1e-8
+        a = SparseSymList(3, [([0, 1, 2], [0, 1, 2], [1.0, 1e-8, 1.0]),
+                              ([0, 1, 2], [0, 1, 2], [1.0, 1e-8, -1.0]),
+                              ([0], [1], [3.0])])
+        p = reference_csr(a)
+        assert (p @ p.T).nnz == 3   # the product drops the cancelled sums
+        assert gram_factor(a).ndim == 1
+        self.check(a, rng)
+
+    def test_explicit_zero_entries(self, rng):
+        # stored zeros, some of them -0.0, at shared coordinates: the sums
+        # of their products are 0.0 and count as absent
+        rows = [([0, 0, 1], [0, 1, 1], [1.0, 0.0, 0.0]),
+                ([0, 1], [1, 1], [-0.0, 2.0]),
+                ([0, 1], [1, 2], [0.0, 1.5]),
+                ([1, 2], [1, 2], [-0.0, 4.0])]
+        a = SparseSymList(3, rows)
+        assert gram_factor(a).ndim == 1
+        self.check(a, rng)
+        # one more row that meets row 0 off its zeros makes the Gram dense
+        b = SparseSymList(3, rows + [([0, 0, 0], [0, 1, 2], [1.0, 0.0, 1.0])])
+        assert gram_factor(b).ndim == 2
+        self.check(b, rng)
+
+    def test_one_coordinate_shared_by_many_rows(self, rng):
+        # every row holds (0, 0) and one coordinate of its own
+        n, m = 30, 300
+        iu, ju = np.triu_indices(n)
+        own = rng.permutation(np.arange(1, iu.size))[:m]
+        a = SparseSymList(n, [([iu[c], 0], [ju[c], 0], [1.0 + rng.random(),
+                                                        rng.standard_normal()])
+                              for c in own])
+        assert gram_factor(a).ndim == 2
+        self.check(a, rng)
 
 
 class TestDenseGramLimit:
@@ -577,6 +686,8 @@ class TestDenseGramLimit:
         try:
             with pytest.raises(ValueError, match="exceeds the dense limit 5000"):
                 gram_factor(a)
+            with pytest.raises(ValueError, match="exceeds the dense limit 5000"):
+                a.gram()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
