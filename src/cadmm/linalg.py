@@ -120,31 +120,71 @@ def _finite_symmetric(m: np.ndarray, caller: str) -> np.ndarray:
     return symmetrize(m)
 
 
-def project_psd(m: np.ndarray) -> np.ndarray:
-    """Nearest (Frobenius) positive semidefinite matrix.
+# From this order on, project_psd finds its eigenvectors through
+# dsytrd -> dstemr -> dormqr; below it, through dsyevr. Measured on the
+# solver's own projection inputs (README, Numerical notes): the chain's
+# three calls cost more than dsyevr's one up to n = 21 and less from
+# n = 22 on.
+MRRR_ORDER = 22
 
-    Computes only the eigenvectors V of the symmetrized input b whose
-    eigenvalues lie in (-inf, 0] (LAPACK ``dsyevr`` by value range); the
-    projections this solver makes have few of them, so this is cheaper
-    than a full eigendecomposition. The result is the congruence P b P
-    with P = I - V V^T, formed as ``b - (V G^T + G V^T)`` with
-    G = b V - V (V^T b V) / 2. Being a congruence of b, it is PSD up to
-    second order in the error of V; ``b - V diag(w) V^T`` is only first
-    order, which leaves S with negative eigenvalues ten times the
-    rounding. The input comes back as it is when it has no such
-    eigenvalue. Raises ``ValueError`` on non-finite input and
-    ``LinAlgError`` when ``dsyevr`` fails.
-    """
-    b = _finite_symmetric(m, "project_psd")
+
+def _lapack_checked(routine: str, info: int) -> None:
+    if info != 0:
+        raise np.linalg.LinAlgError(f"project_psd: {routine} failed with info {info}")
+
+
+def _nonpositive_eigenvectors_dsyevr(b: np.ndarray) -> np.ndarray:
     # b is symmetric, so its transpose is the same matrix in Fortran order,
     # which dsyevr reads without a transposing copy
     _, v, k, _, info = scipy.linalg.lapack.dsyevr(
         b.T, compute_v=1, range="V", vl=-np.inf, vu=0.0, lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"project_psd: dsyevr failed with info {info}")
-    if k == 0:
+    _lapack_checked("dsyevr", info)
+    return v[:, :k]
+
+
+def _nonpositive_eigenvectors_mrrr(b: np.ndarray) -> np.ndarray:
+    # dsyevr by value range runs bisection and inverse iteration; dstemr
+    # (MRRR) on the tridiagonal form is cheaper. dormqr on the Householder
+    # vectors below the subdiagonal, applied to rows 1: of the tridiagonal
+    # eigenvectors, is what dormtr does for a lower reduction.
+    lapack = scipy.linalg.lapack
+    c, d, e, tau, info = lapack.dsytrd(b.T, lower=1)
+    _lapack_checked("dsytrd", info)
+    # dstemr takes e with a last workspace entry and overwrites it
+    k, _, z, info = lapack.dstemr(d, np.append(e, 0.0), 1, -np.inf, 0.0, 0, 0)
+    _lapack_checked("dstemr", info)
+    v = z[:, :k]
+    if k:
+        v[1:], _, info = lapack.dormqr("L", "N", c[1:, :-1], tau, z[1:, :k], k)
+        _lapack_checked("dormqr", info)
+    return v
+
+
+def project_psd(m: np.ndarray) -> np.ndarray:
+    """Nearest (Frobenius) positive semidefinite matrix.
+
+    Computes only the eigenvectors V of the symmetrized input b whose
+    eigenvalues lie in (-inf, 0]; the projections this solver makes have
+    few of them, so this is cheaper than a full eigendecomposition. Below
+    order ``MRRR_ORDER`` they come from LAPACK ``dsyevr`` by value range;
+    from it on, from ``dsytrd`` (tridiagonal reduction), ``dstemr``
+    (MRRR on the tridiagonal, by value range) and ``dormqr`` (back to
+    b's basis). The result is the congruence P b P with P = I - V V^T,
+    formed as ``b - (V G^T + G V^T)`` with G = b V - V (V^T b V) / 2.
+    Being a congruence of b, it is PSD up to second order in the error of
+    V; ``b - V diag(w) V^T`` is only first order, which leaves S with
+    negative eigenvalues ten times the rounding. The input comes back as
+    it is when it has no such eigenvalue. Raises ``ValueError`` on
+    non-finite input and ``LinAlgError``, naming the routine, when a
+    LAPACK call fails.
+    """
+    b = _finite_symmetric(m, "project_psd")
+    if b.shape[0] < MRRR_ORDER:
+        v = _nonpositive_eigenvectors_dsyevr(b)
+    else:
+        v = _nonpositive_eigenvectors_mrrr(b)
+    if v.shape[1] == 0:
         return b
-    v = v[:, :k]
     bv = b @ v
     t = v @ (bv - 0.5 * (v @ (v.T @ bv))).T
     return b - (t + t.T)
@@ -314,12 +354,12 @@ class SparseSymList:
         return out
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate [<A_k, X>]_k."""
+        """Evaluate [<A_k, X>]_k, as floats also when there is no entry."""
         x = np.asarray(x)
         if x.shape != (self.n, self.n):
             raise ValueError(f"apply: X has shape {x.shape}, expected {(self.n, self.n)}")
         return np.bincount(self._row, self._data * (x.take(self._pos) * self._scale),
-                           minlength=self.m)
+                           minlength=self.m).astype(float, copy=False)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """Evaluate sum_k y_k A_k."""
@@ -352,10 +392,15 @@ class SparseSymList:
 
     def gram(self) -> np.ndarray:
         """Dense m x m Gram matrix <A_k, A_l>."""
+        return self._dense_gram(self._gram_terms())
+
+    def _dense_gram(self, terms: tuple) -> np.ndarray:
+        """The dense Gram summed from ``terms``, the ``_gram_terms()`` of
+        this collection; refused beyond ``MAX_DENSE_GRAM`` rows."""
         if self.m > MAX_DENSE_GRAM:
             raise ValueError(
                 f"Gram matrix with m={self.m} exceeds the dense limit {MAX_DENSE_GRAM}")
-        k, l, prod = self._gram_terms()
+        k, l, prod = terms
         g = np.bincount(k * self.m + l, prod, minlength=self.m * self.m)
         return g.astype(float, copy=False).reshape(self.m, self.m)
 
@@ -453,7 +498,7 @@ def gram_factor(a: SparseSymList):
     """
     if a._gram_cho is not None:
         return a._gram_cho
-    k, l, prod = a._gram_terms()
+    terms = k, l, prod = a._gram_terms()
     _, pair = np.unique((k * a.m + l)[k != l], return_inverse=True)
     if not np.bincount(pair, prod[k != l]).any():   # the off-diagonal sums
         d = a.frob_norms_sq()
@@ -464,7 +509,7 @@ def gram_factor(a: SparseSymList):
         _check_pivots(c_diag ** 2)
         a._gram_cho = 1.0 / c_diag
         return a._gram_cho
-    c, info = scipy.linalg.lapack.dpotrf(a.gram(), lower=1)
+    c, info = scipy.linalg.lapack.dpotrf(a._dense_gram(terms), lower=1)
     if info > 0:
         raise _gram_singular(info - 1)
     if info < 0:

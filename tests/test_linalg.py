@@ -9,10 +9,10 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from cadmm import dnnsdp
+from cadmm import dnnsdp, linalg
 from cadmm.cli import generate_problem
 from cadmm.io import problem_from_json, problem_to_json
-from cadmm.linalg import (MAX_DENSE_GRAM, GramSingularError, PowerIterationWarning,
+from cadmm.linalg import (MAX_DENSE_GRAM, MRRR_ORDER, GramSingularError, PowerIterationWarning,
                           SparseSymList, frob_norm, gram_factor, gram_solve,
                           lambda_max_gram,
                           project_psd, psd_distance, psd_distance_below, smat,
@@ -122,27 +122,86 @@ class TestProjectPsd:
         ref = (v * np.maximum(w, 0.0)) @ v.T
         assert np.linalg.norm(project_psd(m) - ref) <= 1e-12 * np.linalg.norm(m)
 
-    @pytest.mark.parametrize("n", [1, 9, 49])
-    def test_same_bits_as_dsyevr_on_the_c_ordered_copy(self, n):
-        # project_psd hands dsyevr the Fortran-ordered transpose of the
+    @pytest.mark.parametrize("n", [1, 9, MRRR_ORDER - 1, MRRR_ORDER, 49])
+    def test_same_bits_as_its_lapack_route_on_the_c_ordered_copy(self, n):
+        # project_psd hands LAPACK the Fortran-ordered transpose of the
         # symmetrized input; f2py would copy the C-ordered array into the
         # same Fortran layout, so the eigenvectors and the result keep
-        # every bit
+        # every bit. Below MRRR_ORDER the route is dsyevr by value range,
+        # from it on dsytrd -> dstemr -> dormqr
+        lapack = scipy.linalg.lapack
         rng = np.random.default_rng(n + 100)
         for _ in range(20):
             m = random_sym(rng, n)
             b = 0.5 * (m + m.T)
-            _, v, k, _, info = scipy.linalg.lapack.dsyevr(
-                b, compute_v=1, range="V", vl=-np.inf, vu=0.0, lower=1)
-            assert info == 0
+            if n < MRRR_ORDER:
+                _, v, k, _, info = lapack.dsyevr(
+                    b, compute_v=1, range="V", vl=-np.inf, vu=0.0, lower=1)
+                assert info == 0
+                v = v[:, :k]
+            else:
+                c, d, e, tau, info = lapack.dsytrd(b, lower=1)
+                assert info == 0
+                k, _, z, info = lapack.dstemr(d, np.append(e, 0.0), 1, -np.inf, 0.0, 0, 0)
+                assert info == 0 and k > 0
+                q, _, info = lapack.dormqr("L", "N", c[1:, :-1], tau, z[1:, :k], k)
+                assert info == 0
+                v = z[:, :k]
+                v[1:] = q
             if k == 0:
                 ref = b
             else:
-                v = v[:, :k]
                 bv = b @ v
                 t = v @ (bv - 0.5 * (v @ (v.T @ bv))).T
                 ref = b - (t + t.T)
             assert np.array_equal(project_psd(m), ref)
+
+    @staticmethod
+    def solver_like(kind, n=100):
+        """A symmetric input of order n with a spectrum like the solver's
+        projection inputs, and its symmetrized form."""
+        rng = np.random.default_rng(sum(map(ord, kind)))
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        lam = rng.uniform(0.1, 10.0, n)
+        if kind == "cluster at zero":   # 20 eigenvalues within 1e-9 of 0
+            lam[:20] = rng.uniform(-1e-9, 1e-9, 20)
+            lam[20:30] *= -1.0
+        elif kind == "repeated negative":   # -2 ten times
+            lam[:10] = -2.0
+            lam[10:15] *= -1.0
+        elif kind == "34 % negative":   # theta at edge density 0.3
+            lam[:34] *= -1.0
+        m = (q * lam) @ q.T
+        return m, 0.5 * (m + m.T)
+
+    @pytest.mark.parametrize("route", ["dsyevr", "mrrr"])
+    @pytest.mark.parametrize("kind", ["cluster at zero", "repeated negative", "34 % negative",
+                                      "positive definite"])
+    def test_solver_like_spectra_on_both_routes(self, monkeypatch, route, kind):
+        n = 100
+        monkeypatch.setattr(linalg, "MRRR_ORDER", n + 1 if route == "dsyevr" else n)
+        m, b = self.solver_like(kind, n)
+        out = project_psd(m)
+        w, v = np.linalg.eigh(b)
+        ref = (v * np.maximum(w, 0.0)) @ v.T
+        assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(m)
+        lam_min = np.linalg.eigvalsh(out).min()
+        assert lam_min >= -n * np.finfo(float).eps * np.linalg.norm(b)
+        if kind == "positive definite":
+            assert np.array_equal(project_psd(b), b)
+
+    @pytest.mark.parametrize("routine, n", [("dsyevr", 9), ("dsytrd", 49), ("dstemr", 49),
+                                            ("dormqr", 49)])
+    def test_lapack_failure_names_the_routine(self, monkeypatch, routine, n):
+        real = getattr(scipy.linalg.lapack, routine)
+
+        def failing(*args, **kwargs):
+            return real(*args, **kwargs)[:-1] + (3,)
+
+        monkeypatch.setattr(scipy.linalg.lapack, routine, failing)
+        with pytest.raises(np.linalg.LinAlgError, match=f"project_psd: {routine} failed "
+                                                        f"with info 3"):
+            project_psd(random_sym(np.random.default_rng(0), n))
 
     def test_psd_input_comes_back_unchanged(self):
         rng = np.random.default_rng(3)
@@ -322,6 +381,12 @@ class TestTransposedCsr:
         assert vals.tolist() == [3.0, -2.0, v]
         assert [t.size for t in a.triples(1)] == [0, 0, 0]
         assert a.apply(np.ones((3, 3)))[1] == 0.0
+
+    def test_maps_of_a_collection_without_entries_give_floats(self):
+        a = SparseSymList(3, [([], [], [])])
+        for got in (a.apply(np.ones((3, 3))), a.gram(), a.gram_apply(np.ones(1)),
+                    a.frob_norms_sq()):
+            assert got.dtype == np.float64 and not got.any()
 
     def test_built_once(self, rng):
         a = random_constraints(rng, 6, 5)
@@ -621,6 +686,15 @@ class TestGramFromEntries:
         assert_same_bits(gram_factor(a), reference_factor(p))
         rhs = rng.standard_normal(a.m)
         assert np.array_equal(gram_solve(a, rhs), dense_cho_solve(a, rhs))
+
+    def test_dense_factor_forms_the_gram_terms_once(self, monkeypatch, rng):
+        a = random_surjective_constraints(rng, 5, 4)
+        calls = []
+        terms = SparseSymList._gram_terms
+        monkeypatch.setattr(SparseSymList, "_gram_terms",
+                            lambda self: calls.append(self) or terms(self))
+        assert gram_factor(a).ndim == 2
+        assert calls == [a]
 
     @pytest.mark.parametrize("spec", FAMILY_SPECS)
     def test_factor_matches_the_reference(self, spec):
