@@ -12,8 +12,8 @@ import scipy.sparse
 from cadmm import dnnsdp, linalg
 from cadmm.cli import generate_problem
 from cadmm.io import problem_from_json, problem_to_json
-from cadmm.linalg import (MAX_DENSE_GRAM, MRRR_ORDER, GramSingularError, PowerIterationWarning,
-                          SparseSymList, frob_norm, gram_factor, gram_solve,
+from cadmm.linalg import (MAX_DENSE_GRAM, MRRR_ORDER, GramSingularError,
+                          PowerIterationWarning, SparseSymList, frob_norm, gram_factor, gram_solve,
                           lambda_max_gram,
                           project_psd, psd_distance, psd_distance_below, smat,
                           svec)
@@ -275,6 +275,12 @@ class TestSparseSymList:
         expect = [float(np.vdot(a.matrix(k), x)) for k in range(4)]
         assert np.allclose(a.apply(x), expect, atol=1e-12)
 
+    def test_maps_of_a_collection_without_entries_give_floats(self):
+        a = SparseSymList(3, [([], [], [])])
+        for got in (a.apply(np.ones((3, 3))), a.gram(), a.gram_apply(np.ones(1)),
+                    a.frob_norms_sq()):
+            assert got.dtype == np.float64 and not got.any()
+
 
 def family_collections(spec):
     if spec == "random":   # rows of 2 to 7 entries
@@ -381,12 +387,6 @@ class TestTransposedCsr:
         assert vals.tolist() == [3.0, -2.0, v]
         assert [t.size for t in a.triples(1)] == [0, 0, 0]
         assert a.apply(np.ones((3, 3)))[1] == 0.0
-
-    def test_maps_of_a_collection_without_entries_give_floats(self):
-        a = SparseSymList(3, [([], [], [])])
-        for got in (a.apply(np.ones((3, 3))), a.gram(), a.gram_apply(np.ones(1)),
-                    a.frob_norms_sq()):
-            assert got.dtype == np.float64 and not got.any()
 
     def test_built_once(self, rng):
         a = random_constraints(rng, 6, 5)
