@@ -116,10 +116,19 @@ class ConePattern:
 
 
 def project_pattern(x: np.ndarray, pattern: ConePattern) -> np.ndarray:
-    """Entrywise projection onto the pattern cone; a NaN entry stays NaN."""
+    """Entrywise projection onto the pattern cone; a NaN entry stays NaN.
+    The shape check, then :func:`project_pattern_unchecked` on the
+    pattern's bounds."""
     if x.shape != pattern.kinds.shape:
         raise ValueError("matrix and pattern dimensions disagree")
-    lo, hi = pattern.bounds()
+    return project_pattern_unchecked(x, pattern.bounds())
+
+
+def project_pattern_unchecked(x: np.ndarray, bounds: tuple) -> np.ndarray:
+    """``min(max(x, lo), hi)`` with ``(lo, hi)`` = ``bounds``, the
+    :meth:`ConePattern.bounds` of a pattern of x's shape: the projection
+    onto that pattern's cone, without the shape check."""
+    lo, hi = bounds
     out = np.maximum(x, lo)
     return np.minimum(out, hi, out=out)
 

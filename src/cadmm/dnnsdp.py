@@ -19,6 +19,7 @@ and a PSD projection.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -28,14 +29,14 @@ import numpy as np
 
 from . import engine
 from .cones import (ConePattern, project_nonneg, project_pattern,
-                    project_pattern_dual, prox_linear, prox_nonneg_linear,
-                    prox_pattern_dual_linear, prox_psd_indicator)
+                    project_pattern_dual, project_pattern_unchecked, prox_linear,
+                    prox_nonneg_linear, prox_pattern_dual_linear, prox_psd_indicator)
 from .engine import (ALPHA, CONVERGED, DEXT_TAU, DIVERGED, EPS, MAX_ITERS, TAU0,
                      TAU_BAR, SolveResult, SolverConfig, compute_delta, update_tau)
 from .linalg import (GramSingularError, SparseSymList, frob_inner, frob_norm,
-                     gram_factor, gram_solve, identity_block_map, is_symmetric,
-                     lambda_max_gram, project_psd, psd_distance,
-                     psd_distance_below)
+                     gram_factor, gram_solve, gram_solve_unchecked, identity_block_map,
+                     is_symmetric, lambda_max_gram, project_psd, project_psd_unchecked,
+                     psd_distance, psd_distance_below, symmetrize)
 
 
 @dataclass(frozen=True)
@@ -44,6 +45,11 @@ class DnnSdpProblem:
 
     ``meta`` carries builder bookkeeping (family name, objective offset
     and sense) and never affects the solver.
+
+    C and M must be symmetric to 1e-10 (relative to their largest entry)
+    and are stored as 0.5 (A + A^T), exactly symmetric, which the solve
+    loop relies on (see ``SolveOperands``); that changes no bit of an
+    exactly symmetric matrix.
     """
 
     n: int
@@ -76,8 +82,11 @@ class DnnSdpProblem:
             value = getattr(self, name)
             if value is not None and not np.isfinite(np.asarray(value, dtype=float)).all():
                 raise ValueError(f"{name} has non-finite entries")
-        if not is_symmetric(self.C, 1e-10):
-            raise ValueError("C must be symmetric")
+        for name in ("C", "M"):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if not is_symmetric(value, 1e-10):
+                raise ValueError(f"{name} must be symmetric")
+            object.__setattr__(self, name, symmetrize(value))
         if (self.A_I is None) != (self.b_I is None):
             raise ValueError("inequality data needs both A_I and b_I")
         for a, b, s in ((self.A_E, self.b_E, "E"), (self.A_I, self.b_I, "I")):
@@ -141,15 +150,92 @@ def initial_iterate(prob: DnnSdpProblem, sigma: float, tau0: float) -> DnnSdpIte
         tau=tau0, sigma=sigma, k=0)
 
 
+def cached_lambda_max(prob: DnnSdpProblem) -> float:
+    """Spectral bound rho of A_I A_I*, cached on the A_I collection."""
+    a = prob.A_I
+    if a._lam_max is None:
+        a._lam_max = lambda_max_gram(a)
+    return a._lam_max
+
+
+class SolveOperands:
+    """What the sweep and the correction read of one problem, prepared
+    once per solve by ``_solve``: C, rho = ``cached_lambda_max`` as
+    ``lam`` (None in the 3-block case), the maps of A_E and A_I, the Gram
+    solve of A_E, the projections onto the dual pattern cone and the PSD
+    cone, and ``b_E_s``, ``b_I_s`` and ``M_s``, that is b_E, b_I and M
+    divided by sigma, which ``at(sigma)`` remakes only when sigma changes.
+
+    The loop's operands (``checked=False``) call the unchecked cores of
+    the kernels (``apply_unchecked``, ``adjoint_unchecked``,
+    ``gram_solve_unchecked`` with the Gram factor taken here,
+    ``project_pattern_unchecked`` with the dual pattern's bounds taken
+    here, and ``project_psd_unchecked``). Their checks cannot fail there:
+    - no input is non-finite: the data is checked finite when the problem
+      is made, the start is zero, and every block passes the divergence
+      guard (norm <= ``engine.DIVERGENCE_GUARD``) before the next sweep
+      reads it;
+    - every PSD projection input is exactly symmetric, so the
+      symmetrization ``project_psd`` makes changes no bit: C and M are
+      stored exactly symmetric, the adjoints write one value to both
+      triangles, and the blocks, X and the sums the sweep forms are sums
+      and projections of exactly symmetric matrices;
+    - every shape is the problem's, by construction.
+    With ``checked=True`` the operands call the public kernels, checks
+    included; the update functions and steps make those when they are
+    called on a problem instead of the loop's operands.
+    """
+
+    __slots__ = ("prob", "four_block", "C", "lam", "apply_E", "adjoint_E", "solve_E",
+                 "apply_I", "adjoint_I", "project_dual", "project_psd",
+                 "sigma", "b_E_s", "b_I_s", "M_s")
+
+    def __init__(self, prob: DnnSdpProblem, checked: bool = False):
+        self.prob, self.four_block, self.C = prob, prob.four_block, prob.C
+        self.lam = cached_lambda_max(prob) if prob.four_block else None
+        a_E, a_I, pattern = prob.A_E, prob.A_I, prob.pattern
+        if checked:
+            maps = lambda a: (a.apply, a.adjoint)
+            self.solve_E = functools.partial(gram_solve, a_E)
+            self.project_dual = lambda z: project_pattern_dual(z, pattern)
+            self.project_psd = project_psd
+        else:
+            maps = lambda a: (a.apply_unchecked, a.adjoint_unchecked)
+            self.solve_E = functools.partial(gram_solve_unchecked, gram_factor(a_E))
+            bounds = pattern.dual().bounds()
+            self.project_dual = lambda z: project_pattern_unchecked(z, bounds)
+            self.project_psd = project_psd_unchecked
+        self.apply_E, self.adjoint_E = maps(a_E)
+        self.apply_I, self.adjoint_I = maps(a_I) if a_I is not None else (None, None)
+        self.sigma = None
+
+    def at(self, sigma: float) -> "SolveOperands":
+        """These operands with ``b_E_s``, ``b_I_s`` and ``M_s`` at sigma."""
+        if sigma != self.sigma:
+            prob = self.prob
+            self.sigma = sigma
+            self.b_E_s = prob.b_E / sigma
+            self.b_I_s = prob.b_I / sigma if self.four_block else None
+            self.M_s = prob.M / sigma
+        return self
+
+
+def _operands(prob) -> SolveOperands:
+    """``prob`` itself when it is a ``SolveOperands``, and checked
+    operands of it when it is a problem."""
+    return prob if isinstance(prob, SolveOperands) else SolveOperands(prob, checked=True)
+
+
 # ---------------------------------------------------------------------------
 # Closed-form subproblem solvers. Each takes the scaled multiplier
 # xs = x/sigma, the partial residual r (all other blocks' constraint
 # contributions minus C) and the proximal center. The sweep forms xs once;
 # the generic engine's subsolves (``to_multiblock``) divide before they
 # call, so the same functions back both the specialized stepper and the
-# generic BlockSpecs.
+# generic BlockSpecs. ``prob`` is the problem, or the sweep's
+# ``SolveOperands``, whose kernels skip the checks.
 
-def update_yI(prob: DnnSdpProblem, lam: float, xs: np.ndarray, r: np.ndarray,
+def update_yI(prob, lam: float, xs: np.ndarray, r: np.ndarray,
               center: np.ndarray, center_adj: np.ndarray, sigma: float) -> np.ndarray:
     """First-block update with the rho*I - A_I A_I* proximal operator.
 
@@ -160,44 +246,40 @@ def update_yI(prob: DnnSdpProblem, lam: float, xs: np.ndarray, r: np.ndarray,
     """
     if lam <= 0.0:
         raise ValueError("lambda_max(A_I A_I*) must be positive")
+    ops = _operands(prob).at(sigma)
     w_full = xs + r + center_adj
-    v = center + (prob.b_I / sigma - prob.A_I.apply(w_full)) / lam
+    v = center + (ops.b_I_s - ops.apply_I(w_full)) / lam
     return project_nonneg(v)
 
 
-def update_Z(prob: DnnSdpProblem, xs: np.ndarray, r: np.ndarray,
-             sigma: float) -> np.ndarray:
+def update_Z(prob, xs: np.ndarray, r: np.ndarray, sigma: float) -> np.ndarray:
     """Projection onto the dual pattern cone of M/sigma - xs - r, with
     ``xs`` = x/sigma."""
-    return project_pattern_dual(prob.M / sigma - xs - r, prob.pattern)
+    ops = _operands(prob).at(sigma)
+    return ops.project_dual(ops.M_s - xs - r)
 
 
-def update_yE(prob: DnnSdpProblem, xs: np.ndarray, r: np.ndarray,
-              sigma: float) -> np.ndarray:
+def update_yE(prob, xs: np.ndarray, r: np.ndarray, sigma: float) -> np.ndarray:
     """Unconstrained linear-block minimizer via the cached Gram factor;
     ``xs`` is x/sigma."""
-    rhs = prob.b_E / sigma - prob.A_E.apply(xs + r)
-    return gram_solve(prob.A_E, rhs)
+    ops = _operands(prob).at(sigma)
+    return ops.solve_E(ops.b_E_s - ops.apply_E(xs + r))
 
 
-def update_S(xs: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """PSD projection of -r - xs, with ``xs`` = x/sigma."""
-    return project_psd(-r - xs)
+def update_S(xs: np.ndarray, r: np.ndarray,
+             ops: Optional[SolveOperands] = None) -> np.ndarray:
+    """PSD projection of -r - xs, with ``xs`` = x/sigma: by
+    ``ops.project_psd`` when the sweep passes its operands, and by
+    ``project_psd`` otherwise."""
+    return (project_psd if ops is None else ops.project_psd)(-r - xs)
 
 
-def cached_lambda_max(prob: DnnSdpProblem) -> float:
-    """Spectral bound rho of A_I A_I*, cached on the A_I collection."""
-    a = prob.A_I
-    if a._lam_max is None:
-        a._lam_max = lambda_max_gram(a)
-    return a._lam_max
-
-
-def _sweep(it: DnnSdpIterate, prob: DnnSdpProblem):
+def _sweep(it: DnnSdpIterate, ops: SolveOperands):
     """Gauss-Seidel sweep y_I -> Z -> y_E -> S with proximal centres at
-    ``it.yI``, ``it.t_Z``, ``it.t_yE`` and ``it.S``. The adjoints at the
-    centres are taken from ``it.adj_yI`` and ``it.adj_t_yE`` where the
-    previous sweep left them, and computed where it did not.
+    ``it.yI``, ``it.t_Z``, ``it.t_yE`` and ``it.S``, through the kernels
+    of ``ops``. The adjoints at the centres are taken from ``it.adj_yI``
+    and ``it.adj_t_yE`` where the previous sweep left them, and computed
+    where it did not.
 
     Returns ``(yI, Z, yE, S, f_pred, f_full, adj_yI, adj_yE)``: the new
     blocks (``yI`` is None in the 3-block case), the constraint map
@@ -212,50 +294,51 @@ def _sweep(it: DnnSdpIterate, prob: DnnSdpProblem):
     Q = P + A_E* y_E. The y_E input is P + S - C, the S input Q - C and
     ``f_full`` Q + S - C.
     """
-    C, S0, sigma = prob.C, it.S, it.sigma
+    C, S0, sigma = ops.C, it.S, it.sigma
     xs = it.X / sigma
-    adj_t_yE = it.adj_t_yE if it.adj_t_yE is not None else prob.A_E.adjoint(it.t_yE)
+    adj_t_yE = it.adj_t_yE if it.adj_t_yE is not None else ops.adjoint_E(it.t_yE)
     yI = adj_yI = None
-    if prob.four_block:
-        center_adj = it.adj_yI if it.adj_yI is not None else prob.A_I.adjoint(it.yI)
+    if ops.four_block:
+        center_adj = it.adj_yI if it.adj_yI is not None else ops.adjoint_I(it.yI)
         r = it.t_Z + adj_t_yE
         r += S0
         r -= C
-        yI = update_yI(prob, cached_lambda_max(prob), xs, r, it.yI, center_adj, sigma)
-        adj_yI = prob.A_I.adjoint(yI)
+        yI = update_yI(ops, ops.lam, xs, r, it.yI, center_adj, sigma)
+        adj_yI = ops.adjoint_I(yI)
         r = adj_yI + adj_t_yE
         r += S0
         r -= C
-        Z = update_Z(prob, xs, r, sigma)
+        Z = update_Z(ops, xs, r, sigma)
         f_pred = adj_yI + it.t_Z
         f_pred += adj_t_yE
         P = adj_yI + Z
     else:
         r = adj_t_yE + S0
         r -= C
-        Z = update_Z(prob, xs, r, sigma)
+        Z = update_Z(ops, xs, r, sigma)
         f_pred = Z + adj_t_yE
         P = Z
     f_pred += S0
     f_pred -= C
     r = P + S0
     r -= C
-    yE = update_yE(prob, xs, r, sigma)
-    adj_yE = prob.A_E.adjoint(yE)
+    yE = update_yE(ops, xs, r, sigma)
+    adj_yE = ops.adjoint_E(yE)
     Q = P + adj_yE
-    S = update_S(xs, Q - C)
+    S = update_S(xs, Q - C, ops)
     f_full = Q
     f_full += S
     f_full -= C
     return yI, Z, yE, S, f_pred, f_full, adj_yI, adj_yE
 
 
-def cadmm_step(it: DnnSdpIterate, prob: DnnSdpProblem) -> DnnSdpIterate:
+def cadmm_step(it: DnnSdpIterate, prob) -> DnnSdpIterate:
     """One full corrected iteration: prediction sweep in the order
     y_I -> Z -> y_E -> S, adaptive multiplier step, then correction of the
     middle blocks (y_E, and Z in the 4-block case) against the corrected
-    base points."""
-    yI_new, Z_new, yE_new, S_new, f_pred, f_full, adj_yI, _ = _sweep(it, prob)
+    base points. ``prob`` is the problem or the loop's ``SolveOperands``."""
+    ops = _operands(prob)
+    yI_new, Z_new, yE_new, S_new, f_pred, f_full, adj_yI, _ = _sweep(it, ops)
     dS = S_new - it.S
     if it.k == 0:
         tau_k = TAU0
@@ -266,10 +349,9 @@ def cadmm_step(it: DnnSdpIterate, prob: DnnSdpProblem) -> DnnSdpIterate:
 
     # Correction, backwards over the middle blocks; last and first blocks
     # (and the multiplier) keep their predicted values.
-    t_yE_new = it.t_yE + ALPHA * (yE_new - it.t_yE) - gram_solve(
-        prob.A_E, prob.A_E.apply(dS))
-    if prob.four_block:
-        d = prob.A_E.adjoint(t_yE_new - it.t_yE) + dS
+    t_yE_new = it.t_yE + ALPHA * (yE_new - it.t_yE) - ops.solve_E(ops.apply_E(dS))
+    if ops.four_block:
+        d = ops.adjoint_E(t_yE_new - it.t_yE) + dS
         t_Z_new = it.t_Z + ALPHA * (Z_new - it.t_Z) - d
     else:
         t_Z_new = Z_new
@@ -280,12 +362,13 @@ def cadmm_step(it: DnnSdpIterate, prob: DnnSdpProblem) -> DnnSdpIterate:
         adj_yI=adj_yI)
 
 
-def dext_step(it: DnnSdpIterate, prob: DnnSdpProblem, tau: float) -> DnnSdpIterate:
+def dext_step(it: DnnSdpIterate, prob, tau: float) -> DnnSdpIterate:
     """Directly extended iteration: the same sweep, a fixed multiplier step
     and no correction. The centres ``t_Z`` and ``t_yE`` are set to the new
     iterates, so the next sweep is centred at the previous iterates and
-    reuses this sweep's A_E* y_E."""
-    yI_new, Z_new, yE_new, S_new, _, f_full, adj_yI, adj_yE = _sweep(it, prob)
+    reuses this sweep's A_E* y_E. ``prob`` is the problem or the loop's
+    ``SolveOperands``."""
+    yI_new, Z_new, yE_new, S_new, _, f_full, adj_yI, adj_yE = _sweep(it, _operands(prob))
     X_new = it.X + (tau * it.sigma) * f_full
     return DnnSdpIterate(
         Z=Z_new, yE=yE_new, S=S_new, X=X_new, t_Z=Z_new, t_yE=yE_new,
@@ -516,7 +599,8 @@ def _solve(prob: DnnSdpProblem, cfg: Optional[SolverConfig],
            policy: Optional[TuningPolicy], callback, step) -> SolveResult:
     """The solve loop shared by the corrected and the directly extended
     method, with default settings where ``cfg`` or ``policy`` is None;
-    ``step(it, prob)`` makes one iteration. A diverged
+    ``step(it, ops)`` makes one iteration from the ``SolveOperands`` that
+    are prepared here once, whose kernels skip their checks. A diverged
     iterate is caught before anything reads it (overflow is silent, so an
     overflowing norm reads inf), and the run then reports no residuals.
 
@@ -536,6 +620,7 @@ def _solve(prob: DnnSdpProblem, cfg: Optional[SolverConfig],
     max_iters = cfg.max_iters or (40000 if prob.four_block else 20000)
     freeze_after = int(FREEZE_FRACTION * max_iters)
     scales = _data_scales(prob)
+    ops = SolveOperands(prob)
 
     it = initial_iterate(prob, cfg.sigma, TAU0)
     tau_history: list = []
@@ -545,7 +630,7 @@ def _solve(prob: DnnSdpProblem, cfg: Optional[SolverConfig],
     t0 = time.perf_counter()
     with np.errstate(over="ignore"):
         while it.k < max_iters:
-            it = step(it, prob)
+            it = step(it, ops)
             tau_history.append(it.tau)
             norm_X = frob_norm(it.X)
             oversized = _diverged(it, norm_X)

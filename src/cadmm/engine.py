@@ -167,24 +167,7 @@ class SolveResult:
     history: Optional[list] = None
     report: object = None
     sigma_final: float = math.nan
-    change_norms: list = field(default_factory=list)
     message: str = ""
-
-
-def collapsed_subsolve(block_map: LinearBlockMap, rho: float, prox: Callable) -> Callable:
-    """Subproblem solver for the T = rho*I - A A* choice.
-
-    With that semi-proximal term the quadratic part of the subproblem
-    collapses to sigma*rho/2 ||z - v||^2 with the shifted point
-    v = center - (1/rho) A(x/sigma + r + A* center), so the minimizer is
-    a single prox of theta with weight 1/(sigma*rho).
-    """
-
-    def subsolve(x, r, center, sigma):
-        v = center - block_map.apply(x / sigma + r + block_map.apply_adjoint(center)) / rho
-        return prox(v, 1.0 / (sigma * rho))
-
-    return subsolve
 
 
 def _f_value(adjoints: Sequence[np.ndarray], c: np.ndarray) -> np.ndarray:
@@ -324,7 +307,6 @@ def _run(prob: MultiBlockProblem, cfg: SolverConfig, stop: Optional[Callable],
 
     tau_history = []
     history = [] if record_history else None
-    change_norms = []  # per iteration: (||z_i^{k+1} - zt_i^k|| for i>=2, ||x^{k+1}-x^k||)
     residual = math.inf
     status = MAX_ITERS
     t0 = time.perf_counter()
@@ -351,9 +333,6 @@ def _run(prob: MultiBlockProblem, cfg: SolverConfig, stop: Optional[Callable],
         zt_new = (new_z if fixed_tau is not None
                   else correct(prob, state.z_tilde, new_z, ALPHA))
 
-        block_changes = [float(np.linalg.norm(new_z[i] - state.z_tilde[i]))
-                         for i in range(1, prob.p)]
-        change_norms.append((block_changes, float(np.linalg.norm(x_new - state.x))))
         if history is not None:
             history.append({
                 "z": [v.copy() for v in new_z],
@@ -383,7 +362,6 @@ def _run(prob: MultiBlockProblem, cfg: SolverConfig, stop: Optional[Callable],
         status=status, iterations=state.k, residual=residual,
         z=state.z, x=state.x, tau_final=state.tau, tau_history=tau_history,
         wall_seconds=wall, history=history, sigma_final=cfg.sigma,
-        change_norms=change_norms,
         message="" if status != DIVERGED else "iterate norm exceeded guard",
     )
 

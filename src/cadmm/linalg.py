@@ -47,6 +47,8 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 def is_symmetric(a: np.ndarray, tol: float = 1e-12) -> bool:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
+    if (a == a.T).all():   # the common case, in one pass
+        return True
     scale = max(1.0, float(np.abs(a).max()) if a.size else 1.0)
     return bool(np.abs(a - a.T).max() <= tol * scale)
 
@@ -161,7 +163,8 @@ def _nonpositive_eigenvectors_mrrr(b: np.ndarray) -> np.ndarray:
 
 
 def project_psd(m: np.ndarray) -> np.ndarray:
-    """Nearest (Frobenius) positive semidefinite matrix.
+    """Nearest (Frobenius) positive semidefinite matrix: the checks below,
+    then :func:`project_psd_unchecked` on the symmetrized input.
 
     Computes only the eigenvectors V of the symmetrized input b whose
     eigenvalues lie in (-inf, 0]; the projections this solver makes have
@@ -178,7 +181,14 @@ def project_psd(m: np.ndarray) -> np.ndarray:
     non-finite input and ``LinAlgError``, naming the routine, when a
     LAPACK call fails.
     """
-    b = _finite_symmetric(m, "project_psd")
+    return project_psd_unchecked(_finite_symmetric(m, "project_psd"))
+
+
+def project_psd_unchecked(b: np.ndarray) -> np.ndarray:
+    """:func:`project_psd` without its checks, for a float64 input ``b``
+    that is finite and exactly symmetric; ``b`` itself comes back when it
+    has no eigenvalue in (-inf, 0]. On such an input ``project_psd`` gives
+    the same bits, since symmetrizing it changes no bit."""
     if b.shape[0] < MRRR_ORDER:
         v = _nonpositive_eigenvectors_dsyevr(b)
     else:
@@ -354,18 +364,28 @@ class SparseSymList:
         return out
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate [<A_k, X>]_k, as floats also when there is no entry."""
+        """Evaluate [<A_k, X>]_k, as floats also when there is no entry:
+        the shape check, then :meth:`apply_unchecked`."""
         x = np.asarray(x)
         if x.shape != (self.n, self.n):
             raise ValueError(f"apply: X has shape {x.shape}, expected {(self.n, self.n)}")
+        return self.apply_unchecked(x)
+
+    def apply_unchecked(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`apply` for an ndarray ``x`` already of shape (n, n)."""
         return np.bincount(self._row, self._data * (x.take(self._pos) * self._scale),
                            minlength=self.m).astype(float, copy=False)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        """Evaluate sum_k y_k A_k."""
+        """Evaluate sum_k y_k A_k: the shape check, then
+        :meth:`adjoint_unchecked`."""
         y = np.asarray(y)
         if y.shape != (self.m,):
             raise ValueError(f"adjoint: y has shape {y.shape}, expected {(self.m,)}")
+        return self.adjoint_unchecked(y)
+
+    def adjoint_unchecked(self, y: np.ndarray) -> np.ndarray:
+        """:meth:`adjoint` for an ndarray ``y`` already of shape (m,)."""
         v = np.bincount(self._coord_t, self._data_t * y.take(self._row_t),
                         minlength=self._scale_t.size)
         w = v / self._scale_t
@@ -536,6 +556,12 @@ def gram_solve(a: SparseSymList, rhs: np.ndarray) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=float)
     if not np.isfinite(rhs).all():
         raise ValueError("gram_solve: right-hand side has non-finite entries")
+    return gram_solve_unchecked(cho, rhs)
+
+
+def gram_solve_unchecked(cho: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """:func:`gram_solve` without its check, given the factor ``cho`` that
+    :func:`gram_factor` returned and a finite float64 ``rhs``."""
     if cho.ndim == 2:
         y, info = scipy.linalg.lapack.dpotrs(cho, rhs, lower=1)
         if info != 0:

@@ -12,15 +12,18 @@ import pytest
 
 from cadmm import dnnsdp, engine
 from cadmm.cli import generate_problem
-from cadmm.cones import ConePattern, project_pattern, project_pattern_dual
+from cadmm.cones import (ConePattern, project_pattern, project_pattern_dual,
+                         project_pattern_unchecked)
 from cadmm.dnnsdp import (SIGMA_MAX, SIGMA_MIN, DnnSdpProblem, ResidualReport,
-                          SolverConfig, TuningPolicy, cached_lambda_max,
+                          SolveOperands, SolverConfig, TuningPolicy,
+                          cached_lambda_max,
                           cadmm_solve, cadmm_step, dext_solve, dext_step,
                           initial_iterate, objective_values, residuals,
                           to_multiblock, tune_sigma, update_S, update_Z,
                           update_yE, update_yI)
 from cadmm.io import write_problem
-from cadmm.linalg import SparseSymList, gram_solve, lambda_max_gram, project_psd
+from cadmm.linalg import (SparseSymList, gram_factor, gram_solve, gram_solve_unchecked,
+                          lambda_max_gram, project_psd, project_psd_unchecked)
 from cadmm.problems import (BiqData, build_biq, build_ext_biq, build_theta_plus,
                             random_biq, random_fap, random_graph, random_rcp)
 
@@ -480,6 +483,104 @@ class TestSweepSums:
                 assert np.array_equal(adj_yI, prob.A_I.adjoint(yI))
 
 
+FAMILY_SPECS = ["biq:8:1", "ebiq:6:1", "theta:10:1", "rcp:12:1", "fap:8:1", "qap:3:1"]
+
+
+class TestSolveOperands:
+    """The loop prepares its operands once and calls the unchecked kernel
+    cores; on the loop's inputs they give the bits of the public kernels."""
+
+    @pytest.mark.parametrize("spec", FAMILY_SPECS)
+    def test_cores_equal_the_public_kernels(self, spec):
+        prob = generate_problem(spec)
+        prob.validate()
+        rng = np.random.default_rng(5)
+        x = random_sym(rng, prob.n)
+        for a in (prob.A_E, prob.A_I):
+            if a is None:
+                continue
+            y = rng.standard_normal(a.m)
+            assert np.array_equal(a.apply_unchecked(x), a.apply(x))
+            assert np.array_equal(a.adjoint_unchecked(y), a.adjoint(y))
+        rhs = rng.standard_normal(prob.A_E.m)
+        assert np.array_equal(gram_solve_unchecked(gram_factor(prob.A_E), rhs),
+                              gram_solve(prob.A_E, rhs))
+        for pattern in (prob.pattern, prob.pattern.dual()):
+            assert np.array_equal(project_pattern_unchecked(x, pattern.bounds()),
+                                  project_pattern(x, pattern))
+        assert np.array_equal(project_pattern_unchecked(x, prob.pattern.dual().bounds()),
+                              project_pattern_dual(x, prob.pattern))
+        for n in (prob.n, 30):   # 30 takes the MRRR route
+            m = random_sym(rng, n)
+            assert np.array_equal(project_psd_unchecked(m), project_psd(m))
+
+    def test_both_gram_factor_kinds_are_covered(self):
+        kinds = set()
+        for spec in FAMILY_SPECS:
+            prob = generate_problem(spec)
+            kinds.add(gram_factor(prob.A_E).ndim)
+        assert kinds == {1, 2}
+
+    @pytest.mark.parametrize("spec", FAMILY_SPECS)
+    @pytest.mark.parametrize("step", sorted(TestSweepSums.STEPS))
+    def test_loop_operands_give_the_checked_trajectory(self, spec, step):
+        prob = generate_problem(spec)
+        prob.validate()
+        lean, run = SolveOperands(prob), TestSweepSums.STEPS[step]
+        a = b = initial_iterate(prob, 0.7, engine.TAU0)
+        fields = [f.name for f in dataclasses.fields(dnnsdp.DnnSdpIterate)]
+        for _ in range(30):
+            a, b = run(a, lean), run(b, prob)
+            for name in fields:
+                u, v = getattr(a, name), getattr(b, name)
+                assert (np.array_equal(u, v) if isinstance(u, np.ndarray) else u == v), name
+
+    @pytest.mark.parametrize("spec", ["ebiq:6:1", "fap:8:1"])
+    def test_sigma_change_remakes_the_scaled_data(self, spec):
+        # after a sigma change the sweep reads b_E, b_I and M over the new
+        # sigma, as the update functions called with it on the problem do
+        prob = generate_problem(spec)
+        prob.validate()
+        ops = SolveOperands(prob)
+        it = initial_iterate(prob, 1.0, engine.TAU0)
+        for _ in range(5):
+            it = cadmm_step(it, ops)
+        assert ops.sigma == 1.0
+        moved = dataclasses.replace(it, sigma=1.5)
+        got = dnnsdp._sweep(moved, ops)
+        assert ops.sigma == 1.5
+        assert np.array_equal(ops.M_s, prob.M / 1.5)
+        yI, Z, yE, S = got[:4]
+        xs = moved.X / 1.5
+        adj_t_yE = prob.A_E.adjoint(moved.t_yE)
+        if prob.four_block:
+            r = moved.t_Z + adj_t_yE + moved.S - prob.C
+            assert np.array_equal(yI, update_yI(prob, cached_lambda_max(prob), xs, r,
+                                                moved.yI, moved.adj_yI, 1.5))
+            P = prob.A_I.adjoint(yI)
+            r = P + adj_t_yE + moved.S - prob.C
+        else:
+            P = 0.0
+            r = adj_t_yE + moved.S - prob.C
+        assert np.array_equal(Z, update_Z(prob, xs, r, 1.5))
+        P = P + Z
+        assert np.array_equal(yE, update_yE(prob, xs, P + moved.S - prob.C, 1.5))
+        assert np.array_equal(S, update_S(xs, P + prob.A_E.adjoint(yE) - prob.C))
+
+    @pytest.mark.parametrize("spec", FAMILY_SPECS)
+    def test_a_solve_projects_exactly_symmetric_inputs(self, monkeypatch, spec):
+        inputs = []
+
+        def recorded(b):
+            inputs.append(np.array_equal(b.view(np.uint64), b.T.view(np.uint64)))
+            return project_psd_unchecked(b)
+
+        monkeypatch.setattr(dnnsdp, "project_psd_unchecked", recorded)
+        res = cadmm_solve(generate_problem(spec), SolverConfig(max_iters=300))
+        assert len(inputs) == res.iterations
+        assert all(inputs)
+
+
 class TestSweepCertificate:
     """The loop certifies each iterate from its sweep's constraint map."""
 
@@ -726,6 +827,34 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="symmetric"):
             DnnSdpProblem(n=2, C=np.array([[0.0, 1.0], [0.0, 0.0]]), A_E=a,
                           b_E=np.zeros(1))
+
+    def test_rejects_asymmetric_shift_naming_it(self):
+        # an asymmetric M used to run to Converged with an asymmetric X
+        prob = generate_problem("biq:6:1")
+        M = prob.M.copy()
+        M[0, 1] += 0.3
+        with pytest.raises(ValueError, match="^M must be symmetric$"):
+            dataclasses.replace(prob, M=M)
+
+    def test_stores_c_and_m_exactly_symmetric(self, rng):
+        prob = generate_problem("fap:8:1")
+        for name in ("C", "M"):
+            a = getattr(prob, name) + random_sym(rng, prob.n)
+            a[0, 1] += 1e-12 * np.abs(a).max()   # asymmetric within 1e-10
+            stored = getattr(dataclasses.replace(prob, **{name: a}), name)
+            assert not np.array_equal(a, a.T)
+            assert np.array_equal(stored, stored.T), name
+            assert np.array_equal(stored, 0.5 * (a + a.T)), name
+
+    @pytest.mark.parametrize("spec", ["biq:8:1", "ebiq:6:1", "theta:10:1", "rcp:12:1",
+                                      "fap:8:1", "qap:3:1"])
+    def test_exactly_symmetric_data_keeps_its_bits(self, spec):
+        prob = generate_problem(spec)
+        for name in ("C", "M"):
+            a = getattr(prob, name)
+            assert np.array_equal(a.view(np.uint64), a.T.view(np.uint64)), name
+            again = getattr(dataclasses.replace(prob), name)
+            assert np.array_equal(again.view(np.uint64), a.view(np.uint64)), name
 
     def test_rejects_mismatched_inequality_data(self):
         a = SparseSymList(2, [([0], [0], [1.0])])
