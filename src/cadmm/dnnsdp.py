@@ -172,9 +172,9 @@ class SolveOperands:
     ``project_pattern_unchecked`` with the dual pattern's bounds taken
     here, and ``project_psd_unchecked``). Their checks cannot fail there:
     - no input is non-finite: the data is checked finite when the problem
-      is made, the start is zero, and every block passes the divergence
-      guard (norm <= ``engine.DIVERGENCE_GUARD``) before the next sweep
-      reads it;
+      is made, the start is zero, and every block and X pass the
+      divergence guard (norm <= ``engine.DIVERGENCE_GUARD``) before the
+      next sweep reads them;
     - every PSD projection input is exactly symmetric, so the
       symmetrization ``project_psd`` makes changes no bit: C and M are
       stored exactly symmetric, the adjoints write one value to both
