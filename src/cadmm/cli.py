@@ -232,13 +232,13 @@ def cmd_check(args) -> int:
 
     # subproblem closed forms vs a projected-gradient pass on one instance
     prob = generate_problem(f"ebiq:8:{args.seed}")
-    prob.validate()
-    lamI = dnnsdp.cached_lambda_max(prob)
+    ops = dnnsdp.SolveOperands(prob)
+    lamI = ops.lam
     it = dnnsdp.initial_iterate(prob, sigma=1.0, tau0=engine.TAU0)
     it.X = rng.standard_normal((prob.n, prob.n))
     it.X = 0.5 * (it.X + it.X.T)
     r1 = it.t_Z + prob.A_E.adjoint(it.t_yE) + it.S - prob.C
-    y_closed = dnnsdp.update_yI(prob, lamI, it.X, r1, it.yI, prob.A_I.adjoint(it.yI), 1.0)
+    y_closed = dnnsdp.update_yI(ops, it.X, r1, it.yI, prob.A_I.adjoint(it.yI), 1.0)
     y = np.zeros(prob.A_I.m)
     step = 0.4 / lamI
     for _ in range(400):

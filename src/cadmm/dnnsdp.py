@@ -33,6 +33,8 @@ from .cones import (ConePattern, project_nonneg, project_pattern,
                     prox_nonneg_linear, prox_pattern_dual_linear, prox_psd_indicator)
 from .engine import (ALPHA, CONVERGED, DEXT_TAU, DIVERGED, EPS, MAX_ITERS, TAU0,
                      TAU_BAR, SolveResult, SolverConfig, compute_delta, update_tau)
+# project_psd is imported only for perfbench/tracing.py, which wraps it here;
+# Tracer.wrap raises KeyError on a name the module lacks.
 from .linalg import (GramSingularError, SparseSymList, frob_inner, frob_norm,
                      gram_factor, gram_solve, gram_solve_unchecked, identity_block_map,
                      is_symmetric, lambda_max_gram, project_psd, project_psd_unchecked,
@@ -160,17 +162,18 @@ def cached_lambda_max(prob: DnnSdpProblem) -> float:
 
 class SolveOperands:
     """What the sweep and the correction read of one problem, prepared
-    once per solve by ``_solve``: C, rho = ``cached_lambda_max`` as
-    ``lam`` (None in the 3-block case), the maps of A_E and A_I, the Gram
-    solve of A_E, the projections onto the dual pattern cone and the PSD
-    cone, and ``b_E_s``, ``b_I_s`` and ``M_s``, that is b_E, b_I and M
-    divided by sigma, which ``at(sigma)`` remakes only when sigma changes.
+    once per solve: C, rho = ``cached_lambda_max`` as ``lam`` (None in
+    the 3-block case), the maps of A_E and A_I, the Gram solve of A_E, the
+    projections onto the dual pattern cone and the PSD cone, and
+    ``b_E_s``, ``b_I_s`` and ``M_s``, that is b_E, b_I and M divided by
+    sigma, which ``at(sigma)`` remakes only when sigma changes. Making
+    them validates the problem (``DnnSdpProblem.validate``).
 
-    The loop's operands (``checked=False``) call the unchecked cores of
-    the kernels (``apply_unchecked``, ``adjoint_unchecked``,
-    ``gram_solve_unchecked`` with the Gram factor taken here,
-    ``project_pattern_unchecked`` with the dual pattern's bounds taken
-    here, and ``project_psd_unchecked``). Their checks cannot fail there:
+    The operands call the unchecked cores of the kernels
+    (``apply_unchecked``, ``adjoint_unchecked``, ``gram_solve_unchecked``
+    with the Gram factor taken here, ``project_pattern_unchecked`` with
+    the dual pattern's bounds taken here, and ``project_psd_unchecked``).
+    Their checks cannot fail in the solve loop:
     - no input is non-finite: the data is checked finite when the problem
       is made, the start is zero, and every block and X pass the
       divergence guard (norm <= ``engine.DIVERGENCE_GUARD``) before the
@@ -181,32 +184,28 @@ class SolveOperands:
       triangles, and the blocks, X and the sums the sweep forms are sums
       and projections of exactly symmetric matrices;
     - every shape is the problem's, by construction.
-    With ``checked=True`` the operands call the public kernels, checks
-    included; the update functions and steps make those when they are
-    called on a problem instead of the loop's operands.
+    Nor can they in the generic engine's bridge (``to_multiblock``): the
+    engine tests every block and x for divergence before the next sweep
+    reads them, and its sums of exactly symmetric terms are exactly
+    symmetric.
     """
 
     __slots__ = ("prob", "four_block", "C", "lam", "apply_E", "adjoint_E", "solve_E",
                  "apply_I", "adjoint_I", "project_dual", "project_psd",
                  "sigma", "b_E_s", "b_I_s", "M_s")
 
-    def __init__(self, prob: DnnSdpProblem, checked: bool = False):
+    def __init__(self, prob: DnnSdpProblem):
+        prob.validate()
         self.prob, self.four_block, self.C = prob, prob.four_block, prob.C
         self.lam = cached_lambda_max(prob) if prob.four_block else None
-        a_E, a_I, pattern = prob.A_E, prob.A_I, prob.pattern
-        if checked:
-            maps = lambda a: (a.apply, a.adjoint)
-            self.solve_E = functools.partial(gram_solve, a_E)
-            self.project_dual = lambda z: project_pattern_dual(z, pattern)
-            self.project_psd = project_psd
-        else:
-            maps = lambda a: (a.apply_unchecked, a.adjoint_unchecked)
-            self.solve_E = functools.partial(gram_solve_unchecked, gram_factor(a_E))
-            bounds = pattern.dual().bounds()
-            self.project_dual = lambda z: project_pattern_unchecked(z, bounds)
-            self.project_psd = project_psd_unchecked
-        self.apply_E, self.adjoint_E = maps(a_E)
-        self.apply_I, self.adjoint_I = maps(a_I) if a_I is not None else (None, None)
+        a_E, a_I = prob.A_E, prob.A_I
+        self.apply_E, self.adjoint_E = a_E.apply_unchecked, a_E.adjoint_unchecked
+        self.apply_I, self.adjoint_I = ((a_I.apply_unchecked, a_I.adjoint_unchecked)
+                                        if a_I is not None else (None, None))
+        self.solve_E = functools.partial(gram_solve_unchecked, gram_factor(a_E))
+        bounds = prob.pattern.dual().bounds()
+        self.project_dual = lambda z: project_pattern_unchecked(z, bounds)
+        self.project_psd = project_psd_unchecked
         self.sigma = None
 
     def at(self, sigma: float) -> "SolveOperands":
@@ -220,58 +219,47 @@ class SolveOperands:
         return self
 
 
-def _operands(prob) -> SolveOperands:
-    """``prob`` itself when it is a ``SolveOperands``, and checked
-    operands of it when it is a problem."""
-    return prob if isinstance(prob, SolveOperands) else SolveOperands(prob, checked=True)
-
-
 # ---------------------------------------------------------------------------
-# Closed-form subproblem solvers. Each takes the scaled multiplier
-# xs = x/sigma, the partial residual r (all other blocks' constraint
-# contributions minus C) and the proximal center. The sweep forms xs once;
-# the generic engine's subsolves (``to_multiblock``) divide before they
-# call, so the same functions back both the specialized stepper and the
-# generic BlockSpecs. ``prob`` is the problem, or the sweep's
-# ``SolveOperands``, whose kernels skip the checks.
+# Closed-form subproblem solvers. Each takes the solve's ``SolveOperands``,
+# the scaled multiplier xs = x/sigma, the partial residual r (all other
+# blocks' constraint contributions minus C) and the proximal center. The
+# sweep forms xs once; the generic engine's subsolves (``to_multiblock``)
+# divide before they call, so the same functions back both the specialized
+# stepper and the generic BlockSpecs.
 
-def update_yI(prob, lam: float, xs: np.ndarray, r: np.ndarray,
+def update_yI(ops: SolveOperands, xs: np.ndarray, r: np.ndarray,
               center: np.ndarray, center_adj: np.ndarray, sigma: float) -> np.ndarray:
-    """First-block update with the rho*I - A_I A_I* proximal operator.
+    """First-block update with the rho*I - A_I A_I* proximal operator,
+    rho = ``ops.lam``.
 
-    The semi-proximal choice collapses the quadratic to sigma*lam/2 ||y||^2
+    The semi-proximal choice collapses the quadratic to sigma*rho/2 ||y||^2
     plus linear terms, so the minimizer is a nonnegative projection of
-    center + (b_I/sigma - A_I(xs + r + A_I* center)) / lam, where
+    center + (b_I/sigma - A_I(xs + r + A_I* center)) / rho, where
     ``xs`` is x/sigma and ``center_adj`` is A_I* center.
     """
-    if lam <= 0.0:
-        raise ValueError("lambda_max(A_I A_I*) must be positive")
-    ops = _operands(prob).at(sigma)
+    ops.at(sigma)
     w_full = xs + r + center_adj
-    v = center + (ops.b_I_s - ops.apply_I(w_full)) / lam
+    v = center + (ops.b_I_s - ops.apply_I(w_full)) / ops.lam
     return project_nonneg(v)
 
 
-def update_Z(prob, xs: np.ndarray, r: np.ndarray, sigma: float) -> np.ndarray:
+def update_Z(ops: SolveOperands, xs: np.ndarray, r: np.ndarray, sigma: float) -> np.ndarray:
     """Projection onto the dual pattern cone of M/sigma - xs - r, with
     ``xs`` = x/sigma."""
-    ops = _operands(prob).at(sigma)
+    ops.at(sigma)
     return ops.project_dual(ops.M_s - xs - r)
 
 
-def update_yE(prob, xs: np.ndarray, r: np.ndarray, sigma: float) -> np.ndarray:
+def update_yE(ops: SolveOperands, xs: np.ndarray, r: np.ndarray, sigma: float) -> np.ndarray:
     """Unconstrained linear-block minimizer via the cached Gram factor;
     ``xs`` is x/sigma."""
-    ops = _operands(prob).at(sigma)
+    ops.at(sigma)
     return ops.solve_E(ops.b_E_s - ops.apply_E(xs + r))
 
 
-def update_S(xs: np.ndarray, r: np.ndarray,
-             ops: Optional[SolveOperands] = None) -> np.ndarray:
-    """PSD projection of -r - xs, with ``xs`` = x/sigma: by
-    ``ops.project_psd`` when the sweep passes its operands, and by
-    ``project_psd`` otherwise."""
-    return (project_psd if ops is None else ops.project_psd)(-r - xs)
+def update_S(ops: SolveOperands, xs: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """PSD projection of -r - xs, with ``xs`` = x/sigma."""
+    return ops.project_psd(-r - xs)
 
 
 def _sweep(it: DnnSdpIterate, ops: SolveOperands):
@@ -303,7 +291,7 @@ def _sweep(it: DnnSdpIterate, ops: SolveOperands):
         r = it.t_Z + adj_t_yE
         r += S0
         r -= C
-        yI = update_yI(ops, ops.lam, xs, r, it.yI, center_adj, sigma)
+        yI = update_yI(ops, xs, r, it.yI, center_adj, sigma)
         adj_yI = ops.adjoint_I(yI)
         r = adj_yI + adj_t_yE
         r += S0
@@ -325,19 +313,18 @@ def _sweep(it: DnnSdpIterate, ops: SolveOperands):
     yE = update_yE(ops, xs, r, sigma)
     adj_yE = ops.adjoint_E(yE)
     Q = P + adj_yE
-    S = update_S(xs, Q - C, ops)
+    S = update_S(ops, xs, Q - C)
     f_full = Q
     f_full += S
     f_full -= C
     return yI, Z, yE, S, f_pred, f_full, adj_yI, adj_yE
 
 
-def cadmm_step(it: DnnSdpIterate, prob) -> DnnSdpIterate:
+def cadmm_step(it: DnnSdpIterate, ops: SolveOperands) -> DnnSdpIterate:
     """One full corrected iteration: prediction sweep in the order
     y_I -> Z -> y_E -> S, adaptive multiplier step, then correction of the
     middle blocks (y_E, and Z in the 4-block case) against the corrected
-    base points. ``prob`` is the problem or the loop's ``SolveOperands``."""
-    ops = _operands(prob)
+    base points."""
     yI_new, Z_new, yE_new, S_new, f_pred, f_full, adj_yI, _ = _sweep(it, ops)
     dS = S_new - it.S
     if it.k == 0:
@@ -362,13 +349,12 @@ def cadmm_step(it: DnnSdpIterate, prob) -> DnnSdpIterate:
         adj_yI=adj_yI)
 
 
-def dext_step(it: DnnSdpIterate, prob, tau: float) -> DnnSdpIterate:
+def dext_step(it: DnnSdpIterate, ops: SolveOperands, tau: float) -> DnnSdpIterate:
     """Directly extended iteration: the same sweep, a fixed multiplier step
     and no correction. The centres ``t_Z`` and ``t_yE`` are set to the new
     iterates, so the next sweep is centred at the previous iterates and
-    reuses this sweep's A_E* y_E. ``prob`` is the problem or the loop's
-    ``SolveOperands``."""
-    yI_new, Z_new, yE_new, S_new, _, f_full, adj_yI, adj_yE = _sweep(it, _operands(prob))
+    reuses this sweep's A_E* y_E."""
+    yI_new, Z_new, yE_new, S_new, _, f_full, adj_yI, adj_yE = _sweep(it, ops)
     X_new = it.X + (tau * it.sigma) * f_full
     return DnnSdpIterate(
         Z=Z_new, yE=yE_new, S=S_new, X=X_new, t_Z=Z_new, t_yE=yE_new,
@@ -600,9 +586,10 @@ def _solve(prob: DnnSdpProblem, cfg: Optional[SolverConfig],
     """The solve loop shared by the corrected and the directly extended
     method, with default settings where ``cfg`` or ``policy`` is None;
     ``step(it, ops)`` makes one iteration from the ``SolveOperands`` that
-    are prepared here once, whose kernels skip their checks. A diverged
-    iterate is caught before anything reads it (overflow is silent, so an
-    overflowing norm reads inf), and the run then reports no residuals.
+    are prepared here once, which validate the problem and whose kernels
+    skip their checks. A diverged iterate is caught before anything reads
+    it (overflow is silent, so an overflowing norm reads inf), and the run
+    then reports no residuals.
 
     Each iterate is first held against the lower bound
     max(eta_P, eta_D, eta_K, eta_I) of its eta, one component at a time,
@@ -615,12 +602,11 @@ def _solve(prob: DnnSdpProblem, cfg: Optional[SolverConfig],
     gets ``report=None``. The run stops at the same iteration as with a
     full report on every iterate. The report and residual the run
     returns are recomputed in full from the blocks."""
-    prob.validate()
+    ops = SolveOperands(prob)
     cfg, policy = cfg or SolverConfig(), policy or TuningPolicy()
     max_iters = cfg.max_iters or (40000 if prob.four_block else 20000)
     freeze_after = int(FREEZE_FRACTION * max_iters)
     scales = _data_scales(prob)
-    ops = SolveOperands(prob)
 
     it = initial_iterate(prob, cfg.sigma, TAU0)
     tau_history: list = []
@@ -697,7 +683,7 @@ def dext_solve(prob: DnnSdpProblem, cfg: SolverConfig = None, tau: float = DEXT_
     guard."""
     check_tau(tau)
     return _solve(prob, cfg, policy, callback,
-                  lambda it, prob: dext_step(it, prob, tau))
+                  lambda it, ops: dext_step(it, ops, tau))
 
 
 def objective_values(prob: DnnSdpProblem, it_or_result) -> dict:
@@ -721,36 +707,38 @@ def objective_values(prob: DnnSdpProblem, it_or_result) -> dict:
 # BlockSpecs, for cross-checking the specialized loop trajectory.
 
 def to_multiblock(prob: DnnSdpProblem):
-    """Equivalent generic multi-block problem (shared right-hand side C).
+    """Equivalent generic multi-block problem (shared right-hand side C),
+    whose subsolves share one ``SolveOperands`` of ``prob``; making them
+    validates ``prob``.
 
     Returns ``(MultiBlockProblem, z0, x0)`` with all-zero starting data
     matching :func:`initial_iterate`.
     """
     n = prob.n
+    ops = SolveOperands(prob)
     ident = identity_block_map()
     z_block = engine.BlockSpec(
         map=ident,
-        subsolve=lambda x, r, center, sigma: update_Z(prob, x / sigma, r, sigma),
+        subsolve=lambda x, r, center, sigma: update_Z(ops, x / sigma, r, sigma),
         shape=(n, n), rho=None, einv=lambda v: v,
         prox=prox_pattern_dual_linear(prob.M, prob.pattern))
     ye_block = engine.BlockSpec(
         map=prob.A_E.as_block_map(),
-        subsolve=lambda x, r, center, sigma: update_yE(prob, x / sigma, r, sigma),
+        subsolve=lambda x, r, center, sigma: update_yE(ops, x / sigma, r, sigma),
         shape=(prob.A_E.m,), rho=None,
         einv=lambda v: gram_solve(prob.A_E, v),
         prox=prox_linear(prob.b_E))
     s_block = engine.BlockSpec(
         map=ident,
-        subsolve=lambda x, r, center, sigma: update_S(x / sigma, r),
+        subsolve=lambda x, r, center, sigma: update_S(ops, x / sigma, r),
         shape=(n, n), rho=None, einv=lambda v: v,
         prox=prox_psd_indicator())
     if prob.four_block:
-        lam = cached_lambda_max(prob)
         yi_block = engine.BlockSpec(
             map=prob.A_I.as_block_map(),
             subsolve=lambda x, r, center, sigma: update_yI(
-                prob, lam, x / sigma, r, center, prob.A_I.adjoint(center), sigma),
-            shape=(prob.A_I.m,), rho=lam,
+                ops, x / sigma, r, center, ops.adjoint_I(center), sigma),
+            shape=(prob.A_I.m,), rho=ops.lam,
             prox=prox_nonneg_linear(prob.b_I))
         blocks = (yi_block, z_block, ye_block, s_block)
     else:

@@ -12,8 +12,8 @@ import pytest
 
 from cadmm import engine
 from cadmm.cli import main as cli_main
-from cadmm.dnnsdp import (SolverConfig, TuningPolicy, cadmm_solve, cadmm_step,
-                          cached_lambda_max, initial_iterate,
+from cadmm.dnnsdp import (SolveOperands, SolverConfig, TuningPolicy, cadmm_solve,
+                          cadmm_step, cached_lambda_max, initial_iterate,
                           to_multiblock, update_S, update_Z, update_yE,
                           update_yI)
 from cadmm.engine import build_theory_operators, solve
@@ -116,9 +116,9 @@ class TestCriterion4:
             cfg = SolverConfig(tol=0.0, max_iters=200)
             mb, z0, x0 = to_multiblock(prob)
             gres = engine.solve(mb, cfg, z0=z0, x0=x0, record_history=True)
-            it = initial_iterate(prob, cfg.sigma, engine.TAU0)
+            it, ops = initial_iterate(prob, cfg.sigma, engine.TAU0), SolveOperands(prob)
             for step in gres.history:
-                it = cadmm_step(it, prob)
+                it = cadmm_step(it, ops)
                 for a, b in zip([it.yI, it.Z, it.yE, it.S], step["z"]):
                     worst = max(worst, float(np.max(np.abs(a - b))))
                 worst = max(worst, float(np.max(np.abs(it.X - step["x"]))))
@@ -134,11 +134,11 @@ class TestCriterion5:
         worst = {"yI": 0.0, "Z": 0.0, "yE": 0.0, "S": 0.0}
         for seed in range(20):
             prob = build_ext_biq(random_biq(7, seed + 100))
-            lam = cached_lambda_max(prob)
+            lam, ops = cached_lambda_max(prob), SolveOperands(prob)
             it = random_state(prob, seed)
             sig = it.sigma
             r1 = it.t_Z + prob.A_E.adjoint(it.t_yE) + it.S - prob.C
-            got = update_yI(prob, lam, it.X / sig, r1, it.yI, prob.A_I.adjoint(it.yI), sig)
+            got = update_yI(ops, it.X / sig, r1, it.yI, prob.A_I.adjoint(it.yI), sig)
             oracle = pg_oracle_yI(prob, lam, it.X, r1, it.yI, sig)
             worst["yI"] = max(worst["yI"],
                               float(np.linalg.norm(got - oracle))
@@ -146,14 +146,14 @@ class TestCriterion5:
 
             adjI = prob.A_I.adjoint(got)
             r2 = adjI + prob.A_E.adjoint(it.t_yE) + it.S - prob.C
-            got_z = update_Z(prob, it.X / sig, r2, sig)
+            got_z = update_Z(ops, it.X / sig, r2, sig)
             oracle_z = pg_oracle_Z(prob, it.X, r2, sig)
             worst["Z"] = max(worst["Z"],
                              float(np.linalg.norm(got_z - oracle_z))
                              / (1 + np.linalg.norm(oracle_z)))
 
             r3 = adjI + got_z + it.S - prob.C
-            got_ye = update_yE(prob, it.X / sig, r3, sig)
+            got_ye = update_yE(ops, it.X / sig, r3, sig)
             gram = dense_gram_independent(prob.A_E)
             rhs = prob.b_E / sig - prob.A_E.apply(it.X / sig + r3)
             oracle_ye = np.linalg.solve(gram, rhs)
@@ -162,7 +162,7 @@ class TestCriterion5:
                               / (1 + np.linalg.norm(oracle_ye)))
 
             r4 = adjI + got_z + prob.A_E.adjoint(got_ye) - prob.C
-            got_s = update_S(it.X / sig, r4)
+            got_s = update_S(ops, it.X / sig, r4)
             oracle_s = pg_oracle_S(it.X, r4, sig, prob.n)
             worst["S"] = max(worst["S"],
                              float(np.linalg.norm(got_s - oracle_s))

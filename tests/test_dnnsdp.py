@@ -1,6 +1,7 @@
 # -*- coding: utf-8 -*-
 
 import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -22,8 +23,9 @@ from cadmm.dnnsdp import (SIGMA_MAX, SIGMA_MIN, DnnSdpProblem, ResidualReport,
                           to_multiblock, tune_sigma, update_S, update_Z,
                           update_yE, update_yI)
 from cadmm.io import write_problem
-from cadmm.linalg import (SparseSymList, gram_factor, gram_solve, gram_solve_unchecked,
-                          lambda_max_gram, project_psd, project_psd_unchecked)
+from cadmm.linalg import (GramSingularError, SparseSymList, gram_factor, gram_solve,
+                          gram_solve_unchecked, lambda_max_gram, project_psd,
+                          project_psd_unchecked)
 from cadmm.problems import (BiqData, build_biq, build_ext_biq, build_theta_plus,
                             random_biq, random_fap, random_graph, random_rcp)
 
@@ -48,6 +50,12 @@ def exact_kkt_instance():
 
 def random_four_block(seed, n=8):
     return build_ext_biq(random_biq(n, seed))
+
+
+def operands_of_order(n):
+    """The operands of a problem of order n, for the S update, which
+    reads only their PSD projection."""
+    return SolveOperands(build_biq(random_biq(n - 1, 1)))
 
 
 def random_state(prob, seed):
@@ -78,7 +86,7 @@ class TestSubproblemUpdates:
                                  A_I=prob.A_I, b_I=b_pos, pattern=prob.pattern)
         zero = np.zeros((prob.n, prob.n))
         r = zero - prob.C
-        got = update_yI(prob_pos, lam, zero, r, np.zeros(m_i), zero, 1.0)
+        got = update_yI(SolveOperands(prob_pos), zero, r, np.zeros(m_i), zero, 1.0)
         # with x = 0, center = 0 and r = -C the shifted point is
         # (b_I/sigma + A_I C)/lam elementwise, positive by construction
         expect = (b_pos / 1.0 + prob.A_I.apply(prob.C)) / lam
@@ -92,7 +100,8 @@ class TestSubproblemUpdates:
         prob_neg = DnnSdpProblem(n=prob.n, C=prob.C * 0, A_E=prob.A_E, b_E=prob.b_E,
                                  A_I=prob.A_I, b_I=b_neg, pattern=prob.pattern)
         zero = np.zeros((prob.n, prob.n))
-        got = update_yI(prob_neg, lam, zero, zero, np.zeros(prob.A_I.m), zero, 1.0)
+        got = update_yI(SolveOperands(prob_neg), zero, zero, np.zeros(prob.A_I.m), zero,
+                        1.0)
         assert np.allclose(got, 0.0)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -101,8 +110,8 @@ class TestSubproblemUpdates:
         lam = cached_lambda_max(prob)
         it = random_state(prob, seed)
         r = it.t_Z + prob.A_E.adjoint(it.t_yE) + it.S - prob.C
-        got = update_yI(prob, lam, it.X / it.sigma, r, it.yI, prob.A_I.adjoint(it.yI),
-                        it.sigma)
+        got = update_yI(SolveOperands(prob), it.X / it.sigma, r, it.yI,
+                        prob.A_I.adjoint(it.yI), it.sigma)
         oracle = pg_oracle_yI(prob, lam, it.X, r, it.yI, it.sigma)
         assert np.linalg.norm(got - oracle) <= 1e-8 * (1 + np.linalg.norm(oracle))
 
@@ -110,21 +119,22 @@ class TestSubproblemUpdates:
         prob = build_theta_plus(random_graph(6, 0.4, 3))
         free = DnnSdpProblem(n=prob.n, C=prob.C, A_E=prob.A_E, b_E=prob.b_E,
                              pattern=ConePattern.all_free(prob.n))
-        out = update_Z(free, random_sym(rng, 6) / 1.3, random_sym(rng, 6), 1.3)
+        out = update_Z(SolveOperands(free), random_sym(rng, 6) / 1.3, random_sym(rng, 6),
+                       1.3)
         assert np.allclose(out, 0.0)
 
     def test_Z_projecting_the_origin(self, rng):
         prob = build_theta_plus(random_graph(6, 0.4, 3))
         x = random_sym(rng, 6)
         r = (prob.M - x) / 2.0  # sigma = 2 makes M/sigma - X/sigma - r = 0
-        assert np.allclose(update_Z(prob, x / 2.0, r, 2.0), 0.0)
+        assert np.allclose(update_Z(SolveOperands(prob), x / 2.0, r, 2.0), 0.0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_Z_matches_projected_gradient(self, seed):
         prob = random_fap(7, seed + 1)
         it = random_state(prob, seed)
         r = prob.A_E.adjoint(it.t_yE) + it.S - prob.C
-        got = update_Z(prob, it.X / it.sigma, r, it.sigma)
+        got = update_Z(SolveOperands(prob), it.X / it.sigma, r, it.sigma)
         oracle = pg_oracle_Z(prob, it.X, r, it.sigma)
         assert np.linalg.norm(got - oracle) <= 1e-8 * (1 + np.linalg.norm(oracle))
 
@@ -133,7 +143,7 @@ class TestSubproblemUpdates:
         zero_b = DnnSdpProblem(n=prob.n, C=prob.C, A_E=prob.A_E,
                                b_E=np.zeros(prob.A_E.m), pattern=prob.pattern)
         n = prob.n
-        got = update_yE(zero_b, np.zeros((n, n)), np.zeros((n, n)), 1.0)
+        got = update_yE(SolveOperands(zero_b), np.zeros((n, n)), np.zeros((n, n)), 1.0)
         assert np.allclose(got, 0.0)
 
     def test_yE_orthonormal_rows(self, rng):
@@ -142,7 +152,7 @@ class TestSubproblemUpdates:
         prob = DnnSdpProblem(n=2, C=np.zeros((2, 2)), A_E=a, b_E=np.zeros(2))
         x = random_sym(rng, 2)
         r = random_sym(rng, 2)
-        got = update_yE(prob, x / 1.5, r, 1.5)
+        got = update_yE(SolveOperands(prob), x / 1.5, r, 1.5)
         rhs = prob.b_E / 1.5 - a.apply(x / 1.5 + r)
         assert np.allclose(got, rhs, atol=1e-12)
 
@@ -151,7 +161,7 @@ class TestSubproblemUpdates:
         prob = build_biq(random_biq(6, seed + 20))
         it = random_state(prob, seed)
         r = it.Z + it.S - prob.C
-        y = update_yE(prob, it.X / it.sigma, r, it.sigma)
+        y = update_yE(SolveOperands(prob), it.X / it.sigma, r, it.sigma)
         # gradient of the literal objective -b'y + <X, A*y> + sigma/2||A*y + r||^2
         grad = (-prob.b_E + prob.A_E.apply(it.X)
                 + it.sigma * prob.A_E.apply(prob.A_E.adjoint(y) + r))
@@ -161,7 +171,7 @@ class TestSubproblemUpdates:
         prob = build_biq(random_biq(6, seed))
         it = random_state(prob, seed)
         r = it.Z + it.S - prob.C
-        y = update_yE(prob, it.X / it.sigma, r, it.sigma)
+        y = update_yE(SolveOperands(prob), it.X / it.sigma, r, it.sigma)
         gram = dense_gram_independent(prob.A_E)
         rhs = prob.b_E / it.sigma - prob.A_E.apply(it.X / it.sigma + r)
         expect = np.linalg.solve(gram, rhs)
@@ -171,12 +181,12 @@ class TestSubproblemUpdates:
         s = rng.standard_normal((6, 6))
         target = s @ s.T / 6
         x = np.zeros((6, 6))
-        got = update_S(x, -target)  # r = -target makes the argument psd
+        got = update_S(operands_of_order(6), x, -target)  # r = -target: a psd argument
         assert np.linalg.norm(got - target) <= 1e-12
 
     def test_S_negative_definite_argument(self):
         n = 5
-        got = update_S(np.zeros((n, n)), np.eye(n))  # argument = -I
+        got = update_S(operands_of_order(n), np.zeros((n, n)), np.eye(n))  # argument = -I
         assert np.allclose(got, 0.0)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -184,7 +194,7 @@ class TestSubproblemUpdates:
         prob = build_biq(random_biq(6, seed + 30))
         it = random_state(prob, seed)
         r = it.Z + prob.A_E.adjoint(it.yE) - prob.C
-        got = update_S(it.X / it.sigma, r)
+        got = update_S(SolveOperands(prob), it.X / it.sigma, r)
         oracle = pg_oracle_S(it.X, r, it.sigma, prob.n)
         assert np.linalg.norm(got - oracle) <= 1e-8 * (1 + np.linalg.norm(oracle))
 
@@ -192,7 +202,7 @@ class TestSubproblemUpdates:
 class TestCadmmStep:
     def test_fixed_point_at_exact_kkt(self):
         prob, it = exact_kkt_instance()
-        out = cadmm_step(it, prob)
+        out = cadmm_step(it, SolveOperands(prob))
         for a, b in [(out.Z, it.Z), (out.yE, it.yE), (out.S, it.S), (out.X, it.X),
                      (out.t_Z, it.t_Z), (out.t_yE, it.t_yE)]:
             assert np.linalg.norm(np.asarray(a) - np.asarray(b)) <= 1e-12
@@ -216,7 +226,7 @@ class TestCadmmStep:
         prob = random_four_block(6, n=7)
         it = random_state(prob, 6)
         it.Z = it.t_Z + 0.3 * random_sym(np.random.default_rng(0), prob.n)
-        out = cadmm_step(it, prob)
+        out = cadmm_step(it, SolveOperands(prob))
         d_s = out.S - it.S
         d_ye = prob.A_E.adjoint(out.t_yE - it.t_yE)
         expect = it.t_Z + engine.ALPHA * (out.Z - it.t_Z) - (d_ye + d_s)
@@ -227,7 +237,7 @@ class TestCadmmStep:
     def test_correction_matches_generic_formula(self):
         prob = random_four_block(7, n=7)
         it = random_state(prob, 7)
-        out = cadmm_step(it, prob)
+        out = cadmm_step(it, SolveOperands(prob))
         expect_ye = (it.t_yE + engine.ALPHA * (out.yE - it.t_yE)
                      - gram_solve(prob.A_E, prob.A_E.apply(out.S - it.S)))
         assert np.linalg.norm(out.t_yE - expect_ye) <= 1e-12
@@ -248,9 +258,9 @@ class TestGenericEquivalence:
         cfg = SolverConfig(tol=0.0, max_iters=iters)
         mb, z0, x0 = to_multiblock(prob)
         gres = engine.solve(mb, cfg, z0=z0, x0=x0, record_history=True)
-        it = initial_iterate(prob, cfg.sigma, engine.TAU0)
+        it, ops = initial_iterate(prob, cfg.sigma, engine.TAU0), SolveOperands(prob)
         for step in gres.history:
-            it = cadmm_step(it, prob)
+            it = cadmm_step(it, ops)
             if prob.four_block:
                 spec_vals = [it.yI, it.Z, it.yE, it.S]
             else:
@@ -265,10 +275,10 @@ class TestGenericEquivalence:
         prob = builder(seed)
         mb, z0, x0 = to_multiblock(prob)
         cfg = SolverConfig(tol=0.0)
-        it = initial_iterate(prob, cfg.sigma, engine.TAU0)
+        it, ops = initial_iterate(prob, cfg.sigma, engine.TAU0), SolveOperands(prob)
         for k in (10, 20, 30, 40):
             while it.k < k:
-                it = dext_step(it, prob, 1.618)
+                it = dext_step(it, ops, 1.618)
             gres = engine.solve_direct_extended(
                 mb, dataclasses.replace(cfg, max_iters=k), tau=1.618, z0=z0, x0=x0)
             assert gres.iterations == k
@@ -356,9 +366,10 @@ class TestResiduals:
             return project_psd(m)
 
         monkeypatch.setattr(dnnsdp, "project_psd", counted)
+        monkeypatch.setattr(dnnsdp, "project_psd_unchecked", counted)
         prob = build_biq(random_biq(6, 3))
         assert not prob.four_block
-        it = cadmm_step(random_state(prob, 3), prob)
+        it = cadmm_step(random_state(prob, 3), SolveOperands(prob))
         residuals(it, prob)
         assert calls == [(prob.n, prob.n)]
 
@@ -383,14 +394,14 @@ class TestConstraintMapsInTheLoop:
     @pytest.mark.parametrize("seed", range(3))
     def test_cached_adjoints_change_nothing(self, seed):
         prob = random_four_block(seed + 30, n=7)
-        prob.validate()
+        ops = SolveOperands(prob)
         bare = random_state(prob, seed)
         assert bare.adj_yI is None and bare.adj_t_yE is None
         cached = dataclasses.replace(bare, adj_yI=prob.A_I.adjoint(bare.yI),
                                      adj_t_yE=prob.A_E.adjoint(bare.t_yE))
         fields = [f.name for f in dataclasses.fields(dnnsdp.DnnSdpIterate)]
-        for step in (cadmm_step, lambda it, prob: dext_step(it, prob, 1.618)):
-            a, b = step(bare, prob), step(cached, prob)
+        for step in (cadmm_step, lambda it, ops: dext_step(it, ops, 1.618)):
+            a, b = step(bare, ops), step(cached, ops)
             for name in fields:
                 u, v = getattr(a, name), getattr(b, name)
                 assert (np.array_equal(u, v) if isinstance(u, np.ndarray) else u == v), name
@@ -398,8 +409,8 @@ class TestConstraintMapsInTheLoop:
             assert np.array_equal(a.adj_yI, prob.A_I.adjoint(a.yI))
             if a.adj_t_yE is not None:
                 assert np.array_equal(a.adj_t_yE, prob.A_E.adjoint(a.t_yE))
-        assert cadmm_step(bare, prob).adj_t_yE is None   # t_yE was corrected
-        assert dext_step(bare, prob, 1.0).adj_t_yE is not None
+        assert cadmm_step(bare, ops).adj_t_yE is None   # t_yE was corrected
+        assert dext_step(bare, ops, 1.0).adj_t_yE is not None
 
 
 def summed(C, *terms):
@@ -434,37 +445,36 @@ class TestSweepSums:
     """The sweep sums each partial constraint map once, with shared
     prefixes, and still gets every bit of the term-by-term sums."""
 
-    STEPS = {"cadmm": cadmm_step, "dext": lambda it, prob: dext_step(it, prob, 1.618)}
+    STEPS = {"cadmm": cadmm_step, "dext": lambda it, ops: dext_step(it, ops, 1.618)}
 
     @pytest.mark.parametrize("step", sorted(STEPS))
     @pytest.mark.parametrize("spec", ["biq:10:2", "fap:9:3", "ebiq:7:3", "ebiq:9:1"])
     def test_update_inputs_and_maps_in_sweep_order(self, monkeypatch, spec, step):
         prob = generate_problem(spec)
-        prob.validate()
+        ops = SolveOperands(prob)
         args = {}
-        positions = {"update_yI": 3, "update_Z": 2, "update_yE": 2, "update_S": 1}
-        for name, r_at in positions.items():
+        for name in ("update_yI", "update_Z", "update_yE", "update_S"):
             original = getattr(dnnsdp, name)
 
-            def recorded(*a, name=name, r_at=r_at, original=original):
+            def recorded(*a, name=name, original=original):
                 out = original(*a)
-                args[name] = (a[r_at - 1], a[r_at], out)   # xs, r, new block
+                args[name] = (a[1], a[2], out)   # xs, r, new block
                 return out
 
             monkeypatch.setattr(dnnsdp, name, recorded)
         sweeps = []
         original_sweep = dnnsdp._sweep
 
-        def recorded_sweep(it, prob):
+        def recorded_sweep(it, ops):
             args.clear()
-            out = original_sweep(it, prob)
+            out = original_sweep(it, ops)
             sweeps.append((it, dict(args), out))
             return out
 
         monkeypatch.setattr(dnnsdp, "_sweep", recorded_sweep)
         it = random_state(prob, 4)
         for _ in range(15):
-            it = self.STEPS[step](it, prob)
+            it = self.STEPS[step](it, ops)
         assert len(sweeps) == 15
         for k, (before, calls, out) in enumerate(sweeps):
             yI, Z, yE, S, f_pred, f_full, adj_yI, adj_yE = out
@@ -484,6 +494,19 @@ class TestSweepSums:
 
 
 FAMILY_SPECS = ["biq:8:1", "ebiq:6:1", "theta:10:1", "rcp:12:1", "fap:8:1", "qap:3:1"]
+
+
+def checked_operands(prob):
+    """Operands of ``prob`` rebound to the public kernels, checks
+    included: the reference the loop's unchecked cores are held to."""
+    ops = SolveOperands(prob)
+    ops.apply_E, ops.adjoint_E = prob.A_E.apply, prob.A_E.adjoint
+    if prob.four_block:
+        ops.apply_I, ops.adjoint_I = prob.A_I.apply, prob.A_I.adjoint
+    ops.solve_E = functools.partial(gram_solve, prob.A_E)
+    ops.project_dual = lambda z: project_pattern_dual(z, prob.pattern)
+    ops.project_psd = project_psd
+    return ops
 
 
 class TestSolveOperands:
@@ -525,12 +548,12 @@ class TestSolveOperands:
     @pytest.mark.parametrize("step", sorted(TestSweepSums.STEPS))
     def test_loop_operands_give_the_checked_trajectory(self, spec, step):
         prob = generate_problem(spec)
-        prob.validate()
-        lean, run = SolveOperands(prob), TestSweepSums.STEPS[step]
+        lean, checked = SolveOperands(prob), checked_operands(prob)
+        run = TestSweepSums.STEPS[step]
         a = b = initial_iterate(prob, 0.7, engine.TAU0)
         fields = [f.name for f in dataclasses.fields(dnnsdp.DnnSdpIterate)]
         for _ in range(30):
-            a, b = run(a, lean), run(b, prob)
+            a, b = run(a, lean), run(b, checked)
             for name in fields:
                 u, v = getattr(a, name), getattr(b, name)
                 assert (np.array_equal(u, v) if isinstance(u, np.ndarray) else u == v), name
@@ -538,10 +561,9 @@ class TestSolveOperands:
     @pytest.mark.parametrize("spec", ["ebiq:6:1", "fap:8:1"])
     def test_sigma_change_remakes_the_scaled_data(self, spec):
         # after a sigma change the sweep reads b_E, b_I and M over the new
-        # sigma, as the update functions called with it on the problem do
+        # sigma, as the update functions called with it on fresh operands do
         prob = generate_problem(spec)
-        prob.validate()
-        ops = SolveOperands(prob)
+        ops, fresh = SolveOperands(prob), SolveOperands(prob)
         it = initial_iterate(prob, 1.0, engine.TAU0)
         for _ in range(5):
             it = cadmm_step(it, ops)
@@ -555,17 +577,38 @@ class TestSolveOperands:
         adj_t_yE = prob.A_E.adjoint(moved.t_yE)
         if prob.four_block:
             r = moved.t_Z + adj_t_yE + moved.S - prob.C
-            assert np.array_equal(yI, update_yI(prob, cached_lambda_max(prob), xs, r,
-                                                moved.yI, moved.adj_yI, 1.5))
+            assert np.array_equal(yI, update_yI(fresh, xs, r, moved.yI, moved.adj_yI, 1.5))
             P = prob.A_I.adjoint(yI)
             r = P + adj_t_yE + moved.S - prob.C
         else:
             P = 0.0
             r = adj_t_yE + moved.S - prob.C
-        assert np.array_equal(Z, update_Z(prob, xs, r, 1.5))
+        assert np.array_equal(Z, update_Z(fresh, xs, r, 1.5))
         P = P + Z
-        assert np.array_equal(yE, update_yE(prob, xs, P + moved.S - prob.C, 1.5))
-        assert np.array_equal(S, update_S(xs, P + prob.A_E.adjoint(yE) - prob.C))
+        assert np.array_equal(yE, update_yE(fresh, xs, P + moved.S - prob.C, 1.5))
+        assert np.array_equal(S, update_S(fresh, xs, P + prob.A_E.adjoint(yE) - prob.C))
+
+    def test_bridge_prepares_its_operands_once(self, monkeypatch):
+        made = []
+        init = SolveOperands.__init__
+
+        def counted(self, prob, *args, **kwargs):
+            made.append(prob)
+            init(self, prob, *args, **kwargs)
+
+        monkeypatch.setattr(SolveOperands, "__init__", counted)
+        prob = generate_problem("ebiq:8:1")
+        mb, z0, x0 = to_multiblock(prob)
+        res = engine.solve(mb, SolverConfig(tol=0.0, max_iters=5), z0=z0, x0=x0)
+        assert res.iterations == 5
+        assert len(made) == 1 and made[0] is prob
+
+    def test_bridge_refuses_a_dependent_row_when_called(self):
+        rows = [([0], [0], [1.0]), ([0, 1], [0, 1], [1.0, 1.0]), ([1], [1], [1.0])]
+        prob = DnnSdpProblem(n=2, C=np.eye(2), A_E=SparseSymList(2, rows),
+                             b_E=np.ones(3))
+        with pytest.raises(GramSingularError, match="^A_E: "):
+            to_multiblock(prob)
 
     @pytest.mark.parametrize("spec", FAMILY_SPECS)
     def test_a_solve_projects_exactly_symmetric_inputs(self, monkeypatch, spec):
