@@ -365,7 +365,6 @@ class TestResiduals:
             calls.append(m.shape)
             return project_psd(m)
 
-        monkeypatch.setattr(dnnsdp, "project_psd", counted)
         monkeypatch.setattr(dnnsdp, "project_psd_unchecked", counted)
         prob = build_biq(random_biq(6, 3))
         assert not prob.four_block
