@@ -36,7 +36,7 @@ class ConePattern:
             raise ValueError("pattern must be square")
         if not np.array_equal(kinds, kinds.T):
             raise ValueError("pattern classification must be symmetric")
-        if not np.isin(kinds, (ZERO, NONNEG, FREE)).all():
+        if kinds.size and (kinds.min() < ZERO or kinds.max() > FREE):
             raise ValueError("pattern kinds must be Zero, NonNeg or Free")
         self.kinds = kinds
         self.n = kinds.shape[0]

@@ -130,6 +130,10 @@ def _finite_symmetric(m: np.ndarray, caller: str) -> np.ndarray:
 MRRR_ORDER = 22
 
 
+_ONE_ZERO = np.zeros(1)
+_ONE_ZERO.flags.writeable = False
+
+
 def _lapack_checked(routine: str, info: int) -> None:
     if info != 0:
         raise np.linalg.LinAlgError(f"project_psd: {routine} failed with info {info}")
@@ -152,8 +156,9 @@ def _nonpositive_eigenvectors_mrrr(b: np.ndarray) -> np.ndarray:
     lapack = scipy.linalg.lapack
     c, d, e, tau, info = lapack.dsytrd(b.T, lower=1)
     _lapack_checked("dsytrd", info)
-    # dstemr takes e with a last workspace entry and overwrites it
-    k, _, z, info = lapack.dstemr(d, np.append(e, 0.0), 1, -np.inf, 0.0, 0, 0)
+    # dstemr takes e with a last workspace entry and overwrites it, so it
+    # gets a fresh array on every call
+    k, _, z, info = lapack.dstemr(d, np.concatenate((e, _ONE_ZERO)), 1, -np.inf, 0.0, 0, 0)
     _lapack_checked("dstemr", info)
     v = z[:, :k]
     if k:
@@ -242,6 +247,8 @@ def _concatenated(parts: Sequence, dtype) -> tuple:
     """``(entries, counts)``: one part of every triple (the i's, the j's or
     the values) concatenated into a ``dtype`` array, and the number of
     entries each triple gave. Each part must be one-dimensional."""
+    if not parts:
+        return np.empty(0, dtype), np.empty(0, np.intp)
     try:
         flat = np.concatenate(parts, dtype=dtype, casting="unsafe")
     except ValueError:
@@ -258,53 +265,17 @@ def _refuse_non_vector(parts: Sequence) -> None:
             raise ValueError(f"constraint {k}: triple arrays must be one-dimensional")
 
 
-def _entries_in_csr_order(n: int, triples: Sequence[tuple]) -> tuple:
-    """``(row, col, i, j, value)`` of every entry of the triples, ordered
-    by row and then by svec coordinate ``col``, with the values as given.
-
-    The triples are validated on the whole entry arrays at once. The
-    first constraint with a defect is reported, and of its defects the
-    first in the order: lengths that disagree, an index out of range,
-    i > j, a repeated (i, j). Rows from the first one whose lengths
-    disagree on are not checked further, since their entries cannot be
-    paired up.
-    """
-    ics, jcs, vals = zip(*[(ii, jj, vv) for ii, jj, vv in triples])
-    i, li = _concatenated(ics, np.int64)
-    j, lj = _concatenated(jcs, np.int64)
-    raw, lv = _concatenated(vals, float)
-    uneven = np.flatnonzero((li != lj) | (li != lv))
-    m = uneven[0] if uneven.size else len(li)   # rows whose entries pair up
-    size = li[:m].sum()
-    i, j, raw = i[:size], j[:size], raw[:size]
-    row = np.repeat(np.arange(m), li[:m])
-    col = _svec_index(i, j, n)
-    order = np.lexsort((col, row))
-    row, col, i, j, raw = row[order], col[order], i[order], j[order], raw[order]
-    repeated = np.concatenate(([False], (row[1:] == row[:-1]) & (col[1:] == col[:-1])))
-    defects = (((i < 0) | (j >= n), "index out of range"),
-               (i > j, "triples must have i <= j"),
-               (repeated, "duplicate (i, j) entry"))
-    # rows are ascending, so a defect's first entry is in its first row
-    firsts = [row[np.argmax(mask)] if mask.any() else m for mask, _ in defects]
-    k = int(min(firsts))
-    if k < m:
-        message = next(msg for first, (_, msg) in zip(firsts, defects) if first == k)
-        raise ValueError(f"constraint {k}: {message}")
-    if m < len(li):
-        raise ValueError(f"constraint {m}: triple arrays disagree in length")
-    return row, col, i, j, raw
-
-
 class SparseSymList:
     """A list of m sparse symmetric n x n matrices, i.e. a linear map
     from the symmetric matrices into R^m and its adjoint.
 
-    Each matrix is given by COO triples ``(i, j, value)`` of
-    one-dimensional sequences with ``i <= j``; a triple with ``i < j``
-    stands for the pair of symmetric entries. The triples are
-    concatenated once and validated on the whole entry arrays (see
-    ``_entries_in_csr_order``), with no per-row pass.
+    Each matrix is given by COO entries ``(i, j, value)`` with ``i <= j``;
+    an entry with ``i < j`` stands for the pair of symmetric entries. Two
+    constructors feed one validating core that works on the whole entry
+    arrays, with no per-row pass: ``SparseSymList(n, triples)`` takes one
+    triple of one-dimensional sequences per matrix and concatenates them,
+    and :meth:`from_entries` takes the concatenated arrays and the number
+    of entries of each matrix directly, as the problem builders make them.
 
     The entries are kept in one format: flat arrays in CSR order (by row,
     then by svec coordinate), with the svec-weighted values, plus the
@@ -322,29 +293,101 @@ class SparseSymList:
     """
 
     def __init__(self, n: int, triples: Sequence[tuple]):
+        parts = list(zip(*[(ii, jj, vv) for ii, jj, vv in triples])) or [(), (), ()]
+        i, li = _concatenated(parts[0], np.int64)
+        j, lj = _concatenated(parts[1], np.int64)
+        raw, lv = _concatenated(parts[2], float)
+        uneven = np.flatnonzero((li != lj) | (li != lv))
+        paired = uneven[0] if uneven.size else len(li)   # rows whose entries pair up
+        size = li[:paired].sum()
+        self._set_entries(n, len(li), li[:paired], i[:size], j[:size], raw[:size])
+
+    @classmethod
+    def from_entries(cls, n: int, counts, i, j, values) -> "SparseSymList":
+        """The collection whose row k holds the next ``counts[k]`` entries
+        of ``i``, ``j`` and ``values``, in any order: what
+        ``SparseSymList(n, triples)`` makes of the triples these arrays
+        split into, with its messages, without making the triples."""
+        counts = np.asarray(counts)
+        if counts.ndim != 1 or counts.size and (counts.dtype.kind not in "iu"
+                                                or counts.min() < 0):
+            raise ValueError("from_entries: counts must be a vector of nonnegative integers")
+        counts = counts.astype(np.intp, copy=False)
+        i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
+        raw = np.asarray(values, dtype=float)
+        if not i.shape == j.shape == raw.shape == (counts.sum(),):
+            raise ValueError("from_entries: i, j and values must be vectors of "
+                             "sum(counts) entries")
+        a = cls.__new__(cls)
+        a._set_entries(n, counts.size, counts, i, j, raw)
+        return a
+
+    def _set_entries(self, n: int, m: int, counts: np.ndarray, i: np.ndarray,
+                     j: np.ndarray, raw: np.ndarray) -> None:
+        """The validating core of both constructors: m rows, of which the
+        first ``counts.size`` hold ``counts`` entries each, given row after
+        row by the int64 vectors ``i`` and ``j`` and the float vector
+        ``raw`` of values (not svec-scaled). Checks the entries, sorts them
+        into CSR order and builds the transpose.
+
+        The first row with a defect is reported, and of its defects the
+        first in the order: an index out of range, i > j, a repeated
+        (i, j). Rows from ``counts.size`` on are those whose triple arrays
+        disagree in length (the per-row constructor's check), reported
+        when no earlier row has a defect; a non-finite value comes last.
+        """
         if n < 1:
             raise ValueError("matrix order must be >= 1")
-        self.n = int(n)
-        self.m = len(triples)
-        if self.m == 0:
+        if m == 0:
             raise ValueError("constraint list must be nonempty")
-        row, col, i, j, raw = _entries_in_csr_order(self.n, triples)
+        self.n, self.m = int(n), int(m)
+        row = np.repeat(np.arange(counts.size), counts)
+        out_of_range, below = (i < 0) | (j >= n), i > j
+        outside = out_of_range | below
+        refused = outside.any()
+        col = _svec_index(i, j, n)
+        if refused:
+            # the svec position of such an entry may lie outside the
+            # triangle and so sort into another row; its own row is
+            # refused below whatever else it holds, so coordinate 0 will do
+            col = np.where(outside, 0, col)
+        # one stable sort by row, then coordinate, which leaves every row
+        # where it is
+        key = row * (n * (n + 1) // 2) + col
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        repeated = key[1:] == key[:-1]
+        if refused or repeated.any():
+            defects = ((out_of_range, "index out of range"),
+                       (below, "triples must have i <= j"),
+                       (np.concatenate(([False], repeated)), "duplicate (i, j) entry"))
+            # rows are ascending, so a defect's first entry is in its first row
+            firsts = [row[np.argmax(mask)] if mask.any() else m for mask, _ in defects]
+            k = min(firsts)
+            message = next(msg for first, (_, msg) in zip(firsts, defects) if first == k)
+            raise ValueError(f"constraint {k}: {message}")
+        if counts.size < m:
+            raise ValueError(f"constraint {counts.size}: triple arrays disagree in length")
+        col, i, j, raw = col[order], i[order], j[order], raw[order]
         scale = np.where(i != j, _SQRT2, 1.0)
         data = raw * scale
         if not np.isfinite(data).all():
             raise ValueError(f"constraint {row[~np.isfinite(data)][0]}: non-finite value")
-        self._indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=self.m))))
+        self._indptr = np.concatenate(([0], np.cumsum(counts)))
         self._i, self._j, self._raw = i, j, raw
         self._row, self._pos, self._scale, self._data = row, i * n + j, scale, data
         for arr in (i, j, raw):
             arr.flags.writeable = False
         # the transpose: entries by svec coordinate, then by row, with the
         # touched coordinates numbered in ascending order
-        touched, coord = np.unique(col, return_inverse=True)
-        order = np.argsort(coord, kind="stable")
-        self._row_t, self._data_t, self._coord_t = row[order], data[order], coord[order]
+        order = np.argsort(col, kind="stable")
+        col = col[order]
+        first = np.ones(col.size, dtype=bool)
+        np.not_equal(col[1:], col[:-1], out=first[1:])
+        self._row_t, self._data_t = row[order], data[order]
+        self._coord_t = np.cumsum(first) - 1
         tri = upper_triangle(n)   # (iu, ju, upper, lower, scale)
-        self._upper_t, self._lower_t, self._scale_t = (t[touched] for t in tri[2:])
+        self._upper_t, self._lower_t, self._scale_t = (t[col[first]] for t in tri[2:])
         self._gram_cho = None
         self._lam_max = None
 
@@ -456,10 +499,12 @@ def lambda_max_gram(a: SparseSymList, max_iters: int = 200, rel_tol: float = 1e-
                     seed: int = 0) -> float:
     """Safe upper estimate of the largest eigenvalue of A A*.
 
-    Power iteration on the m x m Gram operator (matrix-free), inflated by
-    (1 + 1e-6) so that rho*I - A A* stays positive semidefinite. If the
-    iteration does not reach ``rel_tol`` a trace bound sum_k ||A_k||_F^2 is
-    returned and a :class:`PowerIterationWarning` is issued.
+    Power iteration on the m x m Gram operator (matrix-free, applied once
+    per step: the product that checks a step's residual is the next
+    step's), inflated by (1 + 1e-6) so that rho*I - A A* stays positive
+    semidefinite. If the iteration does not reach ``rel_tol`` a trace
+    bound sum_k ||A_k||_F^2 is returned and a
+    :class:`PowerIterationWarning` is issued.
     """
     trace_bound = float(a.frob_norms_sq().sum())
     if trace_bound == 0.0:
@@ -467,18 +512,18 @@ def lambda_max_gram(a: SparseSymList, max_iters: int = 200, rel_tol: float = 1e-
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(a.m)
     v /= np.linalg.norm(v)
-    lam = 0.0
+    w = a.gram_apply(v)
     for _ in range(max_iters):
-        w = a.gram_apply(v)
         nw = np.linalg.norm(w)
         if nw == 0.0:
             v = rng.standard_normal(a.m)
             v /= np.linalg.norm(v)
+            w = a.gram_apply(v)
             continue
         lam = float(v @ w)
-        v_new = w / nw
-        res = np.linalg.norm(a.gram_apply(v_new) - lam * v_new)
-        v = v_new
+        v = w / nw
+        w = a.gram_apply(v)   # for the residual, and the next step's product
+        res = np.linalg.norm(w - lam * v)
         if res <= rel_tol * max(lam, 1e-300):
             return lam * (1.0 + 1e-6)
     warnings.warn(

@@ -54,9 +54,15 @@ class Graph:
 
     def weight_matrix(self) -> np.ndarray:
         w = np.zeros((self.n, self.n))
-        for (i, j) in self.edges:
-            w[i, j] = w[j, i] = self.weight(i, j)
+        i, j = _edge_arrays(self.edges)
+        w[i, j] = w[j, i] = [self.weight(*e) for e in self.edges]
         return w
+
+
+def _edge_arrays(edges) -> tuple:
+    """The end vertices of ``edges``, (i, j) pairs, as two index arrays."""
+    e = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+    return e[:, 0], e[:, 1]
 
 
 @dataclass(frozen=True)
@@ -77,11 +83,19 @@ class BiqData:
         return len(self.c)
 
 
-def _rows(i, j, v) -> list:
-    """One ``(i, j, value)`` triple of views per row of ``i``, ``j`` and
-    ``v`` broadcast to one (rows, entries) shape: a run of constraint
-    rows of equal length, built from whole arrays."""
-    return list(zip(*np.broadcast_arrays(i, j, v)))
+def _entries(*runs) -> tuple:
+    """``(counts, i, j, values)`` for ``SparseSymList.from_entries``: runs
+    of constraint rows in the given order, built from whole arrays. A run
+    ``(i, j, v)`` is broadcast to one (rows, entries) shape, one row per
+    constraint; a run ``(i, j, v, counts)`` is broadcast, flattened row by
+    row and split into constraints of ``counts`` entries."""
+    counts, flat = [], []
+    for i, j, v, *split in runs:
+        i, j, v = np.broadcast_arrays(i, j, v)
+        counts.append(split[0] if split else np.full(i.shape[0], i.shape[1]))
+        flat.append((i, j, v))
+    i, j, v = (np.concatenate(part, axis=None) for part in zip(*flat))
+    return np.concatenate(counts), i, j, v
 
 
 def build_biq(d: BiqData, name: str = "biq") -> DnnSdpProblem:
@@ -97,11 +111,11 @@ def build_biq(d: BiqData, name: str = "biq") -> DnnSdpProblem:
     C[:n, n] = 0.5 * d.c
     C[n, :n] = 0.5 * d.c
     k = np.arange(n)[:, None]
-    rows = _rows(np.hstack([k, k]), np.hstack([k, np.full_like(k, n)]), [1.0, -0.5])
-    rows += _rows([[n]], [[n]], [1.0])
+    a_e = SparseSymList.from_entries(order, *_entries(
+        (np.hstack([k, k]), np.hstack([k, np.full_like(k, n)]), [1.0, -0.5]),
+        ([[n]], [[n]], [1.0])))
     b = np.zeros(n + 1)
     b[n] = 1.0
-    a_e = SparseSymList(order, rows)
     return DnnSdpProblem(
         n=order, C=C, A_E=a_e, b_E=b,
         pattern=ConePattern.all_nonneg(order),
@@ -141,17 +155,16 @@ def build_ext_biq(d: BiqData, name: str = "ebiq", triangle_cap: Optional[int] = 
         triples = triples[np.sort(keep)]
     i, j = pairs[:, :1], pairs[:, 1:]
     c = np.full_like(i, corner)
-    by_pair = zip(_rows(np.hstack([i, i]), np.hstack([j, c]), [-0.5, 0.5]),  # -Y_ij + x_i >= 0
-                  _rows(np.hstack([i, j]), np.hstack([j, c]), [-0.5, 0.5]),  # -Y_ij + x_j >= 0
-                  _rows(np.hstack([i, i, j]), np.hstack([j, c, c]),           # Y_ij - x_i - x_j
-                        [0.5, -0.5, -0.5]))                                   #   >= -1
-    rows = [row for three in by_pair for row in three]
+    # per pair, rows of 2, 2 and 3 entries: -Y_ij + x_i >= 0,
+    # -Y_ij + x_j >= 0 and Y_ij - x_i - x_j >= -1
+    by_pair = (np.hstack([i, i, i, j, i, i, j]), np.hstack([j, c, j, c, j, c, c]),
+               [-0.5, 0.5, -0.5, 0.5, 0.5, -0.5, -0.5], np.tile([2, 2, 3], len(pairs)))
     i, j, k = triples[:, :1], triples[:, 1:2], triples[:, 2:]
     c = np.full_like(i, corner)
-    rows += _rows(np.hstack([i, i, j, i, j, k]), np.hstack([j, k, k, c, c, c]),
-                  [0.5, 0.5, 0.5, -0.5, -0.5, -0.5])
+    a_i = SparseSymList.from_entries(n + 1, *_entries(
+        by_pair, (np.hstack([i, i, j, i, j, k]), np.hstack([j, k, k, c, c, c]),
+                  [0.5, 0.5, 0.5, -0.5, -0.5, -0.5])))
     b = np.concatenate([np.tile([0.0, 0.0, -1.0], len(pairs)), np.full(len(triples), -1.0)])
-    a_i = SparseSymList(n + 1, rows)
     meta = dict(base.meta)
     meta.update({"family": "ebiq", "name": name})
     return DnnSdpProblem(
@@ -169,10 +182,9 @@ def build_theta_plus(g: Graph, name: str = "theta") -> DnnSdpProblem:
     e = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2)
     e = e[np.lexsort((e[:, 1], e[:, 0]))]
     d = np.arange(n)
-    rows = _rows(e[:, :1], e[:, 1:], [1.0]) + _rows([d], [d], 1.0)
-    b = np.zeros(len(rows))
+    a_e = SparseSymList.from_entries(n, *_entries((e[:, :1], e[:, 1:], [1.0]), ([d], [d], 1.0)))
+    b = np.zeros(a_e.m)
     b[-1] = 1.0
-    a_e = SparseSymList(n, rows)
     return DnnSdpProblem(
         n=n, C=-np.ones((n, n)), A_E=a_e, b_E=b,
         pattern=ConePattern.all_nonneg(n),
@@ -193,12 +205,12 @@ def build_rcp(w: np.ndarray, kappa: int, name: str = "rcp") -> DnnSdpProblem:
         raise ValueError(f"kappa must lie in [1, {n}]")
     # row r holds (min(r, c), max(r, c)) for c = 0, ..., n-1
     d = np.arange(n)
-    rows = _rows(np.minimum(d[:, None], d), np.maximum(d[:, None], d),
-                 np.where(d[:, None] == d, 1.0, 0.5))
-    rows += _rows([d], [d], 1.0)
+    a_e = SparseSymList.from_entries(n, *_entries(
+        (np.minimum(d[:, None], d), np.maximum(d[:, None], d),
+         np.where(d[:, None] == d, 1.0, 0.5)),
+        ([d], [d], 1.0)))
     b = np.ones(n + 1)
     b[n] = float(kappa)
-    a_e = SparseSymList(n, rows)
     return DnnSdpProblem(
         n=n, C=-w, A_E=a_e, b_E=b, pattern=ConePattern.all_nonneg(n),
         meta={"family": "rcp", "name": name, "obj_sense": "min",
@@ -223,15 +235,15 @@ def build_fap(g: Graph, u_edges: Sequence[tuple], kappa: int,
     lap = np.diag(w.sum(axis=1)) - w
     obj = ((kappa - 1) / (2.0 * kappa)) * lap - 0.5 * np.diag(w.sum(axis=1))
     d = np.arange(n)[:, None]
-    rows = _rows(d, d, 1.0)
+    a_e = SparseSymList.from_entries(n, *_entries((d, d, 1.0)))
     b = np.ones(n)
-    a_e = SparseSymList(n, rows)
+    i, j = _edge_arrays(g.edges)
     m = np.zeros((n, n))
+    m[i, j] = m[j, i] = -1.0 / (kappa - 1)
     kinds = np.full((n, n), FREE, dtype=np.int8)
-    for (i, j) in g.edges:
-        m[i, j] = m[j, i] = -1.0 / (kappa - 1)
-        kind = ZERO if (i, j) in u_set else NONNEG
-        kinds[i, j] = kinds[j, i] = kind
+    kinds[i, j] = kinds[j, i] = NONNEG
+    i, j = _edge_arrays(u_set)
+    kinds[i, j] = kinds[j, i] = ZERO
     return DnnSdpProblem(
         n=n, C=-obj, A_E=a_e, b_E=b, M=m, pattern=ConePattern(kinds),
         meta={"family": "fap", "name": name, "obj_sense": "max", "obj_offset": 0.0})
@@ -264,21 +276,21 @@ def build_qap(a: np.ndarray, b: np.ndarray, name: str = "qap") -> DnnSdpProblem:
     r, s = np.triu_indices(n)   # entries (r, s) and blocks (i, j) = (r, s)
     diag = (r == s)[:, None]
     # sum_i Y^{ii} = I, entry (r, s)
-    rows = _rows(d * n + r[:, None], d * n + s[:, None], np.where(diag, 1.0, 0.5))
+    sums = (d * n + r[:, None], d * n + s[:, None], np.where(diag, 1.0, 0.5))
     rhs = [np.where(diag[:, 0], 1.0, 0.0)]
     # <I, Y^{ij}> = delta_ij (last diagonal block implied, omitted)
-    rows += _rows(r[:-1, None] * n + d, s[:-1, None] * n + d, np.where(diag[:-1], 1.0, 0.5))
+    traces = (r[:-1, None] * n + d, s[:-1, None] * n + d, np.where(diag[:-1], 1.0, 0.5))
     rhs.append(np.where(diag[:-1, 0], 1.0, 0.0))
     # <ones, Y^{ij}> = 1 (last diagonal block implied, omitted): the upper
     # triangle of a diagonal block, every entry of the others (row-major)
     rr, ss = np.repeat(d, n), np.tile(d, n)
-    for i, j in zip(r[:-1], s[:-1]):
-        if i == j:
-            rows.append((i * n + r, j * n + s, np.ones(r.size)))
-        else:
-            rows.append((i * n + rr, j * n + ss, np.full(n * n, 0.5)))
+    i, j = r[:-1, None], s[:-1, None]
+    keep = (i != j) | (rr <= ss)
+    ones = [x[keep] for x in np.broadcast_arrays(i * n + rr, j * n + ss,
+                                                 np.where(i == j, 1.0, 0.5))]
+    ones.append(keep.sum(axis=1))
     rhs.append(np.ones(r.size - 1))
-    a_e = SparseSymList(order, rows)
+    a_e = SparseSymList.from_entries(order, *_entries(sums, traces, ones))
     c = np.kron(b, a)
     return DnnSdpProblem(
         n=order, C=c, A_E=a_e, b_E=np.concatenate(rhs),

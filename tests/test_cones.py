@@ -18,6 +18,13 @@ class TestConePattern:
         with pytest.raises(ValueError, match="symmetric"):
             ConePattern(kinds)
 
+    @pytest.mark.parametrize("kind", [3, -1])
+    def test_rejects_unknown_kinds(self, kind):
+        kinds = np.full((3, 3), NONNEG, dtype=np.int8)
+        kinds[0, 2] = kinds[2, 0] = kind
+        with pytest.raises(ValueError, match="^pattern kinds must be Zero, NonNeg or Free$"):
+            ConePattern(kinds)
+
     def test_dual_swaps_zero_and_free(self):
         pat = ConePattern.from_entries(3, NONNEG, {(0, 1): ZERO, (1, 2): FREE})
         dual = pat.dual()

@@ -1,6 +1,7 @@
 # -*- coding: utf-8 -*-
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -241,22 +242,50 @@ class TestFrobNorm:
         assert self.same_bits(frob_norm(z), float(np.linalg.norm(z)))
 
 
+def from_rows(n, rows):
+    """``SparseSymList.from_entries`` of the concatenated triples of
+    ``rows``, whose arrays must agree in length."""
+    i, j, v = (np.concatenate([np.asarray(r[t], dtype=float) for r in rows] or [[]])
+               for t in range(3))
+    return SparseSymList.from_entries(n, [len(r[0]) for r in rows], i, j, v)
+
+
+# the per-row constructor and the bulk entry point, which share one core
+BOTH_ENTRIES = (SparseSymList, from_rows)
+
+
 class TestSparseSymList:
     def test_validation(self):
-        with pytest.raises(ValueError, match="i <= j"):
-            SparseSymList(3, [([1], [0], [1.0])])
-        with pytest.raises(ValueError, match="duplicate"):
-            SparseSymList(3, [([0, 0], [1, 1], [1.0, 2.0])])
-        with pytest.raises(ValueError, match="out of range"):
-            SparseSymList(3, [([0], [3], [1.0])])
-        with pytest.raises(ValueError, match="nonempty"):
-            SparseSymList(3, [])
+        cases = [(3, [([1], [0], [1.0])], "constraint 0: triples must have i <= j"),
+                 (3, [([0, 0], [1, 1], [1.0, 2.0])], "constraint 0: duplicate (i, j) entry"),
+                 (3, [([0], [3], [1.0])], "constraint 0: index out of range"),
+                 (3, [], "constraint list must be nonempty"),
+                 (0, [([0], [0], [1.0])], "matrix order must be >= 1")]
+        for build in BOTH_ENTRIES:
+            for n, rows, message in cases:
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    build(n, rows)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_value_names_the_constraint(self, bad):
         rows = [([0], [0], [1.0]), ([0], [1], [2.0]), ([0, 1], [2, 2], [1.0, bad])]
-        with pytest.raises(ValueError, match="constraint 2: non-finite"):
-            SparseSymList(3, rows)
+        for build in BOTH_ENTRIES:
+            with pytest.raises(ValueError, match="^constraint 2: non-finite value$"):
+                build(3, rows)
+
+    @pytest.mark.parametrize("args, message", [
+        (([[2]], [0, 1], [1, 2], [1.0, 1.0]), "counts must be a vector of nonnegative integers"),
+        (([2.0], [0, 1], [1, 2], [1.0, 1.0]), "counts must be a vector of nonnegative integers"),
+        (([3, -1], [0, 1], [1, 2], [1.0, 1.0]),
+         "counts must be a vector of nonnegative integers"),
+        (([1, 2], [0, 1], [1, 2], [1.0, 1.0]), "i, j and values must be vectors of sum(counts) "
+                                               "entries"),
+        (([2], [0, 1], [1, 2], [[1.0, 1.0]]), "i, j and values must be vectors of sum(counts) "
+                                              "entries"),
+    ])
+    def test_bulk_entry_arrays_must_match_the_counts(self, args, message):
+        with pytest.raises(ValueError, match=f"^from_entries: {re.escape(message)}$"):
+            SparseSymList.from_entries(3, *args)
 
     def test_adjoint_identity(self, rng):
         a = random_constraints(rng, 8, 6)
@@ -461,14 +490,21 @@ def relabelled(a, seed):
 
 class TestBulkConstruction:
     """The collection is validated and stored from the concatenated
-    entries; it must store what a per-row constructor stores and report
-    the defect a per-row pass meets first."""
+    entries, by ``SparseSymList(n, triples)`` and by
+    ``SparseSymList.from_entries``; it must store what a per-row
+    constructor stores and report the defect a per-row pass meets
+    first."""
 
-    @pytest.mark.parametrize("spec", FAMILY_SPECS)
+    @pytest.mark.parametrize("spec", FAMILY_SPECS + ["ebiq:40:1"])
     def test_same_arrays_as_per_row_construction(self, spec):
+        # the builders hand their entry arrays to SparseSymList.from_entries;
+        # ebiq:40:1 subsamples its triangle rows
         for a in family_collections(spec):
             rows = [a.triples(k) for k in range(a.m)]
-            assert_same_arrays(SparseSymList(a.n, rows), per_row_reference(a.n, rows))
+            ref = per_row_reference(a.n, rows)
+            assert_same_arrays(a, ref)
+            assert_same_arrays(SparseSymList(a.n, rows), ref)
+            assert_same_arrays(from_rows(a.n, rows), ref)
             rows = relabelled(a, 1)
             assert_same_arrays(SparseSymList(a.n, rows), per_row_reference(a.n, rows))
 
@@ -521,9 +557,16 @@ class TestBulkConstruction:
          "constraint 2: duplicate (i, j) entry"),
         ([([0], [0], [1.0]), ([0], [1], [np.inf]), ([0], [1], [-np.inf])],
          "constraint 1: non-finite value"),
+        # an entry below the diagonal whose svec position would be that of
+        # an entry of an earlier row does not make that row a duplicate
+        ([([0, 0, 0], [0, 1, 2], [1.0, 1.0, 1.0]), ([2], [2], [1.0]), ([0], [-11], [1.0])],
+         "constraint 2: triples must have i <= j"),
     ])
     def test_first_defect_reported(self, rows, message):
-        for build in (SparseSymList, per_row_reference):
+        builds = [SparseSymList, per_row_reference]
+        if all(len(r[0]) == len(r[1]) == len(r[2]) for r in rows):
+            builds.append(from_rows)
+        for build in builds:
             with pytest.raises(ValueError) as err:
                 build(3, rows)
             assert str(err.value) == message
@@ -565,6 +608,17 @@ class TestLambdaMaxGram:
             lam = lambda_max_gram(a)
             dense = float(np.linalg.eigvalsh(dense_gram_independent(a)).max())
             assert lam >= dense - 1e-10
+
+    def test_one_gram_application_per_step(self, monkeypatch):
+        # the residual's product is the next step's; ebiq:8:2's A_I takes 19
+        # steps, for which two products a step made 38 calls and this bound
+        a = generate_problem("ebiq:8:2").A_I
+        calls = []
+        gram_apply = SparseSymList.gram_apply
+        monkeypatch.setattr(SparseSymList, "gram_apply",
+                            lambda self, y: calls.append(1) or gram_apply(self, y))
+        assert lambda_max_gram(a) == float.fromhex("0x1.8cc8fa29ad824p+5")
+        assert len(calls) == 19 + 1
 
     def test_nonconvergence_falls_back_to_trace(self, rng):
         a = random_constraints(rng, 6, 5)
