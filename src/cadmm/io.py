@@ -195,11 +195,16 @@ def write_result(result: SolveResult, report: Optional[ResidualReport], path,
 
 
 def read_result(path) -> RunRecord:
-    with open(path) as fh:
-        doc = json.load(fh)
+    """The run record of the result document at ``path``. A malformed
+    document, or one without a record field, raises ``ValueError`` naming
+    the file or the field, as :func:`read_problem` does."""
+    doc = read_json(path)
+    if not isinstance(doc, dict):
+        raise ValueError(f"result document: expected a JSON object, "
+                         f"got {type(doc).__name__}")
     if doc.get("format") != RESULT_FORMAT:
         raise ValueError(f"not a result document (format {doc.get('format')!r})")
-    return RunRecord(**{f.name: doc[f.name] for f in fields(RunRecord)})
+    return RunRecord(**{f.name: _field(doc, f.name, lambda v: v) for f in fields(RunRecord)})
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ symmetry. All inner products are Frobenius / Euclidean.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -126,7 +127,8 @@ def _finite_symmetric(m: np.ndarray, caller: str) -> np.ndarray:
 # dsytrd -> dstemr -> dormqr; below it, through dsyevr. Measured on the
 # solver's own projection inputs (README, Numerical notes): the chain's
 # three calls cost more than dsyevr's one up to n = 21 and less from
-# n = 22 on.
+# n = 22 on, summed over the benchmark's solves; on single instances the
+# crossover also moves with the spectrum.
 MRRR_ORDER = 22
 
 
@@ -243,12 +245,12 @@ def psd_distance_below(m: np.ndarray, bound: float) -> bool:
     return info == 0
 
 
-def _concatenated(parts: Sequence, dtype) -> tuple:
-    """``(entries, counts)``: one part of every triple (the i's, the j's or
-    the values) concatenated into a ``dtype`` array, and the number of
-    entries each triple gave. Each part must be one-dimensional."""
+def _concatenated(parts: Sequence, dtype) -> np.ndarray:
+    """One part of every triple (the i's, the j's or the values)
+    concatenated into a ``dtype`` array. Each part must be
+    one-dimensional."""
     if not parts:
-        return np.empty(0, dtype), np.empty(0, np.intp)
+        return np.empty(0, dtype)
     try:
         flat = np.concatenate(parts, dtype=dtype, casting="unsafe")
     except ValueError:
@@ -256,7 +258,7 @@ def _concatenated(parts: Sequence, dtype) -> tuple:
         raise
     if flat.ndim != 1:
         _refuse_non_vector(parts)
-    return flat, np.fromiter(map(len, parts), np.intp, len(parts))
+    return flat
 
 
 def _refuse_non_vector(parts: Sequence) -> None:
@@ -293,10 +295,18 @@ class SparseSymList:
     """
 
     def __init__(self, n: int, triples: Sequence[tuple]):
-        parts = list(zip(*[(ii, jj, vv) for ii, jj, vv in triples])) or [(), (), ()]
-        i, li = _concatenated(parts[0], np.int64)
-        j, lj = _concatenated(parts[1], np.int64)
-        raw, lv = _concatenated(parts[2], float)
+        # one pass splits the triples into their three parts; a triple of
+        # another length fails the unpacking or zip's strict check
+        triples = tuple(triples)
+        try:
+            ip, jp, vp = tuple(zip(*triples, strict=True)) or ((), (), ())
+        except ValueError:
+            k = next(k for k, t in enumerate(triples) if len(t) != 3)
+            raise ValueError(f"constraint {k}: expected a triple (i, j, values)") from None
+        i, j = _concatenated(ip, np.int64), _concatenated(jp, np.int64)
+        raw = _concatenated(vp, float)
+        li, lj, lv = np.fromiter(map(len, itertools.chain(ip, jp, vp)), np.intp,
+                                 3 * len(ip)).reshape(3, -1)
         uneven = np.flatnonzero((li != lj) | (li != lv))
         paired = uneven[0] if uneven.size else len(li)   # rows whose entries pair up
         size = li[:paired].sum()
@@ -374,6 +384,7 @@ class SparseSymList:
         if not np.isfinite(data).all():
             raise ValueError(f"constraint {row[~np.isfinite(data)][0]}: non-finite value")
         self._indptr = np.concatenate(([0], np.cumsum(counts)))
+        self._bounds = self._indptr.tolist()   # Python ints, for triples(k)
         self._i, self._j, self._raw = i, j, raw
         self._row, self._pos, self._scale, self._data = row, i * n + j, scale, data
         for arr in (i, j, raw):
@@ -394,8 +405,9 @@ class SparseSymList:
     def triples(self, k: int) -> tuple:
         """``(i, j, value)`` of constraint k in svec order: read-only views
         of the stored entries, with the values as given (not svec-scaled)."""
-        k = range(self.m)[k]
-        lo, hi = self._indptr[k], self._indptr[k + 1]
+        if not 0 <= k < self.m:   # a negative k counts from the end
+            k = range(self.m)[k]
+        lo, hi = self._bounds[k], self._bounds[k + 1]
         return self._i[lo:hi], self._j[lo:hi], self._raw[lo:hi]
 
     def matrix(self, k: int) -> np.ndarray:
@@ -548,12 +560,13 @@ def _check_pivots(piv: np.ndarray) -> None:
 def gram_factor(a: SparseSymList):
     """Factor of the Gram matrix A A*, cached on the collection.
 
-    The off-diagonal Gram entries are summed first, without forming the
-    m x m matrix; one that sums to exactly 0.0 counts as absent, as in a
-    sparse product. When none is left (as for biq, ebiq, theta and fap)
-    the factor is the 1-D array ``1/sqrt(diag)``; otherwise it is the
-    dense lower Cholesky factor, a 2-D array from ``dpotrf``, and only
-    this dense path is bounded by ``MAX_DENSE_GRAM``. Raises
+    When no svec coordinate holds entries of two rows (as for biq, ebiq's
+    A_E, theta and fap), the Gram is diagonal. Otherwise its off-diagonal
+    entries are summed first, without forming the m x m matrix; one that
+    sums to exactly 0.0 counts as absent, as in a sparse product. When
+    none is left the factor is the 1-D array ``1/sqrt(diag)``; otherwise
+    it is the dense lower Cholesky factor, a 2-D array from ``dpotrf``,
+    and only this dense path is bounded by ``MAX_DENSE_GRAM``. Raises
     :class:`GramSingularError` when a pivot is not positive or falls below
     1e-12 times the largest pivot (the constraint rows are then linearly
     dependent to working precision), with the row index ``dpotrf``
@@ -563,9 +576,13 @@ def gram_factor(a: SparseSymList):
     """
     if a._gram_cho is not None:
         return a._gram_cho
-    terms = k, l, prod = a._gram_terms()
-    _, pair = np.unique((k * a.m + l)[k != l], return_inverse=True)
-    if not np.bincount(pair, prod[k != l]).any():   # the off-diagonal sums
+    terms = None
+    if a._coord_t.size > a._scale_t.size:   # a coordinate holds entries of two rows
+        terms = k, l, prod = a._gram_terms()
+        _, pair = np.unique((k * a.m + l)[k != l], return_inverse=True)
+        if not np.bincount(pair, prod[k != l]).any():   # the off-diagonal sums
+            terms = None
+    if terms is None:
         d = a.frob_norms_sq()
         bad = np.flatnonzero(~(d > 0.0))
         if bad.size:

@@ -13,7 +13,7 @@ factorizations are reproducible across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,17 +25,21 @@ from .linalg import SparseSymList, frob_inner, is_symmetric
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph; edges are (i, j) pairs with i < j."""
+    """Simple undirected graph; edges are (i, j) pairs with i < j.
+    ``edge_array`` holds them as a read-only (len(edges), 2) int64 array,
+    converted once, for the builders."""
 
     n: int
     edges: tuple
     weights: Optional[dict] = None
+    edge_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # checked on the whole edge array; the first bad or repeated edge
         # is reported, a bad one before a repeat of an earlier one
         count = len(self.edges)
-        e = np.asarray(self.edges, dtype=np.int64).reshape(count, 2)
+        # a copy, which is made read-only below, never the caller's array
+        e = np.array(self.edges, dtype=np.int64).reshape(count, 2)
         i, j = e[:, 0], e[:, 1]
         bad = np.flatnonzero((i < 0) | (i >= j) | (j >= self.n))
         order = np.lexsort((j, i))
@@ -46,6 +50,8 @@ class Graph:
         if k < count:
             i, j = self.edges[k]
             raise ValueError(f"{'bad' if k == first_bad else 'duplicate'} edge ({i}, {j})")
+        e.flags.writeable = False
+        object.__setattr__(self, "edge_array", e)
 
     def weight(self, i: int, j: int) -> float:
         if self.weights is None:
@@ -54,7 +60,7 @@ class Graph:
 
     def weight_matrix(self) -> np.ndarray:
         w = np.zeros((self.n, self.n))
-        i, j = _edge_arrays(self.edges)
+        i, j = self.edge_array.T
         w[i, j] = w[j, i] = [self.weight(*e) for e in self.edges]
         return w
 
@@ -179,7 +185,7 @@ def build_theta_plus(g: Graph, name: str = "theta") -> DnnSdpProblem:
     trace row.
     """
     n = g.n
-    e = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2)
+    e = g.edge_array
     e = e[np.lexsort((e[:, 1], e[:, 0]))]
     d = np.arange(n)
     a_e = SparseSymList.from_entries(n, *_entries((e[:, :1], e[:, 1:], [1.0]), ([d], [d], 1.0)))
@@ -237,7 +243,7 @@ def build_fap(g: Graph, u_edges: Sequence[tuple], kappa: int,
     d = np.arange(n)[:, None]
     a_e = SparseSymList.from_entries(n, *_entries((d, d, 1.0)))
     b = np.ones(n)
-    i, j = _edge_arrays(g.edges)
+    i, j = g.edge_array.T
     m = np.zeros((n, n))
     m[i, j] = m[j, i] = -1.0 / (kappa - 1)
     kinds = np.full((n, n), FREE, dtype=np.int8)

@@ -898,6 +898,21 @@ class TestProblemValidation:
             again = getattr(dataclasses.replace(prob), name)
             assert np.array_equal(again.view(np.uint64), a.view(np.uint64)), name
 
+    def test_caller_mutation_after_construction_leaves_c_and_m_alone(self):
+        # the problem stores its own copies of exactly symmetric C and M, so
+        # the loop's unchecked exact-symmetry assumption survives a caller
+        # that changes its arrays afterwards
+        base = generate_problem("fap:8:1")
+        c, m = base.C.copy(), base.M.copy()
+        prob = dataclasses.replace(base, C=c, M=m)
+        kept = prob.C.copy(), prob.M.copy()
+        c[0, 1] += 1.0
+        m[1, 2] -= 1.0
+        m[3] = np.nan
+        for stored, want in zip((prob.C, prob.M), kept):
+            assert np.array_equal(stored, want)
+            assert np.array_equal(stored, stored.T)
+
     def test_rejects_mismatched_inequality_data(self):
         a = SparseSymList(2, [([0], [0], [1.0])])
         with pytest.raises(ValueError, match="both"):

@@ -136,6 +136,17 @@ class TestResultDocuments:
 
         assert doc_text(tmp_path / "a.json") == doc_text(tmp_path / "b.json")
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"format": "dnnsdp-result/1"}', "^problem: missing field$"),
+        ('{"format": "dnnsdp-result/1", "problem": "p"', "r.json: malformed document at line 1"),
+        ('["dnnsdp-result/1"]', "^result document: expected a JSON object, got list$"),
+    ])
+    def test_malformed_document_named(self, tmp_path, text, message):
+        path = tmp_path / "r.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_result(path)
+
     def test_rejects_unknown_status(self):
         with pytest.raises(ValueError, match="status"):
             RunRecord(problem="p", solver="s", status="Odd", iterations=1,

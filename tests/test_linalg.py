@@ -250,8 +250,14 @@ def from_rows(n, rows):
     return SparseSymList.from_entries(n, [len(r[0]) for r in rows], i, j, v)
 
 
+def from_iterator(n, rows):
+    """The per-row constructor given the triples by an iterator, which it
+    can read only once."""
+    return SparseSymList(n, iter(rows))
+
+
 # the per-row constructor and the bulk entry point, which share one core
-BOTH_ENTRIES = (SparseSymList, from_rows)
+BOTH_ENTRIES = (SparseSymList, from_rows, from_iterator)
 
 
 class TestSparseSymList:
@@ -402,9 +408,17 @@ class TestTransposedCsr:
             for name in ("_indptr", "_row", "_pos", "_data", "_row_t", "_data_t", "_coord_t"):
                 assert_same_bits(getattr(b, name), getattr(a, name))
             assert a._data.size == sum(a.triples(k)[0].size for k in range(a.m))
-            i, j, v = a.triples(a.m - 1)
-            assert not v.flags.writeable
-            assert all(np.array_equal(u, w) for u, w in zip(a.triples(-1), (i, j, v)))
+            # a is built by from_entries, b by the per-row constructor
+            for c in (a, b):
+                i, j, v = c.triples(c.m - 1)
+                assert not v.flags.writeable
+                for k, same in ((-1, c.m - 1), (-c.m, 0), (np.int64(c.m - 1), c.m - 1),
+                                (np.int32(-2), c.m - 2), (np.uint8(0), 0)):
+                    assert all(np.array_equal(u, w)
+                               for u, w in zip(c.triples(k), c.triples(same)))
+                for k in (c.m, -c.m - 1, np.int64(c.m)):
+                    with pytest.raises(IndexError):
+                        c.triples(k)
 
     def test_triples_keep_the_given_values_in_svec_order(self):
         # given out of svec order, with an off-diagonal value that sqrt(2)
@@ -561,15 +575,32 @@ class TestBulkConstruction:
         # an entry of an earlier row does not make that row a duplicate
         ([([0, 0, 0], [0, 1, 2], [1.0, 1.0, 1.0]), ([2], [2], [1.0]), ([0], [-11], [1.0])],
          "constraint 2: triples must have i <= j"),
+        # the lengths of the values, or of the j's, disagree
+        ([([0], [0], [1.0]), ([0, 1], [1, 2], [1.0]), ([0], [1, 2], [1.0])],
+         "constraint 1: triple arrays disagree in length"),
+        ([([0], [0], [1.0]), ([1], [1], [1.0]), ([0], [1, 2], [1.0, 2.0])],
+         "constraint 2: triple arrays disagree in length"),
     ])
     def test_first_defect_reported(self, rows, message):
-        builds = [SparseSymList, per_row_reference]
+        builds = [SparseSymList, from_iterator, per_row_reference]
         if all(len(r[0]) == len(r[1]) == len(r[2]) for r in rows):
             builds.append(from_rows)
         for build in builds:
             with pytest.raises(ValueError) as err:
                 build(3, rows)
             assert str(err.value) == message
+
+    @pytest.mark.parametrize("rows, k", [
+        ([([0], [0], [1.0]), ([0], [1])], 1),
+        ([([0], [0]), ([0], [1])], 0),
+        ([([0], [0], [1.0]), ([0], [1], [1.0], [2.0]), ([1], [1], [1.0])], 1),
+        ([([0], [0], [1.0], [2.0])], 0),
+    ])
+    def test_triples_of_another_length_refused(self, rows, k):
+        for build in (SparseSymList, from_iterator):
+            with pytest.raises(ValueError, match=rf"^constraint {k}: expected a triple "
+                                                 rf"\(i, j, values\)$"):
+                build(3, rows)
 
     @pytest.mark.parametrize("bad", [0, np.array(1), [[0]], np.zeros((1, 1), dtype=int)])
     def test_parts_must_be_one_dimensional(self, bad):
@@ -772,6 +803,34 @@ class TestGramFromEntries:
         assert (p @ p.T).nnz == 3   # the product drops the cancelled sums
         assert gram_factor(a).ndim == 1
         self.check(a, rng)
+
+    # which collections of each family have no svec coordinate with entries
+    # of two rows: A_E, then A_I
+    SHORTCUT = {"biq:12:3": [True], "ebiq:8:2": [True, False], "theta:14:1": [True],
+                "rcp:20:1": [False], "fap:10:2": [True], "qap:3:4": [False], "random": [False]}
+
+    @pytest.mark.parametrize("spec", FAMILY_SPECS)
+    def test_diagonal_shortcut_agrees_with_the_summed_test(self, monkeypatch, spec):
+        # with the shortcut the factor is made without summing Gram terms;
+        # it must equal, bit for bit, the factor of the summed test, here
+        # the reference CSR product, before and after a relabelling
+        calls = []
+        terms = SparseSymList._gram_terms
+        monkeypatch.setattr(SparseSymList, "_gram_terms",
+                            lambda self: calls.append(self) or terms(self))
+        collections = family_collections(spec)
+        assert [a._coord_t.size == a._scale_t.size for a in collections] == self.SHORTCUT[spec]
+        for a in collections:
+            for b in (a, SparseSymList(a.n, relabelled(a, 1))):
+                p = reference_csr(b)
+                calls.clear()
+                if np.linalg.matrix_rank((p @ p.T).toarray()) < b.m:
+                    with pytest.raises(GramSingularError):
+                        gram_factor(b)
+                else:
+                    assert_same_bits(gram_factor(b), reference_factor(p))
+                shortcut = b._coord_t.size == b._scale_t.size
+                assert calls == ([] if shortcut else [b])
 
     def test_explicit_zero_entries(self, rng):
         # stored zeros, some of them -0.0, at shared coordinates: the sums

@@ -27,12 +27,22 @@ def lift(x):
 
 class TestGraph:
     def test_rejects_bad_edges(self):
-        with pytest.raises(ValueError):
-            Graph(3, ((0, 0),))
-        with pytest.raises(ValueError):
-            Graph(3, ((1, 0),))
-        with pytest.raises(ValueError):
-            Graph(3, ((0, 1), (0, 1)))
+        for edges, message in ((((0, 0),), "bad edge (0, 0)"), (((1, 0),), "bad edge (1, 0)"),
+                               (((0, 1), (0, 1)), "duplicate edge (0, 1)")):
+            with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+                Graph(3, edges)
+
+    def test_edges_kept_as_given_and_converted_once(self):
+        for edges in (((1, 2), (0, 2)), [(0, 1)], np.array([[0, 2]]), ()):
+            g = Graph(3, edges)
+            assert g.edges is edges
+            e = g.edge_array
+            assert e.dtype == np.int64 and e.shape == (len(edges), 2)
+            assert e.tolist() == [list(x) for x in edges]
+            assert not e.flags.writeable
+            assert e is not edges and not np.shares_memory(e, edges)
+        assert Graph(3, ((0, 1),)) == Graph(3, ((0, 1),))
+        assert "edge_array" not in repr(Graph(3, ((0, 1),)))
 
     def test_weight_matrix(self):
         g = Graph(3, ((0, 1),), weights={(0, 1): 2.5})
