@@ -125,7 +125,11 @@ class DnnSdpIterate:
     ``adj_t_yE`` are A_I* y_I and A_E* t_yE as it computed them, for the
     next sweep to reuse. Each is None where no sweep computed it: on the
     start, on iterates built by hand, and ``adj_t_yE`` after a correction
-    moved t_yE. A sigma change moves no block, so it leaves them valid."""
+    moved t_yE. A sigma change moves no block, so it leaves them valid.
+
+    ``negatives`` is the number of eigenvalues at or below zero of the
+    sweep's S-update input, which picks the next sweep's projection route
+    (``linalg.project_psd``); it is 0 where no sweep made the iterate."""
 
     Z: np.ndarray
     yE: np.ndarray
@@ -140,6 +144,7 @@ class DnnSdpIterate:
     f_full: Optional[np.ndarray] = None
     adj_yI: Optional[np.ndarray] = None
     adj_t_yE: Optional[np.ndarray] = None
+    negatives: int = 0
 
 
 def initial_iterate(prob: DnnSdpProblem, sigma: float, tau0: float) -> DnnSdpIterate:
@@ -257,9 +262,12 @@ def update_yE(ops: SolveOperands, xs: np.ndarray, r: np.ndarray, sigma: float) -
     return ops.solve_E(ops.b_E_s - ops.apply_E(xs + r))
 
 
-def update_S(ops: SolveOperands, xs: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """PSD projection of -r - xs, with ``xs`` = x/sigma."""
-    return ops.project_psd(-r - xs)
+def update_S(ops: SolveOperands, xs: np.ndarray, r: np.ndarray,
+             negatives: Optional[int] = None):
+    """PSD projection of -r - xs, with ``xs`` = x/sigma. With
+    ``negatives``, the count the previous projection returned, the route is
+    chosen from it and ``(S, count)`` comes back (``linalg.project_psd``)."""
+    return ops.project_psd(-r - xs, negatives)
 
 
 def _sweep(it: DnnSdpIterate, ops: SolveOperands):
@@ -267,13 +275,14 @@ def _sweep(it: DnnSdpIterate, ops: SolveOperands):
     ``it.yI``, ``it.t_Z``, ``it.t_yE`` and ``it.S``, through the kernels
     of ``ops``. The adjoints at the centres are taken from ``it.adj_yI``
     and ``it.adj_t_yE`` where the previous sweep left them, and computed
-    where it did not.
+    where it did not. The S update reads ``it.negatives``.
 
-    Returns ``(yI, Z, yE, S, f_pred, f_full, adj_yI, adj_yE)``: the new
-    blocks (``yI`` is None in the 3-block case), the constraint map
-    A_I* y_I + Z + A_E* y_E + S - C after the first block only and after
-    all of them, and the adjoints A_I* y_I (None in the 3-block case) and
-    A_E* y_E at the new blocks.
+    Returns ``(yI, Z, yE, S, f_pred, f_full, adj_yI, adj_yE, negatives)``:
+    the new blocks (``yI`` is None in the 3-block case), the constraint
+    map A_I* y_I + Z + A_E* y_E + S - C after the first block only and
+    after all of them, the adjoints A_I* y_I (None in the 3-block case)
+    and A_E* y_E at the new blocks, and the S update's count of
+    eigenvalues at or below zero.
 
     Every sum adds the block terms in sweep order, each block at its new
     value once updated and at its centre before, leaving out the block
@@ -313,11 +322,11 @@ def _sweep(it: DnnSdpIterate, ops: SolveOperands):
     yE = update_yE(ops, xs, r, sigma)
     adj_yE = ops.adjoint_E(yE)
     Q = P + adj_yE
-    S = update_S(ops, xs, Q - C)
+    S, negatives = update_S(ops, xs, Q - C, it.negatives)
     f_full = Q
     f_full += S
     f_full -= C
-    return yI, Z, yE, S, f_pred, f_full, adj_yI, adj_yE
+    return yI, Z, yE, S, f_pred, f_full, adj_yI, adj_yE, negatives
 
 
 def cadmm_step(it: DnnSdpIterate, ops: SolveOperands) -> DnnSdpIterate:
@@ -325,7 +334,7 @@ def cadmm_step(it: DnnSdpIterate, ops: SolveOperands) -> DnnSdpIterate:
     y_I -> Z -> y_E -> S, adaptive multiplier step, then correction of the
     middle blocks (y_E, and Z in the 4-block case) against the corrected
     base points."""
-    yI_new, Z_new, yE_new, S_new, f_pred, f_full, adj_yI, _ = _sweep(it, ops)
+    yI_new, Z_new, yE_new, S_new, f_pred, f_full, adj_yI, _, negatives = _sweep(it, ops)
     dS = S_new - it.S
     if it.k == 0:
         tau_k = TAU0
@@ -346,7 +355,7 @@ def cadmm_step(it: DnnSdpIterate, ops: SolveOperands) -> DnnSdpIterate:
     return DnnSdpIterate(
         Z=Z_new, yE=yE_new, S=S_new, X=X_new, t_Z=t_Z_new, t_yE=t_yE_new,
         yI=yI_new, tau=tau_k, sigma=it.sigma, k=it.k + 1, f_full=f_full,
-        adj_yI=adj_yI)
+        adj_yI=adj_yI, negatives=negatives)
 
 
 def dext_step(it: DnnSdpIterate, ops: SolveOperands, tau: float) -> DnnSdpIterate:
@@ -354,12 +363,12 @@ def dext_step(it: DnnSdpIterate, ops: SolveOperands, tau: float) -> DnnSdpIterat
     and no correction. The centres ``t_Z`` and ``t_yE`` are set to the new
     iterates, so the next sweep is centred at the previous iterates and
     reuses this sweep's A_E* y_E."""
-    yI_new, Z_new, yE_new, S_new, _, f_full, adj_yI, adj_yE = _sweep(it, ops)
+    yI_new, Z_new, yE_new, S_new, _, f_full, adj_yI, adj_yE, negatives = _sweep(it, ops)
     X_new = it.X + (tau * it.sigma) * f_full
     return DnnSdpIterate(
         Z=Z_new, yE=yE_new, S=S_new, X=X_new, t_Z=Z_new, t_yE=yE_new,
         yI=yI_new, tau=tau, sigma=it.sigma, k=it.k + 1, f_full=f_full,
-        adj_yI=adj_yI, adj_t_yE=adj_yE)
+        adj_yI=adj_yI, adj_t_yE=adj_yE, negatives=negatives)
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +389,9 @@ class ResidualReport:
     holds the value.
 
     The loop makes such a report only on the iterations whose lower bound
-    max(eta_P, eta_D, eta_K, eta_I) is below the tolerance and at the
-    sigma checks; its callback gets None on the others."""
+    max(eta_P, eta_D, eta_K, eta_I, eta_C1, eta_C2), every component that
+    needs no eigenvalues, is below the tolerance, and at the sigma checks;
+    its callback gets None on the others."""
 
     eta_P: float
     eta_D: float
@@ -411,21 +421,34 @@ def _data_scales(prob: DnnSdpProblem) -> tuple:
             1.0 + float(np.linalg.norm(prob.b_I)) if prob.four_block else None)
 
 
-def _feasibility(it: DnnSdpIterate, prob: DnnSdpProblem, dual_res: np.ndarray,
-                 norm_X: float, scales: tuple):
-    """Yields eta_D, eta_P, eta_K and eta_I (None in the 3-block case),
-    cheapest first, from the constraint map ``dual_res``,
-    ``norm_X = ||X||`` and ``scales = _data_scales(prob)``. ``residuals``
-    takes all four; the solve loop takes them only until one shows that
-    eta is not below the tolerance. Both read the same values."""
+def _block_norms(it: DnnSdpIterate) -> dict:
+    """The Frobenius norms of the blocks present, in sweep order, and of
+    X, by name."""
+    norms = {} if it.yI is None else {"yI": frob_norm(it.yI)}
+    norms["Z"] = frob_norm(it.Z)
+    norms["yE"] = frob_norm(it.yE)
+    norms["S"] = frob_norm(it.S)
+    norms["X"] = frob_norm(it.X)
+    return norms
+
+
+def _lower_bounds(it: DnnSdpIterate, prob: DnnSdpProblem, norms: dict, scales: tuple):
+    """Yields eta_P, eta_K, eta_I (None in the 3-block case), eta_C1 and
+    eta_C2, cheapest first, from ``norms = _block_norms(it)`` and
+    ``scales = _data_scales(prob)``. With eta_D each is a component of
+    eta that needs no eigenvalues. ``residuals`` takes all five; the solve
+    loop takes them only until one shows that eta is not below the
+    tolerance. Both read the same values."""
     X = it.X
-    scale_E, scale_C, scale_I = scales
-    yield frob_norm(dual_res) / scale_C
+    norm_X, norm_S, norm_Z = norms["X"], norms["S"], norms["Z"]
+    scale_E, _, scale_I = scales
     yield frob_norm(prob.A_E.apply(X) - prob.b_E) / scale_E
     yield frob_norm(project_pattern_dual(-(X - prob.M), prob.pattern)) / (
         1.0 + norm_X)
     yield (frob_norm(np.maximum(0.0, prob.b_I - prob.A_I.apply(X))) / scale_I
            if prob.four_block else None)
+    yield abs(frob_inner(X, it.S)) / (1.0 + norm_X + norm_S)
+    yield abs(frob_inner(X - prob.M, it.Z)) / (1.0 + norm_X + norm_Z)
 
 
 def residuals(it: DnnSdpIterate, prob: DnnSdpProblem,
@@ -449,14 +472,14 @@ def residuals(it: DnnSdpIterate, prob: DnnSdpProblem,
     component is recomputed from the blocks.
 
     The solve loop makes this full report only on the iterations that
-    read it: where its lower bound max(eta_P, eta_D, eta_K, eta_I) is
-    below the tolerance, and at the sigma checks (see ``_solve``).
+    read it: where its lower bound max(eta_P, eta_D, eta_K, eta_I,
+    eta_C1, eta_C2) is below the tolerance, and at the sigma checks (see
+    ``_solve``).
     """
     X, S, Z, yE = it.X, it.S, it.Z, it.yE
     C = prob.C
-    norm_X = frob_norm(X)
-    norm_S = frob_norm(S)
-    norm_Z = frob_norm(Z)
+    norms = _block_norms(it)
+    norm_X, norm_S, norm_Z = norms["X"], norms["S"], norms["Z"]
 
     if f_full is not None:
         dual_res = f_full
@@ -464,14 +487,14 @@ def residuals(it: DnnSdpIterate, prob: DnnSdpProblem,
         dual_res = prob.A_I.adjoint(it.yI) + Z + prob.A_E.adjoint(yE) + S - C
     else:
         dual_res = prob.A_E.adjoint(yE) + S + Z - C
-    eta_D, eta_P, eta_K, eta_I = _feasibility(it, prob, dual_res, norm_X,
-                                              _data_scales(prob))
+    scales = _data_scales(prob)
+    eta_D = frob_norm(dual_res) / scales[1]
+    eta_P, eta_K, eta_I, eta_C1, eta_C2 = _lower_bounds(it, prob, norms, scales)
     eta_Istar = None
     if prob.four_block:
         eta_Istar = 0.0
         if f_full is None:
-            eta_Istar = frob_norm(np.maximum(0.0, -it.yI)) / (
-                1.0 + frob_norm(it.yI))
+            eta_Istar = frob_norm(np.maximum(0.0, -it.yI)) / (1.0 + norms["yI"])
     if f_full is not None:
         # a bound, when one Cholesky factorization shows it is below the
         # other primal components (see ResidualReport)
@@ -484,8 +507,6 @@ def residuals(it: DnnSdpIterate, prob: DnnSdpProblem,
         eta_Sstar = psd_distance(S) / (1.0 + norm_S)
         eta_Kstar = frob_norm(project_pattern(-Z, prob.pattern)) / (
             1.0 + norm_Z)
-    eta_C1 = abs(frob_inner(X, S)) / (1.0 + norm_X + norm_S)
-    eta_C2 = abs(frob_inner(X - prob.M, Z)) / (1.0 + norm_X + norm_Z)
 
     obj = objective_values(prob, it)
     cx, bey, mz = obj["cx"], obj["b_E_y"], obj["M_Z"]
@@ -564,21 +585,17 @@ def maybe_restart(*args):
 # ---------------------------------------------------------------------------
 # Full solver loops.
 
-def _diverged(it: DnnSdpIterate, norm_X: Optional[float] = None) -> Optional[tuple]:
+def _diverged(it: DnnSdpIterate, norms: Optional[dict] = None) -> Optional[tuple]:
     """``(name, norm)`` of the first block, in sweep order and then X,
     whose norm fails the divergence guard; None when every block passes.
-    ``norm_X`` is ||X|| when the caller already has it."""
+    ``norms`` is ``_block_norms(it)`` when the caller already has it."""
     guard = engine.DIVERGENCE_GUARD
     # A NaN or inf entry makes the norm NaN or inf, and so does a finite
     # block whose norm overflows; neither passes the comparison.
-    for name, b in (("yI", it.yI), ("Z", it.Z), ("yE", it.yE), ("S", it.S)):
-        if b is not None:
-            norm = frob_norm(b)
-            if not norm <= guard:
-                return name, norm
-    if norm_X is None:
-        norm_X = frob_norm(it.X)
-    return None if norm_X <= guard else ("X", norm_X)
+    for name, norm in (norms or _block_norms(it)).items():
+        if not norm <= guard:
+            return name, norm
+    return None
 
 
 def _solve(prob: DnnSdpProblem, cfg: Optional[SolverConfig],
@@ -592,21 +609,25 @@ def _solve(prob: DnnSdpProblem, cfg: Optional[SolverConfig],
     then reports no residuals.
 
     Each iterate is first held against the lower bound
-    max(eta_P, eta_D, eta_K, eta_I) of its eta, one component at a time,
-    cheapest first, until one reaches ``cfg.tol``. The full report,
-    certified from the sweep's constraint map by
-    ``residuals(it, prob, it.f_full)``, is made only where it is read:
-    where the bound is below ``cfg.tol``, so the run may stop, and where
-    a sigma check is due (``sigma_check_due``). Elsewhere eta is at
-    least the bound, so the run cannot stop, and ``callback(it, report)``
-    gets ``report=None``. The run stops at the same iteration as with a
-    full report on every iterate. The report and residual the run
-    returns are recomputed in full from the blocks."""
+    max(eta_D, eta_P, eta_K, eta_I, eta_C1, eta_C2) of its eta: every
+    component that needs no eigenvalues, one at a time, cheapest first,
+    until one reaches ``cfg.tol``. eta_D, the norm of the sweep's
+    constraint map, comes first and decides most iterations; the
+    complementarity terms eta_C1 and eta_C2 reuse the block norms of the
+    divergence guard. The full report, certified from the sweep's
+    constraint map by ``residuals(it, prob, it.f_full)``, is made only
+    where it is read: where the bound is below ``cfg.tol``, so the run
+    may stop, and where a sigma check is due (``sigma_check_due``).
+    Elsewhere eta is at least the bound, so the run cannot stop, and
+    ``callback(it, report)`` gets ``report=None``. The run stops at the
+    same iteration as with a full report on every iterate. The report and
+    residual the run returns are recomputed in full from the blocks."""
     ops = SolveOperands(prob)
     cfg, policy = cfg or SolverConfig(), policy or TuningPolicy()
     max_iters = cfg.max_iters or (40000 if prob.four_block else 20000)
     freeze_after = int(FREEZE_FRACTION * max_iters)
     scales = _data_scales(prob)
+    scale_C, tol = scales[1], cfg.tol
 
     it = initial_iterate(prob, cfg.sigma, TAU0)
     tau_history: list = []
@@ -618,15 +639,15 @@ def _solve(prob: DnnSdpProblem, cfg: Optional[SolverConfig],
         while it.k < max_iters:
             it = step(it, ops)
             tau_history.append(it.tau)
-            norm_X = frob_norm(it.X)
-            oversized = _diverged(it, norm_X)
+            norms = _block_norms(it)
+            oversized = _diverged(it, norms)
             if oversized:
                 status = DIVERGED
                 break
             # eta is at least each of these components, so the run may stop
             # only when all are below tol; all() stops at the first that is not
-            may_stop = all(e is None or e < cfg.tol
-                           for e in _feasibility(it, prob, it.f_full, norm_X, scales))
+            may_stop = frob_norm(it.f_full) / scale_C < tol and all(
+                e is None or e < tol for e in _lower_bounds(it, prob, norms, scales))
             report = None
             if may_stop or sigma_check_due(it.k, policy, freeze_after):
                 report = residuals(it, prob, it.f_full)
@@ -635,7 +656,7 @@ def _solve(prob: DnnSdpProblem, cfg: Optional[SolverConfig],
                 callback(it, report)
             if report is None:
                 continue
-            if report.eta < cfg.tol:
+            if report.eta < tol:
                 status = CONVERGED
                 break
             new_sigma = tune_sigma(report, it.sigma, it.k, policy, freeze_after)
@@ -662,10 +683,10 @@ def cadmm_solve(prob: DnnSdpProblem, cfg: SolverConfig = None,
     never increases over the run.
 
     ``callback(it, report)`` runs after every iteration. ``report`` is the
-    in-loop full report on the iterations that make one (a lower bound of
-    eta below ``cfg.tol``, or a sigma check) and None on the others; see
-    ``_solve``. The returned report is the full recomputation at the last
-    iterate."""
+    in-loop full report on the iterations that make one (a sigma check, or
+    a lower bound max(eta_D, eta_P, eta_K, eta_I, eta_C1, eta_C2) of eta
+    below ``cfg.tol``) and None on the others; see ``_solve``. The
+    returned report is the full recomputation at the last iterate."""
     return _solve(prob, cfg, policy, callback, cadmm_step)
 
 

@@ -16,7 +16,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -124,11 +124,12 @@ def _finite_symmetric(m: np.ndarray, caller: str) -> np.ndarray:
 
 
 # From this order on, project_psd finds its eigenvectors through
-# dsytrd -> dstemr -> dormqr; below it, through dsyevr. Measured on the
-# solver's own projection inputs (README, Numerical notes): the chain's
-# three calls cost more than dsyevr's one up to n = 21 and less from
-# n = 22 on, summed over the benchmark's solves; on single instances the
-# crossover also moves with the spectrum.
+# dsytrd -> dstemr -> dormqr; below it, through dsyevr, or through a full
+# dsyevd when the caller's count says that many eigenvalues are at or
+# below zero. Measured on the solver's own projection inputs (README,
+# Numerical notes): the chain's three calls cost more than dsyevr's one
+# up to n = 21 and less from n = 22 on, summed over the benchmark's
+# solves; on single instances the crossover also moves with the spectrum.
 MRRR_ORDER = 22
 
 
@@ -150,6 +151,14 @@ def _nonpositive_eigenvectors_dsyevr(b: np.ndarray) -> np.ndarray:
     return v[:, :k]
 
 
+def _nonpositive_eigenvectors_dsyevd(b: np.ndarray) -> np.ndarray:
+    # every eigenpair, by divide and conquer; the eigenvalues come in
+    # ascending order, so the nonpositive ones lead
+    w, v, info = scipy.linalg.lapack.dsyevd(b.T, compute_v=1, lower=1)
+    _lapack_checked("dsyevd", info)
+    return v[:, :np.searchsorted(w, 0.0, side="right")]
+
+
 def _nonpositive_eigenvectors_mrrr(b: np.ndarray) -> np.ndarray:
     # dsyevr by value range runs bisection and inverse iteration; dstemr
     # (MRRR) on the tridiagonal form is cheaper. dormqr on the Householder
@@ -169,42 +178,53 @@ def _nonpositive_eigenvectors_mrrr(b: np.ndarray) -> np.ndarray:
     return v
 
 
-def project_psd(m: np.ndarray) -> np.ndarray:
+def project_psd(m: np.ndarray, negatives: Optional[int] = None):
     """Nearest (Frobenius) positive semidefinite matrix: the checks below,
     then :func:`project_psd_unchecked` on the symmetrized input.
 
     Computes only the eigenvectors V of the symmetrized input b whose
     eigenvalues lie in (-inf, 0]; the projections this solver makes have
-    few of them, so this is cheaper than a full eigendecomposition. Below
-    order ``MRRR_ORDER`` they come from LAPACK ``dsyevr`` by value range;
-    from it on, from ``dsytrd`` (tridiagonal reduction), ``dstemr``
-    (MRRR on the tridiagonal, by value range) and ``dormqr`` (back to
-    b's basis). The result is the congruence P b P with P = I - V V^T,
-    formed as ``b - (V G^T + G V^T)`` with G = b V - V (V^T b V) / 2.
-    Being a congruence of b, it is PSD up to second order in the error of
-    V; ``b - V diag(w) V^T`` is only first order, which leaves S with
+    few of them, so this is cheaper than a full eigendecomposition. From
+    order ``MRRR_ORDER`` on they come from ``dsytrd`` (tridiagonal
+    reduction), ``dstemr`` (MRRR on the tridiagonal, by value range) and
+    ``dormqr`` (back to b's basis). Below it they come from LAPACK
+    ``dsyevr`` by value range, unless ``negatives``, the number of such
+    eigenvalues of a previous, similar input, is at least n/4: then from
+    a full ``dsyevd``, which is faster when that many are wanted. The
+    result is the congruence P b P with P = I - V V^T, formed as
+    ``b - (V G^T + G V^T)`` with G = b V - V (V^T b V) / 2. Being a
+    congruence of b, it is PSD up to second order in the error of V;
+    ``b - V diag(w) V^T`` is only first order, which leaves S with
     negative eigenvalues ten times the rounding. The input comes back as
-    it is when it has no such eigenvalue. Raises ``ValueError`` on
-    non-finite input and ``LinAlgError``, naming the routine, when a
-    LAPACK call fails.
+    it is when it has no such eigenvalue.
+
+    Returns the projection; with ``negatives`` given, ``(projection,
+    count)``, where count is the number of V's columns, for the next
+    call. Raises ``ValueError`` on non-finite input and ``LinAlgError``,
+    naming the routine, when a LAPACK call fails.
     """
-    return project_psd_unchecked(_finite_symmetric(m, "project_psd"))
+    return project_psd_unchecked(_finite_symmetric(m, "project_psd"), negatives)
 
 
-def project_psd_unchecked(b: np.ndarray) -> np.ndarray:
+def project_psd_unchecked(b: np.ndarray, negatives: Optional[int] = None):
     """:func:`project_psd` without its checks, for a float64 input ``b``
     that is finite and exactly symmetric; ``b`` itself comes back when it
     has no eigenvalue in (-inf, 0]. On such an input ``project_psd`` gives
     the same bits, since symmetrizing it changes no bit."""
-    if b.shape[0] < MRRR_ORDER:
-        v = _nonpositive_eigenvectors_dsyevr(b)
-    else:
+    n = b.shape[0]
+    if n >= MRRR_ORDER:
         v = _nonpositive_eigenvectors_mrrr(b)
+    elif negatives is not None and 4 * negatives >= n:
+        v = _nonpositive_eigenvectors_dsyevd(b)
+    else:
+        v = _nonpositive_eigenvectors_dsyevr(b)
     if v.shape[1] == 0:
-        return b
-    bv = b @ v
-    t = v @ (bv - 0.5 * (v @ (v.T @ bv))).T
-    return b - (t + t.T)
+        out = b
+    else:
+        bv = b @ v
+        t = v @ (bv - 0.5 * (v @ (v.T @ bv))).T
+        out = b - (t + t.T)
+    return out if negatives is None else (out, v.shape[1])
 
 
 def psd_distance(m: np.ndarray) -> float:

@@ -74,6 +74,24 @@ def test_pairs_without_a_result_are_left_out():
     assert ab_pairs.summarize([(None, None)], BETTER) == []
 
 
+def test_pairs_with_a_failed_check_are_left_out_of_the_gain():
+    # every checkout run is faster but failed its check: no pair counts,
+    # so no gain is shown; one failed rev run leaves its pair out too
+    rev = [({"solve_ref": 135.8}, True)] * 5
+    failing = [({"solve_ref": 128.4}, False)] * 5
+    pairs, left_out = ab_pairs.checked_pairs(list(zip(rev, failing)))
+    assert pairs == [] and left_out == 5
+    assert ab_pairs.summarize(pairs, BETTER) == []
+    passing = [({"solve_ref": 128.4}, True)] * 5
+    runs = list(zip(rev, passing))
+    runs[2] = (({"solve_ref": 135.8}, False), passing[2])
+    runs[4] = ((None, False), passing[4])
+    pairs, left_out = ab_pairs.checked_pairs(runs)
+    assert left_out == 2 and len(pairs) == 3
+    r = row(ab_pairs.summarize(pairs, BETTER), "solve_ref")
+    assert r["pairs"] == 3 and r["wins"] == 3
+
+
 def test_format_names_sides_wins_and_gain():
     rows = ab_pairs.summarize(pairs([100.0] * 10, [80.0] * 10), BETTER)
     (line,) = ab_pairs.format_rows(rows)

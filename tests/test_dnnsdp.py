@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cadmm import dnnsdp, engine
+from cadmm import dnnsdp, engine, linalg
 from cadmm.cli import generate_problem
 from cadmm.cones import (ConePattern, project_pattern, project_pattern_dual,
                          project_pattern_unchecked)
@@ -361,9 +361,9 @@ class TestResiduals:
         # the S update projects; the certificate takes eigenvalues only
         calls = []
 
-        def counted(m):
+        def counted(m, negatives=None):
             calls.append(m.shape)
-            return project_psd(m)
+            return project_psd(m, negatives)
 
         monkeypatch.setattr(dnnsdp, "project_psd_unchecked", counted)
         prob = build_biq(random_biq(6, 3))
@@ -457,7 +457,8 @@ class TestSweepSums:
 
             def recorded(*a, name=name, original=original):
                 out = original(*a)
-                args[name] = (a[1], a[2], out)   # xs, r, new block
+                # xs, r, new block (update_S also returns its count)
+                args[name] = (a[1], a[2], out[0] if name == "update_S" else out)
                 return out
 
             monkeypatch.setattr(dnnsdp, name, recorded)
@@ -476,7 +477,7 @@ class TestSweepSums:
             it = self.STEPS[step](it, ops)
         assert len(sweeps) == 15
         for k, (before, calls, out) in enumerate(sweeps):
-            yI, Z, yE, S, f_pred, f_full, adj_yI, adj_yE = out
+            yI, Z, yE, S, f_pred, f_full, adj_yI, adj_yE, _ = out
             new = {"yI": yI, "Z": Z, "yE": yE, "S": S}
             inputs, ref_pred, ref_full = reference_sweep_sums(before, prob, new)
             assert list(calls) == [f"update_{name}" for name in inputs]
@@ -585,7 +586,8 @@ class TestSolveOperands:
         assert np.array_equal(Z, update_Z(fresh, xs, r, 1.5))
         P = P + Z
         assert np.array_equal(yE, update_yE(fresh, xs, P + moved.S - prob.C, 1.5))
-        assert np.array_equal(S, update_S(fresh, xs, P + prob.A_E.adjoint(yE) - prob.C))
+        assert all(map(np.array_equal, (S, got[8]), update_S(
+            fresh, xs, P + prob.A_E.adjoint(yE) - prob.C, moved.negatives)))
 
     def test_bridge_prepares_its_operands_once(self, monkeypatch):
         made = []
@@ -613,9 +615,9 @@ class TestSolveOperands:
     def test_a_solve_projects_exactly_symmetric_inputs(self, monkeypatch, spec):
         inputs = []
 
-        def recorded(b):
+        def recorded(b, negatives=None):
             inputs.append(np.array_equal(b.view(np.uint64), b.T.view(np.uint64)))
-            return project_psd_unchecked(b)
+            return project_psd_unchecked(b, negatives)
 
         monkeypatch.setattr(dnnsdp, "project_psd_unchecked", recorded)
         res = cadmm_solve(generate_problem(spec), SolverConfig(max_iters=300))
@@ -623,16 +625,65 @@ class TestSolveOperands:
         assert all(inputs)
 
 
+class TestProjectionRoute:
+    """The S update picks its LAPACK route from the count of nonpositive
+    eigenvalues of the previous projection, which the iterate carries."""
+
+    def test_the_iterate_carries_the_count_of_its_s_update(self, monkeypatch):
+        counts = []
+        real = dnnsdp.project_psd_unchecked
+
+        def recorded(b, negatives=None):
+            out = real(b, negatives)
+            counts.append((negatives, out[1]))
+            return out
+
+        monkeypatch.setattr(dnnsdp, "project_psd_unchecked", recorded)
+        prob = generate_problem("qap:3:4")
+        ops = SolveOperands(prob)
+        it = initial_iterate(prob, 1.0, engine.TAU0)
+        assert it.negatives == 0
+        for _ in range(20):
+            before, it = it.negatives, cadmm_step(it, ops)
+            assert counts[-1] == (before, it.negatives)
+        # qap:3:4 has many nonpositive eigenvalues in its S inputs
+        assert 4 * it.negatives >= prob.n
+
+    def test_a_second_solve_in_one_process_has_the_same_bits(self, monkeypatch):
+        # the count lives on the iterate, so no solve leaves a route behind
+        # for the next. A count left behind would start the second
+        # biq:14:5 solve (n = 15) on dsyevd, after theta:14:1's final 4,
+        # and the first on dsyevr, after qap:3:4's final 2; a fresh
+        # iterate starts every solve on dsyevr. (qap:3:4 itself ends with
+        # the same bits whichever route its first projection takes.)
+        taken = []
+        real = linalg._nonpositive_eigenvectors_dsyevd
+        monkeypatch.setattr(linalg, "_nonpositive_eigenvectors_dsyevd",
+                            lambda b: taken.append(b.shape[0]) or real(b))
+        specs = ["qap:3:4", "biq:14:5", "qap:3:4", "theta:14:1", "biq:14:5"]
+        results = [cadmm_solve(generate_problem(spec)) for spec in specs]
+        assert {9, 14, 15} <= set(taken)
+        for first, again in ((results[0], results[2]), (results[1], results[4])):
+            assert (first.status, first.iterations) == (again.status, again.iterations)
+            assert first.report == again.report and first.tau_history == again.tau_history
+            assert first.sigma_final == again.sigma_final
+            for a, b in zip([first.x, *first.z], [again.x, *again.z]):
+                assert np.array_equal(a, b)
+
+
 class TestSweepCertificate:
     """The loop certifies each iterate from its sweep's constraint map."""
 
     @pytest.mark.parametrize("solve,spec", [(cadmm_solve, "biq:14:5"),
                                             (cadmm_solve, "ebiq:8:2"),
-                                            (dext_solve, "ebiq:8:2")],
-                             ids=["cadmm-biq:14:5", "cadmm-ebiq:8:2", "dext-ebiq:8:2"])
+                                            (dext_solve, "ebiq:8:2"),
+                                            (cadmm_solve, "qap:3:4")],
+                             ids=["cadmm-biq:14:5", "cadmm-ebiq:8:2", "dext-ebiq:8:2",
+                                  "cadmm-qap:3:4"])
     def test_loop_report_matches_full_recomputation(self, solve, spec):
         # every in-loop report against the full check of the same iterate;
-        # an iterate without a report cannot have stopped the run, and the
+        # an iterate without a report cannot have stopped the run, since a
+        # component that needs no eigenvalues is not below tol, and the
         # returned report is the full check of the last one
         prob = generate_problem(spec)
         tol, period = SolverConfig().tol, TuningPolicy().check_period
@@ -649,7 +700,7 @@ class TestSweepCertificate:
         for it, loop, fresh in seen:
             assert it.f_full is not None
             if loop is None:
-                cheap = [fresh.eta_P, fresh.eta_D, fresh.eta_K]
+                cheap = [fresh.eta_P, fresh.eta_D, fresh.eta_K, fresh.eta_C1, fresh.eta_C2]
                 cheap += [fresh.eta_I] if prob.four_block else []
                 assert fresh.eta >= tol and max(cheap) >= tol, it.k
                 assert it.k % period != 0, it.k
@@ -665,22 +716,43 @@ class TestSweepCertificate:
             assert loop.eta_S == fresh.eta_S or loop.eta_S <= max(primal), it.k
             assert max(primal + [loop.eta_S]) == max(primal + [fresh.eta_S]), it.k
             # the 4-block sweep sums in the order of the full check; the
-            # 3-block one does not, so its eta_D may move by an ulp
+            # 3-block one sums Z + A_E* y_E + S - C, so its eta_D is the norm
+            # of that sum, which differs from the full check's by the
+            # rounding of the terms (1e-9 of eta_D on qap:3:4, where the
+            # terms cancel to 1e-8 of their size)
             if prob.four_block:
                 assert loop.eta_D == fresh.eta_D
-            assert loop.eta_D == pytest.approx(fresh.eta_D, rel=1e-12, abs=0)
+            else:
+                terms = (it.Z, prob.A_E.adjoint(it.yE), it.S, prob.C)
+                scale = 1 + np.linalg.norm(prob.C)
+                assert loop.eta_D == np.linalg.norm(
+                    terms[0] + terms[1] + terms[2] - terms[3]) / scale
+                rounding = 4 * np.finfo(float).eps * sum(map(np.linalg.norm, terms)) / scale
+                assert abs(loop.eta_D - fresh.eta_D) <= rounding, it.k
             assert loop.eta == pytest.approx(fresh.eta, rel=1e-12, abs=0)
             assert loop.eta_Sstar == 0.0
             assert 0.0 <= fresh.eta_Sstar <= 1e-15
         assert res.report == seen[-1][2]
         assert res.residual == res.report.eta
 
+    @staticmethod
+    def lower_bound(it, prob):
+        """max(eta_D, eta_P, eta_K, eta_I, eta_C1, eta_C2) of an iterate of
+        the loop, as the loop reads it, and the same without the
+        complementarity terms."""
+        norms = dnnsdp._block_norms(it)
+        scales = dnnsdp._data_scales(prob)
+        eta_P, eta_K, eta_I, eta_C1, eta_C2 = dnnsdp._lower_bounds(it, prob, norms, scales)
+        feasibility = max(np.linalg.norm(it.f_full) / scales[1], eta_P, eta_K, eta_I or 0.0)
+        return max(feasibility, eta_C1, eta_C2), feasibility
+
     @pytest.mark.parametrize("policy", [TuningPolicy.disabled(), TuningPolicy()],
                              ids=["disabled", "default"])
     def test_certificate_only_where_the_bound_may_stop(self, policy, monkeypatch):
         # the Cholesky certificate of eta_S runs once per full report: on
-        # the iterations whose lower bound max(eta_P, eta_D, eta_K) of eta
-        # is below tol, and at the sigma checks besides
+        # the iterations whose lower bound
+        # max(eta_D, eta_P, eta_K, eta_C1, eta_C2) of eta is below tol, and
+        # at the sigma checks besides
         prob = generate_problem("biq:14:5")
         tol = SolverConfig().tol
         calls = []
@@ -693,9 +765,7 @@ class TestSweepCertificate:
         below, made = [], []
 
         def cb(it, rep):
-            cheap = dnnsdp._feasibility(it, prob, it.f_full, float(np.linalg.norm(it.X)),
-                                        dnnsdp._data_scales(prob))
-            below.append(max(e for e in cheap if e is not None) < tol)
+            below.append(self.lower_bound(it, prob)[0] < tol)
             made.append(len(calls) - sum(made))
 
         monkeypatch.setattr(dnnsdp, "psd_distance_below", counted)
@@ -707,6 +777,20 @@ class TestSweepCertificate:
             assert made == below
         else:
             assert len(calls) <= sum(below) + res.iterations // 50 + 1
+
+    def test_complementarity_terms_rule_out_reports(self):
+        # on qap:3:4 most iterates whose feasibility components are all
+        # below tol still have eta_C1 or eta_C2 above it, so they get no
+        # report
+        prob = generate_problem("qap:3:4")
+        tol = SolverConfig().tol
+        seen = []
+        res = cadmm_solve(prob, policy=TuningPolicy.disabled(), callback=lambda it, rep: (
+            seen.append((rep is not None, *self.lower_bound(it, prob)))))
+        assert res.status == "Converged" and len(seen) == res.iterations
+        assert [made for made, _, _ in seen] == [bound < tol for _, bound, _ in seen]
+        ruled_out = [not made and feasibility < tol for made, _, feasibility in seen]
+        assert sum(ruled_out) > sum(made for made, _, _ in seen)
 
     def test_one_eigenvalue_call_per_iteration(self, monkeypatch):
         # at most one: X only on the iterations whose Cholesky certificate

@@ -192,7 +192,7 @@ class TestProjectPsd:
             assert np.array_equal(project_psd(b), b)
 
     @pytest.mark.parametrize("routine, n", [("dsyevr", 9), ("dsytrd", 49), ("dstemr", 49),
-                                            ("dormqr", 49)])
+                                            ("dormqr", 49), ("dsyevd", 9)])
     def test_lapack_failure_names_the_routine(self, monkeypatch, routine, n):
         real = getattr(scipy.linalg.lapack, routine)
 
@@ -202,7 +202,9 @@ class TestProjectPsd:
         monkeypatch.setattr(scipy.linalg.lapack, routine, failing)
         with pytest.raises(np.linalg.LinAlgError, match=f"project_psd: {routine} failed "
                                                         f"with info 3"):
-            project_psd(random_sym(np.random.default_rng(0), n))
+            # a previous count of n takes dsyevd below MRRR_ORDER
+            project_psd(random_sym(np.random.default_rng(0), n),
+                        n if routine == "dsyevd" else None)
 
     def test_psd_input_comes_back_unchanged(self):
         rng = np.random.default_rng(3)
@@ -210,6 +212,50 @@ class TestProjectPsd:
         m = (q * rng.uniform(0.1, 10.0, 9)) @ q.T
         m = 0.5 * (m + m.T)
         assert np.array_equal(project_psd(m), m)
+
+    @staticmethod
+    def with_negatives(n, k, seed):
+        """A symmetric input of order n with k negative eigenvalues."""
+        rng = np.random.default_rng(seed)
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        lam = rng.uniform(0.1, 10.0, n) * np.where(np.arange(n) < k, -1.0, 1.0)
+        m = (q * lam) @ q.T + 1e-3 * rng.standard_normal((n, n))
+        return m, 0.5 * (m + m.T)
+
+    @pytest.mark.parametrize("n", [1, 4, 9, 15, MRRR_ORDER - 1])
+    @pytest.mark.parametrize("share", [0.25, 0.5, 1.0])
+    def test_a_count_of_a_quarter_takes_dsyevd_below_mrrr_order(self, monkeypatch, n, share):
+        # a previous count of at least n/4 takes a full dsyevd, whose
+        # result agrees with the dsyevr route to rounding and is PSD to
+        # rounding; the count that comes back is this input's
+        taken = []
+        real = linalg._nonpositive_eigenvectors_dsyevd
+        monkeypatch.setattr(linalg, "_nonpositive_eigenvectors_dsyevd",
+                            lambda b: taken.append(b.shape) or real(b))
+        k, count = math.ceil(share * n), math.ceil(n / 4)
+        for seed in range(10):
+            m, b = self.with_negatives(n, k, seed)
+            out, got = project_psd(m, count)
+            ref = project_psd(m)   # the dsyevr route
+            assert got == linalg._nonpositive_eigenvectors_dsyevr(b).shape[1] == k
+            assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(b)
+            assert np.linalg.eigvalsh(out).min() >= -1e-15 * np.linalg.norm(b)
+        assert taken == [(n, n)] * 10
+
+    @pytest.mark.parametrize("n", [4, 9, 15, MRRR_ORDER - 1, MRRR_ORDER, 30])
+    def test_a_count_below_a_quarter_or_from_mrrr_order_changes_no_bit(self, n):
+        # below n/4 the route stays dsyevr, and from MRRR_ORDER on it stays
+        # the chain whatever the count; both keep the bits of a call
+        # without a count and return the count
+        counts = [0, math.ceil(n / 4) - 1] + ([n // 4 + 1, n] if n >= MRRR_ORDER else [])
+        for seed in range(5):
+            m, b = self.with_negatives(n, max(1, n // 3), seed)
+            ref = project_psd(m)
+            for count in counts:
+                out, got = linalg.project_psd_unchecked(b, count)
+                assert np.array_equal(out, ref) and got == max(1, n // 3), count
+        m, b = self.with_negatives(n, 0, 0)
+        assert linalg.project_psd_unchecked(b, n)[1] == 0
 
 
 class TestFrobNorm:

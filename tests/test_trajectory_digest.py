@@ -9,6 +9,7 @@ from cadmm.cli import generate_problem
 from cadmm.dnnsdp import SolverConfig, cadmm_solve
 
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "trajectory_digest.py"
+RECORD = Path(__file__).resolve().parent / "trajectory_record.txt"
 spec = importlib.util.spec_from_file_location("trajectory_digest", SCRIPT)
 trajectory_digest = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(trajectory_digest)
@@ -36,5 +37,21 @@ def test_line_is_the_same_on_two_runs_of_one_solve():
 def test_brief_keeps_label_status_and_iterations():
     res = short_solve()
     text = trajectory_digest.line("mixed/biq:6:1/cadmm", res)
-    assert trajectory_digest.brief(text) == \
-        f"mixed/biq:6:1/cadmm {res.status} iters={res.iterations}"
+    assert trajectory_digest.brief(text) == (
+        f"mixed/biq:6:1/cadmm {res.status} iters={res.iterations} "
+        f"sigma={res.sigma_final!r} tau={res.tau_final:.6g}")
+
+
+def test_every_solve_keeps_its_recorded_ending_count_and_step():
+    # the endings, iteration counts, final sigmas and final taus of the
+    # digested solves are on the record; a change that moves one
+    # regenerates the record and explains the line
+    record = [text for text in RECORD.read_text().splitlines()
+              if text and not text.startswith("#")]
+    got = []
+    for label, prob, solver, max_iters in trajectory_digest.solves():
+        trajectory_digest.suite.prepare(prob)
+        res = trajectory_digest.suite.solve(prob, solver, max_iters)
+        got.append(trajectory_digest.brief(trajectory_digest.line(label, res)))
+    assert len(record) == 16
+    assert got == record

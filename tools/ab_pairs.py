@@ -14,8 +14,9 @@ its runs, the relative change of the medians, the pairs the checkout won
 (a tie counts for neither side) and whether a gain is shown: the
 checkout won at least nine tenths of the pairs and the medians lie
 further apart, in the better direction, than the quartiles of REV's
-runs. The exit code is 1 when a run failed its check or printed no
-result, else 0.
+runs. Only the pairs in which both runs passed their check count; the
+number left out is printed. The exit code is 1 when a run failed its
+check or printed no result, else 0.
 """
 
 from __future__ import annotations
@@ -68,6 +69,15 @@ def quartiles(values: list) -> tuple:
     return tuple(float(q) for q in np.percentile(values, [25, 50, 75]))
 
 
+def checked_pairs(runs: list) -> tuple:
+    """``(pairs, left_out)`` from ``runs``, one
+    ``((rev_metrics, rev_ok), (checkout_metrics, checkout_ok))`` per pair
+    as :func:`run_once` returned them: the metrics of the pairs in which
+    both runs passed their check, and how many pairs were left out."""
+    pairs = [(a, b) for (a, a_ok), (b, b_ok) in runs if a_ok and b_ok]
+    return pairs, len(runs) - len(pairs)
+
+
 def summarize(pairs: list, better: dict) -> list:
     """One row per metric of ``better`` (``{name: "lower" | "higher"}``)
     over ``pairs``, a list of ``(rev_metrics, checkout_metrics)`` dicts of
@@ -115,7 +125,7 @@ def main() -> int:
         parser.error("--pairs must be at least 1")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    pairs, failed = [], 0
+    runs, failed = [], 0
     with tempfile.TemporaryDirectory() as tmp:
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.against],
                                  check=True, stdout=subprocess.PIPE).stdout
@@ -125,13 +135,16 @@ def main() -> int:
             order = ["rev", "checkout"] if k % 2 == 0 else ["checkout", "rev"]
             got = {}
             for side in order:
-                got[side], ok = run_once(sides[side], args.workload, args.seed,
-                                         args.seconds)
-                failed += not ok
-                print(pair_line(k + 1, side, got[side], ok), flush=True)
-            pairs.append((got["rev"], got["checkout"]))
+                got[side] = run_once(sides[side], args.workload, args.seed, args.seconds)
+                failed += not got[side][1]
+                print(pair_line(k + 1, side, *got[side]), flush=True)
+            runs.append((got["rev"], got["checkout"]))
+    pairs, left_out = checked_pairs(runs)
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s "
           f"runs, {args.against} against this checkout:")
+    if left_out:
+        print(f"{left_out} of {args.pairs} pairs left out, since a run in them failed "
+              f"its check or printed no result")
     for line in format_rows(summarize(pairs, better)):
         print(line)
     if failed:

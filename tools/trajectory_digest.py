@@ -10,11 +10,12 @@ it exports revision REV with ``git archive`` into a temporary directory,
 runs that export's copy of this script and then this checkout's, prints
 a unified diff of the two outputs and exits 1 when they differ.
 
-With ``--iterations`` only the first three fields of each line are
-printed or compared: the label, the status and the iteration count.
-``--against REV --iterations`` then shows in one step that a change
-which moves the iterates by a few ulps changed no solve's ending or
-iteration count.
+With ``--iterations`` only the label, the status, the iteration count,
+the final sigma and the final tau to 6 significant digits of each line
+are printed or compared. ``--against REV --iterations`` then shows in
+one step that a change which moves the iterates by a few ulps changed no
+solve's ending, iteration count or final step. ``tests/trajectory_record.txt``
+holds this output, and a test reruns the solves against it.
 
 The solves are those of the benchmark (every instance and solver of
 ``perfbench.suite.WORKLOADS``, with the seed-1 relabelings) plus cadmm
@@ -82,8 +83,10 @@ def solves():
 
 
 def brief(line: str) -> str:
-    """The label, status and iteration count of a line."""
-    return " ".join(line.split()[:3])
+    """The label, status, iteration count and final sigma of a line, and
+    its final tau to 6 significant digits."""
+    *head, tau = line.split()[:5]
+    return " ".join(head) + f" tau={float(tau.removeprefix('tau=')):.6g}"
 
 
 def run_digest(root: Path) -> list:
