@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -46,7 +47,8 @@ class DnnSdpProblem:
     """Data of one doubly nonnegative SDP in the max form above.
 
     ``meta`` carries builder bookkeeping (family name, objective offset
-    and sense) and never affects the solver.
+    and sense) and never affects the solver. A_E and b_E are required;
+    A_E, and A_I when given, must be ``SparseSymList`` collections.
 
     C and M must be symmetric to 1e-10 (relative to their largest entry)
     and are stored as 0.5 (A + A^T), exactly symmetric, which the solve
@@ -65,6 +67,12 @@ class DnnSdpProblem:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("A_E", "A_I"):
+            value = getattr(self, name)
+            if not (isinstance(value, SparseSymList) or name == "A_I" and value is None):
+                raise ValueError(f"{name} must be a SparseSymList, got {type(value).__name__}")
+        if self.b_E is None:
+            raise ValueError("b_E must be a vector, got None")
         if self.pattern is None:
             object.__setattr__(self, "pattern", ConePattern.all_nonneg(self.n))
         if self.M is None:
@@ -177,7 +185,8 @@ class SolveOperands:
     The operands call the unchecked cores of the kernels
     (``apply_unchecked``, ``adjoint_unchecked``, ``gram_solve_unchecked``
     with the Gram factor taken here, ``project_pattern_unchecked`` with
-    the dual pattern's bounds taken here, and ``project_psd_unchecked``).
+    the dual pattern's bounds taken here, or, when that pattern has no
+    Zero entry, the lower clip alone, and ``project_psd_unchecked``).
     Their checks cannot fail in the solve loop:
     - no input is non-finite: the data is checked finite when the problem
       is made, the start is zero, and every block and X pass the
@@ -208,8 +217,11 @@ class SolveOperands:
         self.apply_I, self.adjoint_I = ((a_I.apply_unchecked, a_I.adjoint_unchecked)
                                         if a_I is not None else (None, None))
         self.solve_E = functools.partial(gram_solve_unchecked, gram_factor(a_E))
-        bounds = prob.pattern.dual().bounds()
-        self.project_dual = lambda z: project_pattern_unchecked(z, bounds)
+        lo, hi = bounds = prob.pattern.dual().bounds()
+        # with no Zero entry in the dual pattern, hi is +inf everywhere and
+        # the min with it changes no bit, NaN included, so it is left out
+        self.project_dual = ((lambda z: np.maximum(z, lo)) if np.isposinf(hi).all()
+                             else lambda z: project_pattern_unchecked(z, bounds))
         self.project_psd = project_psd_unchecked
         self.sigma = None
 
@@ -252,7 +264,9 @@ def update_Z(ops: SolveOperands, xs: np.ndarray, r: np.ndarray, sigma: float) ->
     """Projection onto the dual pattern cone of M/sigma - xs - r, with
     ``xs`` = x/sigma."""
     ops.at(sigma)
-    return ops.project_dual(ops.M_s - xs - r)
+    z = ops.M_s - xs
+    z -= r
+    return ops.project_dual(z)
 
 
 def update_yE(ops: SolveOperands, xs: np.ndarray, r: np.ndarray, sigma: float) -> np.ndarray:
@@ -267,7 +281,9 @@ def update_S(ops: SolveOperands, xs: np.ndarray, r: np.ndarray,
     """PSD projection of -r - xs, with ``xs`` = x/sigma. With
     ``negatives``, the count the previous projection returned, the route is
     chosen from it and ``(S, count)`` comes back (``linalg.project_psd``)."""
-    return ops.project_psd(-r - xs, negatives)
+    b = -r
+    b -= xs
+    return ops.project_psd(b, negatives)
 
 
 def _sweep(it: DnnSdpIterate, ops: SolveOperands):
@@ -536,6 +552,8 @@ class TuningPolicy:
 
     def __post_init__(self):
         for name, value in vars(self).items():
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
 

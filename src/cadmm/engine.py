@@ -17,6 +17,7 @@ last block and the multiplier are kept as predicted.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -140,6 +141,8 @@ class SolverConfig:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if not self.tol >= 0:
             raise ValueError(f"tol must be >= 0, got {self.tol}")
+        if self.max_iters is not None and not isinstance(self.max_iters, numbers.Integral):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters is not None and self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 

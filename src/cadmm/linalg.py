@@ -124,12 +124,14 @@ def _finite_symmetric(m: np.ndarray, caller: str) -> np.ndarray:
 
 
 # From this order on, project_psd finds its eigenvectors through
-# dsytrd -> dstemr -> dormqr; below it, through dsyevr, or through a full
-# dsyevd when the caller's count says that many eigenvalues are at or
-# below zero. Measured on the solver's own projection inputs (README,
-# Numerical notes): the chain's three calls cost more than dsyevr's one
-# up to n = 21 and less from n = 22 on, summed over the benchmark's
-# solves; on single instances the crossover also moves with the spectrum.
+# dsytrd -> dstemr -> dormqr, below it through dsyevr; on either side a
+# full dsyevd replaces them when the caller's count says that many
+# eigenvalues are at or below zero: at least n/4 below this order, at
+# least 2n/5 from it on. Measured on the solver's own projection inputs
+# (README, Numerical notes): the chain's three calls cost more than
+# dsyevr's one up to n = 21 and less from n = 22 on, summed over the
+# benchmark's solves; on single instances the crossover also moves with
+# the spectrum.
 MRRR_ORDER = 22
 
 
@@ -188,9 +190,10 @@ def project_psd(m: np.ndarray, negatives: Optional[int] = None):
     order ``MRRR_ORDER`` on they come from ``dsytrd`` (tridiagonal
     reduction), ``dstemr`` (MRRR on the tridiagonal, by value range) and
     ``dormqr`` (back to b's basis). Below it they come from LAPACK
-    ``dsyevr`` by value range, unless ``negatives``, the number of such
-    eigenvalues of a previous, similar input, is at least n/4: then from
-    a full ``dsyevd``, which is faster when that many are wanted. The
+    ``dsyevr`` by value range. Either way, when ``negatives``, the number
+    of such eigenvalues of a previous, similar input, is at least n/4
+    below ``MRRR_ORDER`` or at least 2n/5 from it on, they come from a
+    full ``dsyevd`` instead, which is faster when that many are wanted. The
     result is the congruence P b P with P = I - V V^T, formed as
     ``b - (V G^T + G V^T)`` with G = b V - V (V^T b V) / 2. Being a
     congruence of b, it is PSD up to second order in the error of V;
@@ -212,10 +215,11 @@ def project_psd_unchecked(b: np.ndarray, negatives: Optional[int] = None):
     has no eigenvalue in (-inf, 0]. On such an input ``project_psd`` gives
     the same bits, since symmetrizing it changes no bit."""
     n = b.shape[0]
-    if n >= MRRR_ORDER:
-        v = _nonpositive_eigenvectors_mrrr(b)
-    elif negatives is not None and 4 * negatives >= n:
+    chain = n >= MRRR_ORDER
+    if negatives is not None and (5 * negatives >= 2 * n if chain else 4 * negatives >= n):
         v = _nonpositive_eigenvectors_dsyevd(b)
+    elif chain:
+        v = _nonpositive_eigenvectors_mrrr(b)
     else:
         v = _nonpositive_eigenvectors_dsyevr(b)
     if v.shape[1] == 0:
@@ -310,7 +314,9 @@ class SparseSymList:
     Every sum adds its terms in the order a CSR product over svec
     coordinates does, so the results are bit for bit those of
     ``P @ svec(x)``, ``smat(P.T @ y)``, ``P @ P.T`` and so on for the CSR
-    matrix P of the collection. The Gram factor and the Gram spectral
+    matrix P of the collection; where no svec coordinate holds entries of
+    two rows, ``adjoint`` takes each coordinate's one product plus 0.0
+    without the sum, the same bits. The Gram factor and the Gram spectral
     bound are cached on the collection on first use.
     """
 
@@ -461,8 +467,13 @@ class SparseSymList:
 
     def adjoint_unchecked(self, y: np.ndarray) -> np.ndarray:
         """:meth:`adjoint` for an ndarray ``y`` already of shape (m,)."""
-        v = np.bincount(self._coord_t, self._data_t * y.take(self._row_t),
-                        minlength=self._scale_t.size)
+        v = self._data_t * y.take(self._row_t)
+        if self._coord_t.size == self._scale_t.size:
+            # one entry per coordinate, so each sum is its one term; adding
+            # it to 0.0, as the sum does, turns -0.0 into +0.0
+            v += 0.0
+        else:
+            v = np.bincount(self._coord_t, v, minlength=self._scale_t.size)
         w = v / self._scale_t
         out = np.zeros(self.n * self.n)
         out[self._upper_t] = w

@@ -138,6 +138,24 @@ class TestSubproblemUpdates:
         oracle = pg_oracle_Z(prob, it.X, r, it.sigma)
         assert np.linalg.norm(got - oracle) <= 1e-8 * (1 + np.linalg.norm(oracle))
 
+    @pytest.mark.parametrize("spec, zeros", [("biq:8:1", False), ("theta:10:1", False),
+                                             ("fap:8:1", True)])
+    def test_dual_projection_keeps_the_bits_of_the_clipped_one(self, rng, spec, zeros):
+        # without a Zero entry in the dual pattern the operands leave out
+        # the min with +inf; NaN, signed zeros and infinities keep their bits
+        prob = generate_problem(spec)
+        bounds = prob.pattern.dual().bounds()
+        assert bool((bounds[1] == 0.0).any()) == zeros
+        special = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf])
+        project = SolveOperands(prob).project_dual
+        for _ in range(10):
+            x = random_sym(rng, prob.n)
+            x.flat[rng.choice(x.size, x.size // 2, replace=False)] = rng.choice(
+                special, x.size // 2)
+            got, want = project(x), project_pattern_unchecked(x, bounds)
+            assert got.tobytes() == want.tobytes()
+            assert got.dtype == want.dtype and got.shape == want.shape
+
     def test_yE_zero_case(self):
         prob = build_biq(random_biq(5, 4))
         zero_b = DnnSdpProblem(n=prob.n, C=prob.C, A_E=prob.A_E,
@@ -1039,6 +1057,21 @@ class TestProblemValidation:
         a = SparseSymList(2, [([0], [0], [1.0])])
         data = dict(n=2, C=np.eye(2), A_E=a, b_E=np.ones(1), A_I=a,
                     b_I=np.zeros(1), M=np.zeros((2, 2)))
+        data[name] = value
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DnnSdpProblem(**data)
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("A_E", None, "A_E must be a SparseSymList, got NoneType"),
+        ("b_E", None, "b_E must be a vector, got None"),
+        ("A_E", np.eye(2), "A_E must be a SparseSymList, got ndarray"),
+        ("A_I", [([0], [0], [1.0])], "A_I must be a SparseSymList, got list"),
+    ])
+    def test_rejects_missing_or_foreign_constraint_data(self, name, value, message):
+        # a problem without equality data used to be made, and then failed
+        # in the solve or the document writer with an AttributeError
+        a = SparseSymList(2, [([0], [0], [1.0])])
+        data = dict(n=2, C=np.eye(2), A_E=a, b_E=np.ones(1), A_I=a, b_I=np.zeros(1))
         data[name] = value
         with pytest.raises(ValueError, match=f"^{message}$"):
             DnnSdpProblem(**data)

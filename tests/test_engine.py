@@ -53,11 +53,22 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"sigma": 0.0}, {"tol": -1.0}, {"tol": float("nan")},
         {"max_iters": 0}, {"max_iters": -3}, {"sigma": float("inf")},
-        {"sigma": float("nan")},
+        {"sigma": float("nan")}, {"max_iters": 10.5},
     ])
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize("config, name", [(SolverConfig, "max_iters"),
+                                              (TuningPolicy, "check_period")])
+    def test_counts_must_be_integers(self, config, name):
+        # a cap of 10.5 ran 11 iterations (while k < 10.5), and a period
+        # of 2.5 checked sigma at k = 5, 10, ...
+        for value in (2.5, 10.0, "10"):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+                config(**{name: value})
+        for value in (10, np.int64(10), np.int32(10)):
+            assert getattr(config(**{name: value}), name) == 10
 
     def test_method_parameters_are_constants_in_range(self):
         assert [f.name for f in dataclasses.fields(SolverConfig)] == [

@@ -244,18 +244,42 @@ class TestProjectPsd:
 
     @pytest.mark.parametrize("n", [4, 9, 15, MRRR_ORDER - 1, MRRR_ORDER, 30])
     def test_a_count_below_a_quarter_or_from_mrrr_order_changes_no_bit(self, n):
-        # below n/4 the route stays dsyevr, and from MRRR_ORDER on it stays
-        # the chain whatever the count; both keep the bits of a call
-        # without a count and return the count
-        counts = [0, math.ceil(n / 4) - 1] + ([n // 4 + 1, n] if n >= MRRR_ORDER else [])
+        # a count below n/4 (below MRRR_ORDER) or below 2n/5 (from it on)
+        # keeps the route of a call without a count, dsyevr or the chain,
+        # and its bits; from MRRR_ORDER on a count of at least 2n/5 takes
+        # dsyevd, which agrees with the chain to rounding and is PSD to
+        # rounding; every call returns its input's count
+        share = (1, 4) if n < MRRR_ORDER else (2, 5)
+        first = math.ceil(share[0] * n / share[1])   # the smallest count that switches
+        same, switched = [0, first - 1], [first, n] if n >= MRRR_ORDER else []
+        k = max(1, n // 3)
         for seed in range(5):
-            m, b = self.with_negatives(n, max(1, n // 3), seed)
+            m, b = self.with_negatives(n, k, seed)
             ref = project_psd(m)
-            for count in counts:
+            for count in same:
                 out, got = linalg.project_psd_unchecked(b, count)
-                assert np.array_equal(out, ref) and got == max(1, n // 3), count
+                assert np.array_equal(out, ref) and got == k, count
+            for count in switched:
+                out, got = linalg.project_psd_unchecked(b, count)
+                assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(b), count
+                assert np.linalg.eigvalsh(out).min() >= -1e-15 * np.linalg.norm(b), count
+                assert got == k, count
         m, b = self.with_negatives(n, 0, 0)
         assert linalg.project_psd_unchecked(b, n)[1] == 0
+
+    @pytest.mark.parametrize("n", [MRRR_ORDER, 30, 49])
+    def test_a_count_of_two_fifths_takes_dsyevd_from_mrrr_order(self, monkeypatch, n):
+        # exactly the counts of at least 2n/5 take dsyevd from MRRR_ORDER on
+        taken = []
+        real = linalg._nonpositive_eigenvectors_dsyevd
+        monkeypatch.setattr(linalg, "_nonpositive_eigenvectors_dsyevd",
+                            lambda b: taken.append(b.shape) or real(b))
+        _, b = self.with_negatives(n, n // 2, 0)
+        for count in range(n + 1):
+            linalg.project_psd_unchecked(b, count)
+        assert len(taken) == n + 1 - math.ceil(2 * n / 5)
+        linalg.project_psd_unchecked(b)
+        assert len(taken) == n + 1 - math.ceil(2 * n / 5)
 
 
 class TestFrobNorm:
@@ -422,6 +446,42 @@ class TestTransposedCsr:
                 assert_same_bits(b.frob_norms_sq(), np.diagonal(g).copy())
                 assert np.allclose(b.frob_norms_sq(), p.multiply(p).sum(axis=1).A1,
                                    rtol=1e-15, atol=0.0)
+
+    @staticmethod
+    def summed_adjoint(a, y):
+        """The adjoint with its sum per svec coordinate on every collection."""
+        v = np.bincount(a._coord_t, a._data_t * y.take(a._row_t), minlength=a._scale_t.size)
+        w = v / a._scale_t
+        out = np.zeros(a.n * a.n)
+        out[a._upper_t] = w
+        out[a._lower_t] = w
+        return out.reshape(a.n, a.n)
+
+    @pytest.mark.parametrize("spec, name, one_entry", [
+        ("biq:12:3", "A_E", True), ("theta:14:1", "A_E", True), ("fap:10:2", "A_E", True),
+        ("rcp:20:1", "A_E", False), ("qap:3:4", "A_E", False), ("ebiq:8:2", "A_I", False)])
+    def test_one_entry_adjoint_skips_the_sum_with_its_bits(self, monkeypatch, rng, spec,
+                                                           name, one_entry):
+        # where no coordinate holds two entries the adjoint gathers without
+        # np.bincount, and a product of -0.0 still comes out +0.0, as the
+        # sum from 0.0 makes it; elsewhere it keeps the sum
+        a = getattr(generate_problem(spec), name)
+        assert (a._coord_t.size == a._scale_t.size) == one_entry
+        ys = [rng.standard_normal(a.m) for _ in range(10)] + [np.full(a.m, -0.0),
+                                                              np.zeros(a.m)]
+        ys[0][::2] = -0.0
+        refs = [self.summed_adjoint(a, y) for y in ys]
+        # a positive entry times -0.0, or a negative one times +0.0, is -0.0
+        assert any(np.signbit(a._data_t * y.take(a._row_t)).any() for y in ys[-2:])
+        calls = []
+        real = np.bincount
+        monkeypatch.setattr(np, "bincount", lambda *args, **kwargs: calls.append(1) or real(
+            *args, **kwargs))
+        for y, ref in zip(ys, refs):
+            assert_same_bits(a.adjoint(y), ref)
+        assert not np.signbit(a.adjoint(ys[-2])).any()
+        assert not np.signbit(a.adjoint(ys[-1])).any()
+        assert len(calls) == (0 if one_entry else len(ys) + 2)
 
     @pytest.mark.parametrize("spec", FAMILY_SPECS)
     def test_entry_maps_match_the_csr_bitwise(self, rng, spec):
