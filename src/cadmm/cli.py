@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -44,13 +45,17 @@ FAMILIES = {
 
 
 def generate_problem(spec: str) -> dnnsdp.DnnSdpProblem:
-    """Build a seeded instance from a "family:size:seed" spec string."""
+    """Build a seeded instance from a "family:size:seed" spec string, or a
+    theta instance at edge density d in (0, 1] from "theta:size:seed:d"."""
+    parts = spec.split(":")
+    density_text = parts.pop() if len(parts) == 4 and parts[0] == "theta" else None
     try:
-        family, size_s, seed_s = spec.split(":")
+        family, size_s, seed_s = parts
         n, seed = int(size_s), int(seed_s)
     except ValueError:
-        raise ValueError(f"generate spec must be family:size:seed with an integer "
-                         f"size and seed, got {spec!r}") from None
+        raise ValueError(f"generate spec must be family:size:seed or "
+                         f"theta:size:seed:density, with an integer size and seed, "
+                         f"got {spec!r}") from None
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r} "
                          f"(expected biq, ebiq, theta, rcp, fap or qap)")
@@ -58,6 +63,16 @@ def generate_problem(spec: str) -> dnnsdp.DnnSdpProblem:
     if n < smallest:
         raise ValueError(f"generate spec {spec!r}: family {family} needs a size of "
                          f"at least {smallest}, got {n}")
+    if density_text is not None:
+        try:
+            density = float(density_text)
+        except ValueError:
+            density = math.nan
+        if not 0.0 < density <= 1.0:
+            raise ValueError(f"generate spec {spec!r}: density must be in (0, 1], "
+                             f"got {density_text!r}")
+        return problems.build_theta_plus(problems.random_graph(n, density, seed),
+                                         name=f"theta{n}s{seed}d{density_text}")
     try:
         return build(n, seed, f"{family}{n}s{seed}")
     except ValueError as exc:

@@ -67,6 +67,10 @@ class DnnSdpProblem:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.n, numbers.Integral) or self.n < 1:
+            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        if not (self.pattern is None or isinstance(self.pattern, ConePattern)):
+            raise ValueError(f"pattern must be a ConePattern, got {type(self.pattern).__name__}")
         for name in ("A_E", "A_I"):
             value = getattr(self, name)
             if not (isinstance(value, SparseSymList) or name == "A_I" and value is None):

@@ -123,9 +123,9 @@ def _finite_symmetric(m: np.ndarray, caller: str) -> np.ndarray:
     return symmetrize(m)
 
 
-# From this order on, project_psd finds its eigenvectors through
-# dsytrd -> dstemr -> dormqr, below it through dsyevr; on either side a
-# full dsyevd replaces them when the caller's count says that many
+# From this order on, project_psd finds its eigenvectors through dsytrd,
+# a tridiagonal eigensolver and dormqr, below it through dsyevr; on either
+# side a full dsyevd replaces them when the caller's count says that many
 # eigenvalues are at or below zero: at least n/4 below this order, at
 # least 2n/5 from it on. Measured on the solver's own projection inputs
 # (README, Numerical notes): the chain's three calls cost more than
@@ -133,6 +133,25 @@ def _finite_symmetric(m: np.ndarray, caller: str) -> np.ndarray:
 # benchmark's solves; on single instances the crossover also moves with
 # the spectrum.
 MRRR_ORDER = 22
+
+# The chain's tridiagonal eigensolver. With s = max(max|d|, max|e|) of
+# the tridiagonal T, one dstebz call bisects for the eigenvalues in
+# (-inf, g], g = GUARD_BAND * s, each to BISECTION_TOL * s. When none of
+# them lies above -g - tol, dstein takes their eigenvectors by inverse
+# iteration; otherwise dstemr (MRRR) takes those in (-inf, 0]. The guarded
+# route is exact: the Sturm count makes the number k of eigenvalues in
+# (-inf, g] exact, and with none in (-g, g] it is the number in (-inf, 0].
+# Each shift is off by at most tol, and every eigenvalue lam across zero
+# lies beyond g, so each of dstein's three or more solves shrinks a
+# component along lam's eigenvector by tol / |lam| or more; what is left
+# adds about tol^3 / lam^2 <= tol^3 / g^2 = 1e-14 s to the result. Mixing
+# within the wanted side does not change the projection. On the solver's
+# own inputs (biq:48:2, theta:48:2:0.85) the largest error against an
+# eigh-based projection is 2.2e-15 and 4.8e-15 of ||b|| this way, against
+# 7.0e-14 and 1.2e-14 by dstemr, and the guard sends 4 of 842 and 16 of
+# 346 calls to dstemr.
+BISECTION_TOL = 1e-8
+GUARD_BAND = 1e-5
 
 
 _ONE_ZERO = np.zeros(1)
@@ -162,17 +181,31 @@ def _nonpositive_eigenvectors_dsyevd(b: np.ndarray) -> np.ndarray:
 
 
 def _nonpositive_eigenvectors_mrrr(b: np.ndarray) -> np.ndarray:
-    # dsyevr by value range runs bisection and inverse iteration; dstemr
-    # (MRRR) on the tridiagonal form is cheaper. dormqr on the Householder
-    # vectors below the subdiagonal, applied to rows 1: of the tridiagonal
-    # eigenvectors, is what dormtr does for a lower reduction.
-    lapack = scipy.linalg.lapack
+    # the eigenpairs of the tridiagonal form in (-inf, 0], by bisection
+    # (dstebz) and inverse iteration (dstein) when no eigenvalue lies in
+    # the guard band (-g, g], else by MRRR (dstemr). dormqr on the
+    # Householder vectors below the subdiagonal, applied to rows 1: of the
+    # tridiagonal eigenvectors, is what dormtr does for a lower reduction.
+    lapack, blas = scipy.linalg.lapack, scipy.linalg.blas
     c, d, e, tau, info = lapack.dsytrd(b.T, lower=1)
     _lapack_checked("dsytrd", info)
-    # dstemr takes e with a last workspace entry and overwrites it, so it
-    # gets a fresh array on every call
-    k, _, z, info = lapack.dstemr(d, np.concatenate((e, _ONE_ZERO)), 1, -np.inf, 0.0, 0, 0)
-    _lapack_checked("dstemr", info)
+    # s = max(max|d|, max|e|), each from the index idamax finds
+    s = max(abs(d[blas.idamax(d)]), abs(e[blas.idamax(e)]))
+    tol = BISECTION_TOL * s
+    k, w, iblock, isplit, info = lapack.dstebz(d, e, 1, -np.inf, GUARD_BAND * s, 0, 0,
+                                               tol, "B")
+    _lapack_checked("dstebz", info)
+    # the order "B" groups the eigenvalues by split-off block, as dstein
+    # wants them, so the largest need not come last; the max of a short
+    # list is cheaper than numpy's
+    if k == 0 or max(w[:k].tolist()) < -GUARD_BAND * s - tol:
+        z, info = lapack.dstein(d, e, w[:k], iblock, isplit)
+        _lapack_checked("dstein", info)
+    else:
+        # dstemr takes e with a last workspace entry and overwrites it, so
+        # it gets a fresh array on every call
+        k, _, z, info = lapack.dstemr(d, np.concatenate((e, _ONE_ZERO)), 1, -np.inf, 0.0, 0, 0)
+        _lapack_checked("dstemr", info)
     v = z[:, :k]
     if k:
         v[1:], _, info = lapack.dormqr("L", "N", c[1:, :-1], tau, z[1:, :k], k)
@@ -188,9 +221,12 @@ def project_psd(m: np.ndarray, negatives: Optional[int] = None):
     eigenvalues lie in (-inf, 0]; the projections this solver makes have
     few of them, so this is cheaper than a full eigendecomposition. From
     order ``MRRR_ORDER`` on they come from ``dsytrd`` (tridiagonal
-    reduction), ``dstemr`` (MRRR on the tridiagonal, by value range) and
-    ``dormqr`` (back to b's basis). Below it they come from LAPACK
-    ``dsyevr`` by value range. Either way, when ``negatives``, the number
+    reduction), then ``dstebz`` (bisection to ``BISECTION_TOL`` times
+    the tridiagonal's largest entry) and ``dstein`` (inverse iteration)
+    when no eigenvalue lies within ``GUARD_BAND`` times that entry of
+    zero, else ``dstemr`` (MRRR, by value range), and ``dormqr`` (back to
+    b's basis). Below it they come from LAPACK ``dsyevr`` by value
+    range. Either way, when ``negatives``, the number
     of such eigenvalues of a previous, similar input, is at least n/4
     below ``MRRR_ORDER`` or at least 2n/5 from it on, they come from a
     full ``dsyevd`` instead, which is faster when that many are wanted. The

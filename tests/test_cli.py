@@ -12,6 +12,7 @@ from cadmm.cli import EXIT_BY_STATUS, generate_problem, main
 from cadmm.cones import ConePattern
 from cadmm.io import (STATUSES, problem_to_json, read_profile_csv, read_result,
                       write_result)
+from perfbench.suite import base_problem
 
 
 class TestGenerate:
@@ -31,6 +32,30 @@ class TestGenerate:
         for spec in ("biq:x:1", "biq:6:1.5"):
             with pytest.raises(ValueError, match="integer size and seed"):
                 generate_problem(spec)
+
+    def test_theta_at_a_density_is_the_benchmark_instance(self):
+        prob, want = generate_problem("theta:48:2:0.85"), base_problem("theta:48:2:0.85")
+        for name in ("C", "b_E"):
+            assert np.array_equal(getattr(prob, name), getattr(want, name)), name
+        for k in range(want.A_E.m):
+            for got, ref in zip(prob.A_E.triples(k), want.A_E.triples(k)):
+                assert np.array_equal(got, ref), k
+        assert prob.A_E.m == want.A_E.m == 948
+        assert prob.meta["name"] == want.meta["name"] == "theta48s2d0.85"
+
+    @pytest.mark.parametrize("density", ["0", "1.5", "-0.3", "nan", "x", ""])
+    def test_theta_density_outside_the_unit_interval_refused(self, density):
+        spec = f"theta:10:1:{density}"
+        with pytest.raises(ValueError) as exc:
+            generate_problem(spec)
+        assert str(exc.value) == (f"generate spec {spec!r}: density must be in (0, 1], "
+                                  f"got {density!r}")
+
+    @pytest.mark.parametrize("spec", ["biq:6:1:0.5", "theta:6:1:0.5:1", "theta"])
+    def test_a_density_only_for_theta(self, spec):
+        with pytest.raises(ValueError, match="^generate spec must be family:size:seed or "
+                                             "theta:size:seed:density, with an integer"):
+            generate_problem(spec)
 
     # (family, smallest size, a seed)
     @pytest.mark.parametrize("family, smallest, seed", [

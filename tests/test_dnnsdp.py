@@ -1076,6 +1076,24 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match=f"^{message}$"):
             DnnSdpProblem(**data)
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("n", 2.0, "n must be a positive integer, got 2.0"),
+        ("n", "2", "n must be a positive integer, got '2'"),
+        ("n", 0, "n must be a positive integer, got 0"),
+        ("pattern", np.zeros((2, 2), dtype=int), "pattern must be a ConePattern, got ndarray"),
+        ("pattern", "nonneg", "pattern must be a ConePattern, got str"),
+    ])
+    def test_rejects_a_foreign_order_or_pattern_naming_the_field(self, name, value, message):
+        # an ndarray pattern used to fail with an AttributeError and n=2.0
+        # with a bare TypeError, neither naming the field
+        a = SparseSymList(2, [([0], [0], [1.0])])
+        data = dict(n=2, C=np.eye(2), A_E=a, b_E=np.ones(1))
+        data[name] = value
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DnnSdpProblem(**data)
+        data[name] = {"n": np.int64(2), "pattern": ConePattern.all_nonneg(2)}[name]
+        assert DnnSdpProblem(**data).n == 2
+
     @pytest.mark.parametrize("solve", [cadmm_solve, dext_solve], ids=["cadmm", "dext"])
     def test_solve_validates_first(self, solve):
         a = SparseSymList(2, [([0], [0], [1.0])])

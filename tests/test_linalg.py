@@ -129,7 +129,9 @@ class TestProjectPsd:
         # symmetrized input; f2py would copy the C-ordered array into the
         # same Fortran layout, so the eigenvectors and the result keep
         # every bit. Below MRRR_ORDER the route is dsyevr by value range,
-        # from it on dsytrd -> dstemr -> dormqr
+        # from it on dsytrd -> dstebz -> dstein -> dormqr, or dstemr in
+        # place of dstebz and dstein when an eigenvalue lies in the guard
+        # band
         lapack = scipy.linalg.lapack
         rng = np.random.default_rng(n + 100)
         for _ in range(20):
@@ -143,7 +145,14 @@ class TestProjectPsd:
             else:
                 c, d, e, tau, info = lapack.dsytrd(b, lower=1)
                 assert info == 0
-                k, _, z, info = lapack.dstemr(d, np.append(e, 0.0), 1, -np.inf, 0.0, 0, 0)
+                s = max(np.abs(d).max(), np.abs(e).max())
+                g, tol = linalg.GUARD_BAND * s, linalg.BISECTION_TOL * s
+                k, w, iblock, isplit, info = lapack.dstebz(d, e, 1, -np.inf, g, 0, 0, tol, "B")
+                assert info == 0
+                if k == 0 or w[:k].max() < -g - tol:
+                    z, info = lapack.dstein(d, e, w[:k], iblock, isplit)
+                else:
+                    k, _, z, info = lapack.dstemr(d, np.append(e, 0.0), 1, -np.inf, 0.0, 0, 0)
                 assert info == 0 and k > 0
                 q, _, info = lapack.dormqr("L", "N", c[1:, :-1], tau, z[1:, :k], k)
                 assert info == 0
@@ -191,20 +200,23 @@ class TestProjectPsd:
         if kind == "positive definite":
             assert np.array_equal(project_psd(b), b)
 
-    @pytest.mark.parametrize("routine, n", [("dsyevr", 9), ("dsytrd", 49), ("dstemr", 49),
-                                            ("dormqr", 49), ("dsyevd", 9)])
+    @pytest.mark.parametrize("routine, n", [("dsyevr", 9), ("dsytrd", 49), ("dstebz", 49),
+                                            ("dstein", 49), ("dstemr", 49), ("dormqr", 49),
+                                            ("dsyevd", 9)])
     def test_lapack_failure_names_the_routine(self, monkeypatch, routine, n):
         real = getattr(scipy.linalg.lapack, routine)
 
         def failing(*args, **kwargs):
             return real(*args, **kwargs)[:-1] + (3,)
 
+        # dstemr runs only when an eigenvalue lies in the guard band
+        m = (self.with_eigenvalue_at(n, 5, 1e-9, 0) if routine == "dstemr"
+             else random_sym(np.random.default_rng(0), n))
         monkeypatch.setattr(scipy.linalg.lapack, routine, failing)
         with pytest.raises(np.linalg.LinAlgError, match=f"project_psd: {routine} failed "
                                                         f"with info 3"):
             # a previous count of n takes dsyevd below MRRR_ORDER
-            project_psd(random_sym(np.random.default_rng(0), n),
-                        n if routine == "dsyevd" else None)
+            project_psd(m, n if routine == "dsyevd" else None)
 
     def test_psd_input_comes_back_unchanged(self):
         rng = np.random.default_rng(3)
@@ -221,6 +233,18 @@ class TestProjectPsd:
         lam = rng.uniform(0.1, 10.0, n) * np.where(np.arange(n) < k, -1.0, 1.0)
         m = (q * lam) @ q.T + 1e-3 * rng.standard_normal((n, n))
         return m, 0.5 * (m + m.T)
+
+    @staticmethod
+    def with_eigenvalue_at(n, k, at, seed):
+        """A symmetric input of order n with k eigenvalues in [-10, -0.1]
+        and one at ``at`` times its Frobenius norm."""
+        rng = np.random.default_rng(seed)
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        lam = rng.uniform(0.1, 10.0, n) * np.where(np.arange(n) < k, -1.0, 1.0)
+        lam[k] = 0.0
+        lam[k] = at * np.linalg.norm(lam)
+        m = (q * lam) @ q.T
+        return 0.5 * (m + m.T)
 
     @pytest.mark.parametrize("n", [1, 4, 9, 15, MRRR_ORDER - 1])
     @pytest.mark.parametrize("share", [0.25, 0.5, 1.0])
@@ -280,6 +304,50 @@ class TestProjectPsd:
         assert len(taken) == n + 1 - math.ceil(2 * n / 5)
         linalg.project_psd_unchecked(b)
         assert len(taken) == n + 1 - math.ceil(2 * n / 5)
+
+    @staticmethod
+    def spy_on_dstemr(monkeypatch):
+        """The list to which every dstemr call appends its order."""
+        calls = []
+        real = scipy.linalg.lapack.dstemr
+        monkeypatch.setattr(scipy.linalg.lapack, "dstemr",
+                            lambda d, *args: calls.append(d.size) or real(d, *args))
+        return calls
+
+    @pytest.mark.parametrize("n", [MRRR_ORDER, 30, 49])
+    @pytest.mark.parametrize("k", ["one", "a fifth", "a third"])
+    def test_bisection_route_agrees_with_dsyevd(self, monkeypatch, n, k):
+        # from MRRR_ORDER on, a spectrum clear of the guard band takes
+        # dstebz and dstein, never dstemr; the result agrees with the
+        # dsyevd route to rounding, is PSD to rounding and comes with the
+        # input's count
+        stemr = self.spy_on_dstemr(monkeypatch)
+        k = {"one": 1, "a fifth": n // 5, "a third": n // 3}[k]
+        for seed in range(5):
+            m, b = self.with_negatives(n, k, seed)
+            out, got = linalg.project_psd_unchecked(b, 0)
+            ref, count = linalg.project_psd_unchecked(b, n)   # the dsyevd route
+            assert got == count == k
+            assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(b)
+            assert np.linalg.eigvalsh(out).min() >= -1e-15 * np.linalg.norm(b)
+        assert stemr == []
+
+    @pytest.mark.parametrize("n", [MRRR_ORDER, 49])
+    @pytest.mark.parametrize("at, mrrr", [(1e-9, True), (-1e-9, True), (1e-3, False),
+                                          (-1e-3, False)])
+    def test_an_eigenvalue_in_the_guard_band_takes_dstemr(self, monkeypatch, n, at, mrrr):
+        # an eigenvalue at +-1e-9 ||b|| lies inside the band (-g, g] and
+        # sends the call to dstemr; a spectrum 1e-3 ||b|| from zero does
+        # not. Either way the result is the projection, and the count is
+        # that of the eigenvalues at or below zero
+        stemr = self.spy_on_dstemr(monkeypatch)
+        b = self.with_eigenvalue_at(n, 5, at, n)
+        out, got = linalg.project_psd_unchecked(b, 0)
+        assert stemr == ([n] if mrrr else [])
+        assert got == (6 if at < 0 else 5)
+        w, v = np.linalg.eigh(b)
+        ref = (v * np.maximum(w, 0.0)) @ v.T
+        assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(b)
 
 
 class TestFrobNorm:
