@@ -47,8 +47,10 @@ class DnnSdpProblem:
     """Data of one doubly nonnegative SDP in the max form above.
 
     ``meta`` carries builder bookkeeping (family name, objective offset
-    and sense) and never affects the solver. A_E and b_E are required;
-    A_E, and A_I when given, must be ``SparseSymList`` collections.
+    and sense) and never affects the solver. n must be a positive
+    integer and ``pattern`` a ``ConePattern`` or None (all NonNeg). A_E
+    and b_E are required; A_E, and A_I when given, must be
+    ``SparseSymList`` collections.
 
     C and M must be symmetric to 1e-10 (relative to their largest entry)
     and are stored as 0.5 (A + A^T), exactly symmetric, which the solve

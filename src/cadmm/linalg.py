@@ -138,7 +138,13 @@ MRRR_ORDER = 22
 # the tridiagonal T, one dstebz call bisects for the eigenvalues in
 # (-inf, g], g = GUARD_BAND * s, each to BISECTION_TOL * s. When none of
 # them lies above -g - tol, dstein takes their eigenvectors by inverse
-# iteration; otherwise dstemr (MRRR) takes those in (-inf, 0]. The guarded
+# iteration; otherwise dstemr (MRRR) takes those in (-inf, 0]. dstein's
+# stopping test assumes entries of order one or more (on a T with
+# s = 1e-5 it fails to converge), and dstebz squares the entries of e, so
+# a T whose s lies outside [1, TRIDIAGONAL_SCALE_LIMIT) is first scaled by
+# the power of two that brings s into [0.5, 1); that keeps the
+# eigenvectors and the signs of the eigenvalues, and rounds no entry
+# unless it leaves the normal range. The guarded
 # route is exact: the Sturm count makes the number k of eigenvalues in
 # (-inf, g] exact, and with none in (-g, g] it is the number in (-inf, 0].
 # Each shift is off by at most tol, and every eigenvalue lam across zero
@@ -152,6 +158,7 @@ MRRR_ORDER = 22
 # 346 calls to dstemr.
 BISECTION_TOL = 1e-8
 GUARD_BAND = 1e-5
+TRIDIAGONAL_SCALE_LIMIT = 2.0 ** 64
 
 
 _ONE_ZERO = np.zeros(1)
@@ -191,6 +198,9 @@ def _nonpositive_eigenvectors_mrrr(b: np.ndarray) -> np.ndarray:
     _lapack_checked("dsytrd", info)
     # s = max(max|d|, max|e|), each from the index idamax finds
     s = max(abs(d[blas.idamax(d)]), abs(e[blas.idamax(e)]))
+    if not 1.0 <= s < TRIDIAGONAL_SCALE_LIMIT:
+        scale = math.ldexp(1.0, -math.frexp(s)[1])
+        d, e, s = d * scale, e * scale, s * scale
     tol = BISECTION_TOL * s
     k, w, iblock, isplit, info = lapack.dstebz(d, e, 1, -np.inf, GUARD_BAND * s, 0, 0,
                                                tol, "B")

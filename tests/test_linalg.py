@@ -146,6 +146,9 @@ class TestProjectPsd:
                 c, d, e, tau, info = lapack.dsytrd(b, lower=1)
                 assert info == 0
                 s = max(np.abs(d).max(), np.abs(e).max())
+                if not 1.0 <= s < linalg.TRIDIAGONAL_SCALE_LIMIT:
+                    scale = 2.0 ** -math.frexp(s)[1]
+                    d, e, s = d * scale, e * scale, s * scale
                 g, tol = linalg.GUARD_BAND * s, linalg.BISECTION_TOL * s
                 k, w, iblock, isplit, info = lapack.dstebz(d, e, 1, -np.inf, g, 0, 0, tol, "B")
                 assert info == 0
@@ -331,6 +334,20 @@ class TestProjectPsd:
             assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(b)
             assert np.linalg.eigvalsh(out).min() >= -1e-15 * np.linalg.norm(b)
         assert stemr == []
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-20, 1e-6, 0.5, 1e19, 1e300])
+    def test_bisection_route_at_any_scale(self, monkeypatch, scale):
+        # unless the tridiagonal is scaled first, dstein fails to converge
+        # on small entries (from about 1e-5 on a random input) and dstebz
+        # on entries past 1e154; the result is the projection of the
+        # scaled input
+        stemr = self.spy_on_dstemr(monkeypatch)
+        n, k = 30, 6
+        m, b = self.with_negatives(n, k, 1)
+        ref = linalg.project_psd_unchecked(b, n)[0]
+        out, got = linalg.project_psd_unchecked(scale * b, 0)
+        assert got == k and stemr == []
+        assert np.linalg.norm(out / scale - ref) <= 1e-13 * np.linalg.norm(b)
 
     @pytest.mark.parametrize("n", [MRRR_ORDER, 49])
     @pytest.mark.parametrize("at, mrrr", [(1e-9, True), (-1e-9, True), (1e-3, False),
