@@ -136,26 +136,22 @@ MRRR_ORDER = 22
 
 # The chain's tridiagonal eigensolver. With s = max(max|d|, max|e|) of
 # the tridiagonal T, one dstebz call bisects for the eigenvalues in
-# (-inf, g], g = GUARD_BAND * s, each to BISECTION_TOL * s. When none of
-# them lies above -g - tol, dstein takes their eigenvectors by inverse
-# iteration; otherwise dstemr (MRRR) takes those in (-inf, 0]. dstein's
-# stopping test assumes entries of order one or more (on a T with
-# s = 1e-5 it fails to converge), and dstebz squares the entries of e, so
-# a T whose s lies outside [1, TRIDIAGONAL_SCALE_LIMIT) is first scaled by
-# the power of two that brings s into [0.5, 1); that keeps the
-# eigenvectors and the signs of the eigenvalues, and rounds no entry
-# unless it leaves the normal range. The guarded
-# route is exact: the Sturm count makes the number k of eigenvalues in
-# (-inf, g] exact, and with none in (-g, g] it is the number in (-inf, 0].
-# Each shift is off by at most tol, and every eigenvalue lam across zero
-# lies beyond g, so each of dstein's three or more solves shrinks a
-# component along lam's eigenvector by tol / |lam| or more; what is left
-# adds about tol^3 / lam^2 <= tol^3 / g^2 = 1e-14 s to the result. Mixing
-# within the wanted side does not change the projection. On the solver's
-# own inputs (biq:48:2, theta:48:2:0.85) the largest error against an
-# eigh-based projection is 2.2e-15 and 4.8e-15 of ||b|| this way, against
-# 7.0e-14 and 1.2e-14 by dstemr, and the guard sends 4 of 842 and 16 of
-# 346 calls to dstemr.
+# (-inf, g], g = GUARD_BAND * s, each to tol = BISECTION_TOL * s. When
+# none of them lies above -g - tol, dstein takes their eigenvectors by
+# inverse iteration; otherwise dstemr (MRRR) takes those in (-inf, 0].
+# This guarded route is exact. The Sturm count makes the number k of
+# eigenvalues in (-inf, g] exact, and with none in (-g, g] it is the
+# number in (-inf, 0]. Each shift is off by at most tol and every
+# eigenvalue lam across zero lies beyond g, so each of dstein's three or
+# more solves shrinks the component along lam's eigenvector by tol / |lam|
+# or more; what is left adds about tol^3 / lam^2 <= tol^3 / g^2 = 1e-14 s
+# to the result, and mixing within the wanted side does not change it.
+# dstein's stopping test assumes entries of order one or more (it fails
+# to converge on a T with s = 1e-5) and dstebz squares the entries of e,
+# so a T with s outside [1, TRIDIAGONAL_SCALE_LIMIT) is first scaled by
+# the power of two that brings s into [0.5, 1), which keeps the
+# eigenvectors and the signs of the eigenvalues. README, Numerical notes,
+# has the errors and the costs on the solver's own inputs.
 BISECTION_TOL = 1e-8
 GUARD_BAND = 1e-5
 TRIDIAGONAL_SCALE_LIMIT = 2.0 ** 64
@@ -235,17 +231,17 @@ def project_psd(m: np.ndarray, negatives: Optional[int] = None):
     the tridiagonal's largest entry) and ``dstein`` (inverse iteration)
     when no eigenvalue lies within ``GUARD_BAND`` times that entry of
     zero, else ``dstemr`` (MRRR, by value range), and ``dormqr`` (back to
-    b's basis). Below it they come from LAPACK ``dsyevr`` by value
-    range. Either way, when ``negatives``, the number
-    of such eigenvalues of a previous, similar input, is at least n/4
-    below ``MRRR_ORDER`` or at least 2n/5 from it on, they come from a
-    full ``dsyevd`` instead, which is faster when that many are wanted. The
-    result is the congruence P b P with P = I - V V^T, formed as
-    ``b - (V G^T + G V^T)`` with G = b V - V (V^T b V) / 2. Being a
-    congruence of b, it is PSD up to second order in the error of V;
-    ``b - V diag(w) V^T`` is only first order, which leaves S with
-    negative eigenvalues ten times the rounding. The input comes back as
-    it is when it has no such eigenvalue.
+    b's basis). Below it they come from LAPACK ``dsyevr`` by value range.
+    Either way, when ``negatives``, the number of such eigenvalues of a
+    previous, similar input, is at least n/4 below ``MRRR_ORDER`` or at
+    least 2n/5 from it on, they come from a full ``dsyevd`` instead,
+    which is faster when that many are wanted. The result is the
+    congruence P b P with P = I - V V^T, formed as ``b - (V G^T + G V^T)``
+    with G = b V - V (V^T b V) / 2. Being a congruence of b, it is PSD up
+    to second order in the error of V; ``b - V diag(w) V^T`` is only
+    first order, which leaves S with negative eigenvalues ten times the
+    rounding. The input comes back as it is when it has no such
+    eigenvalue.
 
     Returns the projection; with ``negatives`` given, ``(projection,
     count)``, where count is the number of V's columns, for the next

@@ -327,7 +327,7 @@ class TestProjectPsd:
         stemr = self.spy_on_dstemr(monkeypatch)
         k = {"one": 1, "a fifth": n // 5, "a third": n // 3}[k]
         for seed in range(5):
-            m, b = self.with_negatives(n, k, seed)
+            _, b = self.with_negatives(n, k, seed)
             out, got = linalg.project_psd_unchecked(b, 0)
             ref, count = linalg.project_psd_unchecked(b, n)   # the dsyevd route
             assert got == count == k
@@ -343,7 +343,7 @@ class TestProjectPsd:
         # scaled input
         stemr = self.spy_on_dstemr(monkeypatch)
         n, k = 30, 6
-        m, b = self.with_negatives(n, k, 1)
+        _, b = self.with_negatives(n, k, 1)
         ref = linalg.project_psd_unchecked(b, n)[0]
         out, got = linalg.project_psd_unchecked(scale * b, 0)
         assert got == k and stemr == []
