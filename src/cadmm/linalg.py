@@ -134,12 +134,14 @@ def _finite_symmetric(m: np.ndarray, caller: str) -> np.ndarray:
 # the spectrum.
 MRRR_ORDER = 22
 
-# The chain's tridiagonal eigensolver. With s = max(max|d|, max|e|) of
-# the tridiagonal T, one dstebz call bisects for the eigenvalues in
-# (-inf, g], g = GUARD_BAND * s, each to tol = BISECTION_TOL * s. When
-# none of them lies above -g - tol, dstein takes their eigenvectors by
-# inverse iteration; otherwise dstemr (MRRR) takes those in (-inf, 0].
-# This guarded route is exact. The Sturm count makes the number k of
+# The chain's tridiagonal eigensolver. When the caller's count is below
+# n/3, with s = max(max|d|, max|e|) of the tridiagonal T, one dstebz call
+# bisects for the eigenvalues in (-inf, g], g = GUARD_BAND * s, each to
+# tol = BISECTION_TOL * s. When none of them lies above -g - tol, dstein
+# takes their eigenvectors by inverse iteration. Otherwise, and on a call
+# with a larger count or none, dstemr (MRRR) takes those in (-inf, 0]:
+# bisection's cost grows faster with the count, and on theta:48:2:0.85's
+# inputs it lost to MRRR from 16 of 48 on. This guarded route is exact. The Sturm count makes the number k of
 # eigenvalues in (-inf, g] exact, and with none in (-g, g] it is the
 # number in (-inf, 0]. Each shift is off by at most tol and every
 # eigenvalue lam across zero lies beyond g, so each of dstein's three or
@@ -183,15 +185,11 @@ def _nonpositive_eigenvectors_dsyevd(b: np.ndarray) -> np.ndarray:
     return v[:, :np.searchsorted(w, 0.0, side="right")]
 
 
-def _nonpositive_eigenvectors_mrrr(b: np.ndarray) -> np.ndarray:
-    # the eigenpairs of the tridiagonal form in (-inf, 0], by bisection
-    # (dstebz) and inverse iteration (dstein) when no eigenvalue lies in
-    # the guard band (-g, g], else by MRRR (dstemr). dormqr on the
-    # Householder vectors below the subdiagonal, applied to rows 1: of the
-    # tridiagonal eigenvectors, is what dormtr does for a lower reduction.
+def _nonpositive_tridiagonal_bisected(d: np.ndarray, e: np.ndarray):
+    """``(k, z)``: the k eigenvalues of the tridiagonal (d, e) in
+    (-inf, 0] and their eigenvectors, the first k columns of z, by dstebz
+    and dstein; None when one may lie in the guard band."""
     lapack, blas = scipy.linalg.lapack, scipy.linalg.blas
-    c, d, e, tau, info = lapack.dsytrd(b.T, lower=1)
-    _lapack_checked("dsytrd", info)
     # s = max(max|d|, max|e|), each from the index idamax finds
     s = max(abs(d[blas.idamax(d)]), abs(e[blas.idamax(e)]))
     if not 1.0 <= s < TRIDIAGONAL_SCALE_LIMIT:
@@ -204,14 +202,30 @@ def _nonpositive_eigenvectors_mrrr(b: np.ndarray) -> np.ndarray:
     # the order "B" groups the eigenvalues by split-off block, as dstein
     # wants them, so the largest need not come last; the max of a short
     # list is cheaper than numpy's
-    if k == 0 or max(w[:k].tolist()) < -GUARD_BAND * s - tol:
-        z, info = lapack.dstein(d, e, w[:k], iblock, isplit)
-        _lapack_checked("dstein", info)
-    else:
+    if k and max(w[:k].tolist()) >= -GUARD_BAND * s - tol:
+        return None
+    z, info = lapack.dstein(d, e, w[:k], iblock, isplit)
+    _lapack_checked("dstein", info)
+    return k, z
+
+
+def _nonpositive_eigenvectors_mrrr(b: np.ndarray, bisect: bool) -> np.ndarray:
+    # the eigenpairs of the tridiagonal form in (-inf, 0], by bisection and
+    # inverse iteration when ``bisect`` and no eigenvalue lies in the guard
+    # band, else by MRRR (dstemr). dormqr on the Householder vectors below
+    # the subdiagonal, applied to rows 1: of the tridiagonal eigenvectors,
+    # is what dormtr does for a lower reduction.
+    lapack = scipy.linalg.lapack
+    c, d, e, tau, info = lapack.dsytrd(b.T, lower=1)
+    _lapack_checked("dsytrd", info)
+    found = _nonpositive_tridiagonal_bisected(d, e) if bisect else None
+    if found is None:
         # dstemr takes e with a last workspace entry and overwrites it, so
         # it gets a fresh array on every call
         k, _, z, info = lapack.dstemr(d, np.concatenate((e, _ONE_ZERO)), 1, -np.inf, 0.0, 0, 0)
         _lapack_checked("dstemr", info)
+    else:
+        k, z = found
     v = z[:, :k]
     if k:
         v[1:], _, info = lapack.dormqr("L", "N", c[1:, :-1], tau, z[1:, :k], k)
@@ -229,9 +243,9 @@ def project_psd(m: np.ndarray, negatives: Optional[int] = None):
     order ``MRRR_ORDER`` on they come from ``dsytrd`` (tridiagonal
     reduction), then ``dstebz`` (bisection to ``BISECTION_TOL`` times
     the tridiagonal's largest entry) and ``dstein`` (inverse iteration)
-    when no eigenvalue lies within ``GUARD_BAND`` times that entry of
-    zero, else ``dstemr`` (MRRR, by value range), and ``dormqr`` (back to
-    b's basis). Below it they come from LAPACK ``dsyevr`` by value range.
+    when ``negatives`` is below n/3 and no eigenvalue lies within
+    ``GUARD_BAND`` times that entry of zero, else ``dstemr`` (MRRR, by
+    value range), and ``dormqr`` (back to b's basis). Below it they come from LAPACK ``dsyevr`` by value range.
     Either way, when ``negatives``, the number of such eigenvalues of a
     previous, similar input, is at least n/4 below ``MRRR_ORDER`` or at
     least 2n/5 from it on, they come from a full ``dsyevd`` instead,
@@ -261,7 +275,7 @@ def project_psd_unchecked(b: np.ndarray, negatives: Optional[int] = None):
     if negatives is not None and (5 * negatives >= 2 * n if chain else 4 * negatives >= n):
         v = _nonpositive_eigenvectors_dsyevd(b)
     elif chain:
-        v = _nonpositive_eigenvectors_mrrr(b)
+        v = _nonpositive_eigenvectors_mrrr(b, negatives is not None and 3 * negatives < n)
     else:
         v = _nonpositive_eigenvectors_dsyevr(b)
     if v.shape[1] == 0:

@@ -129,10 +129,23 @@ class TestProjectPsd:
         # symmetrized input; f2py would copy the C-ordered array into the
         # same Fortran layout, so the eigenvectors and the result keep
         # every bit. Below MRRR_ORDER the route is dsyevr by value range,
-        # from it on dsytrd -> dstebz -> dstein -> dormqr, or dstemr in
-        # place of dstebz and dstein when an eigenvalue lies in the guard
-        # band
+        # from it on dsytrd -> dstemr -> dormqr, and with a count of 0
+        # dsytrd -> dstebz -> dstein -> dormqr, or dstemr in place of
+        # dstebz and dstein when an eigenvalue lies in the guard band
         lapack = scipy.linalg.lapack
+
+        def congruence(b, v):
+            bv = b @ v
+            t = v @ (bv - 0.5 * (v @ (v.T @ bv))).T
+            return b - (t + t.T)
+
+        def back(c, tau, z, k):
+            q, _, info = lapack.dormqr("L", "N", c[1:, :-1], tau, z[1:, :k], k)
+            assert info == 0
+            v = z[:, :k]
+            v[1:] = q
+            return v
+
         rng = np.random.default_rng(n + 100)
         for _ in range(20):
             m = random_sym(rng, n)
@@ -141,33 +154,23 @@ class TestProjectPsd:
                 _, v, k, _, info = lapack.dsyevr(
                     b, compute_v=1, range="V", vl=-np.inf, vu=0.0, lower=1)
                 assert info == 0
-                v = v[:, :k]
-            else:
-                c, d, e, tau, info = lapack.dsytrd(b, lower=1)
-                assert info == 0
-                s = max(np.abs(d).max(), np.abs(e).max())
-                if not 1.0 <= s < linalg.TRIDIAGONAL_SCALE_LIMIT:
-                    scale = 2.0 ** -math.frexp(s)[1]
-                    d, e, s = d * scale, e * scale, s * scale
-                g, tol = linalg.GUARD_BAND * s, linalg.BISECTION_TOL * s
-                k, w, iblock, isplit, info = lapack.dstebz(d, e, 1, -np.inf, g, 0, 0, tol, "B")
-                assert info == 0
-                if k == 0 or w[:k].max() < -g - tol:
-                    z, info = lapack.dstein(d, e, w[:k], iblock, isplit)
-                else:
-                    k, _, z, info = lapack.dstemr(d, np.append(e, 0.0), 1, -np.inf, 0.0, 0, 0)
-                assert info == 0 and k > 0
-                q, _, info = lapack.dormqr("L", "N", c[1:, :-1], tau, z[1:, :k], k)
-                assert info == 0
-                v = z[:, :k]
-                v[1:] = q
-            if k == 0:
-                ref = b
-            else:
-                bv = b @ v
-                t = v @ (bv - 0.5 * (v @ (v.T @ bv))).T
-                ref = b - (t + t.T)
-            assert np.array_equal(project_psd(m), ref)
+                assert np.array_equal(project_psd(m), congruence(b, v[:, :k]))
+                continue
+            c, d, e, tau, info = lapack.dsytrd(b, lower=1)
+            assert info == 0
+            k, _, z, info = lapack.dstemr(d, np.append(e, 0.0), 1, -np.inf, 0.0, 0, 0)
+            assert info == 0 and k > 0
+            assert np.array_equal(project_psd(m), congruence(b, back(c, tau, z, k)))
+            s = max(np.abs(d).max(), np.abs(e).max())
+            if not 1.0 <= s < linalg.TRIDIAGONAL_SCALE_LIMIT:
+                scale = 2.0 ** -math.frexp(s)[1]
+                d, e, s = d * scale, e * scale, s * scale
+            g, tol = linalg.GUARD_BAND * s, linalg.BISECTION_TOL * s
+            k, w, iblock, isplit, info = lapack.dstebz(d, e, 1, -np.inf, g, 0, 0, tol, "B")
+            assert info == 0 and 0 < k and w[:k].max() < -g - tol
+            z, info = lapack.dstein(d, e, w[:k], iblock, isplit)
+            assert info == 0
+            assert np.array_equal(project_psd(m, 0)[0], congruence(b, back(c, tau, z, k)))
 
     @staticmethod
     def solver_like(kind, n=100):
@@ -212,14 +215,16 @@ class TestProjectPsd:
         def failing(*args, **kwargs):
             return real(*args, **kwargs)[:-1] + (3,)
 
-        # dstemr runs only when an eigenvalue lies in the guard band
+        # with a count of 0, dstemr runs only when an eigenvalue lies in
+        # the guard band
         m = (self.with_eigenvalue_at(n, 5, 1e-9, 0) if routine == "dstemr"
              else random_sym(np.random.default_rng(0), n))
         monkeypatch.setattr(scipy.linalg.lapack, routine, failing)
         with pytest.raises(np.linalg.LinAlgError, match=f"project_psd: {routine} failed "
                                                         f"with info 3"):
-            # a previous count of n takes dsyevd below MRRR_ORDER
-            project_psd(m, n if routine == "dsyevd" else None)
+            # a previous count of n takes dsyevd below MRRR_ORDER, and one
+            # of 0 bisection from it on
+            project_psd(m, {"dsyevd": n, "dstebz": 0, "dstein": 0, "dstemr": 0}.get(routine))
 
     def test_psd_input_comes_back_unchanged(self):
         rng = np.random.default_rng(3)
@@ -271,14 +276,19 @@ class TestProjectPsd:
 
     @pytest.mark.parametrize("n", [4, 9, 15, MRRR_ORDER - 1, MRRR_ORDER, 30])
     def test_a_count_below_a_quarter_or_from_mrrr_order_changes_no_bit(self, n):
-        # a count below n/4 (below MRRR_ORDER) or below 2n/5 (from it on)
-        # keeps the route of a call without a count, dsyevr or the chain,
-        # and its bits; from MRRR_ORDER on a count of at least 2n/5 takes
-        # dsyevd, which agrees with the chain to rounding and is PSD to
-        # rounding; every call returns its input's count
+        # a count below n/4 (below MRRR_ORDER) or from n/3 to below 2n/5
+        # (from it on) keeps the route of a call without a count, dsyevr or
+        # the chain with dstemr, and its bits; from MRRR_ORDER on a count
+        # below n/3 takes bisection and one of at least 2n/5 dsyevd, which
+        # agree with the chain to rounding and are PSD to rounding; every
+        # call returns its input's count
         share = (1, 4) if n < MRRR_ORDER else (2, 5)
         first = math.ceil(share[0] * n / share[1])   # the smallest count that switches
-        same, switched = [0, first - 1], [first, n] if n >= MRRR_ORDER else []
+        if n < MRRR_ORDER:
+            same, switched = [0, first - 1], []
+        else:
+            bisected = math.ceil(n / 3)   # the smallest count that keeps dstemr
+            same, switched = [bisected, first - 1], [0, bisected - 1, first, n]
         k = max(1, n // 3)
         for seed in range(5):
             m, b = self.with_negatives(n, k, seed)
@@ -316,6 +326,19 @@ class TestProjectPsd:
         monkeypatch.setattr(scipy.linalg.lapack, "dstemr",
                             lambda d, *args: calls.append(d.size) or real(d, *args))
         return calls
+
+    @pytest.mark.parametrize("n", [MRRR_ORDER, 30, 49])
+    def test_a_count_below_a_third_takes_bisection(self, monkeypatch, n):
+        # from MRRR_ORDER on, on a spectrum clear of the guard band, the
+        # counts from n/3 to below 2n/5 and a call without a count take
+        # dstemr, and the counts below n/3 bisection
+        stemr = self.spy_on_dstemr(monkeypatch)
+        _, b = self.with_negatives(n, n // 2, 0)
+        for count in range(n + 1):
+            linalg.project_psd_unchecked(b, count)
+        assert len(stemr) == math.ceil(2 * n / 5) - math.ceil(n / 3)
+        linalg.project_psd_unchecked(b)
+        assert len(stemr) == math.ceil(2 * n / 5) - math.ceil(n / 3) + 1
 
     @pytest.mark.parametrize("n", [MRRR_ORDER, 30, 49])
     @pytest.mark.parametrize("k", ["one", "a fifth", "a third"])
