@@ -285,7 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("solve", help="solve one problem")
     source = ps.add_mutually_exclusive_group(required=True)
     source.add_argument("--problem", help="path to a problem document")
-    source.add_argument("--generate", help="family:size:seed instance spec")
+    source.add_argument("--generate",
+                        help="instance spec family:size:seed, or theta:size:seed:density "
+                             "for theta at an edge density in (0, 1]")
     ps.add_argument("--solver", choices=SOLVERS, default="cadmm")
     ps.add_argument("--tau", type=float, default=dnnsdp.DEXT_TAU,
                     help="fixed multiplier step for dext")

@@ -11,6 +11,7 @@ symmetry. All inner products are Frobenius / Euclidean.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -123,44 +124,21 @@ def _finite_symmetric(m: np.ndarray, caller: str) -> np.ndarray:
     return symmetrize(m)
 
 
-# From this order on, project_psd finds its eigenvectors through dsytrd,
-# a tridiagonal eigensolver and dormqr, below it through dsyevr; on either
-# side a full dsyevd replaces them when the caller's count says that many
-# eigenvalues are at or below zero: at least n/4 below this order, at
-# least 2n/5 from it on. Measured on the solver's own projection inputs
-# (README, Numerical notes): the chain's three calls cost more than
-# dsyevr's one up to n = 21 and less from n = 22 on, summed over the
-# benchmark's solves; on single instances the crossover also moves with
-# the spectrum.
-MRRR_ORDER = 22
-
-# The chain's tridiagonal eigensolver. When the caller's count is below
-# n/3, with s = max(max|d|, max|e|) of the tridiagonal T, one dstebz call
-# bisects for the eigenvalues in (-inf, g], g = GUARD_BAND * s, each to
-# tol = BISECTION_TOL * s. When none of them lies above -g - tol, dstein
-# takes their eigenvectors by inverse iteration. Otherwise, and on a call
-# with a larger count or none, dstemr (MRRR) takes those in (-inf, 0]:
-# bisection's cost grows faster with the count, and on theta:48:2:0.85's
-# inputs it lost to MRRR from 16 of 48 on. This guarded route is exact. The Sturm count makes the number k of
-# eigenvalues in (-inf, g] exact, and with none in (-g, g] it is the
-# number in (-inf, 0]. Each shift is off by at most tol and every
-# eigenvalue lam across zero lies beyond g, so each of dstein's three or
-# more solves shrinks the component along lam's eigenvector by tol / |lam|
-# or more; what is left adds about tol^3 / lam^2 <= tol^3 / g^2 = 1e-14 s
-# to the result, and mixing within the wanted side does not change it.
-# dstein's stopping test assumes entries of order one or more (it fails
-# to converge on a T with s = 1e-5) and dstebz squares the entries of e,
-# so a T with s outside [1, TRIDIAGONAL_SCALE_LIMIT) is first scaled by
-# the power of two that brings s into [0.5, 1), which keeps the
-# eigenvectors and the signs of the eigenvalues. README, Numerical notes,
-# has the errors and the costs on the solver's own inputs.
+# project_psd's eigensolver is one dsyevr call by value range, which is
+# dsytrd, bisection (dstebz), inverse iteration (dstein) and dormtr: with
+# s = max|b_ij|, it takes (-inf, g], g = GUARD_BAND * s, with abstol
+# tol = BISECTION_TOL * s. When the eigenvalues it returns split at zero
+# into those below -tol and those above tol, at least g + 2 tol apart
+# (the first one past g counting as g + tol), its count is exact and each
+# wanted vector keeps about tol^3 / g^2 = 1e-14 s of the unwanted side;
+# otherwise a second call takes (-inf, 0] at dsyevr's default tolerance.
+# dstein assumes entries of order one or more and dstebz squares them, so
+# a b with s outside [1, SCALE_LIMIT) is first scaled by a power of two
+# into [0.5, 1). README, Numerical notes, has the argument, the errors
+# and the guard trips on the solver's own inputs.
 BISECTION_TOL = 1e-8
 GUARD_BAND = 1e-5
-TRIDIAGONAL_SCALE_LIMIT = 2.0 ** 64
-
-
-_ONE_ZERO = np.zeros(1)
-_ONE_ZERO.flags.writeable = False
+SCALE_LIMIT = 2.0 ** 64
 
 
 def _lapack_checked(routine: str, info: int) -> None:
@@ -169,11 +147,27 @@ def _lapack_checked(routine: str, info: int) -> None:
 
 
 def _nonpositive_eigenvectors_dsyevr(b: np.ndarray) -> np.ndarray:
+    flat = b.ravel()
+    s = abs(float(flat[scipy.linalg.blas.idamax(flat)]))
+    if not 1.0 <= s < SCALE_LIMIT:
+        e = -math.frexp(s)[1]
+        b, s = np.ldexp(b, e), math.ldexp(s, e)
+    g, tol = GUARD_BAND * s, BISECTION_TOL * s
     # b is symmetric, so its transpose is the same matrix in Fortran order,
-    # which dsyevr reads without a transposing copy
-    _, v, k, _, info = scipy.linalg.lapack.dsyevr(
-        b.T, compute_v=1, range="V", vl=-np.inf, vu=0.0, lower=1)
+    # which dsyevr reads without a transposing copy; the eigenvalues come
+    # in ascending order
+    w, v, m, _, info = scipy.linalg.lapack.dsyevr(
+        b.T, compute_v=1, range="V", vl=-np.inf, vu=g, abstol=tol, lower=1)
     _lapack_checked("dsyevr", info)
+    # Python floats, which a bisect and the compares below read faster
+    w = w[:m].tolist()
+    k = bisect.bisect_right(w, 0.0)
+    below = w[k - 1] if k else -math.inf
+    above = w[k] if k < m else g + tol
+    if not (below < -tol and above > tol and above - below >= g + 2.0 * tol):
+        _, v, k, _, info = scipy.linalg.lapack.dsyevr(
+            b.T, compute_v=1, range="V", vl=-np.inf, vu=0.0, lower=1)
+        _lapack_checked("dsyevr", info)
     return v[:, :k]
 
 
@@ -185,75 +179,21 @@ def _nonpositive_eigenvectors_dsyevd(b: np.ndarray) -> np.ndarray:
     return v[:, :np.searchsorted(w, 0.0, side="right")]
 
 
-def _nonpositive_tridiagonal_bisected(d: np.ndarray, e: np.ndarray):
-    """``(k, z)``: the k eigenvalues of the tridiagonal (d, e) in
-    (-inf, 0] and their eigenvectors, the first k columns of z, by dstebz
-    and dstein; None when one may lie in the guard band."""
-    lapack, blas = scipy.linalg.lapack, scipy.linalg.blas
-    # s = max(max|d|, max|e|), each from the index idamax finds
-    s = max(abs(d[blas.idamax(d)]), abs(e[blas.idamax(e)]))
-    if not 1.0 <= s < TRIDIAGONAL_SCALE_LIMIT:
-        scale = math.ldexp(1.0, -math.frexp(s)[1])
-        d, e, s = d * scale, e * scale, s * scale
-    tol = BISECTION_TOL * s
-    k, w, iblock, isplit, info = lapack.dstebz(d, e, 1, -np.inf, GUARD_BAND * s, 0, 0,
-                                               tol, "B")
-    _lapack_checked("dstebz", info)
-    # the order "B" groups the eigenvalues by split-off block, as dstein
-    # wants them, so the largest need not come last; the max of a short
-    # list is cheaper than numpy's
-    if k and max(w[:k].tolist()) >= -GUARD_BAND * s - tol:
-        return None
-    z, info = lapack.dstein(d, e, w[:k], iblock, isplit)
-    _lapack_checked("dstein", info)
-    return k, z
-
-
-def _nonpositive_eigenvectors_mrrr(b: np.ndarray, bisect: bool) -> np.ndarray:
-    # the eigenpairs of the tridiagonal form in (-inf, 0], by bisection and
-    # inverse iteration when ``bisect`` and no eigenvalue lies in the guard
-    # band, else by MRRR (dstemr). dormqr on the Householder vectors below
-    # the subdiagonal, applied to rows 1: of the tridiagonal eigenvectors,
-    # is what dormtr does for a lower reduction.
-    lapack = scipy.linalg.lapack
-    c, d, e, tau, info = lapack.dsytrd(b.T, lower=1)
-    _lapack_checked("dsytrd", info)
-    found = _nonpositive_tridiagonal_bisected(d, e) if bisect else None
-    if found is None:
-        # dstemr takes e with a last workspace entry and overwrites it, so
-        # it gets a fresh array on every call
-        k, _, z, info = lapack.dstemr(d, np.concatenate((e, _ONE_ZERO)), 1, -np.inf, 0.0, 0, 0)
-        _lapack_checked("dstemr", info)
-    else:
-        k, z = found
-    v = z[:, :k]
-    if k:
-        v[1:], _, info = lapack.dormqr("L", "N", c[1:, :-1], tau, z[1:, :k], k)
-        _lapack_checked("dormqr", info)
-    return v
-
-
 def project_psd(m: np.ndarray, negatives: Optional[int] = None):
     """Nearest (Frobenius) positive semidefinite matrix: the checks below,
     then :func:`project_psd_unchecked` on the symmetrized input.
 
     Computes only the eigenvectors V of the symmetrized input b whose
     eigenvalues lie in (-inf, 0]; the projections this solver makes have
-    few of them, so this is cheaper than a full eigendecomposition. From
-    order ``MRRR_ORDER`` on they come from ``dsytrd`` (tridiagonal
-    reduction), then ``dstebz`` (bisection to ``BISECTION_TOL`` times
-    the tridiagonal's largest entry) and ``dstein`` (inverse iteration)
-    when ``negatives`` is below n/3 and no eigenvalue lies within
-    ``GUARD_BAND`` times that entry of zero, else ``dstemr`` (MRRR, by
-    value range), and ``dormqr`` (back to b's basis). Below it they come from LAPACK ``dsyevr`` by value range.
-    Either way, when ``negatives``, the number of such eigenvalues of a
-    previous, similar input, is at least n/4 below ``MRRR_ORDER`` or at
-    least 2n/5 from it on, they come from a full ``dsyevd`` instead,
-    which is faster when that many are wanted. The result is the
-    congruence P b P with P = I - V V^T, formed as ``b - (V G^T + G V^T)``
-    with G = b V - V (V^T b V) / 2. Being a congruence of b, it is PSD up
-    to second order in the error of V; ``b - V diag(w) V^T`` is only
-    first order, which leaves S with negative eigenvalues ten times the
+    few of them, so this is cheaper than a full eigendecomposition. They
+    come from LAPACK ``dsyevr`` by value range, guarded as the comment on
+    ``GUARD_BAND`` says, or from a full ``dsyevd`` when ``negatives``,
+    the number of such eigenvalues of a previous, similar input, is at
+    least n/4, where that is faster. The result is the congruence P b P
+    with P = I - V V^T, formed as ``b - (V G^T + G V^T)`` with
+    G = b V - V (V^T b V) / 2. Being a congruence of b, it is PSD up to
+    second order in the error of V; ``b - V diag(w) V^T`` is only first
+    order, which leaves S with negative eigenvalues ten times the
     rounding. The input comes back as it is when it has no such
     eigenvalue.
 
@@ -270,12 +210,8 @@ def project_psd_unchecked(b: np.ndarray, negatives: Optional[int] = None):
     that is finite and exactly symmetric; ``b`` itself comes back when it
     has no eigenvalue in (-inf, 0]. On such an input ``project_psd`` gives
     the same bits, since symmetrizing it changes no bit."""
-    n = b.shape[0]
-    chain = n >= MRRR_ORDER
-    if negatives is not None and (5 * negatives >= 2 * n if chain else 4 * negatives >= n):
+    if negatives is not None and 4 * negatives >= b.shape[0]:
         v = _nonpositive_eigenvectors_dsyevd(b)
-    elif chain:
-        v = _nonpositive_eigenvectors_mrrr(b, negatives is not None and 3 * negatives < n)
     else:
         v = _nonpositive_eigenvectors_dsyevr(b)
     if v.shape[1] == 0:

@@ -142,6 +142,11 @@ class TestSolveCommand:
         assert main(["solve"]) == 1
         assert main(["solve", "--generate", "biq:6:1", "--problem", "x"]) == 1
 
+    def test_help_names_both_generate_forms(self, capsys):
+        assert main(["solve", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "family:size:seed, or theta:size:seed:density" in text
+
     def test_unknown_flag_fails(self):
         # the method's parameters (alpha, tau0, tau_bar, eps) are constants
         for flag in ("--frobnicate", "--alpha"):

@@ -551,7 +551,7 @@ class TestSolveOperands:
                                   project_pattern(x, pattern))
         assert np.array_equal(project_pattern_unchecked(x, prob.pattern.dual().bounds()),
                               project_pattern_dual(x, prob.pattern))
-        for n in (prob.n, 30):   # 30 takes the MRRR route
+        for n in (prob.n, 30):
             m = random_sym(rng, n)
             assert np.array_equal(project_psd_unchecked(m), project_psd(m))
 

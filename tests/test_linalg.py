@@ -13,7 +13,7 @@ import scipy.sparse
 from cadmm import dnnsdp, linalg
 from cadmm.cli import generate_problem
 from cadmm.io import problem_from_json, problem_to_json
-from cadmm.linalg import (MAX_DENSE_GRAM, MRRR_ORDER, GramSingularError,
+from cadmm.linalg import (MAX_DENSE_GRAM, GramSingularError,
                           PowerIterationWarning, SparseSymList, frob_norm, gram_factor, gram_solve,
                           lambda_max_gram,
                           project_psd, psd_distance, psd_distance_below, smat,
@@ -123,54 +123,54 @@ class TestProjectPsd:
         ref = (v * np.maximum(w, 0.0)) @ v.T
         assert np.linalg.norm(project_psd(m) - ref) <= 1e-12 * np.linalg.norm(m)
 
-    @pytest.mark.parametrize("n", [1, 9, MRRR_ORDER - 1, MRRR_ORDER, 49])
+    @staticmethod
+    def congruence(b, v):
+        bv = b @ v
+        t = v @ (bv - 0.5 * (v @ (v.T @ bv))).T
+        return b - (t + t.T)
+
+    @staticmethod
+    def guarded_dsyevr(b):
+        """The nonpositive eigenvectors of b from direct dsyevr calls: one by
+        value range to the guard band with abstol BISECTION_TOL * s, and one
+        over (-inf, 0] when its eigenvalues do not split into those below
+        -tol and those above tol, at least the band plus 2 tol apart."""
+        lapack = scipy.linalg.lapack
+        s = np.abs(b).max()
+        if not 1.0 <= s < linalg.SCALE_LIMIT:
+            e = -math.frexp(s)[1]
+            b, s = np.ldexp(b, e), math.ldexp(s, e)
+        g, tol = linalg.GUARD_BAND * s, linalg.BISECTION_TOL * s
+        w, v, m, _, info = lapack.dsyevr(b, compute_v=1, range="V", vl=-np.inf, vu=g,
+                                         abstol=tol, lower=1)
+        assert info == 0
+        wanted, unwanted = w[:m][w[:m] <= 0.0], w[:m][w[:m] > 0.0]
+        below = wanted.max() if wanted.size else -np.inf
+        above = unwanted.min() if unwanted.size else g + tol
+        if below < -tol and above > tol and above - below >= g + 2.0 * tol:
+            return v[:, :wanted.size]
+        _, v, k, _, info = lapack.dsyevr(b, compute_v=1, range="V", vl=-np.inf, vu=0.0,
+                                         lower=1)
+        assert info == 0
+        return v[:, :k]
+
+    @pytest.mark.parametrize("n", [1, 9, 21, 22, 49])
     def test_same_bits_as_its_lapack_route_on_the_c_ordered_copy(self, n):
         # project_psd hands LAPACK the Fortran-ordered transpose of the
         # symmetrized input; f2py would copy the C-ordered array into the
         # same Fortran layout, so the eigenvectors and the result keep
-        # every bit. Below MRRR_ORDER the route is dsyevr by value range,
-        # from it on dsytrd -> dstemr -> dormqr, and with a count of 0
-        # dsytrd -> dstebz -> dstein -> dormqr, or dstemr in place of
-        # dstebz and dstein when an eigenvalue lies in the guard band
-        lapack = scipy.linalg.lapack
-
-        def congruence(b, v):
-            bv = b @ v
-            t = v @ (bv - 0.5 * (v @ (v.T @ bv))).T
-            return b - (t + t.T)
-
-        def back(c, tau, z, k):
-            q, _, info = lapack.dormqr("L", "N", c[1:, :-1], tau, z[1:, :k], k)
-            assert info == 0
-            v = z[:, :k]
-            v[1:] = q
-            return v
-
+        # every bit. The route is dsyevr by value range to the guard band,
+        # and a second dsyevr call over (-inf, 0] when an eigenvalue lies
+        # within tol of zero (the last input), with a count of 0 as
+        # without one
         rng = np.random.default_rng(n + 100)
-        for _ in range(20):
-            m = random_sym(rng, n)
+        inputs = [random_sym(rng, n) for _ in range(20)]
+        inputs.append(self.with_eigenvalue_at(n, n // 3, 1e-10, n))
+        for m in inputs:
             b = 0.5 * (m + m.T)
-            if n < MRRR_ORDER:
-                _, v, k, _, info = lapack.dsyevr(
-                    b, compute_v=1, range="V", vl=-np.inf, vu=0.0, lower=1)
-                assert info == 0
-                assert np.array_equal(project_psd(m), congruence(b, v[:, :k]))
-                continue
-            c, d, e, tau, info = lapack.dsytrd(b, lower=1)
-            assert info == 0
-            k, _, z, info = lapack.dstemr(d, np.append(e, 0.0), 1, -np.inf, 0.0, 0, 0)
-            assert info == 0 and k > 0
-            assert np.array_equal(project_psd(m), congruence(b, back(c, tau, z, k)))
-            s = max(np.abs(d).max(), np.abs(e).max())
-            if not 1.0 <= s < linalg.TRIDIAGONAL_SCALE_LIMIT:
-                scale = 2.0 ** -math.frexp(s)[1]
-                d, e, s = d * scale, e * scale, s * scale
-            g, tol = linalg.GUARD_BAND * s, linalg.BISECTION_TOL * s
-            k, w, iblock, isplit, info = lapack.dstebz(d, e, 1, -np.inf, g, 0, 0, tol, "B")
-            assert info == 0 and 0 < k and w[:k].max() < -g - tol
-            z, info = lapack.dstein(d, e, w[:k], iblock, isplit)
-            assert info == 0
-            assert np.array_equal(project_psd(m, 0)[0], congruence(b, back(c, tau, z, k)))
+            ref = self.congruence(b, self.guarded_dsyevr(b))
+            assert np.array_equal(project_psd(m), ref)
+            assert np.array_equal(project_psd(m, 0)[0], ref)
 
     @staticmethod
     def solver_like(kind, n=100):
@@ -190,41 +190,55 @@ class TestProjectPsd:
         m = (q * lam) @ q.T
         return m, 0.5 * (m + m.T)
 
-    @pytest.mark.parametrize("route", ["dsyevr", "mrrr"])
+    @pytest.mark.parametrize("route", ["dsyevr", "dsyevd"])
     @pytest.mark.parametrize("kind", ["cluster at zero", "repeated negative", "34 % negative",
                                       "positive definite"])
-    def test_solver_like_spectra_on_both_routes(self, monkeypatch, route, kind):
+    def test_solver_like_spectra_on_both_routes(self, route, kind):
+        # counts None and 0 take dsyevr, a count of n dsyevd
         n = 100
-        monkeypatch.setattr(linalg, "MRRR_ORDER", n + 1 if route == "dsyevr" else n)
         m, b = self.solver_like(kind, n)
-        out = project_psd(m)
         w, v = np.linalg.eigh(b)
         ref = (v * np.maximum(w, 0.0)) @ v.T
-        assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(m)
-        lam_min = np.linalg.eigvalsh(out).min()
-        assert lam_min >= -n * np.finfo(float).eps * np.linalg.norm(b)
-        if kind == "positive definite":
-            assert np.array_equal(project_psd(b), b)
+        for count in ([None, 0] if route == "dsyevr" else [n]):
+            out = project_psd(m, count)
+            out = out if count is None else out[0]
+            assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(m), count
+            lam_min = np.linalg.eigvalsh(out).min()
+            assert lam_min >= -n * np.finfo(float).eps * np.linalg.norm(b), count
+            if kind == "positive definite":
+                out = project_psd(b, count)
+                assert np.array_equal(out if count is None else out[0], b), count
 
-    @pytest.mark.parametrize("routine, n", [("dsyevr", 9), ("dsytrd", 49), ("dstebz", 49),
-                                            ("dstein", 49), ("dstemr", 49), ("dormqr", 49),
-                                            ("dsyevd", 9)])
-    def test_lapack_failure_names_the_routine(self, monkeypatch, routine, n):
+    @staticmethod
+    def failing_lapack(monkeypatch, routine, fails):
+        """Make ``routine`` report info 3 on the calls for which
+        ``fails(kwargs)`` holds."""
         real = getattr(scipy.linalg.lapack, routine)
 
-        def failing(*args, **kwargs):
-            return real(*args, **kwargs)[:-1] + (3,)
+        def patched(*args, **kwargs):
+            got = real(*args, **kwargs)
+            return got[:-1] + (3,) if fails(kwargs) else got
 
-        # with a count of 0, dstemr runs only when an eigenvalue lies in
-        # the guard band
-        m = (self.with_eigenvalue_at(n, 5, 1e-9, 0) if routine == "dstemr"
-             else random_sym(np.random.default_rng(0), n))
-        monkeypatch.setattr(scipy.linalg.lapack, routine, failing)
+        monkeypatch.setattr(scipy.linalg.lapack, routine, patched)
+
+    @pytest.mark.parametrize("routine, n", [("dsyevr", 9), ("dsyevd", 9)])
+    def test_lapack_failure_names_the_routine(self, monkeypatch, routine, n):
+        self.failing_lapack(monkeypatch, routine, lambda kwargs: True)
         with pytest.raises(np.linalg.LinAlgError, match=f"project_psd: {routine} failed "
                                                         f"with info 3"):
-            # a previous count of n takes dsyevd below MRRR_ORDER, and one
-            # of 0 bisection from it on
-            project_psd(m, {"dsyevd": n, "dstebz": 0, "dstein": 0, "dstemr": 0}.get(routine))
+            # a previous count of n takes dsyevd
+            project_psd(random_sym(np.random.default_rng(0), n),
+                        n if routine == "dsyevd" else None)
+
+    @pytest.mark.parametrize("n", [9, 49])
+    def test_a_failed_second_dsyevr_call_names_dsyevr(self, monkeypatch, n):
+        # the call over (-inf, 0] runs only when an eigenvalue lies within
+        # tol of zero, and it fails alone here
+        self.failing_lapack(monkeypatch, "dsyevr", lambda kwargs: kwargs["vu"] == 0.0)
+        project_psd(random_sym(np.random.default_rng(0), n), 0)
+        with pytest.raises(np.linalg.LinAlgError, match="project_psd: dsyevr failed "
+                                                        "with info 3"):
+            project_psd(self.with_eigenvalue_at(n, 2, 1e-10, 0), 0)
 
     def test_psd_input_comes_back_unchanged(self):
         rng = np.random.default_rng(3)
@@ -245,18 +259,30 @@ class TestProjectPsd:
     @staticmethod
     def with_eigenvalue_at(n, k, at, seed):
         """A symmetric input of order n with k eigenvalues in [-10, -0.1]
-        and one at ``at`` times its Frobenius norm."""
+        and one at ``at`` times its Frobenius norm, or one at each entry
+        of a tuple ``at``."""
         rng = np.random.default_rng(seed)
         q = np.linalg.qr(rng.standard_normal((n, n)))[0]
         lam = rng.uniform(0.1, 10.0, n) * np.where(np.arange(n) < k, -1.0, 1.0)
-        lam[k] = 0.0
-        lam[k] = at * np.linalg.norm(lam)
+        at = np.atleast_1d(at)
+        lam[k:k + at.size] = 0.0
+        lam[k:k + at.size] = at * np.linalg.norm(lam)
         m = (q * lam) @ q.T
         return 0.5 * (m + m.T)
 
-    @pytest.mark.parametrize("n", [1, 4, 9, 15, MRRR_ORDER - 1])
+    @staticmethod
+    def spy(monkeypatch, routine):
+        """The list to which every call of ``routine`` appends its keyword
+        arguments."""
+        calls = []
+        real = getattr(scipy.linalg.lapack, routine)
+        monkeypatch.setattr(scipy.linalg.lapack, routine,
+                            lambda *args, **kwargs: calls.append(kwargs) or real(*args, **kwargs))
+        return calls
+
+    @pytest.mark.parametrize("n", [1, 4, 9, 15, 21, 22, 49])
     @pytest.mark.parametrize("share", [0.25, 0.5, 1.0])
-    def test_a_count_of_a_quarter_takes_dsyevd_below_mrrr_order(self, monkeypatch, n, share):
+    def test_a_count_of_a_quarter_takes_dsyevd(self, monkeypatch, n, share):
         # a previous count of at least n/4 takes a full dsyevd, whose
         # result agrees with the dsyevr route to rounding and is PSD to
         # rounding; the count that comes back is this input's
@@ -274,29 +300,21 @@ class TestProjectPsd:
             assert np.linalg.eigvalsh(out).min() >= -1e-15 * np.linalg.norm(b)
         assert taken == [(n, n)] * 10
 
-    @pytest.mark.parametrize("n", [4, 9, 15, MRRR_ORDER - 1, MRRR_ORDER, 30])
-    def test_a_count_below_a_quarter_or_from_mrrr_order_changes_no_bit(self, n):
-        # a count below n/4 (below MRRR_ORDER) or from n/3 to below 2n/5
-        # (from it on) keeps the route of a call without a count, dsyevr or
-        # the chain with dstemr, and its bits; from MRRR_ORDER on a count
-        # below n/3 takes bisection and one of at least 2n/5 dsyevd, which
-        # agree with the chain to rounding and are PSD to rounding; every
-        # call returns its input's count
-        share = (1, 4) if n < MRRR_ORDER else (2, 5)
-        first = math.ceil(share[0] * n / share[1])   # the smallest count that switches
-        if n < MRRR_ORDER:
-            same, switched = [0, first - 1], []
-        else:
-            bisected = math.ceil(n / 3)   # the smallest count that keeps dstemr
-            same, switched = [bisected, first - 1], [0, bisected - 1, first, n]
+    @pytest.mark.parametrize("n", [4, 9, 15, 21, 22, 30])
+    def test_a_count_below_a_quarter_changes_no_bit(self, n):
+        # a count below n/4 keeps the route of a call without a count and
+        # its bits; one of at least n/4 takes dsyevd, which agrees with it
+        # to rounding and is PSD to rounding; every call returns its
+        # input's count
+        first = math.ceil(n / 4)   # the smallest count that switches
         k = max(1, n // 3)
         for seed in range(5):
             m, b = self.with_negatives(n, k, seed)
             ref = project_psd(m)
-            for count in same:
+            for count in [0, first - 1]:
                 out, got = linalg.project_psd_unchecked(b, count)
                 assert np.array_equal(out, ref) and got == k, count
-            for count in switched:
+            for count in [first, n]:
                 out, got = linalg.project_psd_unchecked(b, count)
                 assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(b), count
                 assert np.linalg.eigvalsh(out).min() >= -1e-15 * np.linalg.norm(b), count
@@ -304,50 +322,31 @@ class TestProjectPsd:
         m, b = self.with_negatives(n, 0, 0)
         assert linalg.project_psd_unchecked(b, n)[1] == 0
 
-    @pytest.mark.parametrize("n", [MRRR_ORDER, 30, 49])
-    def test_a_count_of_two_fifths_takes_dsyevd_from_mrrr_order(self, monkeypatch, n):
-        # exactly the counts of at least 2n/5 take dsyevd from MRRR_ORDER on
+    @pytest.mark.parametrize("n", [4, 9, 22, 30, 49])
+    def test_exactly_the_counts_from_a_quarter_take_dsyevd(self, monkeypatch, n):
+        # on a spectrum clear of the guard band, the counts from n/4 on
+        # take one dsyevd call, and the counts below it and a call without
+        # a count one dsyevr call
         taken = []
         real = linalg._nonpositive_eigenvectors_dsyevd
         monkeypatch.setattr(linalg, "_nonpositive_eigenvectors_dsyevd",
                             lambda b: taken.append(b.shape) or real(b))
+        syevr = self.spy(monkeypatch, "dsyevr")
         _, b = self.with_negatives(n, n // 2, 0)
         for count in range(n + 1):
             linalg.project_psd_unchecked(b, count)
-        assert len(taken) == n + 1 - math.ceil(2 * n / 5)
         linalg.project_psd_unchecked(b)
-        assert len(taken) == n + 1 - math.ceil(2 * n / 5)
+        assert len(taken) == n + 1 - math.ceil(n / 4)
+        assert len(syevr) == math.ceil(n / 4) + 1
 
-    @staticmethod
-    def spy_on_dstemr(monkeypatch):
-        """The list to which every dstemr call appends its order."""
-        calls = []
-        real = scipy.linalg.lapack.dstemr
-        monkeypatch.setattr(scipy.linalg.lapack, "dstemr",
-                            lambda d, *args: calls.append(d.size) or real(d, *args))
-        return calls
-
-    @pytest.mark.parametrize("n", [MRRR_ORDER, 30, 49])
-    def test_a_count_below_a_third_takes_bisection(self, monkeypatch, n):
-        # from MRRR_ORDER on, on a spectrum clear of the guard band, the
-        # counts from n/3 to below 2n/5 and a call without a count take
-        # dstemr, and the counts below n/3 bisection
-        stemr = self.spy_on_dstemr(monkeypatch)
-        _, b = self.with_negatives(n, n // 2, 0)
-        for count in range(n + 1):
-            linalg.project_psd_unchecked(b, count)
-        assert len(stemr) == math.ceil(2 * n / 5) - math.ceil(n / 3)
-        linalg.project_psd_unchecked(b)
-        assert len(stemr) == math.ceil(2 * n / 5) - math.ceil(n / 3) + 1
-
-    @pytest.mark.parametrize("n", [MRRR_ORDER, 30, 49])
+    @pytest.mark.parametrize("n", [22, 30, 49])
     @pytest.mark.parametrize("k", ["one", "a fifth", "a third"])
     def test_bisection_route_agrees_with_dsyevd(self, monkeypatch, n, k):
-        # from MRRR_ORDER on, a spectrum clear of the guard band takes
-        # dstebz and dstein, never dstemr; the result agrees with the
+        # a spectrum clear of the guard band takes one dsyevr call, whose
+        # bisection stops at BISECTION_TOL; the result agrees with the
         # dsyevd route to rounding, is PSD to rounding and comes with the
         # input's count
-        stemr = self.spy_on_dstemr(monkeypatch)
+        syevr = self.spy(monkeypatch, "dsyevr")
         k = {"one": 1, "a fifth": n // 5, "a third": n // 3}[k]
         for seed in range(5):
             _, b = self.with_negatives(n, k, seed)
@@ -356,35 +355,50 @@ class TestProjectPsd:
             assert got == count == k
             assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(b)
             assert np.linalg.eigvalsh(out).min() >= -1e-15 * np.linalg.norm(b)
-        assert stemr == []
+        assert len(syevr) == 5 and all(c["abstol"] > 0.0 for c in syevr)
 
-    @pytest.mark.parametrize("scale", [1e-300, 1e-20, 1e-6, 0.5, 1e19, 1e300])
+    @pytest.mark.parametrize("scale", [1e-309, 1e-300, 1e-20, 1e-6, 0.5, 1e19, 1e300])
     def test_bisection_route_at_any_scale(self, monkeypatch, scale):
-        # unless the tridiagonal is scaled first, dstein fails to converge
-        # on small entries (from about 1e-5 on a random input) and dstebz
-        # on entries past 1e154; the result is the projection of the
-        # scaled input
-        stemr = self.spy_on_dstemr(monkeypatch)
-        n, k = 30, 6
-        _, b = self.with_negatives(n, k, 1)
-        ref = linalg.project_psd_unchecked(b, n)[0]
-        out, got = linalg.project_psd_unchecked(scale * b, 0)
-        assert got == k and stemr == []
-        assert np.linalg.norm(out / scale - ref) <= 1e-13 * np.linalg.norm(b)
+        # unless the input is scaled first, dstein fails to converge on
+        # small entries (from about 1e-5 on a random input) and dstebz on
+        # entries past 1e154, and a scale formed as a power of two
+        # overflows on subnormal entries; the result is the projection of
+        # the scaled input, from one dsyevr call
+        syevr = self.spy(monkeypatch, "dsyevr")
+        for n in (22, 49):
+            k = n // 5
+            _, b = self.with_negatives(n, k, 1)
+            c = scale * b
+            ref = linalg.project_psd_unchecked(c / scale, n)[0]
+            for count in (0, None):
+                syevr.clear()
+                out = linalg.project_psd_unchecked(c, count)
+                if count is not None:
+                    out, got = out
+                    assert got == k, n
+                assert len(syevr) == 1, (n, count)
+                assert np.linalg.norm(out / scale - ref) <= 1e-13 * np.linalg.norm(b), (n, count)
 
-    @pytest.mark.parametrize("n", [MRRR_ORDER, 49])
-    @pytest.mark.parametrize("at, mrrr", [(1e-9, True), (-1e-9, True), (1e-3, False),
-                                          (-1e-3, False)])
-    def test_an_eigenvalue_in_the_guard_band_takes_dstemr(self, monkeypatch, n, at, mrrr):
-        # an eigenvalue at +-1e-9 ||b|| lies inside the band (-g, g] and
-        # sends the call to dstemr; a spectrum 1e-3 ||b|| from zero does
-        # not. Either way the result is the projection, and the count is
-        # that of the eigenvalues at or below zero
-        stemr = self.spy_on_dstemr(monkeypatch)
-        b = self.with_eigenvalue_at(n, 5, at, n)
+    @pytest.mark.parametrize("n", [9, 22, 49])
+    @pytest.mark.parametrize("at, calls", [
+        (1e-10, 2), (-1e-10, 2), pytest.param((3e-8, -3e-8), 2, id="pair at +-3e-08-2"),
+        (1e-6, 1), (-1e-6, 1), (1e-3, 1), (-1e-3, 1)])
+    def test_an_unclear_split_takes_a_second_dsyevr_call(self, monkeypatch, n, at, calls):
+        # an eigenvalue at +-1e-10 ||b|| lies within tol of zero, and a
+        # pair at +-3e-8 ||b|| lies closer than the guard band g to each
+        # other; either makes a second dsyevr call over (-inf, 0] at the
+        # default tolerance. One at +-1e-6 ||b||, inside (-g, g) but clear
+        # of tol with the other side far away, does not, nor does a
+        # spectrum 1e-3 ||b|| from zero. Either way the result is the
+        # projection, and the count is that of the eigenvalues at or
+        # below zero
+        syevr = self.spy(monkeypatch, "dsyevr")
+        b = self.with_eigenvalue_at(n, 2, at, n)
         out, got = linalg.project_psd_unchecked(b, 0)
-        assert stemr == ([n] if mrrr else [])
-        assert got == (6 if at < 0 else 5)
+        assert len(syevr) == calls and syevr[0]["abstol"] > 0.0
+        if calls == 2:
+            assert syevr[1]["vu"] == 0.0 and "abstol" not in syevr[1]
+        assert got == 2 + np.sum(np.atleast_1d(at) < 0)
         w, v = np.linalg.eigh(b)
         ref = (v * np.maximum(w, 0.0)) @ v.T
         assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(b)

@@ -16,7 +16,8 @@ checkout won at least nine tenths of the pairs and the medians lie
 further apart, in the better direction, than the quartiles of REV's
 runs. Only the pairs in which both runs passed their check count; the
 number left out is printed. The exit code is 1 when a run failed its
-check or printed no result, else 0.
+check or printed no result, else 0. The export is deleted on exit, also
+when SIGTERM stops the comparison.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import argparse
 import json
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
-from bench_record import parse_output  # noqa: E402
+from bench_record import exported, parse_output  # noqa: E402
 
 WIN_SHARE = 0.9
 PAIR_METRICS = ("solve_ref", "setup_s", "total_ref")   # printed run by run
@@ -126,11 +126,8 @@ def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     runs, failed = [], 0
-    with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.against],
-                                 check=True, stdout=subprocess.PIPE).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        sides = {"rev": Path(tmp), "checkout": ROOT}
+    with exported(args.against) as tmp:
+        sides = {"rev": tmp, "checkout": ROOT}
         for k in range(args.pairs):
             order = ["rev", "checkout"] if k % 2 == 0 else ["checkout", "rev"]
             got = {}

@@ -14,9 +14,12 @@ workload printed no final line.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import signal
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,6 +53,26 @@ def parse_output(text: str, names: list) -> tuple:
 def git(*args) -> str:
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
                           stdout=subprocess.PIPE, text=True).stdout.strip()
+
+
+def _exit_on_sigterm(signum, frame):
+    raise SystemExit(128 + signum)
+
+
+@contextlib.contextmanager
+def exported(rev: str):
+    """The path of a temporary directory that holds ``git archive REV`` of
+    this repository, deleted on leaving. SIGTERM inside raises
+    ``SystemExit``, so a stopped comparison deletes its export too."""
+    previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                                     check=True, stdout=subprocess.PIPE).stdout
+            subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+            yield Path(tmp)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 def main() -> int:

@@ -39,7 +39,6 @@ import difflib
 import hashlib
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +46,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT))
+sys.path.insert(0, str(ROOT / "tools"))
 
+from bench_record import exported  # noqa: E402
 from cadmm import cli  # noqa: E402
 from perfbench import suite  # noqa: E402
 
@@ -100,11 +101,8 @@ def run_digest(root: Path) -> list:
 def against(rev: str, iterations: bool) -> int:
     """Diff the digest of ``rev`` against this checkout's, or only the
     fields of :func:`brief` with ``iterations``; 1 if they differ."""
-    with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
-                                 check=True, stdout=subprocess.PIPE).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        old = run_digest(Path(tmp))
+    with exported(rev) as tmp:
+        old = run_digest(tmp)
     new = run_digest(ROOT)
     if iterations:
         old, new = ([brief(x) + "\n" for x in lines] for lines in (old, new))
