@@ -50,7 +50,7 @@ def test_export_is_deleted_when_sigterm_stops_its_user():
         stdout=subprocess.PIPE, text=True)
     try:
         path = Path(child.stdout.readline().strip())
-        assert (path / "tools" / "bench_record.py").is_file()
+        assert path.is_absolute() and (path / "tools" / "bench_record.py").is_file()
         child.send_signal(signal.SIGTERM)
         assert child.wait(timeout=30) == 128 + signal.SIGTERM
     finally:

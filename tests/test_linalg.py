@@ -232,8 +232,9 @@ class TestProjectPsd:
 
     @pytest.mark.parametrize("n", [9, 49])
     def test_a_failed_second_dsyevr_call_names_dsyevr(self, monkeypatch, n):
-        # the call over (-inf, 0] runs only when an eigenvalue lies within
-        # tol of zero, and it fails alone here
+        # the call over (-inf, 0] runs only when the first call's split at
+        # zero is unclear, here through an eigenvalue within tol of zero,
+        # and it fails alone
         self.failing_lapack(monkeypatch, "dsyevr", lambda kwargs: kwargs["vu"] == 0.0)
         project_psd(random_sym(np.random.default_rng(0), n), 0)
         with pytest.raises(np.linalg.LinAlgError, match="project_psd: dsyevr failed "

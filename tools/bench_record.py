@@ -8,7 +8,9 @@ HEAD``, and whether the work tree had uncommitted changes), the command,
 the environment line of the first workload, and each workload's final
 JSON line (its end-to-end metrics and check result) under its name.
 The exit code is that of ``perfbench/run.py``; no file is written when a
-workload printed no final line.
+workload printed no final line. :func:`exported` is the ``git archive``
+export of a revision that ``tools/ab_pairs.py`` and
+``tools/trajectory_digest.py --against`` run from.
 """
 
 from __future__ import annotations
