@@ -118,14 +118,19 @@ class DnnSdpProblem:
 
     def validate(self) -> None:
         """Check the structural invariants, including A_E surjectivity
-        (the Gram factorization must succeed) and a nonzero A_I; both
-        results stay cached on the collections for the solve."""
+        (the Gram factorization must succeed) and a nonzero A_I with a
+        finite spectral bound rho; both results stay cached on the
+        collections for the solve."""
         try:
             gram_factor(self.A_E)
         except GramSingularError as exc:
             raise GramSingularError(exc.index, f"A_E: {exc}") from exc
-        if self.four_block and cached_lambda_max(self) <= 0.0:
-            raise ValueError("A_I: inequality constraint map is zero")
+        if self.four_block:
+            rho = cached_lambda_max(self)
+            if rho <= 0.0:
+                raise ValueError("A_I: inequality constraint map is zero")
+            if not math.isfinite(rho):
+                raise ValueError("A_I: the spectral bound of A_I A_I* overflows")
 
 
 @dataclass(slots=True)

@@ -295,21 +295,24 @@ class SparseSymList:
     and :meth:`from_entries` takes the concatenated arrays and the number
     of entries of each matrix directly, as the problem builders make them.
 
-    The entries are kept in one format: flat arrays in CSR order (by row,
-    then by svec coordinate), with the svec-weighted values, plus the
-    same entries in transpose order (by svec coordinate, then by row),
-    taken from them by one stable sort. ``apply`` gathers X at the flat
-    position of each entry and sums the weighted products per row with
-    ``np.bincount``; ``adjoint`` sums the products with y per svec
-    coordinate in transpose order and scatters them into both triangles.
-    ``gram``, ``gram_apply`` and ``frob_norms_sq`` are made the same way.
-    Every sum adds its terms in the order a CSR product over svec
-    coordinates does, so the results are bit for bit those of
-    ``P @ svec(x)``, ``smat(P.T @ y)``, ``P @ P.T`` and so on for the CSR
-    matrix P of the collection; where no svec coordinate holds entries of
-    two rows, ``adjoint`` takes each coordinate's one product plus 0.0
-    without the sum, the same bits. The Gram factor and the Gram spectral
-    bound are cached on the collection on first use.
+    The entries are kept in matrix-entry form, in two orders: by row, then
+    by svec coordinate (CSR order), and by svec coordinate, then by row
+    (transpose order), taken from the first by one stable sort. Each entry
+    has the coefficient c = value * (2 off the diagonal, 1 on it), which
+    counts the pair of symmetric entries once. ``apply`` gathers X at each
+    entry's flat position (i, j), so it reads the upper triangle, and sums
+    the products c * X_ij per row in CSR order with ``np.bincount``: one
+    rounding per term. ``adjoint`` scatters value * y_k into both
+    triangles; only where two rows share a position does it sum their
+    products, in row order with ``np.bincount``, from 0.0. ``gram`` sums
+    c_k * value_l over the positions that rows k and l share, in
+    ascending svec order, which is symmetric bit for bit, and
+    ``frob_norms_sq`` is its diagonal; ``gram_apply`` is ``apply`` after
+    ``adjoint``. These differ from a CSR product over ``svec``
+    coordinates, whose sqrt 2 weights cost two more roundings per
+    off-diagonal term, by a few ulps of the sum of the terms' moduli. The
+    Gram factor and the Gram spectral bound are cached on the collection
+    on first use.
     """
 
     def __init__(self, n: int, triples: Sequence[tuple]):
@@ -397,14 +400,14 @@ class SparseSymList:
         if counts.size < m:
             raise ValueError(f"constraint {counts.size}: triple arrays disagree in length")
         col, i, j, raw = col[order], i[order], j[order], raw[order]
-        scale = np.where(i != j, _SQRT2, 1.0)
-        data = raw * scale
-        if not np.isfinite(data).all():
-            raise ValueError(f"constraint {row[~np.isfinite(data)][0]}: non-finite value")
+        with np.errstate(over="ignore"):   # refused below
+            coef = raw * np.where(i != j, 2.0, 1.0)
+        if not np.isfinite(coef).all():
+            raise ValueError(f"constraint {row[~np.isfinite(coef)][0]}: non-finite value")
         self._indptr = np.concatenate(([0], np.cumsum(counts)))
         self._bounds = self._indptr.tolist()   # Python ints, for triples(k)
         self._i, self._j, self._raw = i, j, raw
-        self._row, self._pos, self._scale, self._data = row, i * n + j, scale, data
+        self._row, self._pos, self._coef = row, i * n + j, coef
         for arr in (i, j, raw):
             arr.flags.writeable = False
         # the transpose: entries by svec coordinate, then by row, with the
@@ -413,10 +416,10 @@ class SparseSymList:
         col = col[order]
         first = np.ones(col.size, dtype=bool)
         np.not_equal(col[1:], col[:-1], out=first[1:])
-        self._row_t, self._data_t = row[order], data[order]
+        self._row_t, self._raw_t, self._coef_t = row[order], raw[order], coef[order]
         self._coord_t = np.cumsum(first) - 1
-        tri = upper_triangle(n)   # (iu, ju, upper, lower, scale)
-        self._upper_t, self._lower_t, self._scale_t = (t[col[first]] for t in tri[2:])
+        tri = upper_triangle(n)
+        self._upper_t, self._lower_t = tri.upper[col[first]], tri.lower[col[first]]
         self._gram_cho = None
         self._lam_max = None
 
@@ -446,7 +449,7 @@ class SparseSymList:
 
     def apply_unchecked(self, x: np.ndarray) -> np.ndarray:
         """:meth:`apply` for an ndarray ``x`` already of shape (n, n)."""
-        return np.bincount(self._row, self._data * (x.take(self._pos) * self._scale),
+        return np.bincount(self._row, self._coef * x.take(self._pos),
                            minlength=self.m).astype(float, copy=False)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
@@ -459,34 +462,29 @@ class SparseSymList:
 
     def adjoint_unchecked(self, y: np.ndarray) -> np.ndarray:
         """:meth:`adjoint` for an ndarray ``y`` already of shape (m,)."""
-        v = self._data_t * y.take(self._row_t)
-        if self._coord_t.size == self._scale_t.size:
-            # one entry per coordinate, so each sum is its one term; adding
-            # it to 0.0, as the sum does, turns -0.0 into +0.0
-            v += 0.0
-        else:
-            v = np.bincount(self._coord_t, v, minlength=self._scale_t.size)
-        w = v / self._scale_t
+        v = self._raw_t * y.take(self._row_t)
+        if self._coord_t.size > self._upper_t.size:   # rows share a position
+            v = np.bincount(self._coord_t, v, minlength=self._upper_t.size)
         out = np.zeros(self.n * self.n)
-        out[self._upper_t] = w
-        out[self._lower_t] = w
+        out[self._upper_t] = v
+        out[self._lower_t] = v
         return out.reshape(self.n, self.n)
 
     def as_block_map(self) -> "LinearBlockMap":
         return LinearBlockMap(apply=self.apply, apply_adjoint=self.adjoint)
 
     def _gram_terms(self) -> tuple:
-        """``(k, l, product)`` for every pair of entries of rows k and l at
-        one svec coordinate, ordered by coordinate, so that ``np.bincount``
-        adds each Gram entry's products in ascending coordinate order, as
-        the CSR product does. A product may overflow to inf; the Gram
-        factor refuses the result."""
+        """``(k, l, c_k * value_l)`` for every pair of entries of rows k and
+        l at one position, ordered by svec coordinate, so that
+        ``np.bincount`` adds each Gram entry's products in ascending
+        coordinate order. A product may overflow to inf; the Gram factor
+        refuses the result."""
         counts = np.bincount(self._coord_t)   # entries per touched coordinate
         reps, ends = counts[self._coord_t], np.cumsum(counts)[self._coord_t]
         a = np.repeat(np.arange(reps.size), reps)   # once per entry at its coordinate
         b = np.arange(a.size) - np.repeat(np.cumsum(reps) - ends, reps)
         with np.errstate(over="ignore"):
-            return self._row_t[a], self._row_t[b], self._data_t[a] * self._data_t[b]
+            return self._row_t[a], self._row_t[b], self._coef_t[a] * self._raw_t[b]
 
     def gram(self) -> np.ndarray:
         """Dense m x m Gram matrix <A_k, A_l>."""
@@ -507,15 +505,12 @@ class SparseSymList:
         Like ``gram`` and ``gram_apply`` it gives floats also when there is
         no entry, where ``np.bincount`` gives integers."""
         with np.errstate(over="ignore"):
-            return np.bincount(self._row, self._data ** 2, self.m).astype(float, copy=False)
+            return np.bincount(self._row, self._coef * self._raw, self.m).astype(float, copy=False)
 
     def gram_apply(self, y: np.ndarray) -> np.ndarray:
-        """Matrix-free application of the Gram operator A A*: A* y summed per
-        coordinate, then A of it summed per row; the transpose order holds
-        each row's entries in ascending coordinate order, as a CSR row."""
-        v = np.bincount(self._coord_t, self._data_t * np.asarray(y, float).take(self._row_t))
-        w = np.bincount(self._row_t, self._data_t * v[self._coord_t], self.m)
-        return w.astype(float, copy=False)
+        """Matrix-free application of the Gram operator A A*: ``apply`` of
+        ``adjoint(y)``."""
+        return self.apply_unchecked(self.adjoint_unchecked(np.asarray(y, float)))
 
 
 @dataclass(frozen=True)
@@ -583,8 +578,8 @@ def _check_pivots(piv: np.ndarray) -> None:
 def gram_factor(a: SparseSymList):
     """Factor of the Gram matrix A A*, cached on the collection.
 
-    When no svec coordinate holds entries of two rows (as for biq, ebiq's
-    A_E, theta and fap), the Gram is diagonal. Otherwise its off-diagonal
+    When no position holds entries of two rows (as for biq, ebiq's A_E,
+    theta and fap), the Gram is diagonal. Otherwise its off-diagonal
     entries are summed first, without forming the m x m matrix; one that
     sums to exactly 0.0 counts as absent, as in a sparse product. When
     none is left the factor is the 1-D array ``1/sqrt(diag)``; otherwise
@@ -593,14 +588,14 @@ def gram_factor(a: SparseSymList):
     :class:`GramSingularError` when a pivot is not positive or falls below
     1e-12 times the largest pivot (the constraint rows are then linearly
     dependent to working precision), with the row index ``dpotrf``
-    reports, and ``ValueError`` when the dense factor has a non-finite
-    entry (a Gram that overflows), so that ``gram_solve`` need not check
-    the factor on every call.
+    reports, and ``ValueError`` when the factor has a non-finite entry (a
+    Gram that overflows; the diagonal path names the first such row), so
+    that ``gram_solve`` need not check the factor on every call.
     """
     if a._gram_cho is not None:
         return a._gram_cho
     terms = None
-    if a._coord_t.size > a._scale_t.size:   # a coordinate holds entries of two rows
+    if a._coord_t.size > a._upper_t.size:   # a position holds entries of two rows
         terms = k, l, prod = a._gram_terms()
         _, pair = np.unique((k * a.m + l)[k != l], return_inverse=True)
         if not np.bincount(pair, prod[k != l]).any():   # the off-diagonal sums
@@ -610,6 +605,9 @@ def gram_factor(a: SparseSymList):
         bad = np.flatnonzero(~(d > 0.0))
         if bad.size:
             raise _gram_singular(int(bad[0]))
+        bad = np.flatnonzero(np.isinf(d))
+        if bad.size:
+            raise ValueError(f"Gram factor has non-finite entries at constraint {bad[0]}")
         c_diag = np.sqrt(d)
         _check_pivots(c_diag ** 2)
         a._gram_cho = 1.0 / c_diag

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -23,9 +24,9 @@ from cadmm.dnnsdp import (SIGMA_MAX, SIGMA_MIN, DnnSdpProblem, ResidualReport,
                           to_multiblock, tune_sigma, update_S, update_Z,
                           update_yE, update_yI)
 from cadmm.io import write_problem
-from cadmm.linalg import (GramSingularError, SparseSymList, gram_factor, gram_solve,
-                          gram_solve_unchecked, lambda_max_gram, project_psd,
-                          project_psd_unchecked)
+from cadmm.linalg import (GramSingularError, PowerIterationWarning, SparseSymList,
+                          gram_factor, gram_solve, gram_solve_unchecked, lambda_max_gram,
+                          project_psd, project_psd_unchecked)
 from cadmm.problems import (BiqData, build_biq, build_ext_biq, build_theta_plus,
                             random_biq, random_fap, random_graph, random_rcp)
 
@@ -1102,6 +1103,21 @@ class TestProblemValidation:
                              b_I=np.zeros(1))
         with pytest.raises(ValueError, match="inequality constraint map is zero"):
             solve(prob, SolverConfig(max_iters=3))
+
+    @pytest.mark.parametrize("solve", [cadmm_solve, dext_solve], ids=["cadmm", "dext"])
+    def test_overflowing_inequality_map_refused(self, solve):
+        # ||A_I||^2 = 2e320: the power iteration's products overflow and it
+        # falls back to the infinite trace bound, with which the y_I update
+        # would never move y_I
+        a = SparseSymList(2, [([0], [0], [1.0])])
+        big = SparseSymList(2, [([0], [1], [1e160])])
+        prob = DnnSdpProblem(n=2, C=np.eye(2), A_E=a, b_E=np.ones(1), A_I=big,
+                             b_I=np.zeros(1))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.warns(PowerIterationWarning):
+            with pytest.raises(ValueError, match=r"^A_I: the spectral bound of A_I A_I\* "
+                                                 r"overflows$"):
+                solve(prob, SolverConfig(max_iters=3))
+        assert cached_lambda_max(prob) == math.inf
 
     def test_validate_runs_the_power_iteration_once(self, monkeypatch):
         calls = []

@@ -472,6 +472,17 @@ class TestSparseSymList:
             with pytest.raises(ValueError, match="^constraint 2: non-finite value$"):
                 build(3, rows)
 
+    @pytest.mark.parametrize("big", [1e308, -1e308, np.finfo(float).max])
+    def test_overflowing_coefficient_names_the_constraint(self, big):
+        # an off-diagonal value's coefficient is twice the value, which
+        # overflows from half the largest float on; on the diagonal the
+        # coefficient is the value itself
+        ok = [([0], [0], [big]), ([0], [1], [np.nextafter(0.5 * big, 0.0)])]
+        for build in BOTH_ENTRIES:
+            assert np.isfinite(build(3, ok)._coef).all()
+            with pytest.raises(ValueError, match="^constraint 2: non-finite value$"):
+                build(3, ok + [([0, 1], [1, 2], [1.0, big])])
+
     @pytest.mark.parametrize("args, message", [
         (([[2]], [0, 1], [1, 2], [1.0, 1.0]), "counts must be a vector of nonnegative integers"),
         (([2.0], [0, 1], [1, 2], [1.0, 1.0]), "counts must be a vector of nonnegative integers"),
@@ -522,10 +533,10 @@ FAMILY_SPECS = ["biq:12:3", "ebiq:8:2", "theta:14:1", "rcp:20:1", "fap:10:2", "q
 
 
 def reference_csr(a):
-    """The oracle of the entry-array maps: the collection as a
-    scipy.sparse CSR matrix P over svec coordinates, built from its
-    triples, so that A(X) = P svec(X), A*(y) = smat(P^T y) and the Gram
-    matrix is P P^T."""
+    """The collection as a scipy.sparse CSR matrix P over svec coordinates,
+    built from its triples, so that A(X) = P svec(X), A*(y) = smat(P^T y)
+    and the Gram matrix is P P^T, up to the roundings of the sqrt 2
+    weights (``SVEC_ULPS``)."""
     rows = [a.triples(k) for k in range(a.m)]
     i, j, v = (np.concatenate(part) for part in zip(*rows))
     col = i * (2 * a.n - i + 1) // 2 + (j - i)
@@ -534,17 +545,82 @@ def reference_csr(a):
                                    shape=(a.m, a.n * (a.n + 1) // 2))
 
 
-def reference_factor(p):
-    """``gram_factor`` from the reference CSR's sparse Gram product: 1/sqrt of
-    its diagonal when it stores no off-diagonal entry (the product drops
-    sums that are exactly 0.0), else the dpotrf factor of its dense form."""
-    g = p @ p.T
-    row = np.repeat(np.arange(g.shape[0]), np.diff(g.indptr))
-    if not g.data[row != g.indices].any():
-        return 1.0 / np.sqrt(g.diagonal())
-    c, info = scipy.linalg.lapack.dpotrf(g.toarray(), lower=1)
-    assert info == 0
-    return c
+# The svec CSR products weight an off-diagonal term by a rounded sqrt 2
+# twice where the entry form multiplies by 2 once. Each result of one may
+# differ from the other's by this many eps times the sum of the moduli of
+# its terms; on the collections of FAMILY_SPECS the largest difference is
+# about 2.1 eps.
+SVEC_ULPS = 4
+
+
+class EntryReference:
+    """The maps of a collection as its docstring defines them, from loops
+    over ``triples(k)`` in Python floats (which overflow to inf without a
+    warning). An entry (i, j, value) has the coefficient c = 2 value off
+    the diagonal and c = value on it.
+
+    - ``apply(x)[k]``: 0.0 plus c * x[i, j] over row k's entries in svec
+      order.
+    - ``adjoint(y)[i, j]`` and ``[j, i]``: value * y[k] over the rows k
+      with an entry at (i, j), in ascending order, summed from 0.0 when
+      some position holds entries of two rows, else the one product as it
+      is.
+    - ``gram()[k, l]``: 0.0 plus c_k * value_l over the positions that
+      rows k and l share, in svec order.
+    - ``gram_apply(y)``: ``apply`` of ``adjoint(y)``.
+    """
+
+    def __init__(self, a):
+        self.n, self.m = a.n, a.m
+        self.rows = [[(int(i), int(j), float(v), 2.0 * float(v) if i != j else float(v))
+                      for i, j, v in zip(*a.triples(k))] for k in range(a.m)]
+        self.at = {}   # (i, j) -> [(k, value, c)], rows ascending
+        for k, row in enumerate(self.rows):
+            for i, j, v, c in row:
+                self.at.setdefault((i, j), []).append((k, v, c))
+        self.shared = any(len(entries) > 1 for entries in self.at.values())
+
+    def apply(self, x):
+        out = np.zeros(self.m)
+        for k, row in enumerate(self.rows):
+            total = 0.0
+            for i, j, _, c in row:
+                total += c * float(x[i, j])
+            out[k] = total
+        return out
+
+    def adjoint(self, y):
+        out = np.zeros((self.n, self.n))
+        for (i, j), entries in self.at.items():
+            total = 0.0 if self.shared else -0.0   # -0.0 + p is p, sign included
+            for k, v, _ in entries:
+                total += v * float(y[k])
+            out[i, j] = out[j, i] = total
+        return out
+
+    def gram(self):
+        sums = {}
+        for pos in sorted(self.at):   # (i, j) sort in svec order
+            for k, _, c in self.at[pos]:
+                for l, v, _ in self.at[pos]:
+                    sums[k, l] = sums.get((k, l), 0.0) + c * v
+        g = np.zeros((self.m, self.m))
+        for (k, l), total in sums.items():
+            g[k, l] = total
+        return g
+
+    def gram_apply(self, y):
+        return self.apply(self.adjoint(y))
+
+    def factor(self):
+        """``gram_factor`` of the Gram above: 1/sqrt of its diagonal when
+        every off-diagonal entry is 0.0, else the dpotrf factor."""
+        g = self.gram()
+        if not g[~np.eye(self.m, dtype=bool)].any():
+            return 1.0 / np.sqrt(np.diagonal(g))
+        c, info = scipy.linalg.lapack.dpotrf(g, lower=1)
+        assert info == 0
+        return c
 
 
 def assert_same_bits(got, want):
@@ -552,74 +628,104 @@ def assert_same_bits(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+def assert_within_svec_ulps(got, want, moduli):
+    """``got`` differs from the svec CSR result ``want`` by at most
+    ``SVEC_ULPS`` eps times ``moduli``, the sum of the moduli of the terms."""
+    assert (np.abs(got - want) <= SVEC_ULPS * np.finfo(float).eps * moduli).all()
+
+
 class TestTransposedCsr:
     @pytest.mark.parametrize("spec", FAMILY_SPECS)
     def test_adjoint_and_gram_apply_bitwise(self, rng, spec):
-        # the transpose-order arrays sum in the CSC product's order, and the
-        # Gram sums each entry's products in ascending svec coordinate
+        # against the loops of the entry reference, and within SVEC_ULPS of
+        # the svec CSR's products
         for a in family_collections(spec):
             for b in (a, SparseSymList(a.n, relabelled(a, 1))):
-                p = reference_csr(b)
+                ref, p = EntryReference(b), reference_csr(b)
+                q = abs(p)
                 for _ in range(20):
                     y = rng.standard_normal(b.m)
-                    assert np.array_equal(b.adjoint(y), smat(p.T @ y, b.n))
-                    assert_same_bits(b.gram_apply(y), p @ (p.T @ y))
+                    adj = b.adjoint(y)
+                    assert_same_bits(adj, ref.adjoint(y))
+                    assert_within_svec_ulps(adj, smat(p.T @ y, b.n), smat(q.T @ abs(y), b.n))
+                    got = b.gram_apply(y)
+                    assert_same_bits(got, ref.gram_apply(y))
+                    assert_within_svec_ulps(got, p @ (p.T @ y), q @ (q.T @ abs(y)))
                 g = b.gram()
-                assert_same_bits(g, (p @ p.T).toarray())
+                assert_same_bits(g, ref.gram())
+                assert_within_svec_ulps(g, (p @ p.T).toarray(), (q @ q.T).toarray())
                 assert_same_bits(b.frob_norms_sq(), np.diagonal(g).copy())
-                assert np.allclose(b.frob_norms_sq(), p.multiply(p).sum(axis=1).A1,
-                                   rtol=1e-15, atol=0.0)
-
-    @staticmethod
-    def summed_adjoint(a, y):
-        """The adjoint with its sum per svec coordinate on every collection."""
-        v = np.bincount(a._coord_t, a._data_t * y.take(a._row_t), minlength=a._scale_t.size)
-        w = v / a._scale_t
-        out = np.zeros(a.n * a.n)
-        out[a._upper_t] = w
-        out[a._lower_t] = w
-        return out.reshape(a.n, a.n)
 
     @pytest.mark.parametrize("spec, name, one_entry", [
         ("biq:12:3", "A_E", True), ("theta:14:1", "A_E", True), ("fap:10:2", "A_E", True),
         ("rcp:20:1", "A_E", False), ("qap:3:4", "A_E", False), ("ebiq:8:2", "A_I", False)])
     def test_one_entry_adjoint_skips_the_sum_with_its_bits(self, monkeypatch, rng, spec,
                                                            name, one_entry):
-        # where no coordinate holds two entries the adjoint gathers without
-        # np.bincount, and a product of -0.0 still comes out +0.0, as the
-        # sum from 0.0 makes it; elsewhere it keeps the sum
+        # where no position holds two entries the adjoint scatters the
+        # products without np.bincount, so a product of -0.0 stays -0.0;
+        # elsewhere it sums from 0.0, which makes it +0.0
         a = getattr(generate_problem(spec), name)
-        assert (a._coord_t.size == a._scale_t.size) == one_entry
+        ref = EntryReference(a)
+        assert ref.shared != one_entry
         ys = [rng.standard_normal(a.m) for _ in range(10)] + [np.full(a.m, -0.0),
                                                               np.zeros(a.m)]
         ys[0][::2] = -0.0
-        refs = [self.summed_adjoint(a, y) for y in ys]
+        refs = [ref.adjoint(y) for y in ys]
         # a positive entry times -0.0, or a negative one times +0.0, is -0.0
-        assert any(np.signbit(a._data_t * y.take(a._row_t)).any() for y in ys[-2:])
+        assert any(np.signbit(a._raw_t * y.take(a._row_t)).any() for y in ys[-2:])
         calls = []
         real = np.bincount
         monkeypatch.setattr(np, "bincount", lambda *args, **kwargs: calls.append(1) or real(
             *args, **kwargs))
-        for y, ref in zip(ys, refs):
-            assert_same_bits(a.adjoint(y), ref)
-        assert not np.signbit(a.adjoint(ys[-2])).any()
-        assert not np.signbit(a.adjoint(ys[-1])).any()
-        assert len(calls) == (0 if one_entry else len(ys) + 2)
+        for y, want in zip(ys, refs):
+            assert_same_bits(a.adjoint(y), want)
+        assert np.signbit(a.adjoint(ys[-2])).any() == one_entry
+        assert len(calls) == (0 if one_entry else len(ys) + 1)
+
+    @staticmethod
+    def entry_csr(a, data):
+        """The collection as a CSR matrix over the flat positions i n + j of
+        its entries, with ``data`` (the stored values or coefficients)."""
+        return scipy.sparse.csr_matrix((data, a._pos, a._indptr), shape=(a.m, a.n * a.n))
 
     @pytest.mark.parametrize("spec", FAMILY_SPECS)
     def test_entry_maps_match_the_csr_bitwise(self, rng, spec):
-        # the entry arrays make the CSR's products in the CSR's order; X need
-        # not be symmetric, both read its upper triangle
+        # scipy's CSR products over the flat positions, with the
+        # coefficients for A and the values for A*, make the entry form's
+        # products in its order; X need not be symmetric, A reads its upper
+        # triangle. The svec CSR's products agree within SVEC_ULPS.
         for a in family_collections(spec):
+            ref, p = EntryReference(a), reference_csr(a)
+            coef, raw = self.entry_csr(a, a._coef), self.entry_csr(a, a._raw)
+            q = abs(p)
             for _ in range(20):
                 x = rng.standard_normal((a.n, a.n))
                 y = rng.standard_normal(a.m)
                 y[rng.random(a.m) < 0.2] = 0.0
-                p = reference_csr(a)
-                assert np.array_equal(a.apply(x), p @ svec(x))
-                adj, ref = a.adjoint(y), smat(p.T @ y, a.n)
-                assert np.array_equal(adj, ref)
-                assert np.array_equal(np.signbit(adj), np.signbit(ref))
+                got = a.apply(x)
+                assert_same_bits(got, coef @ x.ravel())
+                assert_same_bits(got, ref.apply(x))
+                assert_within_svec_ulps(got, p @ svec(x), q @ abs(svec(x)))
+                adj = a.adjoint(y)
+                sums = (raw.T @ y).reshape(a.n, a.n)
+                assert np.array_equal(adj, np.triu(sums) + np.triu(sums, 1).T)
+                assert_within_svec_ulps(adj, smat(p.T @ y, a.n), smat(q.T @ abs(y), a.n))
+            # the sparse product drops the sums that are 0.0, which the Gram
+            # sums from +0.0
+            assert_same_bits(a.gram(), (coef @ raw.T).toarray())
+
+    @pytest.mark.parametrize("spec", [s for s in FAMILY_SPECS if s != "random"])
+    def test_adjointness_exact_on_integer_data(self, rng, spec):
+        # the six families' values are multiples of 2^-20, so with a
+        # symmetric integer X and an integer y every product and sum in
+        # <A(X), y> and <X, A*(y)> is exact, and the two are equal
+        for a in family_collections(spec):
+            assert np.array_equal(np.ldexp(np.round(np.ldexp(a._raw, 20)), -20), a._raw)
+            for _ in range(20):
+                x = rng.integers(-8, 9, (a.n, a.n)).astype(float)
+                x += x.T
+                y = rng.integers(-8, 9, a.m).astype(float)
+                assert float(a.apply(x) @ y) == float(np.vdot(x, a.adjoint(y)))
 
     def test_wrong_shapes_refused(self, rng):
         a = random_constraints(rng, 6, 5)
@@ -634,9 +740,10 @@ class TestTransposedCsr:
     def test_triples_round_trip(self, spec):
         for a in family_collections(spec):
             b = SparseSymList(a.n, [a.triples(k) for k in range(a.m)])
-            for name in ("_indptr", "_row", "_pos", "_data", "_row_t", "_data_t", "_coord_t"):
+            for name in ("_indptr", "_row", "_pos", "_coef", "_row_t", "_raw_t", "_coef_t",
+                         "_coord_t"):
                 assert_same_bits(getattr(b, name), getattr(a, name))
-            assert a._data.size == sum(a.triples(k)[0].size for k in range(a.m))
+            assert a._coef.size == sum(a.triples(k)[0].size for k in range(a.m))
             # a is built by from_entries, b by the per-row constructor
             for c in (a, b):
                 i, j, v = c.triples(c.m - 1)
@@ -662,11 +769,11 @@ class TestTransposedCsr:
 
     def test_built_once(self, rng):
         a = random_constraints(rng, 6, 5)
-        first = a._data_t
+        first = a._raw_t
         a.adjoint(np.ones(5))
         a.gram_apply(np.ones(5))
         gram_factor(a)
-        assert a._data_t is first
+        assert a._raw_t is first
 
 
 def per_row_reference(n, triples):
@@ -695,22 +802,24 @@ def per_row_reference(n, triples):
     col = i * (2 * n - i + 1) // 2 + (j - i)
     order = np.lexsort((col, row))
     row, col, i, j, raw = row[order], col[order], i[order], j[order], raw[order]
-    scale = np.where(i != j, np.sqrt(2.0), 1.0)
-    data = raw * scale
-    if not np.isfinite(data).all():
-        raise ValueError(f"constraint {row[~np.isfinite(data)][0]}: non-finite value")
+    coef = raw * np.where(i != j, 2.0, 1.0)
+    if not np.isfinite(coef).all():
+        raise ValueError(f"constraint {row[~np.isfinite(coef)][0]}: non-finite value")
     indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=m))))
-    csr = scipy.sparse.csr_matrix((data, col, indptr), shape=(m, n * (n + 1) // 2))
+    # the transpose order, as scipy's CSR transpose lists the entries: a
+    # CSR whose data are the entries' positions in CSR order, plus one
+    csr = scipy.sparse.csr_matrix((np.arange(1, raw.size + 1), col, indptr),
+                                  shape=(m, n * (n + 1) // 2))
     t = csr.T.tocsr()
+    perm = t.data - 1
     counts = np.diff(t.indptr)
     touched = np.flatnonzero(counts)
     iu, ju = np.triu_indices(n)
     return {"_i": i, "_j": j, "_raw": raw, "_row": row, "_pos": i * n + j,
-            "_scale": scale, "_data": data, "_indptr": indptr,
-            "_row_t": t.indices.astype(np.intp), "_data_t": t.data,
+            "_coef": coef, "_indptr": indptr,
+            "_row_t": t.indices.astype(np.intp), "_raw_t": raw[perm], "_coef_t": coef[perm],
             "_coord_t": np.repeat(np.arange(touched.size), counts[touched]),
-            "_upper_t": (iu * n + ju)[touched], "_lower_t": (ju * n + iu)[touched],
-            "_scale_t": np.where(iu != ju, np.sqrt(2.0), 1.0)[touched]}
+            "_upper_t": (iu * n + ju)[touched], "_lower_t": (ju * n + iu)[touched]}
 
 
 def assert_same_arrays(a, ref):
@@ -871,14 +980,18 @@ class TestLambdaMaxGram:
 
     def test_one_gram_application_per_step(self, monkeypatch):
         # the residual's product is the next step's; ebiq:8:2's A_I takes 19
-        # steps, for which two products a step made 38 calls and this bound
+        # steps, for which two products a step made 38 calls and this bound.
+        # The Gram products of the entry reference give the same bits (2 ulps
+        # below the 0x1.8cc8fa29ad824p+5 of the svec products).
         a = generate_problem("ebiq:8:2").A_I
-        calls = []
-        gram_apply = SparseSymList.gram_apply
-        monkeypatch.setattr(SparseSymList, "gram_apply",
-                            lambda self, y: calls.append(1) or gram_apply(self, y))
-        assert lambda_max_gram(a) == float.fromhex("0x1.8cc8fa29ad824p+5")
-        assert len(calls) == 19 + 1
+        want = float.fromhex("0x1.8cc8fa29ad822p+5")
+        for gram_apply in (SparseSymList.gram_apply,
+                           lambda self, y, ref=EntryReference(a): ref.gram_apply(y)):
+            calls = []
+            monkeypatch.setattr(SparseSymList, "gram_apply",
+                                lambda self, y, f=gram_apply: calls.append(1) or f(self, y))
+            assert lambda_max_gram(a) == want
+            assert len(calls) == 19 + 1
 
     def test_nonconvergence_falls_back_to_trace(self, rng):
         a = random_constraints(rng, 6, 5)
@@ -941,10 +1054,29 @@ class TestGramSolve:
                 gram_factor(a)
             g = a.gram()
             assert np.isinf(a.frob_norms_sq()).all()
-        p = reference_csr(a)
-        assert_same_bits(g, (p @ p.T).toarray())
+        assert_same_bits(g, EntryReference(a).gram())
         with pytest.raises(ValueError, match="non-finite"):
             gram_solve(a, np.ones(2))
+
+    @pytest.mark.parametrize("rows, k", [
+        ([([0], [1], [1e160])], 0),
+        ([([0], [0], [1.0]), ([0], [1], [1e160])], 1),
+        ([([0], [1], [1e160]), ([0], [0], [1.0]), ([1], [1], [1e155])], 0),
+    ])
+    def test_overflowing_diagonal_gram_names_its_row(self, rows, k):
+        # ||A_k||^2 = 2e320 overflows: the diagonal factor would hold
+        # 1/sqrt(inf) = 0 and every solve would return 0, and beside a
+        # healthy row the pivot ratio blamed that row; no warning is raised
+        a = SparseSymList(3, rows)
+        assert np.isinf(a.frob_norms_sq()[k]) and np.isfinite(a.frob_norms_sq()[:k]).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^Gram factor has non-finite entries at "
+                                                 f"constraint {k}$"):
+                gram_factor(a)
+        assert a._gram_cho is None
+        with pytest.raises(ValueError, match="non-finite"):
+            gram_solve(a, np.ones(a.m))
 
     def test_factorization_cached(self, rng):
         for a in (random_surjective_constraints(rng, 5, 3),
@@ -987,17 +1119,17 @@ class TestDiagonalGram:
 
 class TestGramFromEntries:
     """``gram``, ``gram_apply`` and ``gram_factor`` sum the products of
-    entries that share an svec coordinate; they must give the reference
-    CSR's Gram product bit for bit, and take the diagonal path exactly
-    when that product stores no off-diagonal entry."""
+    entries that share a position; they must give the entry reference's
+    Gram bit for bit, and take the diagonal path exactly when its
+    off-diagonal entries are all 0.0."""
 
     def check(self, a, rng):
-        p = reference_csr(a)
-        assert_same_bits(a.gram(), (p @ p.T).toarray())
+        ref = EntryReference(a)
+        assert_same_bits(a.gram(), ref.gram())
         for _ in range(10):
             y = rng.standard_normal(a.m)
-            assert_same_bits(a.gram_apply(y), p @ (p.T @ y))
-        assert_same_bits(gram_factor(a), reference_factor(p))
+            assert_same_bits(a.gram_apply(y), ref.gram_apply(y))
+        assert_same_bits(gram_factor(a), ref.factor())
         rhs = rng.standard_normal(a.m)
         assert np.array_equal(gram_solve(a, rhs), dense_cho_solve(a, rhs))
 
@@ -1013,12 +1145,12 @@ class TestGramFromEntries:
     @pytest.mark.parametrize("spec", FAMILY_SPECS)
     def test_factor_matches_the_reference(self, spec):
         for a in family_collections(spec):
-            p = reference_csr(a)
-            if np.linalg.matrix_rank((p @ p.T).toarray()) < a.m:
+            ref = EntryReference(a)
+            if np.linalg.matrix_rank(ref.gram()) < a.m:
                 with pytest.raises(GramSingularError):
                     gram_factor(a)
             else:
-                assert_same_bits(gram_factor(a), reference_factor(p))
+                assert_same_bits(gram_factor(a), ref.factor())
 
     def test_off_diagonal_sum_cancelling_exactly_keeps_the_diagonal_path(self, rng):
         # rows 0 and 1 meet at svec coordinates 0, 3 and 5 with products 1,
@@ -1028,8 +1160,8 @@ class TestGramFromEntries:
         a = SparseSymList(3, [([0, 1, 2], [0, 1, 2], [1.0, 1e-8, 1.0]),
                               ([0, 1, 2], [0, 1, 2], [1.0, 1e-8, -1.0]),
                               ([0], [1], [3.0])])
-        p = reference_csr(a)
-        assert (p @ p.T).nnz == 3   # the product drops the cancelled sums
+        g = EntryReference(a).gram()
+        assert g[0, 1] == 0.0 and np.count_nonzero(g) == 3
         assert gram_factor(a).ndim == 1
         self.check(a, rng)
 
@@ -1042,23 +1174,23 @@ class TestGramFromEntries:
     def test_diagonal_shortcut_agrees_with_the_summed_test(self, monkeypatch, spec):
         # with the shortcut the factor is made without summing Gram terms;
         # it must equal, bit for bit, the factor of the summed test, here
-        # the reference CSR product, before and after a relabelling
+        # the entry reference's Gram, before and after a relabelling
         calls = []
         terms = SparseSymList._gram_terms
         monkeypatch.setattr(SparseSymList, "_gram_terms",
                             lambda self: calls.append(self) or terms(self))
         collections = family_collections(spec)
-        assert [a._coord_t.size == a._scale_t.size for a in collections] == self.SHORTCUT[spec]
+        assert [a._coord_t.size == a._upper_t.size for a in collections] == self.SHORTCUT[spec]
         for a in collections:
             for b in (a, SparseSymList(a.n, relabelled(a, 1))):
-                p = reference_csr(b)
+                ref = EntryReference(b)
                 calls.clear()
-                if np.linalg.matrix_rank((p @ p.T).toarray()) < b.m:
+                if np.linalg.matrix_rank(ref.gram()) < b.m:
                     with pytest.raises(GramSingularError):
                         gram_factor(b)
                 else:
-                    assert_same_bits(gram_factor(b), reference_factor(p))
-                shortcut = b._coord_t.size == b._scale_t.size
+                    assert_same_bits(gram_factor(b), ref.factor())
+                shortcut = b._coord_t.size == b._upper_t.size
                 assert calls == ([] if shortcut else [b])
 
     def test_explicit_zero_entries(self, rng):
