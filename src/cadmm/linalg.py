@@ -365,7 +365,8 @@ class SparseSymList:
         first in the order: an index out of range, i > j, a repeated
         (i, j). Rows from ``counts.size`` on are those whose triple arrays
         disagree in length (the per-row constructor's check), reported
-        when no earlier row has a defect; a non-finite value comes last.
+        when no earlier row has a defect; a non-finite value, or one whose
+        coefficient (twice it off the diagonal) overflows, comes last.
         """
         if n < 1:
             raise ValueError("matrix order must be >= 1")
