@@ -295,16 +295,17 @@ class SparseSymList:
     and :meth:`from_entries` takes the concatenated arrays and the number
     of entries of each matrix directly, as the problem builders make them.
 
-    The entries are kept in matrix-entry form, in two orders: by row, then
-    by svec coordinate (CSR order), and by svec coordinate, then by row
-    (transpose order), taken from the first by one stable sort. Each entry
-    has the coefficient c = value * (2 off the diagonal, 1 on it), which
-    counts the pair of symmetric entries once. ``apply`` gathers X at each
-    entry's flat position (i, j), so it reads the upper triangle, and sums
-    the products c * X_ij per row in CSR order with ``np.bincount``: one
-    rounding per term. ``adjoint`` scatters value * y_k into both
-    triangles; only where two rows share a position does it sum their
-    products, in row order with ``np.bincount``, from 0.0. ``gram`` sums
+    The entries are kept in matrix-entry form, in one order: by row, then
+    by svec coordinate (CSR order). Each entry has the coefficient
+    c = value * (2 off the diagonal, 1 on it), which counts the pair of
+    symmetric entries once, and the ascending number of its svec
+    coordinate among those touched. ``apply`` gathers X at each entry's
+    flat position (i, j), so it reads the upper triangle, and sums the
+    products c * X_ij per row with ``np.bincount``: one rounding per term.
+    ``adjoint`` scatters value * y_k into both triangles; only where two
+    rows share a position does it sum their products, from 0.0, with
+    ``np.bincount`` over the coordinate numbers, whose bins add their
+    terms in CSR order, so in ascending row order. ``gram`` sums
     c_k * value_l over the positions that rows k and l share, in
     ascending svec order, which is symmetric bit for bit, and
     ``frob_norms_sq`` is its diagonal; ``gram_apply`` is ``apply`` after
@@ -359,7 +360,7 @@ class SparseSymList:
         first ``counts.size`` hold ``counts`` entries each, given row after
         row by the int64 vectors ``i`` and ``j`` and the float vector
         ``raw`` of values (not svec-scaled). Checks the entries, sorts them
-        into CSR order and builds the transpose.
+        into CSR order and numbers the svec coordinates they touch.
 
         The first row with a defect is reported, and of its defects the
         first in the order: an index out of range, i > j, a repeated
@@ -405,22 +406,18 @@ class SparseSymList:
             coef = raw * np.where(i != j, 2.0, 1.0)
         if not np.isfinite(coef).all():
             raise ValueError(f"constraint {row[~np.isfinite(coef)][0]}: non-finite value")
-        self._indptr = np.concatenate(([0], np.cumsum(counts)))
-        self._bounds = self._indptr.tolist()   # Python ints, for triples(k)
+        self._bounds = [0] + np.cumsum(counts).tolist()   # Python ints, for triples(k)
         self._i, self._j, self._raw = i, j, raw
         self._row, self._pos, self._coef = row, i * n + j, coef
         for arr in (i, j, raw):
             arr.flags.writeable = False
-        # the transpose: entries by svec coordinate, then by row, with the
-        # touched coordinates numbered in ascending order
-        order = np.argsort(col, kind="stable")
-        col = col[order]
-        first = np.ones(col.size, dtype=bool)
-        np.not_equal(col[1:], col[:-1], out=first[1:])
-        self._row_t, self._raw_t, self._coef_t = row[order], raw[order], coef[order]
-        self._coord_t = np.cumsum(first) - 1
+        # the touched svec coordinates, numbered in ascending order; the
+        # adjoint writes to their positions, or to each entry's where no two
+        # rows share a position
+        touched, self._coord = np.unique(col, return_inverse=True)
+        touched = touched if touched.size < col.size else col
         tri = upper_triangle(n)
-        self._upper_t, self._lower_t = tri.upper[col[first]], tri.lower[col[first]]
+        self._upper, self._lower = tri.upper[touched], tri.lower[touched]
         self._gram_cho = None
         self._lam_max = None
 
@@ -463,12 +460,12 @@ class SparseSymList:
 
     def adjoint_unchecked(self, y: np.ndarray) -> np.ndarray:
         """:meth:`adjoint` for an ndarray ``y`` already of shape (m,)."""
-        v = self._raw_t * y.take(self._row_t)
-        if self._coord_t.size > self._upper_t.size:   # rows share a position
-            v = np.bincount(self._coord_t, v, minlength=self._upper_t.size)
+        v = self._raw * y.take(self._row)
+        if self._upper.size < self._coord.size:   # rows share a position
+            v = np.bincount(self._coord, v, minlength=self._upper.size)
         out = np.zeros(self.n * self.n)
-        out[self._upper_t] = v
-        out[self._lower_t] = v
+        out[self._upper] = v
+        out[self._lower] = v
         return out.reshape(self.n, self.n)
 
     def as_block_map(self) -> "LinearBlockMap":
@@ -480,12 +477,14 @@ class SparseSymList:
         ``np.bincount`` adds each Gram entry's products in ascending
         coordinate order. A product may overflow to inf; the Gram factor
         refuses the result."""
-        counts = np.bincount(self._coord_t)   # entries per touched coordinate
-        reps, ends = counts[self._coord_t], np.cumsum(counts)[self._coord_t]
-        a = np.repeat(np.arange(reps.size), reps)   # once per entry at its coordinate
-        b = np.arange(a.size) - np.repeat(np.cumsum(reps) - ends, reps)
+        order = np.argsort(self._coord, kind="stable")   # by coordinate, then row
+        coord = self._coord[order]
+        counts = np.bincount(coord)   # entries per touched coordinate
+        reps, ends = counts[coord], np.cumsum(counts)[coord]
+        a = np.repeat(order, reps)   # once per entry at its coordinate
+        b = order[np.arange(a.size) - np.repeat(np.cumsum(reps) - ends, reps)]
         with np.errstate(over="ignore"):
-            return self._row_t[a], self._row_t[b], self._coef_t[a] * self._raw_t[b]
+            return self._row[a], self._row[b], self._coef[a] * self._raw[b]
 
     def gram(self) -> np.ndarray:
         """Dense m x m Gram matrix <A_k, A_l>."""
@@ -533,13 +532,13 @@ def lambda_max_gram(a: SparseSymList, max_iters: int = 200, rel_tol: float = 1e-
     Power iteration on the m x m Gram operator (matrix-free, applied once
     per step: the product that checks a step's residual is the next
     step's), inflated by (1 + 1e-6) so that rho*I - A A* stays positive
-    semidefinite. If the iteration does not reach ``rel_tol`` a trace
-    bound sum_k ||A_k||_F^2 is returned and a
-    :class:`PowerIterationWarning` is issued.
+    semidefinite. The trace bound sum_k ||A_k||_F^2 is returned as it is
+    when it is 0 or overflows to inf, and with a
+    :class:`PowerIterationWarning` when the iteration misses ``rel_tol``.
     """
     trace_bound = float(a.frob_norms_sq().sum())
-    if trace_bound == 0.0:
-        return 0.0
+    if trace_bound in (0.0, math.inf):
+        return trace_bound
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(a.m)
     v /= np.linalg.norm(v)
@@ -596,7 +595,7 @@ def gram_factor(a: SparseSymList):
     if a._gram_cho is not None:
         return a._gram_cho
     terms = None
-    if a._coord_t.size > a._upper_t.size:   # a position holds entries of two rows
+    if a._upper.size < a._coord.size:   # a position holds entries of two rows
         terms = k, l, prod = a._gram_terms()
         _, pair = np.unique((k * a.m + l)[k != l], return_inverse=True)
         if not np.bincount(pair, prod[k != l]).any():   # the off-diagonal sums

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from cadmm.dnnsdp import (SIGMA_MAX, SIGMA_MIN, DnnSdpProblem, ResidualReport,
                           to_multiblock, tune_sigma, update_S, update_Z,
                           update_yE, update_yI)
 from cadmm.io import write_problem
-from cadmm.linalg import (GramSingularError, PowerIterationWarning, SparseSymList,
+from cadmm.linalg import (GramSingularError, SparseSymList,
                           gram_factor, gram_solve, gram_solve_unchecked, lambda_max_gram,
                           project_psd, project_psd_unchecked)
 from cadmm.problems import (BiqData, build_biq, build_ext_biq, build_theta_plus,
@@ -1106,14 +1107,15 @@ class TestProblemValidation:
 
     @pytest.mark.parametrize("solve", [cadmm_solve, dext_solve], ids=["cadmm", "dext"])
     def test_overflowing_inequality_map_refused(self, solve):
-        # ||A_I||^2 = 2e320: the power iteration's products overflow and it
-        # falls back to the infinite trace bound, with which the y_I update
-        # would never move y_I
+        # ||A_I||^2 = 2e320: the trace bound is infinite, so the spectral
+        # bound is that inf, returned before any power step and with no
+        # warning; with it the y_I update would never move y_I
         a = SparseSymList(2, [([0], [0], [1.0])])
         big = SparseSymList(2, [([0], [1], [1e160])])
         prob = DnnSdpProblem(n=2, C=np.eye(2), A_E=a, b_E=np.ones(1), A_I=big,
                              b_I=np.zeros(1))
-        with np.errstate(over="ignore", invalid="ignore"), pytest.warns(PowerIterationWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"^A_I: the spectral bound of A_I A_I\* "
                                                  r"overflows$"):
                 solve(prob, SolverConfig(max_iters=3))
