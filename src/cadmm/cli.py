@@ -88,9 +88,10 @@ def _policy_from_overrides(pairs) -> TuningPolicy:
         if key not in POLICY_KEYS:
             raise ValueError(f"unknown policy field {key!r} "
                              f"(expected {' or '.join(POLICY_KEYS)})")
-        if not value.removeprefix("-").isdigit():
-            raise ValueError(f"--policy {key}: expected an integer, got {value!r}")
-        overrides[key] = int(value)
+        try:
+            overrides[key] = int(value)
+        except ValueError:
+            raise ValueError(f"--policy {key}: expected an integer, got {value!r}") from None
     return TuningPolicy(**overrides)
 
 

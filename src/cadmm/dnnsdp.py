@@ -39,7 +39,7 @@ from .engine import (ALPHA, CONVERGED, DEXT_TAU, DIVERGED, EPS, MAX_ITERS, TAU0,
 from .linalg import (GramSingularError, SparseSymList, frob_inner, frob_norm,
                      gram_factor, gram_solve, gram_solve_unchecked, identity_block_map,
                      is_symmetric, lambda_max_gram, project_psd, project_psd_unchecked,
-                     psd_distance, psd_distance_below, symmetrize)
+                     psd_distance, symmetrize)
 
 
 @dataclass(frozen=True)
@@ -407,13 +407,13 @@ class ResidualReport:
     ones and ``eta_g`` the signed relative gap between <C, X> and the dual
     objective b_E.y_E (+ b_I.y_I) + <M, Z> (informational).
 
-    In a report the solve loop makes (``residuals`` with ``f_full``),
-    ``eta_S`` may be an upper bound instead of the value: half the largest
-    of ``eta_P``, ``eta_K`` and ``eta_I``, when a Cholesky factorization
-    certifies that the value is below it. ``eta`` and the primal maximum
-    max(eta_P, eta_S, eta_K, eta_I) are then the same as with the value.
-    A report made without ``f_full``, such as the one a run returns,
-    holds the value.
+    Every report holds the values of its components. The one the solve
+    loop makes (``residuals`` with ``f_full``) reads ``eta_D`` from the
+    constraint map that the sweep summed at the same blocks, and sets
+    ``eta_Sstar``, ``eta_Kstar`` and ``eta_Istar`` to 0.0, their values,
+    because y_I, Z and S are that sweep's projections onto their cones (a
+    recomputation from the blocks reads only the rounding of S's
+    eigenvalues there).
 
     The loop makes such a report only on the iterations whose lower bound
     max(eta_P, eta_D, eta_K, eta_I, eta_C1, eta_C2), every component that
@@ -492,11 +492,10 @@ def residuals(it: DnnSdpIterate, prob: DnnSdpProblem,
     ``f_full`` certifies an iterate from the sweep that made it: the
     constraint map at its blocks, as the sweep summed it (``it.f_full``).
     ``eta_D`` is then read from it, and the dual cone residuals are 0.0,
-    because y_I, Z and S are that sweep's projections onto their cones.
-    ``eta_S`` is then half the largest other primal component whenever
-    ``psd_distance_below`` certifies that bound, and the eigenvalues of X
-    are computed only when it does not. Without ``f_full`` every
-    component is recomputed from the blocks.
+    their values, because y_I, Z and S are that sweep's projections onto
+    their cones; every other component, ``eta_S`` included, is computed
+    as without it. Without ``f_full`` every component is recomputed from
+    the blocks.
 
     The solve loop makes this full report only on the iterations that
     read it: where its lower bound max(eta_P, eta_D, eta_K, eta_I,
@@ -522,15 +521,10 @@ def residuals(it: DnnSdpIterate, prob: DnnSdpProblem,
         eta_Istar = 0.0
         if f_full is None:
             eta_Istar = frob_norm(np.maximum(0.0, -it.yI)) / (1.0 + norms["yI"])
+    eta_S = psd_distance(X) / (1.0 + norm_X)
     if f_full is not None:
-        # a bound, when one Cholesky factorization shows it is below the
-        # other primal components (see ResidualReport)
-        half = 0.5 * max(eta_P, eta_K, eta_I or 0.0)
-        eta_S = (half if psd_distance_below(X, half * (1.0 + norm_X))
-                 else psd_distance(X) / (1.0 + norm_X))
         eta_Sstar = eta_Kstar = 0.0
     else:
-        eta_S = psd_distance(X) / (1.0 + norm_X)
         eta_Sstar = psd_distance(S) / (1.0 + norm_S)
         eta_Kstar = frob_norm(project_pattern(-Z, prob.pattern)) / (
             1.0 + norm_Z)
@@ -643,10 +637,13 @@ def _solve(prob: DnnSdpProblem, cfg: Optional[SolverConfig],
     until one reaches ``cfg.tol``. eta_D, the norm of the sweep's
     constraint map, comes first and decides most iterations; the
     complementarity terms eta_C1 and eta_C2 reuse the block norms of the
-    divergence guard. The full report, certified from the sweep's
-    constraint map by ``residuals(it, prob, it.f_full)``, is made only
-    where it is read: where the bound is below ``cfg.tol``, so the run
-    may stop, and where a sigma check is due (``sigma_check_due``).
+    divergence guard. The full report ``residuals(it, prob, it.f_full)``
+    holds the value of every component: it reads eta_D from the
+    constraint map the sweep summed at the same blocks, and sets the dual
+    cone residuals to 0.0, their values, since the sweep projected y_I, Z
+    and S onto their cones. It is made only where it is read: where the
+    bound is below ``cfg.tol``, so the run may stop, and where a sigma
+    check is due (``sigma_check_due``).
     Elsewhere eta is at least the bound, so the run cannot stop, and
     ``callback(it, report)`` gets ``report=None``. The run stops at the
     same iteration as with a full report on every iterate. The report and

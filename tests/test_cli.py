@@ -170,6 +170,7 @@ class TestSolveCommand:
         (["--tau", "inf"], "tau"),
         (["--tau", "-1"], "tau"),
         (["--tau", "0"], "tau"),
+        (["--policy", "check_period=²"], "check_period"),
     ])
     def test_bad_run_settings_fail_fast(self, command, flags, field, tmp_path, capsys):
         # refused before any solve starts, naming the setting

@@ -725,16 +725,11 @@ class TestSweepCertificate:
                 assert fresh.eta >= tol and max(cheap) >= tol, it.k
                 assert it.k % period != 0, it.k
                 continue
+            # every component the sweep does not fix by construction, eta_S
+            # included, is the full check's value to the bit
             a, b = dataclasses.asdict(loop), dataclasses.asdict(fresh)
-            for key in a.keys() - {"eta_D", "eta_Sstar", "eta_S"}:
+            for key in a.keys() - {"eta_D", "eta_Sstar"}:
                 assert a[key] == b[key], (it.k, key)
-            # the in-loop eta_S is the value or a certified bound that is no
-            # larger than the other primal components, so the primal
-            # maximum is unchanged
-            primal = [loop.eta_P, loop.eta_K] + ([loop.eta_I] if prob.four_block else [])
-            assert fresh.eta_S <= loop.eta_S, it.k
-            assert loop.eta_S == fresh.eta_S or loop.eta_S <= max(primal), it.k
-            assert max(primal + [loop.eta_S]) == max(primal + [fresh.eta_S]), it.k
             # the 4-block sweep sums in the order of the full check; the
             # 3-block one sums Z + A_E* y_E + S - C, so its eta_D is the norm
             # of that sum, which differs from the full check's by the
@@ -769,34 +764,36 @@ class TestSweepCertificate:
     @pytest.mark.parametrize("policy", [TuningPolicy.disabled(), TuningPolicy()],
                              ids=["disabled", "default"])
     def test_certificate_only_where_the_bound_may_stop(self, policy, monkeypatch):
-        # the Cholesky certificate of eta_S runs once per full report: on
-        # the iterations whose lower bound
+        # the eigenvalues of X are computed once per full report and on no
+        # other iteration: where the lower bound
         # max(eta_D, eta_P, eta_K, eta_C1, eta_C2) of eta is below tol, and
         # at the sigma checks besides
         prob = generate_problem("biq:14:5")
         tol = SolverConfig().tol
+        freeze_after = int(dnnsdp.FREEZE_FRACTION * 20000)
         calls = []
-        original = dnnsdp.psd_distance_below
+        original = dnnsdp.psd_distance
 
-        def counted(m, bound):
-            calls.append(m.shape)
-            return original(m, bound)
+        def counted(m):
+            calls.append(m)
+            return original(m)
 
-        below, made = [], []
+        below, due, made = [], [], []
 
         def cb(it, rep):
             below.append(self.lower_bound(it, prob)[0] < tol)
-            made.append(len(calls) - sum(made))
+            due.append(dnnsdp.sigma_check_due(it.k, policy, freeze_after))
+            new = calls[sum(made):]
+            assert all(m is it.X for m in new), it.k
+            assert (rep is not None) == (len(new) == 1), it.k
+            made.append(len(new))
 
-        monkeypatch.setattr(dnnsdp, "psd_distance_below", counted)
+        monkeypatch.setattr(dnnsdp, "psd_distance", counted)
         res = cadmm_solve(prob, policy=policy, callback=cb)
         assert res.status == "Converged" and res.iterations == len(below)
-        assert below[-1] and sum(made) == len(calls)
-        assert all(m >= b for m, b in zip(made, below)) and max(made) == 1
-        if policy.check_period == 0:
-            assert made == below
-        else:
-            assert len(calls) <= sum(below) + res.iterations // 50 + 1
+        # with sigma fixed no check is due, so made == below
+        assert below[-1] and sum(made) == len(calls) - 2
+        assert made == [int(b or d) for b, d in zip(below, due)]
 
     def test_complementarity_terms_rule_out_reports(self):
         # on qap:3:4 most iterates whose feasibility components are all
@@ -813,9 +810,8 @@ class TestSweepCertificate:
         assert sum(ruled_out) > sum(made for made, _, _ in seen)
 
     def test_one_eigenvalue_call_per_iteration(self, monkeypatch):
-        # at most one: X only on the iterations whose Cholesky certificate
-        # of eta_S fails, then X and S once for the returned report
-        calls = []
+        # X once per full report, then X and S once for the returned one
+        calls, reports = [], []
         original = dnnsdp.psd_distance
 
         def counted(m):
@@ -823,8 +819,10 @@ class TestSweepCertificate:
             return original(m)
 
         monkeypatch.setattr(dnnsdp, "psd_distance", counted)
-        res = cadmm_solve(generate_problem("biq:14:5"))
+        res = cadmm_solve(generate_problem("biq:14:5"),
+                          callback=lambda it, rep: reports.append(rep is not None))
         assert res.status == "Converged" and res.iterations == 367
+        assert len(calls) == sum(reports) + 2
         assert len(calls) <= 0.1 * res.iterations + 2
 
 
