@@ -725,8 +725,8 @@ class TestSweepCertificate:
                 assert fresh.eta >= tol and max(cheap) >= tol, it.k
                 assert it.k % period != 0, it.k
                 continue
-            # every component the sweep does not fix by construction, eta_S
-            # included, is the full check's value to the bit
+            # every component but eta_D and eta_Sstar, eta_S included, is
+            # the full check's value to the bit
             a, b = dataclasses.asdict(loop), dataclasses.asdict(fresh)
             for key in a.keys() - {"eta_D", "eta_Sstar"}:
                 assert a[key] == b[key], (it.k, key)
