@@ -23,7 +23,6 @@ from .linalg import SparseSymList, lambda_max_gram, project_psd
 
 EXIT_BY_STATUS = {engine.CONVERGED: 0, engine.MAX_ITERS: 2, engine.DIVERGED: 3,
                   engine.ERROR: 1}
-POLICY_KEYS = tuple(f.name for f in dataclasses.fields(TuningPolicy))
 SOLVERS = ("cadmm", "dext")
 
 
@@ -79,22 +78,6 @@ def generate_problem(spec: str) -> dnnsdp.DnnSdpProblem:
         raise ValueError(f"generate spec {spec!r}: {exc}") from exc
 
 
-def _policy_from_overrides(pairs) -> TuningPolicy:
-    overrides = {}
-    for pair in pairs or []:
-        if "=" not in pair:
-            raise ValueError(f"--policy expects key=value, got {pair!r}")
-        key, value = pair.split("=", 1)
-        if key not in POLICY_KEYS:
-            raise ValueError(f"unknown policy field {key!r} "
-                             f"(expected {' or '.join(POLICY_KEYS)})")
-        try:
-            overrides[key] = int(value)
-        except ValueError:
-            raise ValueError(f"--policy {key}: expected an integer, got {value!r}") from None
-    return TuningPolicy(**overrides)
-
-
 def _settings_from_args(args) -> tuple:
     """``(config, policy)`` of solve and bench, with every setting checked;
     settings the subcommand has no flag for keep their defaults."""
@@ -102,19 +85,13 @@ def _settings_from_args(args) -> tuple:
     cfg = SolverConfig(**{f.name: getattr(args, f.name)
                           for f in dataclasses.fields(SolverConfig)
                           if hasattr(args, f.name)})
-    return cfg, _policy_from_overrides(args.policy)
-
-
-def _check_solver(solver: str) -> None:
-    if solver not in SOLVERS:
-        raise ValueError(f"unknown solver {solver!r} (expected cadmm or dext)")
+    return cfg, TuningPolicy(check_period=args.check_period)
 
 
 def _run_one(prob, name: str, solver: str, cfg: SolverConfig, policy: TuningPolicy,
              tau: float, out=None):
     """Solve and print the summary line. With ``out`` given, also write the
     result document; its ``config`` records the run settings."""
-    _check_solver(solver)
     if solver == "cadmm":
         result = cadmm_solve(prob, cfg, policy)
     else:
@@ -151,16 +128,23 @@ def cmd_bench(args) -> int:
     solvers = (args.solvers.split(",") if args.solvers
                else manifest.get("solvers", list(SOLVERS)))
     for i, solver in enumerate(solvers):
-        _check_solver(solver)
+        if solver not in SOLVERS:
+            raise ValueError(f"unknown solver {solver!r} (expected cadmm or dext)")
         if solver in solvers[:i]:
             raise ValueError(f"solver {solver!r} is listed twice")
     loaded = {}
     for i, entry in enumerate(manifest["problems"]):
         if not isinstance(entry, dict) or not {"generate", "path"} & entry.keys():
             raise ValueError(f"{where}: problem {i} needs a 'generate' or a 'path' key")
+        for key in ("generate", "path"):
+            if not isinstance(entry.get(key, ""), str):
+                raise ValueError(f"{where}: problem {i}: {key!r} must be a string, "
+                                 f"got {entry[key]!r}")
         prob = (generate_problem(entry["generate"]) if "generate" in entry
                 else io.read_problem(entry["path"]))
         name = entry.get("name", prob.meta.get("name", "problem"))
+        if not isinstance(name, str):
+            raise ValueError(f"{where}: problem {i}: 'name' must be a string, got {name!r}")
         if name in loaded:
             raise ValueError(f"{where}: problem {i} repeats the name {name!r}")
         loaded[name] = prob
@@ -280,8 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Corrected multi-block ADMM for doubly nonnegative SDPs")
     sub = parser.add_subparsers(dest="command", required=True)
     defaults = SolverConfig()
-    policy_help = (f"tuning policy override, KEY one of {', '.join(POLICY_KEYS)}; "
-                   "check_period=0 keeps sigma fixed (repeatable)")
+    check_period = dict(type=int, default=TuningPolicy().check_period, metavar="N",
+                        help="iterations between sigma checks, 0 keeps sigma fixed "
+                             "(default %(default)s)")
 
     ps = sub.add_parser("solve", help="solve one problem")
     source = ps.add_mutually_exclusive_group(required=True)
@@ -295,8 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--sigma", type=float, default=defaults.sigma)
     ps.add_argument("--tol", type=float, default=defaults.tol)
     ps.add_argument("--max-iters", type=int, default=None)
-    ps.add_argument("--policy", action="append", metavar="KEY=VALUE",
-                    help=policy_help)
+    ps.add_argument("--check-period", **check_period)
     ps.add_argument("--out", help="write the result document here")
     ps.set_defaults(func=cmd_solve)
 
@@ -307,8 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--tau", type=float, default=dnnsdp.DEXT_TAU)
     pb.add_argument("--tol", type=float, default=defaults.tol)
     pb.add_argument("--max-iters", type=int, default=None)
-    pb.add_argument("--policy", action="append", metavar="KEY=VALUE",
-                    help=policy_help)
+    pb.add_argument("--check-period", **check_period)
     pb.add_argument("--out-dir", default="bench_out")
     pb.set_defaults(func=cmd_bench)
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import numbers
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -60,22 +59,19 @@ class BlockSpec:
     a float means T = rho*I - A A*, for which T + A A* = rho*I and the
     correction inverse is division by rho. ``einv`` applies
     (T + A A*)^{-1} and is required only for middle blocks with T = 0.
-    ``prox`` evaluates prox_{t*theta} and enables the KKT residual.
+    ``prox(point, t)`` evaluates prox_{t*theta}, which the KKT residual
+    reads.
     """
 
     map: LinearBlockMap
     subsolve: Callable
     shape: tuple
+    prox: Callable
     rho: Optional[float] = None
     einv: Optional[Callable] = None
-    prox: Optional[Callable] = None
 
     def einv_apply(self, v: np.ndarray) -> np.ndarray:
-        if self.rho is not None:
-            return v / self.rho
-        if self.einv is None:
-            raise ValueError("block needs an einv oracle (T = 0 middle block)")
-        return self.einv(v)
+        return v / self.rho if self.rho is not None else self.einv(v)
 
 
 @dataclass(frozen=True)
@@ -100,17 +96,18 @@ class MultiBlockProblem:
     def zeros(self) -> list:
         return [np.zeros(b.shape) for b in self.blocks]
 
-    def probe_operators(self, seed: int = 0, trials: int = 4) -> None:
-        """Cheap randomized setup checks of the block operators.
+    def probe_operators(self) -> None:
+        """Cheap randomized setup checks of the block operators, on four
+        seeded random vectors per block.
 
         For middle blocks with T = 0, einv must invert A A* (which must
         therefore be positive definite); for scaled-identity blocks,
         rho I - A A* must stay positive semidefinite.
         """
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         for i, blk in enumerate(self.blocks):
             middle = 0 < i < self.p - 1
-            for _ in range(trials):
+            for _ in range(4):
                 v = rng.standard_normal(blk.shape)
                 gram_v = blk.map.apply(blk.map.apply_adjoint(v))
                 if blk.rho is not None:
@@ -252,40 +249,23 @@ def correct(prob: MultiBlockProblem, z_tilde_old: list, new_z: list,
     return zt
 
 
-def kkt_residual(prob: MultiBlockProblem, z: list, x: np.ndarray,
-                 warn_missing: bool = True) -> float:
+def kkt_residual(prob: MultiBlockProblem, z: list, x: np.ndarray) -> float:
     """Prox-based optimality residual.
 
     Zero iff -A_i x lies in the subdifferential of theta_i at z_i for all
     blocks (checked through the prox characterization with unit weight)
-    and the linear constraint holds. Blocks without a prox oracle are
-    skipped (with a warning).
+    and the linear constraint holds.
     """
     adjoints = [b.map.apply_adjoint(zi) for b, zi in zip(prob.blocks, z)]
     parts = [float(np.linalg.norm(_f_value(adjoints, prob.c)))]
-    missing = []
-    for i, (blk, zi) in enumerate(zip(prob.blocks, z)):
-        if blk.prox is None:
-            missing.append(i)
-            continue
+    for blk, zi in zip(prob.blocks, z):
         step = blk.prox(zi - blk.map.apply(x), 1.0)
         parts.append(float(np.linalg.norm(zi - step)))
-    if missing and warn_missing:
-        warnings.warn(f"kkt_residual: blocks {missing} lack a prox oracle; skipped")
     return max(parts)
 
 
 def _iterate_norm(z: list, x: np.ndarray) -> float:
     return max(max(float(np.linalg.norm(zi)) for zi in z), float(np.linalg.norm(x)))
-
-
-def _default_residual(prob, z, x, c_norm, has_prox):
-    adjoints = [b.map.apply_adjoint(zi) for b, zi in zip(prob.blocks, z)]
-    fnorm = float(np.linalg.norm(_f_value(adjoints, prob.c)))
-    crit = fnorm / (1.0 + c_norm)
-    if has_prox:
-        crit = max(crit, kkt_residual(prob, z, x, warn_missing=False))
-    return crit
 
 
 def _run(prob: MultiBlockProblem, cfg: SolverConfig, stop: Optional[Callable],
@@ -302,11 +282,6 @@ def _run(prob: MultiBlockProblem, cfg: SolverConfig, stop: Optional[Callable],
     x = (np.array(x0, dtype=float) if x0 is not None
          else np.zeros_like(np.asarray(prob.c, dtype=float)))
     state = IterateState(z=z, z_tilde=[v.copy() for v in z], x=x, tau=TAU0)
-    c_norm = float(np.linalg.norm(prob.c))
-    has_prox = any(b.prox is not None for b in prob.blocks)
-    if any(b.prox is None for b in prob.blocks) and has_prox:
-        warnings.warn("some blocks lack a prox oracle; the KKT part of the "
-                      "stopping test skips them")
 
     tau_history = []
     history = [] if record_history else None
@@ -315,7 +290,7 @@ def _run(prob: MultiBlockProblem, cfg: SolverConfig, stop: Optional[Callable],
     t0 = time.perf_counter()
     while True:
         if cfg.tol > 0 and stop is None:
-            residual = _default_residual(prob, state.z, state.x, c_norm, has_prox)
+            residual = kkt_residual(prob, state.z, state.x)
             if residual < cfg.tol:
                 status = CONVERGED
                 break
@@ -356,7 +331,7 @@ def _run(prob: MultiBlockProblem, cfg: SolverConfig, stop: Optional[Callable],
             residual = math.inf
             break
         if stop is not None and stop(state, float(np.linalg.norm(f_full))):
-            residual = _default_residual(prob, state.z, state.x, c_norm, has_prox)
+            residual = kkt_residual(prob, state.z, state.x)
             status = CONVERGED
             break
 
@@ -376,8 +351,8 @@ def solve(prob: MultiBlockProblem, cfg: SolverConfig = None,
     """Run the corrected semi-proximal ADMM.
 
     Stops when ``stop(state, f_full_norm)`` fires if given, otherwise when
-    max(||F||/(1+||c||), kkt_residual) < cfg.tol. ``cfg.tol <= 0`` disables
-    the residual test and runs exactly ``max_iters`` iterations.
+    ``kkt_residual`` < cfg.tol. ``cfg.tol <= 0`` disables the residual
+    test and runs exactly ``max_iters`` iterations.
     ``record_history`` keeps one dict per iteration in ``history``: ``z``,
     ``z_tilde``, ``z_tilde_prev``, ``x`` and ``tau``.
     """

@@ -194,8 +194,7 @@ def project_psd(m: np.ndarray, negatives: Optional[int] = None):
     G = b V - V (V^T b V) / 2. Being a congruence of b, it is PSD up to
     second order in the error of V; ``b - V diag(w) V^T`` is only first
     order, which leaves S with negative eigenvalues ten times the
-    rounding. The input comes back as it is when it has no such
-    eigenvalue.
+    rounding.
 
     Returns the projection; with ``negatives`` given, ``(projection,
     count)``, where count is the number of V's columns, for the next
@@ -207,19 +206,17 @@ def project_psd(m: np.ndarray, negatives: Optional[int] = None):
 
 def project_psd_unchecked(b: np.ndarray, negatives: Optional[int] = None):
     """:func:`project_psd` without its checks, for a float64 input ``b``
-    that is finite and exactly symmetric; ``b`` itself comes back when it
-    has no eigenvalue in (-inf, 0]. On such an input ``project_psd`` gives
-    the same bits, since symmetrizing it changes no bit."""
+    that is finite and exactly symmetric. On such an input
+    ``project_psd`` gives the same bits, since symmetrizing it changes no
+    bit."""
     if negatives is not None and 4 * negatives >= b.shape[0]:
         v = _nonpositive_eigenvectors_dsyevd(b)
     else:
         v = _nonpositive_eigenvectors_dsyevr(b)
-    if v.shape[1] == 0:
-        out = b
-    else:
-        bv = b @ v
-        t = v @ (bv - 0.5 * (v @ (v.T @ bv))).T
-        out = b - (t + t.T)
+    # with no column in V, t is all 0.0 and b - 0.0 keeps b's bits
+    bv = b @ v
+    t = v @ (bv - 0.5 * (v @ (v.T @ bv))).T
+    out = b - (t + t.T)
     return out if negatives is None else (out, v.shape[1])
 
 
@@ -498,36 +495,35 @@ def identity_block_map() -> LinearBlockMap:
     return LinearBlockMap(apply=lambda x: x, apply_adjoint=lambda z: z)
 
 
-def lambda_max_gram(a: SparseSymList, max_iters: int = 200, rel_tol: float = 1e-8,
-                    seed: int = 0) -> float:
+POWER_STEPS = 200
+POWER_REL_TOL = 1e-8
+POWER_SEED = 0
+
+
+def lambda_max_gram(a: SparseSymList) -> float:
     """Safe upper estimate of the largest eigenvalue of A A*.
 
     Power iteration on the m x m Gram operator (matrix-free, applied once
     per step: the product that checks a step's residual is the next
-    step's), inflated by (1 + 1e-6) so that rho*I - A A* stays positive
-    semidefinite. The trace bound sum_k ||A_k||_F^2 is returned as it is
-    when it is 0 or overflows to inf, and with a
-    :class:`PowerIterationWarning` when the iteration misses ``rel_tol``.
+    step's) from a random start seeded with ``POWER_SEED``, inflated by
+    (1 + 1e-6) so that rho*I - A A* stays positive semidefinite. The
+    trace bound sum_k ||A_k||_F^2 is returned as it is when it is 0 or
+    overflows to inf, and with a :class:`PowerIterationWarning` when the
+    residual is not below ``POWER_REL_TOL`` times the estimate within
+    ``POWER_STEPS`` steps.
     """
     trace_bound = float(a.frob_norms_sq().sum())
     if trace_bound in (0.0, math.inf):
         return trace_bound
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(a.m)
+    v = np.random.default_rng(POWER_SEED).standard_normal(a.m)
     v /= np.linalg.norm(v)
     w = a.gram_apply(v)
-    for _ in range(max_iters):
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            v = rng.standard_normal(a.m)
-            v /= np.linalg.norm(v)
-            w = a.gram_apply(v)
-            continue
+    for _ in range(POWER_STEPS):
         lam = float(v @ w)
-        v = w / nw
+        v = w / np.linalg.norm(w)
         w = a.gram_apply(v)   # for the residual, and the next step's product
         res = np.linalg.norm(w - lam * v)
-        if res <= rel_tol * max(lam, 1e-300):
+        if res <= POWER_REL_TOL * max(lam, 1e-300):
             return lam * (1.0 + 1e-6)
     warnings.warn(
         "power iteration did not converge; returning the trace upper bound",
@@ -606,10 +602,13 @@ def gram_solve(a: SparseSymList, rhs: np.ndarray) -> np.ndarray:
     ``r = 1/sqrt(diag)`` reproduces ``cho_solve`` on the diagonal Cholesky
     factor bit for bit under OpenBLAS (``rhs / diag`` does not, and that
     last-bit drift changes the iterates of long runs). Both paths raise
-    ``ValueError`` on a non-finite right-hand side.
+    ``ValueError`` on a right-hand side that is not a finite vector of
+    shape (m,).
     """
     cho = a._gram_cho if a._gram_cho is not None else gram_factor(a)
     rhs = np.asarray(rhs, dtype=float)
+    if rhs.shape != (a.m,):
+        raise ValueError(f"gram_solve: rhs has shape {rhs.shape}, expected {(a.m,)}")
     if not np.isfinite(rhs).all():
         raise ValueError("gram_solve: right-hand side has non-finite entries")
     return gram_solve_unchecked(cho, rhs)
@@ -623,7 +622,4 @@ def gram_solve_unchecked(cho: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         if info != 0:
             raise ValueError(f"dpotrs: illegal argument {-info}")
         return y
-    if rhs.ndim == 1:
-        return (rhs * cho) * cho
-    r = cho.reshape((-1,) + (1,) * (rhs.ndim - 1))   # rows of a 2-D rhs
-    return (rhs * r) * r
+    return (rhs * cho) * cho

@@ -142,22 +142,21 @@ def ext_biq_inequality_rows(n: int):
     return np.column_stack([i, j]), np.column_stack(triples)
 
 
-def build_ext_biq(d: BiqData, name: str = "ebiq", triangle_cap: Optional[int] = None,
-                  cap_seed: int = 0) -> DnnSdpProblem:
-    """BIQ relaxation plus the pairwise and triangle valid cuts.
+# For n > 25, build_ext_biq keeps TRIANGLE_CAP of the O(n^3) triangle rows
+# (there are at least 2 600), drawn uniformly with a generator seeded by 0.
+TRIANGLE_CAP = 2000
 
-    For n > 25 (or when ``triangle_cap`` is given) the O(n^3) triangle
-    family is subsampled uniformly with the given seed.
-    """
+
+def build_ext_biq(d: BiqData, name: str = "ebiq") -> DnnSdpProblem:
+    """BIQ relaxation plus the pairwise and triangle valid cuts; for
+    n > 25 the triangle family is subsampled (``TRIANGLE_CAP``)."""
     base = build_biq(d, name)
     n = d.n
     corner = n
     pairs, triples = ext_biq_inequality_rows(n)
-    if triangle_cap is None and n > 25:
-        triangle_cap = 2000
-    if triangle_cap is not None and len(triples) > triangle_cap:
-        rng = np.random.default_rng(cap_seed)
-        keep = rng.choice(len(triples), size=triangle_cap, replace=False)
+    if n > 25:
+        keep = np.random.default_rng(0).choice(len(triples), size=TRIANGLE_CAP,
+                                               replace=False)
         triples = triples[np.sort(keep)]
     i, j = pairs[:, :1], pairs[:, 1:]
     c = np.full_like(i, corner)
@@ -488,11 +487,13 @@ def read_dimacs(path) -> Graph:
             if parts[0] == "p":
                 if len(parts) < 4 or parts[1] != "edge":
                     raise ValueError(f"line {lineno}: malformed problem line")
-                n, m = int(parts[2]), int(parts[3])
+                n, m = _line_ints(parts[2:4], lineno)
             elif parts[0] == "e":
                 if n is None:
                     raise ValueError(f"line {lineno}: edge before problem line")
-                i, j = int(parts[1]) - 1, int(parts[2]) - 1
+                if len(parts) < 3:
+                    raise ValueError(f"line {lineno}: an edge needs two vertices")
+                i, j = (v - 1 for v in _line_ints(parts[1:3], lineno))
                 if i == j:
                     raise ValueError(f"line {lineno}: self-loop")
                 edges.add((min(i, j), max(i, j)))
@@ -503,6 +504,14 @@ def read_dimacs(path) -> Graph:
     if m is not None and len(edges) != m:
         raise ValueError(f"edge count mismatch: header says {m}, found {len(edges)}")
     return Graph(n=n, edges=tuple(sorted(edges)))
+
+
+def _line_ints(tokens: list, lineno: int) -> list:
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise ValueError(f"line {lineno}: expected integers, got "
+                         f"{' '.join(tokens)!r}") from None
 
 
 def _tokens(path) -> list:

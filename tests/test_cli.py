@@ -133,8 +133,8 @@ class TestSolveCommand:
 
     def test_policy_override(self, tmp_path):
         out = tmp_path / "res.json"
-        code = main(["solve", "--generate", "rcp:10:1", "--policy",
-                     "check_period=0", "--out", str(out)])
+        code = main(["solve", "--generate", "rcp:10:1", "--check-period", "0",
+                     "--out", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["config"]["policy"] == {"check_period": 0}
 
@@ -152,28 +152,38 @@ class TestSolveCommand:
         for flag in ("--frobnicate", "--alpha"):
             assert main(["solve", "--generate", "biq:6:1", flag, "0.5"]) == 1
 
-    def test_unknown_policy_key(self, capsys):
-        # restart_stall_window is no field: the loop has no stall restart
-        for key in ("nope", "sigma_min", "restart_stall_window"):
-            assert main(["solve", "--generate", "biq:6:1", "--policy", f"{key}=1"]) == 1
-            assert f"unknown policy field '{key}'" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    @pytest.mark.parametrize("value", ["-5", "1.5", "²", "x"])
+    def test_check_period_refused_by_name(self, command, value, tmp_path, capsys):
+        # before any solve: a negative count by the setting's check, one
+        # that is no integer by argparse, after its usage line
+        source = (["--generate", "biq:6:1"] if command == "solve"
+                  else ["--manifest", str(tmp_path / "manifest.json")])
+        assert main([command, *source, "--check-period", value]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            "error: check_period must be >= 0, got -5" if value == "-5" else
+            f"cadmm {command}: error: argument --check-period: invalid int value: {value!r}")
 
     @pytest.mark.parametrize("command", ["solve", "bench"])
     @pytest.mark.parametrize("flags, field", [
         (["--max-iters", "0"], "max_iters"),
         (["--max-iters", "-3"], "max_iters"),
         (["--tol", "-1"], "tol"),
-        (["--policy", "check_period=-5"], "check_period"),
+        (["--check-period", "-5"], "check_period"),
         (["--policy", "restart_stall_window=-1"], "restart_stall_window"),
-        (["--policy", "check_period=1.5"], "check_period"),
+        (["--check-period", "1.5"], "check_period"),
         (["--tau", "nan"], "tau"),
         (["--tau", "inf"], "tau"),
         (["--tau", "-1"], "tau"),
         (["--tau", "0"], "tau"),
-        (["--policy", "check_period=²"], "check_period"),
+        (["--check-period", "²"], "check_period"),
     ])
     def test_bad_run_settings_fail_fast(self, command, flags, field, tmp_path, capsys):
-        # refused before any solve starts, naming the setting
+        # refused before any solve starts, naming the setting; argparse
+        # refuses a count that is no integer and an unknown flag (such as
+        # the former --policy KEY=VALUE) after its usage line
         if command == "solve":
             argv = ["solve", "--generate", "biq:6:1"]
         else:
@@ -184,7 +194,9 @@ class TestSolveCommand:
         assert main(argv + flags) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: ") and field in err
+        message = err.splitlines()[-1]
+        assert re.match(rf"(cadmm( {command})?: )?error: ", message), err
+        assert field in message.replace("-", "_"), err
 
     @pytest.mark.parametrize("sigma", ["inf", "1e999", "nan"])
     def test_non_finite_sigma_fails_fast(self, sigma, capsys):
@@ -295,6 +307,11 @@ class TestBenchCommand:
         ({"problems": {"generate": "biq:6:1"}}, "'problems' must be a list"),
         ({"problems": "biq:6:1"}, "'problems' must be a list"),
         ('{"problems": [\n', "malformed document at line 2"),
+        ({"problems": [{"generate": "biq:6:1"}, {"name": 5, "generate": "biq:6:2"}]},
+         "problem 1: 'name' must be a string, got 5"),
+        ({"problems": [{"generate": 5}]}, "problem 0: 'generate' must be a string, got 5"),
+        ({"problems": [{"path": ["p.json"]}]},
+         "problem 0: 'path' must be a string, got ['p.json']"),
     ])
     def test_bad_manifest_fails_cleanly(self, manifest, missing, tmp_path, capsys):
         # refused before any solve starts, naming the manifest and the fault
@@ -307,6 +324,19 @@ class TestBenchCommand:
         assert err.startswith(f"error: manifest {mpath}: ") and missing in err, err
         assert not (tmp_path / "out").exists()
 
+    def test_name_from_a_problem_document_must_be_a_string(self, tmp_path, capsys):
+        # with no name in the entry, the bench names a problem by its meta
+        doc = problem_to_json(generate_problem("biq:6:1"))
+        doc["meta"]["name"] = 5
+        (tmp_path / "p.json").write_text(json.dumps(doc))
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps({"problems": [{"path": str(tmp_path / "p.json")}]}))
+        assert main(["bench", "--manifest", str(mpath),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: manifest {mpath}: problem 0: 'name' must be a string, got 5\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flags, manifest_solvers", [
         (["--solvers", "cadmm,foo"], None), ([], ["dext", "foo"])])

@@ -25,6 +25,18 @@ class TestConePattern:
         with pytest.raises(ValueError, match="^pattern kinds must be Zero, NonNeg or Free$"):
             ConePattern(kinds)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ConePattern(np.ones((2, 3))), "pattern must be square"),
+        (lambda: ConePattern(np.ones(3)), "pattern must be square"),
+        (lambda: ConePattern.from_rle(3, [[5, "N"]]),
+         "pattern run-length data does not cover the upper triangle"),
+        (lambda: ConePattern.from_rle(2, [[2, "N"], [2, "F"]]),
+         "pattern run-length data does not cover the upper triangle"),
+    ], ids=["2x3", "vector", "rle-short", "rle-long"])
+    def test_rejects_misshapen_data(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
     def test_dual_swaps_zero_and_free(self):
         pat = ConePattern.from_entries(3, NONNEG, {(0, 1): ZERO, (1, 2): FREE})
         dual = pat.dual()

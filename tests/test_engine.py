@@ -146,7 +146,7 @@ class TestCorrect:
         ident = LinearBlockMap(apply=lambda x: x, apply_adjoint=lambda z: z)
         blocks = tuple(
             BlockSpec(map=ident, subsolve=lambda *a: None, shape=(4,),
-                      rho=None, einv=lambda v: v)
+                      prox=lambda point, t: point, rho=None, einv=lambda v: v)
             for _ in range(3))
         prob = MultiBlockProblem(blocks=blocks, c=np.zeros(4))
         zt = [rng.standard_normal(4) for _ in range(3)]
@@ -185,7 +185,7 @@ class TestTheoryOperators:
         ident = LinearBlockMap(apply=lambda x: x, apply_adjoint=lambda z: z)
         blocks = tuple(
             BlockSpec(map=ident, subsolve=lambda *a: None, shape=(3,),
-                      rho=None, einv=lambda v: v)
+                      prox=lambda point, t: point, rho=None, einv=lambda v: v)
             for _ in range(3))
         prob = MultiBlockProblem(blocks=blocks, c=np.zeros(3))
         alpha = 0.9
@@ -246,15 +246,12 @@ class TestKktResidual:
         direct = np.linalg.norm(z1 - np.maximum(z1 - a_adj.T @ x, 0.0))
         assert res == pytest.approx(max(direct, np.linalg.norm(x)), rel=1e-12)
 
-    def test_missing_prox_warns(self, rng):
+    def test_prox_is_required(self):
+        # the residual reads every block's prox, and so does the stopping test
         toy = random_quadratic_toy(2, (3, 3), 4, seed=23)
-        no_prox = BlockSpec(map=toy.problem.blocks[0].map,
-                            subsolve=toy.problem.blocks[0].subsolve,
-                            shape=(3,), rho=None)
-        prob = MultiBlockProblem(blocks=(no_prox, toy.problem.blocks[1]),
-                                 c=toy.problem.c)
-        with pytest.warns(UserWarning, match="lack a prox"):
-            kkt_residual(prob, [np.zeros(3), np.zeros(3)], np.zeros(4))
+        with pytest.raises(TypeError, match="'prox'"):
+            BlockSpec(map=toy.problem.blocks[0].map,
+                      subsolve=toy.problem.blocks[0].subsolve, shape=(3,), rho=None)
 
 
 class TestSolve:
@@ -367,13 +364,18 @@ class TestErrorContracts:
     def test_missing_middle_einv_fails_at_construction(self):
         ident = LinearBlockMap(apply=lambda x: x, apply_adjoint=lambda z: z)
         good = BlockSpec(map=ident, subsolve=lambda *a: None, shape=(3,),
-                         rho=None, einv=lambda v: v)
+                         prox=lambda point, t: point, rho=None, einv=lambda v: v)
         bad = BlockSpec(map=ident, subsolve=lambda *a: None, shape=(3,),
-                        rho=None)
+                        prox=lambda point, t: point, rho=None)
         with pytest.raises(ValueError, match="middle block 1"):
             MultiBlockProblem(blocks=(good, bad, good), c=np.zeros(3))
         # first and last blocks never need the inverse
         MultiBlockProblem(blocks=(bad, good, bad), c=np.zeros(3))
+
+    def test_one_block_refused(self):
+        toy = random_quadratic_toy(2, (3, 3), 4, seed=24)
+        with pytest.raises(ValueError, match="^need at least two blocks$"):
+            MultiBlockProblem(blocks=toy.problem.blocks[:1], c=toy.problem.c)
 
     def test_subsolve_failure_names_the_block(self):
         toy = random_quadratic_toy(3, (3, 4, 5), 6, seed=51)
@@ -395,10 +397,11 @@ class TestErrorContracts:
                                    apply_adjoint=lambda z: a_adj @ z)
         lam = float(np.linalg.eigvalsh(a_adj.T @ a_adj).max())
         bad = BlockSpec(map=block_map, subsolve=lambda *a: np.zeros(3),
-                        shape=(3,), rho=0.1 * lam)
+                        shape=(3,), prox=lambda point, t: point, rho=0.1 * lam)
         other = BlockSpec(map=LinearBlockMap(apply=lambda x: x,
                                              apply_adjoint=lambda z: z),
-                          subsolve=lambda *a: np.zeros(5), shape=(5,), rho=None)
+                          subsolve=lambda *a: np.zeros(5), shape=(5,),
+                          prox=lambda point, t: point, rho=None)
         prob = MultiBlockProblem(blocks=(other, bad, other), c=np.zeros(5))
         with pytest.raises(ValueError, match="below the Gram spectrum"):
             prob.probe_operators()
@@ -408,10 +411,12 @@ class TestErrorContracts:
         block_map = LinearBlockMap(apply=lambda x: a_adj.T @ x,
                                    apply_adjoint=lambda z: a_adj @ z)
         bad = BlockSpec(map=block_map, subsolve=lambda *a: np.zeros(3),
-                        shape=(3,), rho=None, einv=lambda v: 2.0 * v)
+                        shape=(3,), prox=lambda point, t: point, rho=None,
+                        einv=lambda v: 2.0 * v)
         other = BlockSpec(map=LinearBlockMap(apply=lambda x: x,
                                              apply_adjoint=lambda z: z),
-                          subsolve=lambda *a: np.zeros(5), shape=(5,), rho=None)
+                          subsolve=lambda *a: np.zeros(5), shape=(5,),
+                          prox=lambda point, t: point, rho=None)
         prob = MultiBlockProblem(blocks=(other, bad, other), c=np.zeros(5))
         with pytest.raises(ValueError, match="does not invert"):
             prob.probe_operators()

@@ -82,6 +82,8 @@ class TestProblemRoundTrip:
         ("pattern of order n+1", "^pattern has order 6, expected 5$"),
         ("long b_E", r"^b_E has length 6, expected 5 \(the rows of A_E\)$"),
         ("short b_I", r"^b_I has length 12, expected 13 \(the rows of A_I\)$"),
+        ("short C", "^C: upper-triangle data has 14 entries, order 5 needs 15$"),
+        ("A_E m", "^A_E: constraint count disagrees with the 'm' field$"),
     ])
     def test_misshapen_field_named_on_read(self, fault, message, tmp_path):
         doc = problem_to_json(build_biq(random_biq(4, 1)))
@@ -92,6 +94,10 @@ class TestProblemRoundTrip:
         elif fault == "short b_I":
             doc = problem_to_json(build_ext_biq(random_biq(4, 1)))
             doc["b_I"] = doc["b_I"][:-1]
+        elif fault == "short C":
+            doc["C"].pop()
+        elif fault == "A_E m":
+            doc["A_E"]["m"] += 1
         else:
             doc["pattern"] = {"n": 6, "rle": ConePattern.all_nonneg(6).rle()}
         path = tmp_path / "bad.json"
@@ -140,6 +146,8 @@ class TestResultDocuments:
         ('{"format": "dnnsdp-result/1"}', "^problem: missing field$"),
         ('{"format": "dnnsdp-result/1", "problem": "p"', "r.json: malformed document at line 1"),
         ('["dnnsdp-result/1"]', "^result document: expected a JSON object, got list$"),
+        ('{"format": "dnnsdp-problem/1"}',
+         r"^not a result document \(format 'dnnsdp-problem/1'\)$"),
     ])
     def test_malformed_document_named(self, tmp_path, text, message):
         path = tmp_path / "r.json"
@@ -229,6 +237,12 @@ class TestPerformanceProfile:
         write_profile_csv(rows, path)
         back = read_profile_csv(path)
         assert back == [(s, float(x), float(y)) for (s, x, y) in rows]
+
+    def test_profile_csv_header_checked(self, tmp_path):
+        path = tmp_path / "prof.csv"
+        path.write_text("solver,y,x\na,1.0,1.0\n")
+        with pytest.raises(ValueError, match="^unexpected profile header 'solver,y,x'$"):
+            read_profile_csv(path)
 
     def test_unknown_metric(self):
         with pytest.raises(ValueError, match="metric"):

@@ -1009,10 +1009,11 @@ class TestLambdaMaxGram:
             assert lambda_max_gram(a) == math.inf
         assert calls == []
 
-    def test_nonconvergence_falls_back_to_trace(self, rng):
+    def test_nonconvergence_falls_back_to_trace(self, rng, monkeypatch):
         a = random_constraints(rng, 6, 5)
+        monkeypatch.setattr(linalg, "POWER_STEPS", 0)
         with pytest.warns(PowerIterationWarning):
-            lam = lambda_max_gram(a, max_iters=0)
+            lam = lambda_max_gram(a)
         assert np.isclose(lam, float(a.frob_norms_sq().sum()))
 
 
@@ -1056,8 +1057,6 @@ class TestGramSolve:
         for _ in range(50):
             rhs = rng.standard_normal(a.m) * 10.0 ** rng.uniform(-6, 6)
             assert np.array_equal(gram_solve(a, rhs), dense_cho_solve(a, rhs))
-        rhs = rng.standard_normal((a.m, 3))
-        assert np.array_equal(gram_solve(a, rhs), dense_cho_solve(a, rhs))
 
     def test_nonfinite_dense_factor_refused_once(self):
         # finite entries whose Gram overflows: dpotrf returns a NaN factor
@@ -1094,6 +1093,15 @@ class TestGramSolve:
         with pytest.raises(ValueError, match="non-finite"):
             gram_solve(a, np.ones(a.m))
 
+    @pytest.mark.parametrize("shape", [(3,), (5,), (4, 1), (4, 3), ()])
+    def test_rhs_of_another_shape_refused(self, rng, shape):
+        # refused by name on both paths, as apply and adjoint refuse theirs
+        for a in (random_diagonal_collection(rng, 5, 4),
+                  random_surjective_constraints(rng, 5, 4)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"gram_solve: rhs has shape {shape}, expected (4,)")):
+                gram_solve(a, np.ones(shape))
+
     def test_factorization_cached(self, rng):
         for a in (random_surjective_constraints(rng, 5, 3),
                   random_diagonal_collection(rng, 5, 3)):
@@ -1112,8 +1120,14 @@ class TestDiagonalGram:
         for _ in range(200):
             rhs = rng.standard_normal(a.m) * 10.0 ** rng.uniform(-6, 6)
             assert np.array_equal(gram_solve(a, rhs), dense_cho_solve(a, rhs))
-        rhs = rng.standard_normal((a.m, a.m))
-        assert np.array_equal(gram_solve(a, rhs), dense_cho_solve(a, rhs))
+
+    def test_pivot_ratio_names_the_small_row(self):
+        # ||A_1||^2 = 1e-14 is positive, but below 1e-12 times ||A_0||^2
+        a = SparseSymList(2, [([0], [0], [1.0]), ([1], [1], [1e-7])])
+        with pytest.raises(GramSingularError, match="^Gram matrix numerically singular "
+                                                    "at constraint 1 ") as err:
+            gram_factor(a)
+        assert err.value.index == 1 and a._gram_cho is None
 
     def test_zero_row_names_the_dpotrf_index(self):
         # row 2 is an explicit zero

@@ -11,9 +11,9 @@ from cadmm.cli import generate_problem
 from cadmm.cones import FREE, NONNEG, ZERO
 from cadmm.dnnsdp import SolverConfig, cadmm_solve
 from cadmm.io import problem_to_json
-from cadmm.problems import (BiqData, Graph, brute_force_biq, build_biq,
-                            build_ext_biq, build_fap, build_qap, build_rcp,
-                            build_theta_plus, ext_biq_inequality_rows,
+from cadmm.problems import (TRIANGLE_CAP, BiqData, Graph, brute_force_biq,
+                            build_biq, build_ext_biq, build_fap, build_qap,
+                            build_rcp, build_theta_plus, ext_biq_inequality_rows,
                             family_objective, gaussian_affinity, random_biq,
                             random_fap, random_graph, random_rcp,
                             random_weighted_graph, read_biqmac, read_dimacs,
@@ -114,9 +114,11 @@ class TestBuildExtBiq:
             assert doc_base[key] == doc_ext[key]
 
     def test_triangle_cap_subsamples(self):
-        prob = build_ext_biq(random_biq(10, 1), triangle_cap=20, cap_seed=0)
-        pairs, _ = ext_biq_inequality_rows(10)
-        assert prob.A_I.m == 3 * len(pairs) + 20
+        # all 2 300 triangle rows up to n = 25, TRIANGLE_CAP of them beyond
+        for n, triangles in ((25, 2300), (26, TRIANGLE_CAP)):
+            prob = build_ext_biq(random_biq(n, 1))
+            pairs, _ = ext_biq_inequality_rows(n)
+            assert prob.A_I.m == 3 * len(pairs) + triangles
 
 
 class TestBuildThetaPlus:
@@ -217,6 +219,23 @@ class TestBuildFap:
         g = Graph(3, ((0, 1),))
         with pytest.raises(ValueError, match="subset"):
             build_fap(g, [(1, 2)], kappa=2)
+
+
+ASYMMETRIC = np.array([[1.0, 0.5], [0.2, 1.0]])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: BiqData(Q=ASYMMETRIC, c=np.zeros(2)), "Q must be symmetric"),
+    (lambda: BiqData(Q=np.eye(2), c=np.zeros(3)), "Q and c dimensions disagree"),
+    (lambda: build_rcp(ASYMMETRIC, 1), "affinity matrix must be symmetric"),
+    (lambda: build_fap(Graph(2, ((0, 1),)), [], kappa=1), "kappa must be an integer > 1"),
+    (lambda: build_qap(np.eye(2), np.eye(3)), "A and B must be symmetric of the same order"),
+    (lambda: build_qap(ASYMMETRIC, np.eye(2)), "A and B must be symmetric of the same order"),
+], ids=["biq-Q-asymmetric", "biq-c-length", "rcp-asymmetric", "fap-kappa-1",
+        "qap-orders", "qap-asymmetric"])
+def test_builder_input_refused(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 def problem_digest(prob) -> str:
@@ -456,6 +475,17 @@ class TestReaders:
         path = tmp_path / "g.col"
         path.write_text("p edge 4 3\ne 1 2\n")
         with pytest.raises(ValueError, match="mismatch"):
+            read_dimacs(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("p edge 3 1\ne 1\n", "line 2: an edge needs two vertices"),
+        ("p edge three 1\ne 1 2\n", "line 1: expected integers, got 'three 1'"),
+        ("c x\np edge 3 1\ne 1 b\n", "line 3: expected integers, got '1 b'"),
+    ])
+    def test_dimacs_malformed_line_named(self, tmp_path, text, message):
+        path = tmp_path / "g.col"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{message}$"):
             read_dimacs(path)
 
 
