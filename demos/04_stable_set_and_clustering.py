@@ -30,7 +30,7 @@ for name, g in cases.items():
 print(f"  (5-cycle reference: sqrt(5) = {np.sqrt(5):.6f})")
 
 print("\n== clustering two point clouds (kappa = 2) ==")
-prob = random_rcp(12, seed=1, kappa=2)
+prob = random_rcp(12, seed=1)
 res = cadmm_solve(prob, cfg)
 x = res.x
 print(f"status={res.status} iterations={res.iterations}")

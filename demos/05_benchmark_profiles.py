@@ -7,7 +7,7 @@ solver, the fraction of problems solved within a factor x of the best.
 """
 
 from cadmm.dnnsdp import SolverConfig, cadmm_solve, dext_solve
-from cadmm.io import emit_performance_profile, record_from_result
+from cadmm.io import PROFILE_GRID_POINTS, emit_performance_profile, record_from_result
 from cadmm.problems import build_biq, build_theta_plus, random_biq, \
     random_graph, random_rcp
 
@@ -25,10 +25,13 @@ for name, prob in instances:
         records.append(rec)
         print(rec.summary_line())
 
-print("\niteration-count performance profile (solver, x, y):")
-rows = emit_performance_profile(records, metric="iterations", grid_points=8)
-for solver, x, y in rows:
-    print(f"  {solver:6} x={x:7.3f} y={y:.2f}")
+print("\niteration-count performance profile (solver, x, y), every 8th "
+      "grid point and the last:")
+rows = emit_performance_profile(records, metric="iterations")
+for k, (solver, x, y) in enumerate(rows):
+    point = k % PROFILE_GRID_POINTS   # the rows run solver by solver, one per point
+    if point % 8 == 0 or point == PROFILE_GRID_POINTS - 1:
+        print(f"  {solver:6} x={x:7.3f} y={y:.2f}")
 
 print("\ny at x=1 is the fraction of problems where that solver needed the "
       "fewest iterations;\neach curve ends at the solver's overall solve "

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dnnsdp, engine, io, problems
 from .dnnsdp import SolverConfig, TuningPolicy, cadmm_solve, dext_solve
-from .linalg import SparseSymList, lambda_max_gram, project_psd
+from .linalg import SparseSymList, lambda_max_gram, project_psd, symmetrize
 
 EXIT_BY_STATUS = {engine.CONVERGED: 0, engine.MAX_ITERS: 2, engine.DIVERGED: 3,
                   engine.ERROR: 1}
@@ -89,7 +89,7 @@ def _settings_from_args(args) -> tuple:
 
 
 def _run_one(prob, name: str, solver: str, cfg: SolverConfig, policy: TuningPolicy,
-             tau: float, out=None):
+             tau: float, out):
     """Solve and print the summary line. With ``out`` given, also write the
     result document; its ``config`` records the run settings."""
     if solver == "cadmm":
@@ -145,6 +145,9 @@ def cmd_bench(args) -> int:
         name = entry.get("name", prob.meta.get("name", "problem"))
         if not isinstance(name, str):
             raise ValueError(f"{where}: problem {i}: 'name' must be a string, got {name!r}")
+        if name in ("", ".", "..") or {os.sep, os.altsep} & set(name):
+            raise ValueError(f"{where}: problem {i}: 'name' must be a plain file name, "
+                             f"got {name!r}")
         if name in loaded:
             raise ValueError(f"{where}: problem {i} repeats the name {name!r}")
         loaded[name] = prob
@@ -161,8 +164,8 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _check(name: str, ok: bool, detail: str = "") -> bool:
-    print(f"[{'PASS' if ok else 'FAIL'}] {name}" + (f" ({detail})" if detail else ""))
+def _check(name: str, ok: bool, detail: str) -> bool:
+    print(f"[{'PASS' if ok else 'FAIL'}] {name} ({detail})")
     return ok
 
 
@@ -184,8 +187,7 @@ def cmd_check(args) -> int:
     a = SparseSymList(n, rows)
     worst = 0.0
     for _ in range(100):
-        u = rng.standard_normal((n, n))
-        u = 0.5 * (u + u.T)
+        u = symmetrize(rng.standard_normal((n, n)))
         v = rng.standard_normal(m)
         lhs = float(a.apply(u) @ v)
         rhs = float(np.vdot(u, a.adjoint(v)))
@@ -194,8 +196,7 @@ def cmd_check(args) -> int:
     ok &= _check("adjoint identity", worst <= 1e-12, f"worst {worst:.2e}")
 
     # PSD projection: idempotent and Moreau decomposition
-    x = rng.standard_normal((7, 7))
-    x = 0.5 * (x + x.T)
+    x = symmetrize(rng.standard_normal((7, 7)))
     px = project_psd(x)
     moreau = np.linalg.norm(x - (px - project_psd(-x)))
     idem = np.linalg.norm(project_psd(px) - px)
@@ -235,10 +236,9 @@ def cmd_check(args) -> int:
     ops = dnnsdp.SolveOperands(prob)
     lamI = ops.lam
     it = dnnsdp.initial_iterate(prob, sigma=1.0, tau0=engine.TAU0)
-    it.X = rng.standard_normal((prob.n, prob.n))
-    it.X = 0.5 * (it.X + it.X.T)
+    it.X = symmetrize(rng.standard_normal((prob.n, prob.n)))
     r1 = it.t_Z + prob.A_E.adjoint(it.t_yE) + it.S - prob.C
-    y_closed = dnnsdp.update_yI(ops, it.X, r1, it.yI, prob.A_I.adjoint(it.yI), 1.0)
+    y_closed = dnnsdp.update_yI(ops.at(1.0), it.X, r1, it.yI, prob.A_I.adjoint(it.yI))
     y = np.zeros(prob.A_I.m)
     step = 0.4 / lamI
     for _ in range(400):

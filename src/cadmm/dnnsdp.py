@@ -100,7 +100,7 @@ class DnnSdpProblem:
                 raise ValueError(f"{name} has non-finite entries")
         for name in ("C", "M"):
             value = np.asarray(getattr(self, name), dtype=float)
-            if not is_symmetric(value, 1e-10):
+            if not is_symmetric(value):
                 raise ValueError(f"{name} must be symmetric")
             object.__setattr__(self, name, symmetrize(value))
         if (self.A_I is None) != (self.b_I is None):
@@ -148,7 +148,8 @@ class DnnSdpIterate:
 
     ``negatives`` is the number of eigenvalues at or below zero of the
     sweep's S-update input, which picks the next sweep's projection route
-    (``linalg.project_psd``); it is 0 where no sweep made the iterate."""
+    (``linalg.project_psd_unchecked``); it is 0 where no sweep made the
+    iterate."""
 
     Z: np.ndarray
     yE: np.ndarray
@@ -248,15 +249,15 @@ class SolveOperands:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form subproblem solvers. Each takes the solve's ``SolveOperands``,
-# the scaled multiplier xs = x/sigma, the partial residual r (all other
-# blocks' constraint contributions minus C) and the proximal center. The
-# sweep forms xs once; the generic engine's subsolves (``to_multiblock``)
-# divide before they call, so the same functions back both the specialized
-# stepper and the generic BlockSpecs.
+# Closed-form subproblem solvers. Each takes the solve's operands at sigma
+# (``ops.at(sigma)``), the scaled multiplier xs = x/sigma, the partial
+# residual r (all other blocks' constraint contributions minus C) and the
+# proximal center. The sweep sets sigma and forms xs once; the generic
+# engine's subsolves (``to_multiblock``) do both before they call, so the
+# same functions back both the specialized stepper and the generic BlockSpecs.
 
 def update_yI(ops: SolveOperands, xs: np.ndarray, r: np.ndarray,
-              center: np.ndarray, center_adj: np.ndarray, sigma: float) -> np.ndarray:
+              center: np.ndarray, center_adj: np.ndarray) -> np.ndarray:
     """First-block update with the rho*I - A_I A_I* proximal operator,
     rho = ``ops.lam``.
 
@@ -265,33 +266,29 @@ def update_yI(ops: SolveOperands, xs: np.ndarray, r: np.ndarray,
     center + (b_I/sigma - A_I(xs + r + A_I* center)) / rho, where
     ``xs`` is x/sigma and ``center_adj`` is A_I* center.
     """
-    ops.at(sigma)
     w_full = xs + r + center_adj
     v = center + (ops.b_I_s - ops.apply_I(w_full)) / ops.lam
     return project_nonneg(v)
 
 
-def update_Z(ops: SolveOperands, xs: np.ndarray, r: np.ndarray, sigma: float) -> np.ndarray:
+def update_Z(ops: SolveOperands, xs: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Projection onto the dual pattern cone of M/sigma - xs - r, with
     ``xs`` = x/sigma."""
-    ops.at(sigma)
     z = ops.M_s - xs
     z -= r
     return ops.project_dual(z)
 
 
-def update_yE(ops: SolveOperands, xs: np.ndarray, r: np.ndarray, sigma: float) -> np.ndarray:
+def update_yE(ops: SolveOperands, xs: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Unconstrained linear-block minimizer via the cached Gram factor;
     ``xs`` is x/sigma."""
-    ops.at(sigma)
     return ops.solve_E(ops.b_E_s - ops.apply_E(xs + r))
 
 
-def update_S(ops: SolveOperands, xs: np.ndarray, r: np.ndarray,
-             negatives: Optional[int] = None):
-    """PSD projection of -r - xs, with ``xs`` = x/sigma. With
-    ``negatives``, the count the previous projection returned, the route is
-    chosen from it and ``(S, count)`` comes back (``linalg.project_psd``)."""
+def update_S(ops: SolveOperands, xs: np.ndarray, r: np.ndarray, negatives: int) -> tuple:
+    """PSD projection of -r - xs, with ``xs`` = x/sigma, by the route that
+    ``negatives``, the count the previous projection returned, picks.
+    Returns ``(S, count)`` (``linalg.project_psd_unchecked``)."""
     b = -r
     b -= xs
     return ops.project_psd(b, negatives)
@@ -302,7 +299,8 @@ def _sweep(it: DnnSdpIterate, ops: SolveOperands):
     ``it.yI``, ``it.t_Z``, ``it.t_yE`` and ``it.S``, through the kernels
     of ``ops``. The adjoints at the centres are taken from ``it.adj_yI``
     and ``it.adj_t_yE`` where the previous sweep left them, and computed
-    where it did not. The S update reads ``it.negatives``.
+    where it did not. The operands are set to ``it.sigma`` once, and the
+    S update reads ``it.negatives``.
 
     Returns ``(yI, Z, yE, S, f_pred, f_full, adj_yI, adj_yE, negatives)``:
     the new blocks (``yI`` is None in the 3-block case), the constraint
@@ -319,6 +317,7 @@ def _sweep(it: DnnSdpIterate, ops: SolveOperands):
     ``f_full`` Q + S - C.
     """
     C, S0, sigma = ops.C, it.S, it.sigma
+    ops.at(sigma)
     xs = it.X / sigma
     adj_t_yE = it.adj_t_yE if it.adj_t_yE is not None else ops.adjoint_E(it.t_yE)
     yI = adj_yI = None
@@ -327,26 +326,26 @@ def _sweep(it: DnnSdpIterate, ops: SolveOperands):
         r = it.t_Z + adj_t_yE
         r += S0
         r -= C
-        yI = update_yI(ops, xs, r, it.yI, center_adj, sigma)
+        yI = update_yI(ops, xs, r, it.yI, center_adj)
         adj_yI = ops.adjoint_I(yI)
         r = adj_yI + adj_t_yE
         r += S0
         r -= C
-        Z = update_Z(ops, xs, r, sigma)
+        Z = update_Z(ops, xs, r)
         f_pred = adj_yI + it.t_Z
         f_pred += adj_t_yE
         P = adj_yI + Z
     else:
         r = adj_t_yE + S0
         r -= C
-        Z = update_Z(ops, xs, r, sigma)
+        Z = update_Z(ops, xs, r)
         f_pred = Z + adj_t_yE
         P = Z
     f_pred += S0
     f_pred -= C
     r = P + S0
     r -= C
-    yE = update_yE(ops, xs, r, sigma)
+    yE = update_yE(ops, xs, r)
     adj_yE = ops.adjoint_E(yE)
     Q = P + adj_yE
     S, negatives = update_S(ops, xs, Q - C, it.negatives)
@@ -413,12 +412,7 @@ class ResidualReport:
     ``eta_Sstar``, ``eta_Kstar`` and ``eta_Istar`` to 0.0, their values,
     because y_I, Z and S are that sweep's projections onto their cones (a
     recomputation from the blocks reads only the rounding of S's
-    eigenvalues there).
-
-    The loop makes such a report only on the iterations whose lower bound
-    max(eta_P, eta_D, eta_K, eta_I, eta_C1, eta_C2), every component that
-    needs no eigenvalues, is below the tolerance, and at the sigma checks;
-    its callback gets None on the others."""
+    eigenvalues there). ``_solve`` says on which iterations it makes one."""
 
     eta_P: float
     eta_D: float
@@ -496,11 +490,6 @@ def residuals(it: DnnSdpIterate, prob: DnnSdpProblem,
     their cones; every other component, ``eta_S`` included, is computed
     as without it. Without ``f_full`` every component is recomputed from
     the blocks.
-
-    The solve loop makes this full report only on the iterations that
-    read it: where its lower bound max(eta_P, eta_D, eta_K, eta_I,
-    eta_C1, eta_C2) is below the tolerance, and at the sigma checks (see
-    ``_solve``).
     """
     X, S, Z, yE = it.X, it.S, it.Z, it.yE
     C = prob.C
@@ -608,14 +597,14 @@ def maybe_restart(*args):
 # ---------------------------------------------------------------------------
 # Full solver loops.
 
-def _diverged(it: DnnSdpIterate, norms: Optional[dict] = None) -> Optional[tuple]:
+def _diverged(it: DnnSdpIterate, norms: dict) -> Optional[tuple]:
     """``(name, norm)`` of the first block, in sweep order and then X,
     whose norm fails the divergence guard; None when every block passes.
-    ``norms`` is ``_block_norms(it)`` when the caller already has it."""
+    ``norms`` is ``_block_norms(it)``."""
     guard = engine.DIVERGENCE_GUARD
     # A NaN or inf entry makes the norm NaN or inf, and so does a finite
     # block whose norm overflows; neither passes the comparison.
-    for name, norm in (norms or _block_norms(it)).items():
+    for name, norm in norms.items():
         if not norm <= guard:
             return name, norm
     return None
@@ -758,37 +747,35 @@ def to_multiblock(prob: DnnSdpProblem):
     whose subsolves share one ``SolveOperands`` of ``prob``; making them
     validates ``prob``.
 
-    Returns ``(MultiBlockProblem, z0, x0)`` with all-zero starting data
-    matching :func:`initial_iterate`.
+    ``engine.solve`` starts it from zero, as :func:`initial_iterate` does.
     """
     n = prob.n
     ops = SolveOperands(prob)
     ident = identity_block_map()
     z_block = engine.BlockSpec(
         map=ident,
-        subsolve=lambda x, r, center, sigma: update_Z(ops, x / sigma, r, sigma),
+        subsolve=lambda x, r, center, sigma: update_Z(ops.at(sigma), x / sigma, r),
         shape=(n, n), rho=None, einv=lambda v: v,
         prox=prox_pattern_dual_linear(prob.M, prob.pattern))
     ye_block = engine.BlockSpec(
         map=prob.A_E.as_block_map(),
-        subsolve=lambda x, r, center, sigma: update_yE(ops, x / sigma, r, sigma),
+        subsolve=lambda x, r, center, sigma: update_yE(ops.at(sigma), x / sigma, r),
         shape=(prob.A_E.m,), rho=None,
         einv=lambda v: gram_solve(prob.A_E, v),
         prox=prox_linear(prob.b_E))
     s_block = engine.BlockSpec(
         map=ident,
-        subsolve=lambda x, r, center, sigma: update_S(ops, x / sigma, r),
+        subsolve=lambda x, r, center, sigma: update_S(ops, x / sigma, r, 0)[0],
         shape=(n, n), rho=None, einv=lambda v: v,
         prox=prox_psd_indicator())
     if prob.four_block:
         yi_block = engine.BlockSpec(
             map=prob.A_I.as_block_map(),
             subsolve=lambda x, r, center, sigma: update_yI(
-                ops, x / sigma, r, center, ops.adjoint_I(center), sigma),
+                ops.at(sigma), x / sigma, r, center, ops.adjoint_I(center)),
             shape=(prob.A_I.m,), rho=ops.lam,
             prox=prox_nonneg_linear(prob.b_I))
         blocks = (yi_block, z_block, ye_block, s_block)
     else:
         blocks = (z_block, ye_block, s_block)
-    mb = engine.MultiBlockProblem(blocks=blocks, c=np.asarray(prob.C, dtype=float))
-    return mb, mb.zeros(), np.zeros((n, n))
+    return engine.MultiBlockProblem(blocks=blocks, c=np.asarray(prob.C, dtype=float))

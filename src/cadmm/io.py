@@ -210,8 +210,10 @@ def read_result(path) -> RunRecord:
 # ---------------------------------------------------------------------------
 # Performance profiles.
 
-def emit_performance_profile(records: Sequence[RunRecord], metric: str = "iterations",
-                             grid_points: int = 64):
+PROFILE_GRID_POINTS = 64   # the points of a performance profile's grid
+
+
+def emit_performance_profile(records: Sequence[RunRecord], metric: str = "iterations"):
     """Fraction-of-problems-solved-within-ratio step functions.
 
     For each problem the ratio of a solver's cost to the best solver's
@@ -254,7 +256,7 @@ def emit_performance_profile(records: Sequence[RunRecord], metric: str = "iterat
                 ratios[s].append(cs / best)
     finite = [r for rs in ratios.values() for r in rs if math.isfinite(r)]
     x_max = max(finite) if finite else 1.0
-    grid = np.geomspace(1.0, max(x_max * 1.05, 1.0 + 1e-12), grid_points)
+    grid = np.geomspace(1.0, max(x_max * 1.05, 1.0 + 1e-12), PROFILE_GRID_POINTS)
     n_prob = len(problems)
     rows = []
     for s in solvers:

@@ -17,7 +17,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -40,19 +40,20 @@ class PowerIterationWarning(UserWarning):
 # A Gram matrix that is not diagonal is factored densely (m x m) once;
 # beyond this row count that desk-scale dense path is refused.
 MAX_DENSE_GRAM = 5000
+SYMMETRY_TOL = 1e-10   # is_symmetric's, relative to the largest entry (at least 1)
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def is_symmetric(a: np.ndarray, tol: float = 1e-12) -> bool:
+def is_symmetric(a: np.ndarray) -> bool:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
     if (a == a.T).all():   # the common case, in one pass
         return True
     scale = max(1.0, float(np.abs(a).max()) if a.size else 1.0)
-    return bool(np.abs(a - a.T).max() <= tol * scale)
+    return bool(np.abs(a - a.T).max() <= SYMMETRY_TOL * scale)
 
 
 def frob_inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -179,45 +180,44 @@ def _nonpositive_eigenvectors_dsyevd(b: np.ndarray) -> np.ndarray:
     return v[:, :np.searchsorted(w, 0.0, side="right")]
 
 
-def project_psd(m: np.ndarray, negatives: Optional[int] = None):
+def project_psd(m: np.ndarray) -> np.ndarray:
     """Nearest (Frobenius) positive semidefinite matrix: the checks below,
-    then :func:`project_psd_unchecked` on the symmetrized input.
+    then :func:`project_psd_unchecked` on the symmetrized input with a
+    count of 0.
 
     Computes only the eigenvectors V of the symmetrized input b whose
     eigenvalues lie in (-inf, 0]; the projections this solver makes have
     few of them, so this is cheaper than a full eigendecomposition. They
     come from LAPACK ``dsyevr`` by value range, guarded as the comment on
-    ``GUARD_BAND`` says, or from a full ``dsyevd`` when ``negatives``,
-    the number of such eigenvalues of a previous, similar input, is at
-    least n/4, where that is faster. The result is the congruence P b P
-    with P = I - V V^T, formed as ``b - (V G^T + G V^T)`` with
+    ``GUARD_BAND`` says, or from a full ``dsyevd`` when the count, the
+    number of such eigenvalues of a previous, similar input, is at least
+    n/4, where that is faster. The result is the congruence P b P with
+    P = I - V V^T, formed as ``b - (V G^T + G V^T)`` with
     G = b V - V (V^T b V) / 2. Being a congruence of b, it is PSD up to
     second order in the error of V; ``b - V diag(w) V^T`` is only first
     order, which leaves S with negative eigenvalues ten times the
     rounding.
 
-    Returns the projection; with ``negatives`` given, ``(projection,
-    count)``, where count is the number of V's columns, for the next
-    call. Raises ``ValueError`` on non-finite input and ``LinAlgError``,
-    naming the routine, when a LAPACK call fails.
+    Raises ``ValueError`` on non-finite input and ``LinAlgError``, naming
+    the routine, when a LAPACK call fails.
     """
-    return project_psd_unchecked(_finite_symmetric(m, "project_psd"), negatives)
+    return project_psd_unchecked(_finite_symmetric(m, "project_psd"), 0)[0]
 
 
-def project_psd_unchecked(b: np.ndarray, negatives: Optional[int] = None):
+def project_psd_unchecked(b: np.ndarray, negatives: int) -> tuple:
     """:func:`project_psd` without its checks, for a float64 input ``b``
-    that is finite and exactly symmetric. On such an input
-    ``project_psd`` gives the same bits, since symmetrizing it changes no
-    bit."""
-    if negatives is not None and 4 * negatives >= b.shape[0]:
+    that is finite and exactly symmetric, by the route that ``negatives``
+    picks. Returns ``(projection, count)``, where count is the number of
+    V's columns, for the next call. With a count of 0, on such an input,
+    the projection has the bits of ``project_psd``'s."""
+    if 4 * negatives >= b.shape[0]:
         v = _nonpositive_eigenvectors_dsyevd(b)
     else:
         v = _nonpositive_eigenvectors_dsyevr(b)
     # with no column in V, t is all 0.0 and b - 0.0 keeps b's bits
     bv = b @ v
     t = v @ (bv - 0.5 * (v @ (v.T @ bv))).T
-    out = b - (t + t.T)
-    return out if negatives is None else (out, v.shape[1])
+    return b - (t + t.T), v.shape[1]
 
 
 def psd_distance(m: np.ndarray) -> float:

@@ -65,12 +65,6 @@ class Graph:
         return w
 
 
-def _edge_arrays(edges) -> tuple:
-    """The end vertices of ``edges``, (i, j) pairs, as two index arrays."""
-    e = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
-    return e[:, 0], e[:, 1]
-
-
 @dataclass(frozen=True)
 class BiqData:
     """Binary quadratic data: minimize x'Qx/2 + <c, x> over binary x."""
@@ -79,7 +73,7 @@ class BiqData:
     c: np.ndarray
 
     def __post_init__(self):
-        if not is_symmetric(self.Q, 1e-10):
+        if not is_symmetric(self.Q):
             raise ValueError("Q must be symmetric")
         if self.Q.shape[0] != len(self.c):
             raise ValueError("Q and c dimensions disagree")
@@ -204,7 +198,7 @@ def build_rcp(w: np.ndarray, kappa: int, name: str = "rcp") -> DnnSdpProblem:
     """
     w = np.asarray(w, dtype=float)
     n = w.shape[0]
-    if not is_symmetric(w, 1e-10):
+    if not is_symmetric(w):
         raise ValueError("affinity matrix must be symmetric")
     if not 1 <= kappa <= n:
         raise ValueError(f"kappa must lie in [1, {n}]")
@@ -247,7 +241,7 @@ def build_fap(g: Graph, u_edges: Sequence[tuple], kappa: int,
     m[i, j] = m[j, i] = -1.0 / (kappa - 1)
     kinds = np.full((n, n), FREE, dtype=np.int8)
     kinds[i, j] = kinds[j, i] = NONNEG
-    i, j = _edge_arrays(u_set)
+    i, j = np.asarray(list(u_set), dtype=np.int64).reshape(-1, 2).T
     kinds[i, j] = kinds[j, i] = ZERO
     return DnnSdpProblem(
         n=n, C=-obj, A_E=a_e, b_E=b, M=m, pattern=ConePattern(kinds),
@@ -271,7 +265,7 @@ def build_qap(a: np.ndarray, b: np.ndarray, name: str = "qap") -> DnnSdpProblem:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n = a.shape[0]
-    if a.shape != b.shape or not is_symmetric(a, 1e-10) or not is_symmetric(b, 1e-10):
+    if a.shape != b.shape or not is_symmetric(a) or not is_symmetric(b):
         raise ValueError("A and B must be symmetric of the same order")
     if n > MAX_QAP_ORDER:
         raise ValueError(f"order {n} exceeds the desk-scale cap {MAX_QAP_ORDER} "
@@ -365,14 +359,19 @@ def random_weighted_graph(n: int, p: float, seed) -> Graph:
     return Graph(n=n, edges=tuple(edges), weights=weights)
 
 
-def gaussian_affinity(points: np.ndarray, bandwidth: float = 1.0) -> np.ndarray:
-    """Gaussian-kernel affinity W_ij = exp(-||p_i - p_j||^2 / (2 h^2))."""
+AFFINITY_BANDWIDTH = 1.0   # the kernel bandwidth h of gaussian_affinity
+RCP_KAPPA = 2              # the cluster count of random_rcp
+
+
+def gaussian_affinity(points: np.ndarray) -> np.ndarray:
+    """Gaussian-kernel affinity W_ij = exp(-||p_i - p_j||^2 / (2 h^2)),
+    h = ``AFFINITY_BANDWIDTH``."""
     points = np.asarray(points, dtype=float)
     d2 = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
-    return np.exp(-d2 / (2.0 * bandwidth ** 2))
+    return np.exp(-d2 / (2.0 * AFFINITY_BANDWIDTH ** 2))
 
 
-def random_rcp(n: int, seed: int, kappa: int = 2) -> DnnSdpProblem:
+def random_rcp(n: int, seed: int) -> DnnSdpProblem:
     """Two-cluster points in the plane with a Gaussian-kernel affinity."""
     rng = np.random.default_rng(seed)
     half = n // 2
@@ -380,45 +379,44 @@ def random_rcp(n: int, seed: int, kappa: int = 2) -> DnnSdpProblem:
         rng.normal(loc=(-2.0, 0.0), scale=0.5, size=(half, 2)),
         rng.normal(loc=(2.0, 0.0), scale=0.5, size=(n - half, 2)),
     ])
-    w = gaussian_affinity(pts, bandwidth=1.0)
-    return build_rcp(w, kappa, name=f"rcp{n}s{seed}")
+    w = gaussian_affinity(pts)
+    return build_rcp(w, RCP_KAPPA, name=f"rcp{n}s{seed}")
 
 
-# How often random_fap redraws an empty graph. On two vertices at the
-# default p = 0.4 every draw is empty with probability 0.6, so all 65 are
-# with probability 0.6**65, below 1e-14.
+# random_fap's settings. An empty graph is redrawn up to FAP_REDRAWS times:
+# on two vertices all 65 draws are empty with probability 0.6**65 < 1e-14.
+FAP_P = 0.4            # edge probability
+FAP_KAPPA = 3
+FAP_U_FRACTION = 0.25  # share of the edges in U
 FAP_REDRAWS = 64
 
 
-def random_fap(n: int, seed: int, p: float = 0.4, kappa: int = 3,
-               u_fraction: float = 0.25) -> DnnSdpProblem:
+def random_fap(n: int, seed: int) -> DnnSdpProblem:
     # kappa = 2 pins the U-edge entries of X at -1, which together with the
     # unit diagonal puts every feasible point on the psd boundary; kappa >= 3
     # keeps the pinned value at -1/(kappa-1) and the instances well behaved.
     # An empty graph is redrawn, from the streams seeded by (seed, 1),
     # (seed, 2), ..., up to FAP_REDRAWS times; a graph that has an edge on
     # the first draw is kept, so such instances do not depend on the bound.
-    g = random_weighted_graph(n, p, seed)
+    g = random_weighted_graph(n, FAP_P, seed)
     for redraw in range(1, FAP_REDRAWS + 1):
         if g.edges:
             break
-        g = random_weighted_graph(n, p, [seed, redraw])
+        g = random_weighted_graph(n, FAP_P, [seed, redraw])
     rng = np.random.default_rng(seed + 1)
     edges = sorted(g.edges)
     if not edges:
         raise ValueError("random graph came out empty; use a larger p or n")
-    n_u = max(1, int(u_fraction * len(edges)))
+    n_u = max(1, int(FAP_U_FRACTION * len(edges)))
     keep = rng.choice(len(edges), size=n_u, replace=False)
     u = [edges[k] for k in sorted(keep)]
-    return build_fap(g, u, kappa, name=f"fap{n}s{seed}")
+    return build_fap(g, u, FAP_KAPPA, name=f"fap{n}s{seed}")
 
 
 def random_qap(n: int, seed: int) -> DnnSdpProblem:
     rng = np.random.default_rng(seed)
-    a = rng.integers(0, 10, size=(n, n)).astype(float)
-    a = symupper(a)
-    b = rng.integers(0, 10, size=(n, n)).astype(float)
-    b = symupper(b)
+    a = symupper(rng.integers(0, 10, size=(n, n)).astype(float))
+    b = symupper(rng.integers(0, 10, size=(n, n)).astype(float))
     return build_qap(a, b, name=f"qap{n}s{seed}")
 
 
@@ -432,27 +430,30 @@ def symupper(a: np.ndarray) -> np.ndarray:
 # strict on counts).
 
 def read_biqmac(path) -> BiqData:
-    """Read the sparse triple format: header "n m", then m lines "i j v"
-    (1-based). The file encodes max x'Rx over binary x; this is converted
-    to the min x'Qx/2 + <c, x> form with Q = -2 (R - Diag(R)) and
-    c = -diag(R), using x_i^2 = x_i.
+    """Read the sparse triple format: header "n m", then m entries "i j v"
+    (1-based, each pair once in either order; entries count from 1). The
+    file encodes max x'Rx over binary x; this is converted to the min
+    x'Qx/2 + <c, x> form with Q = -2 (R - Diag(R)) and c = -diag(R),
+    using x_i^2 = x_i.
     """
     tokens = _tokens(path)
     if len(tokens) < 2:
         raise ValueError("truncated header: expected 'n m'")
-    n, m = int(tokens[0]), int(tokens[1])
+    n, m = _ints(tokens[:2], "header")
     body = tokens[2:]
     if len(body) != 3 * m:
         raise ValueError(f"expected {3 * m} entry tokens, found {len(body)}")
     r = np.zeros((n, n))
-    for k in range(m):
-        i = int(body[3 * k]) - 1
-        j = int(body[3 * k + 1]) - 1
-        v = float(body[3 * k + 2])
-        if not (0 <= i < n and 0 <= j < n):
+    seen = {}
+    for k in range(1, m + 1):
+        i, j = _ints(body[3 * k - 3:3 * k - 1], f"entry {k}")
+        v = _float(body[3 * k - 1], f"entry {k}")
+        if not (1 <= i <= n and 1 <= j <= n):
             raise ValueError(f"entry {k}: index out of range")
-        r[i, j] = v
-        r[j, i] = v
+        first = seen.setdefault((min(i, j), max(i, j)), k)
+        if first != k:
+            raise ValueError(f"entry {k}: ({i}, {j}) repeats entry {first}")
+        r[i - 1, j - 1] = r[j - 1, i - 1] = v
     q = -2.0 * (r - np.diag(np.diag(r)))
     c = -np.diag(r).copy()
     return BiqData(Q=q, c=c)
@@ -463,22 +464,21 @@ def read_qaplib(path):
     tokens = _tokens(path)
     if not tokens:
         raise ValueError("empty file")
-    n = int(tokens[0])
+    n, = _ints(tokens[:1], "header")
     need = 1 + 2 * n * n
     if len(tokens) != need:
         raise ValueError(f"expected {need} tokens for order {n}, found {len(tokens)}")
-    vals = np.asarray([float(t) for t in tokens[1:]], dtype=float)
+    vals = np.asarray([_float(t, f"token {k}") for k, t in enumerate(tokens[1:], 2)])
     a = vals[:n * n].reshape(n, n)
     b = vals[n * n:].reshape(n, n)
     return a, b
 
 
 def read_dimacs(path) -> Graph:
-    """Read the edge format: "p edge n m" then m lines "e i j" (1-based);
-    comment lines starting with "c" are skipped."""
-    n = None
-    m = None
-    edges = set()
+    """Read the edge format: "p edge n m" then m lines "e i j" (1-based,
+    each edge once); comment lines starting with "c" are skipped."""
+    n = m = None
+    edges = {}   # (i, j), 0-based with i < j: the line that gave it
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             parts = line.split()
@@ -487,16 +487,21 @@ def read_dimacs(path) -> Graph:
             if parts[0] == "p":
                 if len(parts) < 4 or parts[1] != "edge":
                     raise ValueError(f"line {lineno}: malformed problem line")
-                n, m = _line_ints(parts[2:4], lineno)
+                n, m = _ints(parts[2:4], f"line {lineno}")
             elif parts[0] == "e":
                 if n is None:
                     raise ValueError(f"line {lineno}: edge before problem line")
                 if len(parts) < 3:
                     raise ValueError(f"line {lineno}: an edge needs two vertices")
-                i, j = (v - 1 for v in _line_ints(parts[1:3], lineno))
+                i, j = _ints(parts[1:3], f"line {lineno}")
+                if not (1 <= i <= n and 1 <= j <= n):
+                    raise ValueError(f"line {lineno}: vertex {j if 1 <= i <= n else i} "
+                                     f"is not in 1..{n}")
                 if i == j:
                     raise ValueError(f"line {lineno}: self-loop")
-                edges.add((min(i, j), max(i, j)))
+                first = edges.setdefault((min(i, j) - 1, max(i, j) - 1), lineno)
+                if first != lineno:
+                    raise ValueError(f"line {lineno}: edge ({i}, {j}) repeats line {first}")
             else:
                 raise ValueError(f"line {lineno}: unknown record '{parts[0]}'")
     if n is None:
@@ -506,12 +511,18 @@ def read_dimacs(path) -> Graph:
     return Graph(n=n, edges=tuple(sorted(edges)))
 
 
-def _line_ints(tokens: list, lineno: int) -> list:
+def _ints(tokens: list, where: str) -> list:
     try:
         return [int(t) for t in tokens]
     except ValueError:
-        raise ValueError(f"line {lineno}: expected integers, got "
-                         f"{' '.join(tokens)!r}") from None
+        raise ValueError(f"{where}: expected integers, got {' '.join(tokens)!r}") from None
+
+
+def _float(token: str, where: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise ValueError(f"{where}: expected a number, got {token!r}") from None
 
 
 def _tokens(path) -> list:

@@ -90,7 +90,7 @@ class TestCriterion3:
         for prob, policy in [
             (build_biq(random_biq(15, 2)), TuningPolicy()),
             (build_theta_plus(random_graph(15, 0.3, 4)), TuningPolicy()),
-            (random_rcp(12, 1, kappa=2), TuningPolicy.disabled()),
+            (random_rcp(12, 1), TuningPolicy.disabled()),
             (random_fap(9, 2), TuningPolicy()),
             (build_ext_biq(random_biq(10, 4)), TuningPolicy()),
         ]:
@@ -114,8 +114,7 @@ class TestCriterion4:
         for seed, n in [(1, 15), (2, 12), (3, 15), (4, 10), (5, 13)]:
             prob = build_ext_biq(random_biq(n, seed))
             cfg = SolverConfig(tol=0.0, max_iters=200)
-            mb, z0, x0 = to_multiblock(prob)
-            gres = engine.solve(mb, cfg, z0=z0, x0=x0, record_history=True)
+            gres = engine.solve(to_multiblock(prob), cfg, record_history=True)
             it, ops = initial_iterate(prob, cfg.sigma, engine.TAU0), SolveOperands(prob)
             for step in gres.history:
                 it = cadmm_step(it, ops)
@@ -137,8 +136,9 @@ class TestCriterion5:
             lam, ops = cached_lambda_max(prob), SolveOperands(prob)
             it = random_state(prob, seed)
             sig = it.sigma
+            ops.at(sig)
             r1 = it.t_Z + prob.A_E.adjoint(it.t_yE) + it.S - prob.C
-            got = update_yI(ops, it.X / sig, r1, it.yI, prob.A_I.adjoint(it.yI), sig)
+            got = update_yI(ops, it.X / sig, r1, it.yI, prob.A_I.adjoint(it.yI))
             oracle = pg_oracle_yI(prob, lam, it.X, r1, it.yI, sig)
             worst["yI"] = max(worst["yI"],
                               float(np.linalg.norm(got - oracle))
@@ -146,14 +146,14 @@ class TestCriterion5:
 
             adjI = prob.A_I.adjoint(got)
             r2 = adjI + prob.A_E.adjoint(it.t_yE) + it.S - prob.C
-            got_z = update_Z(ops, it.X / sig, r2, sig)
+            got_z = update_Z(ops, it.X / sig, r2)
             oracle_z = pg_oracle_Z(prob, it.X, r2, sig)
             worst["Z"] = max(worst["Z"],
                              float(np.linalg.norm(got_z - oracle_z))
                              / (1 + np.linalg.norm(oracle_z)))
 
             r3 = adjI + got_z + it.S - prob.C
-            got_ye = update_yE(ops, it.X / sig, r3, sig)
+            got_ye = update_yE(ops, it.X / sig, r3)
             gram = dense_gram_independent(prob.A_E)
             rhs = prob.b_E / sig - prob.A_E.apply(it.X / sig + r3)
             oracle_ye = np.linalg.solve(gram, rhs)
@@ -162,7 +162,7 @@ class TestCriterion5:
                               / (1 + np.linalg.norm(oracle_ye)))
 
             r4 = adjI + got_z + prob.A_E.adjoint(got_ye) - prob.C
-            got_s = update_S(ops, it.X / sig, r4)
+            got_s, _ = update_S(ops, it.X / sig, r4, 0)
             oracle_s = pg_oracle_S(it.X, r4, sig, prob.n)
             worst["S"] = max(worst["S"],
                              float(np.linalg.norm(got_s - oracle_s))
@@ -176,7 +176,7 @@ class TestCriterion6:
     @pytest.mark.parametrize("name,prob", [
         ("biq n=20", build_biq(random_biq(20, 1))),
         ("theta G(20,0.3)", build_theta_plus(random_graph(20, 0.3, 1))),
-        ("rcp n=20 kappa=2", random_rcp(20, 3, kappa=2)),
+        ("rcp n=20 kappa=2", random_rcp(20, 3)),
         ("fap 10 vertices", random_fap(10, 5)),
     ])
     def test_self_certified_convergence(self, name, prob):

@@ -1,6 +1,7 @@
 # -*- coding: utf-8 -*-
 
 import json
+import os
 import re
 import warnings
 
@@ -336,6 +337,28 @@ class TestBenchCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: manifest {mpath}: problem 0: 'name' must be a string, got 5\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name, altsep", [
+        ("a/b", None), ("/abs", None), ("a/", None), ("", None), (".", None),
+        ("..", None), ("a\\b", "\\")])
+    def test_name_that_is_not_a_plain_file_name_refused_before_any_solve(
+            self, name, altsep, tmp_path, capsys, monkeypatch):
+        # the result is written to <out-dir>/<name>.<solver>.json, so an
+        # empty name, "." or "..", or one with a path separator (os.altsep
+        # too, set here where the platform has none) is refused, naming
+        # the problem and the key, before the first problem is solved
+        if altsep is not None:
+            monkeypatch.setattr(os, "altsep", altsep)
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps({"problems": [{"generate": "biq:6:1"},
+                                                  {"name": name, "generate": "biq:6:2"}]}))
+        assert main(["bench", "--manifest", str(mpath),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: manifest {mpath}: problem 1: 'name' must be a plain "
+                       f"file name, got {name!r}\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flags, manifest_solvers", [

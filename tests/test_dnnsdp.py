@@ -27,7 +27,7 @@ from cadmm.dnnsdp import (SIGMA_MAX, SIGMA_MIN, DnnSdpProblem, ResidualReport,
 from cadmm.io import write_problem
 from cadmm.linalg import (GramSingularError, SparseSymList,
                           gram_factor, gram_solve, gram_solve_unchecked, lambda_max_gram,
-                          project_psd, project_psd_unchecked)
+                          project_psd, project_psd_unchecked, symmetrize)
 from cadmm.problems import (BiqData, build_biq, build_ext_biq, build_theta_plus,
                             random_biq, random_fap, random_graph, random_rcp)
 
@@ -88,7 +88,7 @@ class TestSubproblemUpdates:
                                  A_I=prob.A_I, b_I=b_pos, pattern=prob.pattern)
         zero = np.zeros((prob.n, prob.n))
         r = zero - prob.C
-        got = update_yI(SolveOperands(prob_pos), zero, r, np.zeros(m_i), zero, 1.0)
+        got = update_yI(SolveOperands(prob_pos).at(1.0), zero, r, np.zeros(m_i), zero)
         # with x = 0, center = 0 and r = -C the shifted point is
         # (b_I/sigma + A_I C)/lam elementwise, positive by construction
         expect = (b_pos / 1.0 + prob.A_I.apply(prob.C)) / lam
@@ -102,8 +102,8 @@ class TestSubproblemUpdates:
         prob_neg = DnnSdpProblem(n=prob.n, C=prob.C * 0, A_E=prob.A_E, b_E=prob.b_E,
                                  A_I=prob.A_I, b_I=b_neg, pattern=prob.pattern)
         zero = np.zeros((prob.n, prob.n))
-        got = update_yI(SolveOperands(prob_neg), zero, zero, np.zeros(prob.A_I.m), zero,
-                        1.0)
+        got = update_yI(SolveOperands(prob_neg).at(1.0), zero, zero, np.zeros(prob.A_I.m),
+                        zero)
         assert np.allclose(got, 0.0)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -112,8 +112,8 @@ class TestSubproblemUpdates:
         lam = cached_lambda_max(prob)
         it = random_state(prob, seed)
         r = it.t_Z + prob.A_E.adjoint(it.t_yE) + it.S - prob.C
-        got = update_yI(SolveOperands(prob), it.X / it.sigma, r, it.yI,
-                        prob.A_I.adjoint(it.yI), it.sigma)
+        got = update_yI(SolveOperands(prob).at(it.sigma), it.X / it.sigma, r, it.yI,
+                        prob.A_I.adjoint(it.yI))
         oracle = pg_oracle_yI(prob, lam, it.X, r, it.yI, it.sigma)
         assert np.linalg.norm(got - oracle) <= 1e-8 * (1 + np.linalg.norm(oracle))
 
@@ -121,22 +121,22 @@ class TestSubproblemUpdates:
         prob = build_theta_plus(random_graph(6, 0.4, 3))
         free = DnnSdpProblem(n=prob.n, C=prob.C, A_E=prob.A_E, b_E=prob.b_E,
                              pattern=ConePattern.all_free(prob.n))
-        out = update_Z(SolveOperands(free), random_sym(rng, 6) / 1.3, random_sym(rng, 6),
-                       1.3)
+        out = update_Z(SolveOperands(free).at(1.3), random_sym(rng, 6) / 1.3,
+                       random_sym(rng, 6))
         assert np.allclose(out, 0.0)
 
     def test_Z_projecting_the_origin(self, rng):
         prob = build_theta_plus(random_graph(6, 0.4, 3))
         x = random_sym(rng, 6)
         r = (prob.M - x) / 2.0  # sigma = 2 makes M/sigma - X/sigma - r = 0
-        assert np.allclose(update_Z(SolveOperands(prob), x / 2.0, r, 2.0), 0.0)
+        assert np.allclose(update_Z(SolveOperands(prob).at(2.0), x / 2.0, r), 0.0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_Z_matches_projected_gradient(self, seed):
         prob = random_fap(7, seed + 1)
         it = random_state(prob, seed)
         r = prob.A_E.adjoint(it.t_yE) + it.S - prob.C
-        got = update_Z(SolveOperands(prob), it.X / it.sigma, r, it.sigma)
+        got = update_Z(SolveOperands(prob).at(it.sigma), it.X / it.sigma, r)
         oracle = pg_oracle_Z(prob, it.X, r, it.sigma)
         assert np.linalg.norm(got - oracle) <= 1e-8 * (1 + np.linalg.norm(oracle))
 
@@ -163,7 +163,7 @@ class TestSubproblemUpdates:
         zero_b = DnnSdpProblem(n=prob.n, C=prob.C, A_E=prob.A_E,
                                b_E=np.zeros(prob.A_E.m), pattern=prob.pattern)
         n = prob.n
-        got = update_yE(SolveOperands(zero_b), np.zeros((n, n)), np.zeros((n, n)), 1.0)
+        got = update_yE(SolveOperands(zero_b).at(1.0), np.zeros((n, n)), np.zeros((n, n)))
         assert np.allclose(got, 0.0)
 
     def test_yE_orthonormal_rows(self, rng):
@@ -172,7 +172,7 @@ class TestSubproblemUpdates:
         prob = DnnSdpProblem(n=2, C=np.zeros((2, 2)), A_E=a, b_E=np.zeros(2))
         x = random_sym(rng, 2)
         r = random_sym(rng, 2)
-        got = update_yE(SolveOperands(prob), x / 1.5, r, 1.5)
+        got = update_yE(SolveOperands(prob).at(1.5), x / 1.5, r)
         rhs = prob.b_E / 1.5 - a.apply(x / 1.5 + r)
         assert np.allclose(got, rhs, atol=1e-12)
 
@@ -181,7 +181,7 @@ class TestSubproblemUpdates:
         prob = build_biq(random_biq(6, seed + 20))
         it = random_state(prob, seed)
         r = it.Z + it.S - prob.C
-        y = update_yE(SolveOperands(prob), it.X / it.sigma, r, it.sigma)
+        y = update_yE(SolveOperands(prob).at(it.sigma), it.X / it.sigma, r)
         # gradient of the literal objective -b'y + <X, A*y> + sigma/2||A*y + r||^2
         grad = (-prob.b_E + prob.A_E.apply(it.X)
                 + it.sigma * prob.A_E.apply(prob.A_E.adjoint(y) + r))
@@ -191,7 +191,7 @@ class TestSubproblemUpdates:
         prob = build_biq(random_biq(6, seed))
         it = random_state(prob, seed)
         r = it.Z + it.S - prob.C
-        y = update_yE(SolveOperands(prob), it.X / it.sigma, r, it.sigma)
+        y = update_yE(SolveOperands(prob).at(it.sigma), it.X / it.sigma, r)
         gram = dense_gram_independent(prob.A_E)
         rhs = prob.b_E / it.sigma - prob.A_E.apply(it.X / it.sigma + r)
         expect = np.linalg.solve(gram, rhs)
@@ -201,12 +201,12 @@ class TestSubproblemUpdates:
         s = rng.standard_normal((6, 6))
         target = s @ s.T / 6
         x = np.zeros((6, 6))
-        got = update_S(operands_of_order(6), x, -target)  # r = -target: a psd argument
+        got, _ = update_S(operands_of_order(6), x, -target, 0)  # r = -target: a psd argument
         assert np.linalg.norm(got - target) <= 1e-12
 
     def test_S_negative_definite_argument(self):
         n = 5
-        got = update_S(operands_of_order(n), np.zeros((n, n)), np.eye(n))  # argument = -I
+        got, _ = update_S(operands_of_order(n), np.zeros((n, n)), np.eye(n), 0)  # argument = -I
         assert np.allclose(got, 0.0)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -214,7 +214,7 @@ class TestSubproblemUpdates:
         prob = build_biq(random_biq(6, seed + 30))
         it = random_state(prob, seed)
         r = it.Z + prob.A_E.adjoint(it.yE) - prob.C
-        got = update_S(SolveOperands(prob), it.X / it.sigma, r)
+        got, _ = update_S(SolveOperands(prob), it.X / it.sigma, r, 0)
         oracle = pg_oracle_S(it.X, r, it.sigma, prob.n)
         assert np.linalg.norm(got - oracle) <= 1e-8 * (1 + np.linalg.norm(oracle))
 
@@ -276,8 +276,7 @@ class TestGenericEquivalence:
         prob = builder(seed)
         iters = 40
         cfg = SolverConfig(tol=0.0, max_iters=iters)
-        mb, z0, x0 = to_multiblock(prob)
-        gres = engine.solve(mb, cfg, z0=z0, x0=x0, record_history=True)
+        gres = engine.solve(to_multiblock(prob), cfg, record_history=True)
         it, ops = initial_iterate(prob, cfg.sigma, engine.TAU0), SolveOperands(prob)
         for step in gres.history:
             it = cadmm_step(it, ops)
@@ -293,14 +292,14 @@ class TestGenericEquivalence:
     @pytest.mark.parametrize("builder,seed", GENERIC_CASES)
     def test_direct_extended_trajectories_agree(self, builder, seed):
         prob = builder(seed)
-        mb, z0, x0 = to_multiblock(prob)
+        mb = to_multiblock(prob)
         cfg = SolverConfig(tol=0.0)
         it, ops = initial_iterate(prob, cfg.sigma, engine.TAU0), SolveOperands(prob)
         for k in (10, 20, 30, 40):
             while it.k < k:
                 it = dext_step(it, ops, 1.618)
             gres = engine.solve_direct_extended(
-                mb, dataclasses.replace(cfg, max_iters=k), tau=1.618, z0=z0, x0=x0)
+                mb, dataclasses.replace(cfg, max_iters=k), tau=1.618)
             assert gres.iterations == k
             spec_vals = [it.Z, it.yE, it.S]
             if prob.four_block:
@@ -381,9 +380,9 @@ class TestResiduals:
         # the S update projects; the certificate takes eigenvalues only
         calls = []
 
-        def counted(m, negatives=None):
+        def counted(m, negatives):
             calls.append(m.shape)
-            return project_psd(m, negatives)
+            return project_psd_unchecked(m, negatives)
 
         monkeypatch.setattr(dnnsdp, "project_psd_unchecked", counted)
         prob = build_biq(random_biq(6, 3))
@@ -525,7 +524,8 @@ def checked_operands(prob):
         ops.apply_I, ops.adjoint_I = prob.A_I.apply, prob.A_I.adjoint
     ops.solve_E = functools.partial(gram_solve, prob.A_E)
     ops.project_dual = lambda z: project_pattern_dual(z, prob.pattern)
-    ops.project_psd = project_psd
+    # the public projection's symmetrization, then the core at the loop's count
+    ops.project_psd = lambda b, negatives: project_psd_unchecked(symmetrize(b), negatives)
     return ops
 
 
@@ -555,7 +555,7 @@ class TestSolveOperands:
                               project_pattern_dual(x, prob.pattern))
         for n in (prob.n, 30):
             m = random_sym(rng, n)
-            assert np.array_equal(project_psd_unchecked(m), project_psd(m))
+            assert np.array_equal(project_psd_unchecked(m, 0)[0], project_psd(m))
 
     def test_both_gram_factor_kinds_are_covered(self):
         kinds = set()
@@ -581,7 +581,7 @@ class TestSolveOperands:
     @pytest.mark.parametrize("spec", ["ebiq:6:1", "fap:8:1"])
     def test_sigma_change_remakes_the_scaled_data(self, spec):
         # after a sigma change the sweep reads b_E, b_I and M over the new
-        # sigma, as the update functions called with it on fresh operands do
+        # sigma, as the update functions do on fresh operands at it
         prob = generate_problem(spec)
         ops, fresh = SolveOperands(prob), SolveOperands(prob)
         it = initial_iterate(prob, 1.0, engine.TAU0)
@@ -594,18 +594,19 @@ class TestSolveOperands:
         assert np.array_equal(ops.M_s, prob.M / 1.5)
         yI, Z, yE, S = got[:4]
         xs = moved.X / 1.5
+        fresh.at(1.5)
         adj_t_yE = prob.A_E.adjoint(moved.t_yE)
         if prob.four_block:
             r = moved.t_Z + adj_t_yE + moved.S - prob.C
-            assert np.array_equal(yI, update_yI(fresh, xs, r, moved.yI, moved.adj_yI, 1.5))
+            assert np.array_equal(yI, update_yI(fresh, xs, r, moved.yI, moved.adj_yI))
             P = prob.A_I.adjoint(yI)
             r = P + adj_t_yE + moved.S - prob.C
         else:
             P = 0.0
             r = adj_t_yE + moved.S - prob.C
-        assert np.array_equal(Z, update_Z(fresh, xs, r, 1.5))
+        assert np.array_equal(Z, update_Z(fresh, xs, r))
         P = P + Z
-        assert np.array_equal(yE, update_yE(fresh, xs, P + moved.S - prob.C, 1.5))
+        assert np.array_equal(yE, update_yE(fresh, xs, P + moved.S - prob.C))
         assert all(map(np.array_equal, (S, got[8]), update_S(
             fresh, xs, P + prob.A_E.adjoint(yE) - prob.C, moved.negatives)))
 
@@ -619,8 +620,7 @@ class TestSolveOperands:
 
         monkeypatch.setattr(SolveOperands, "__init__", counted)
         prob = generate_problem("ebiq:8:1")
-        mb, z0, x0 = to_multiblock(prob)
-        res = engine.solve(mb, SolverConfig(tol=0.0, max_iters=5), z0=z0, x0=x0)
+        res = engine.solve(to_multiblock(prob), SolverConfig(tol=0.0, max_iters=5))
         assert res.iterations == 5
         assert len(made) == 1 and made[0] is prob
 
@@ -635,7 +635,7 @@ class TestSolveOperands:
     def test_a_solve_projects_exactly_symmetric_inputs(self, monkeypatch, spec):
         inputs = []
 
-        def recorded(b, negatives=None):
+        def recorded(b, negatives):
             inputs.append(np.array_equal(b.view(np.uint64), b.T.view(np.uint64)))
             return project_psd_unchecked(b, negatives)
 
@@ -653,7 +653,7 @@ class TestProjectionRoute:
         counts = []
         real = dnnsdp.project_psd_unchecked
 
-        def recorded(b, negatives=None):
+        def recorded(b, negatives):
             out = real(b, negatives)
             counts.append((negatives, out[1]))
             return out
@@ -829,7 +829,8 @@ class TestSweepCertificate:
 class TestDivergenceGuard:
     def test_ordinary_iterate(self):
         prob = random_four_block(5, n=5)
-        assert not dnnsdp._diverged(random_state(prob, 5))
+        it = random_state(prob, 5)
+        assert not dnnsdp._diverged(it, dnnsdp._block_norms(it))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 2e12, 1e200])
     def test_each_block(self, value):
@@ -843,7 +844,7 @@ class TestDivergenceGuard:
             else:
                 block.flat[0] = value
             with np.errstate(over="ignore"):
-                assert dnnsdp._diverged(it)[0] == name
+                assert dnnsdp._diverged(it, dnnsdp._block_norms(it))[0] == name
 
 
 class TestTuneSigma:
@@ -948,7 +949,7 @@ class TestSolvers:
         assert abs(res.report.eta_g) < 1e-3
 
     def test_dext_converges_on_easy_instance(self):
-        prob = random_rcp(12, 2, kappa=2)
+        prob = random_rcp(12, 2)
         res = dext_solve(prob, SolverConfig(tol=1e-6), tau=1.618)
         assert res.status == "Converged"
         assert res.report.eta < 1e-6

@@ -193,9 +193,11 @@ class TestPerformanceProfile:
         records = [rec("p1", "a", 10), rec("p2", "a", 40), rec("p3", "a", 60),
                    rec("p1", "b", 20), rec("p2", "b", 20), rec("p3", "b", 30)]
         # ratios: a -> (1, 2, 2), b -> (2, 1, 1)
-        rows = emit_performance_profile(records, grid_points=200)
+        rows = emit_performance_profile(records)
         a = [(x, y) for (s, x, y) in rows if s == "a"]
         b = [(x, y) for (s, x, y) in rows if s == "b"]
+        # the 64-point grid from 1 to 1.05 * 2 has points at 1.98 and 2.004
+        assert len(a) == len(b) == 64
 
         def value_at(curve, x0):
             return [y for (x, y) in curve if x <= x0][-1]

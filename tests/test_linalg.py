@@ -161,8 +161,8 @@ class TestProjectPsd:
         # same Fortran layout, so the eigenvectors and the result keep
         # every bit. The route is dsyevr by value range to the guard band,
         # and a second dsyevr call over (-inf, 0] when an eigenvalue lies
-        # within tol of zero (the last input), with a count of 0 as
-        # without one
+        # within tol of zero (the last input); the core at a count of 0 on
+        # the symmetrized input gives the same bits
         rng = np.random.default_rng(n + 100)
         inputs = [random_sym(rng, n) for _ in range(20)]
         inputs.append(self.with_eigenvalue_at(n, n // 3, 1e-10, n))
@@ -170,7 +170,7 @@ class TestProjectPsd:
             b = 0.5 * (m + m.T)
             ref = self.congruence(b, self.guarded_dsyevr(b))
             assert np.array_equal(project_psd(m), ref)
-            assert np.array_equal(project_psd(m, 0)[0], ref)
+            assert np.array_equal(linalg.project_psd_unchecked(b, 0)[0], ref)
 
     @staticmethod
     def solver_like(kind, n=100):
@@ -194,20 +194,21 @@ class TestProjectPsd:
     @pytest.mark.parametrize("kind", ["cluster at zero", "repeated negative", "34 % negative",
                                       "positive definite"])
     def test_solver_like_spectra_on_both_routes(self, route, kind):
-        # counts None and 0 take dsyevr, a count of n dsyevd
+        # project_psd (None) and the core at a count of 0 take dsyevr, the
+        # core at a count of n dsyevd; the core gets the symmetrized input
         n = 100
         m, b = self.solver_like(kind, n)
         w, v = np.linalg.eigh(b)
         ref = (v * np.maximum(w, 0.0)) @ v.T
         for count in ([None, 0] if route == "dsyevr" else [n]):
-            out = project_psd(m, count)
-            out = out if count is None else out[0]
+            project = (project_psd if count is None else
+                       lambda x: linalg.project_psd_unchecked(0.5 * (x + x.T), count)[0])
+            out = project(m)
             assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(m), count
             lam_min = np.linalg.eigvalsh(out).min()
             assert lam_min >= -n * np.finfo(float).eps * np.linalg.norm(b), count
             if kind == "positive definite":
-                out = project_psd(b, count)
-                assert np.array_equal(out if count is None else out[0], b), count
+                assert np.array_equal(project(b), b), count
 
     @staticmethod
     def failing_lapack(monkeypatch, routine, fails):
@@ -226,9 +227,9 @@ class TestProjectPsd:
         self.failing_lapack(monkeypatch, routine, lambda kwargs: True)
         with pytest.raises(np.linalg.LinAlgError, match=f"project_psd: {routine} failed "
                                                         f"with info 3"):
-            # a previous count of n takes dsyevd
-            project_psd(random_sym(np.random.default_rng(0), n),
-                        n if routine == "dsyevd" else None)
+            # project_psd takes dsyevr, the core at a previous count of n dsyevd
+            m = random_sym(np.random.default_rng(0), n)
+            project_psd(m) if routine == "dsyevr" else linalg.project_psd_unchecked(m, n)
 
     @pytest.mark.parametrize("n", [9, 49])
     def test_a_failed_second_dsyevr_call_names_dsyevr(self, monkeypatch, n):
@@ -236,10 +237,10 @@ class TestProjectPsd:
         # zero is unclear, here through an eigenvalue within tol of zero,
         # and it fails alone
         self.failing_lapack(monkeypatch, "dsyevr", lambda kwargs: kwargs["vu"] == 0.0)
-        project_psd(random_sym(np.random.default_rng(0), n), 0)
+        project_psd(random_sym(np.random.default_rng(0), n))
         with pytest.raises(np.linalg.LinAlgError, match="project_psd: dsyevr failed "
                                                         "with info 3"):
-            project_psd(self.with_eigenvalue_at(n, 2, 1e-10, 0), 0)
+            project_psd(self.with_eigenvalue_at(n, 2, 1e-10, 0))
 
     def test_psd_input_comes_back_unchanged(self):
         rng = np.random.default_rng(3)
@@ -294,7 +295,7 @@ class TestProjectPsd:
         k, count = math.ceil(share * n), math.ceil(n / 4)
         for seed in range(10):
             m, b = self.with_negatives(n, k, seed)
-            out, got = project_psd(m, count)
+            out, got = linalg.project_psd_unchecked(b, count)
             ref = project_psd(m)   # the dsyevr route
             assert got == linalg._nonpositive_eigenvectors_dsyevr(b).shape[1] == k
             assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(b)
@@ -326,8 +327,8 @@ class TestProjectPsd:
     @pytest.mark.parametrize("n", [4, 9, 22, 30, 49])
     def test_exactly_the_counts_from_a_quarter_take_dsyevd(self, monkeypatch, n):
         # on a spectrum clear of the guard band, the counts from n/4 on
-        # take one dsyevd call, and the counts below it and a call without
-        # a count one dsyevr call
+        # take one dsyevd call, and the counts below it and project_psd one
+        # dsyevr call
         taken = []
         real = linalg._nonpositive_eigenvectors_dsyevd
         monkeypatch.setattr(linalg, "_nonpositive_eigenvectors_dsyevd",
@@ -336,7 +337,7 @@ class TestProjectPsd:
         _, b = self.with_negatives(n, n // 2, 0)
         for count in range(n + 1):
             linalg.project_psd_unchecked(b, count)
-        linalg.project_psd_unchecked(b)
+        project_psd(b)
         assert len(taken) == n + 1 - math.ceil(n / 4)
         assert len(syevr) == math.ceil(n / 4) + 1
 
@@ -371,14 +372,12 @@ class TestProjectPsd:
             _, b = self.with_negatives(n, k, 1)
             c = scale * b
             ref = linalg.project_psd_unchecked(c / scale, n)[0]
-            for count in (0, None):
-                syevr.clear()
-                out = linalg.project_psd_unchecked(c, count)
-                if count is not None:
-                    out, got = out
-                    assert got == k, n
-                assert len(syevr) == 1, (n, count)
-                assert np.linalg.norm(out / scale - ref) <= 1e-13 * np.linalg.norm(b), (n, count)
+            syevr.clear()
+            out, got = linalg.project_psd_unchecked(c, 0)
+            assert got == k and len(syevr) == 1, n
+            assert np.linalg.norm(out / scale - ref) <= 1e-13 * np.linalg.norm(b), n
+            # c is exactly symmetric, so project_psd gives the same bits
+            assert np.array_equal(project_psd(c), out) and len(syevr) == 2, n
 
     @pytest.mark.parametrize("n", [9, 22, 49])
     @pytest.mark.parametrize("at, calls", [

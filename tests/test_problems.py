@@ -166,7 +166,7 @@ class TestBuildRcp:
         assert np.linalg.norm(res.x - np.eye(6)) <= 1e-4
 
     def test_two_cluster_feasible_point_bounds_value(self):
-        prob = random_rcp(10, 7, kappa=2)
+        prob = random_rcp(10, 7)
         w = -prob.C
         # block-averaging matrix over the two clusters of the generator
         x_feas = np.zeros((10, 10))
@@ -488,11 +488,52 @@ class TestReaders:
         with pytest.raises(ValueError, match=f"^{message}$"):
             read_dimacs(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("p edge 3 1\ne 1 9\n", "line 2: vertex 9 is not in 1..3"),
+        ("p edge 3 1\ne 0 2\n", "line 2: vertex 0 is not in 1..3"),
+        ("p edge 3 1\ne 2 -1\n", "line 2: vertex -1 is not in 1..3"),
+        ("p edge 3 2\ne 1 2\ne 2 1\n", "line 3: edge (2, 1) repeats line 2"),
+        ("p edge 3 3\ne 1 2\nc x\ne 2 3\ne 1 2\n", "line 5: edge (1, 2) repeats line 2"),
+    ])
+    def test_dimacs_bad_edge_named_by_line(self, tmp_path, text, message):
+        # an out-of-range vertex is named as written (1-based), and a
+        # repeated edge, in either order, by its line and the first one
+        path = tmp_path / "g.col"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_dimacs(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("2 1\n1 x 3\n", "entry 1: expected integers, got '1 x'"),
+        ("2 2\n1 1 1\n2 1 z\n", "entry 2: expected a number, got 'z'"),
+        ("2 q\n1 1 1\n", "header: expected integers, got '2 q'"),
+        ("2 2\n1 2 3\n2 1 5\n", "entry 2: (2, 1) repeats entry 1"),
+        ("2 2\n1 1 3\n1 1 5\n", "entry 2: (1, 1) repeats entry 1"),
+        ("2 1\n1 3 1\n", "entry 1: index out of range"),
+    ])
+    def test_biqmac_bad_entry_named(self, tmp_path, text, message):
+        path = tmp_path / "bad.sparse"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_biqmac(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("1\n2\nz\n", "token 3: expected a number, got 'z'"),
+        ("x\n1\n2\n", "header: expected integers, got 'x'"),
+    ])
+    def test_qaplib_bad_token_named(self, tmp_path, text, message):
+        path = tmp_path / "bad.dat"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_qaplib(path)
+
 
 class TestGaussianAffinity:
     def test_unit_diagonal_and_symmetry(self, rng):
         pts = rng.random((5, 3))
-        w = gaussian_affinity(pts, bandwidth=0.8)
+        w = gaussian_affinity(pts)
+        # bandwidth 1: W_01 = exp(-||p_0 - p_1||^2 / 2)
+        assert w[0, 1] == pytest.approx(np.exp(-np.sum((pts[0] - pts[1]) ** 2) / 2.0))
         assert np.allclose(np.diag(w), 1.0)
         assert np.allclose(w, w.T)
         assert (w > 0).all() and (w <= 1.0).all()
