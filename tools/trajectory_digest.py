@@ -22,7 +22,13 @@ The solves are those of the benchmark (every instance and solver of
 on ``biq:20:7``, a long run (2 621 iterations), and on ``ebiq:10:5``, a
 four-block run (1 278 iterations). ``ebiq:10:5`` is the one known loss
 of removing the stall restart: with the restart it took 1 232
-iterations, so it is now 4 % slower (``biq:20:7`` took 14 077). Each
+iterations, so it is now 4 % slower (``biq:20:7`` took 14 077). Then
+come ten solves of the generic engine, each with ``engine.solve`` and
+``engine.solve_direct_extended``: two random quadratic toys, the
+divergence example started from ones (the corrected method with a
+``stop`` rule on the constraint norm, the direct one at tau = 1), and
+``to_multiblock`` of ``ebiq:8:1`` and ``fap:7:2`` at tol 0 for 60
+iterations. Each
 line holds the status, the iteration count, the final sigma and tau,
 the ``repr`` of every ``ResidualReport`` field, and the first 16 hex
 digits of the sha256 of the tau history, of ``x`` and of each ``z``
@@ -36,6 +42,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import difflib
+import functools
 import hashlib
 import subprocess
 import sys
@@ -49,7 +56,8 @@ sys.path.insert(0, str(ROOT))
 sys.path.insert(0, str(ROOT / "tools"))
 
 from bench_record import exported  # noqa: E402
-from cadmm import cli  # noqa: E402
+from cadmm import cli, dnnsdp, engine, toys  # noqa: E402
+from cadmm.engine import SolverConfig  # noqa: E402
 from perfbench import suite  # noqa: E402
 
 SEED = 1
@@ -71,16 +79,56 @@ def line(label: str, res) -> str:
     return " ".join(fields)
 
 
+def dnnsdp_solve(prob, solver: str, max_iters):
+    """A benchmark solve of ``prob``, set up as the benchmark sets it up."""
+    suite.prepare(prob)
+    return suite.solve(prob, solver, max_iters)
+
+
+def engine_run(cfg, stop=None, tau=engine.DEXT_TAU, z0=None, x0=None):
+    """``run(problem, solver)``: ``engine.solve`` with ``stop`` for
+    "cadmm", ``engine.solve_direct_extended`` at ``tau`` for "dext"."""
+    def run(prob, solver):
+        if solver == "cadmm":
+            return engine.solve(prob, cfg, stop=stop, z0=z0, x0=x0)
+        return engine.solve_direct_extended(prob, cfg, tau=tau, z0=z0, x0=x0)
+    return run
+
+
+def engine_solves():
+    """``(label, problem, run)`` for the generic engine's solves; see
+    :func:`engine_run`."""
+    toy = engine_run(SolverConfig(tol=1e-9, max_iters=5000))
+    yield ("engine/toy:3:7", toys.random_quadratic_toy(3, (3, 4, 5), 6, seed=7).problem,
+           toy)
+    yield ("engine/toy:4:3", toys.random_quadratic_toy(
+        4, (4, 5, 6, 5), 8, seed=3, rho_blocks=(1,)).problem, toy)
+    # a stop rule replaces the tolerance test of the corrected run
+    yield "engine/divergence", toys.divergence_example(), engine_run(
+        SolverConfig(tol=1e-10, max_iters=3000), stop=lambda state, fnorm: fnorm < 1e-10,
+        tau=1.0, z0=[np.ones(1)] * 3, x0=np.ones(3))
+    bridge = engine_run(SolverConfig(tol=0.0, max_iters=60))
+    for spec in ("ebiq:8:1", "fap:7:2"):
+        yield (f"engine/{spec}",
+               dnnsdp.to_multiblock(cli.generate_problem(spec)), bridge)
+
+
 def solves():
-    """``(label, problem, solver, max_iters)`` for every digested solve."""
+    """``(label, solve)`` for every digested solve, where ``solve()``
+    returns its ``SolveResult``."""
     for workload in suite.WORKLOADS.values():
         perms = suite.permutations(workload, SEED)
         for inst in workload.instances:
             for solver in inst.solvers:
                 prob = suite.generate(inst.spec, perms[inst.spec])
-                yield f"{workload.name}/{inst.spec}/{solver}", prob, solver, inst.max_iters
+                yield (f"{workload.name}/{inst.spec}/{solver}",
+                       functools.partial(dnnsdp_solve, prob, solver, inst.max_iters))
     for spec, solver in EXTRA:
-        yield f"extra/{spec}/{solver}", cli.generate_problem(spec), solver, None
+        yield (f"extra/{spec}/{solver}",
+               functools.partial(dnnsdp_solve, cli.generate_problem(spec), solver, None))
+    for label, prob, run in engine_solves():
+        for solver in ("cadmm", "dext"):
+            yield f"{label}/{solver}", functools.partial(run, prob, solver)
 
 
 def brief(line: str) -> str:
@@ -121,9 +169,8 @@ def main() -> int:
     args = parser.parse_args()
     if args.against:
         return against(args.against, args.iterations)
-    for label, prob, solver, max_iters in solves():
-        suite.prepare(prob)
-        text = line(label, suite.solve(prob, solver, max_iters))
+    for label, run in solves():
+        text = line(label, run())
         print(brief(text) if args.iterations else text, flush=True)
     return 0
 
