@@ -25,13 +25,13 @@ print(f"directly extended: status={direct.status} after {direct.iterations} "
       f"iterations, |blocks| up to {size:.2e}")
 
 corrected = solve(prob, SolverConfig(tol=0.0, max_iters=3000),
-                  stop=lambda state, fnorm: fnorm < 1e-10, z0=z0, x0=x0)
+                  stop=lambda fnorm: fnorm < 1e-10, z0=z0, x0=x0)
 print(f"corrected:         status={corrected.status} after "
       f"{corrected.iterations} iterations, final blocks "
       f"{[round(float(z[0]), 12) for z in corrected.z]}")
 
 print("\n== a benign 4-block quadratic program ==")
-toy = random_quadratic_toy(4, (4, 5, 6, 5), 8, seed=3, rho_blocks=(1,))
+toy = random_quadratic_toy((4, 5, 6, 5), 8, seed=3, rho_blocks=(1,))
 z_star, _ = toy.kkt_solution()
 
 res = solve(toy.problem, SolverConfig(tol=1e-9, max_iters=5000))

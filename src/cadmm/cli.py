@@ -212,7 +212,7 @@ def cmd_check(args) -> int:
 
     # correction identity and positive definiteness on a dense toy run
     from . import toys
-    toy = toys.random_quadratic_toy(4, (3, 4, 5, 4), 6, seed=args.seed,
+    toy = toys.random_quadratic_toy((3, 4, 5, 4), 6, seed=args.seed,
                                     rho_blocks=(1,))
     ops = engine.build_theory_operators(toy.problem, engine.ALPHA)
     gmin = float(np.linalg.eigvalsh(0.5 * (ops.g + ops.g.T)).min())

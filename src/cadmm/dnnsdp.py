@@ -32,8 +32,8 @@ from . import engine
 from .cones import (ConePattern, project_nonneg, project_pattern,
                     project_pattern_dual, project_pattern_unchecked, prox_linear,
                     prox_nonneg_linear, prox_pattern_dual_linear, prox_psd_indicator)
-from .engine import (ALPHA, CONVERGED, DEXT_TAU, DIVERGED, EPS, MAX_ITERS, TAU0,
-                     TAU_BAR, SolveResult, SolverConfig, compute_delta, update_tau)
+from .engine import (ALPHA, CONVERGED, DEXT_TAU, DIVERGED, MAX_ITERS, TAU0, SolveResult,
+                     SolverConfig, compute_delta, update_tau)
 # project_psd is imported only for perfbench/tracing.py, which wraps it here;
 # Tracer.wrap raises KeyError on a name the module lacks.
 from .linalg import (GramSingularError, SparseSymList, frob_inner, frob_norm,
@@ -365,8 +365,7 @@ def cadmm_step(it: DnnSdpIterate, ops: SolveOperands) -> DnnSdpIterate:
     if it.k == 0:
         tau_k = TAU0
     else:
-        delta = compute_delta(f_pred, f_full, float(np.vdot(dS, dS)), EPS)
-        tau_k = update_tau(it.tau, delta, TAU_BAR)
+        tau_k = update_tau(it.tau, compute_delta(f_pred, f_full, float(np.vdot(dS, dS))))
     X_new = it.X + (tau_k * it.sigma) * f_full
 
     # Correction, backwards over the middle blocks; last and first blocks
@@ -559,22 +558,19 @@ class TuningPolicy:
 
 def sigma_check_due(k: int, policy: TuningPolicy, freeze_after: int) -> bool:
     """Whether ``tune_sigma`` acts at iteration k: every ``check_period``
-    iterations while k is below the freeze point."""
+    iterations while k is below the freeze point, after which sigma is
+    left alone so the fixed-penalty convergence behaviour takes over."""
     return policy.check_period > 0 and k % policy.check_period == 0 and k < freeze_after
 
 
-def tune_sigma(report: ResidualReport, sigma: float, k: int,
-               policy: TuningPolicy, freeze_after: int) -> float:
+def tune_sigma(report: ResidualReport, sigma: float) -> float:
     """Rescale sigma to balance primal and dual feasibility progress.
 
     Larger sigma drives the dual-side residuals down and starves the
     primal side (the multiplier X carries the primal variable here), so
-    when the primal group lags sigma is decreased and vice versa. Only
-    acts where ``sigma_check_due``; after the freeze point sigma is left
-    alone so the fixed-penalty convergence behaviour takes over.
+    when the primal group lags sigma is decreased and vice versa. The
+    solve loop calls it only where ``sigma_check_due``.
     """
-    if not sigma_check_due(k, policy, freeze_after):
-        return sigma
     primal = max(report.eta_P, report.eta_S, report.eta_K)
     dual = max(report.eta_D, report.eta_Sstar, report.eta_Kstar, 1e-16)
     if report.eta_I is not None:
@@ -664,7 +660,8 @@ def _solve(prob: DnnSdpProblem, cfg: Optional[SolverConfig],
             may_stop = frob_norm(it.f_full) / scale_C < tol and all(
                 e is None or e < tol for e in _lower_bounds(it, prob, norms, scales))
             report = None
-            if may_stop or sigma_check_due(it.k, policy, freeze_after):
+            due = sigma_check_due(it.k, policy, freeze_after)
+            if may_stop or due:
                 report = residuals(it, prob, it.f_full)
                 full_etas = [*full_etas[-2:], (it.k, report.eta)]
             if callback is not None:
@@ -674,9 +671,8 @@ def _solve(prob: DnnSdpProblem, cfg: Optional[SolverConfig],
             if report.eta < tol:
                 status = CONVERGED
                 break
-            new_sigma = tune_sigma(report, it.sigma, it.k, policy, freeze_after)
-            if new_sigma != it.sigma:
-                it = replace(it, sigma=new_sigma)
+            if due:
+                it = replace(it, sigma=tune_sigma(report, it.sigma))
         report = residuals(it, prob) if status != DIVERGED else None
     wall = time.perf_counter() - t0
     return SolveResult(

@@ -93,9 +93,6 @@ class MultiBlockProblem:
     def p(self) -> int:
         return len(self.blocks)
 
-    def zeros(self) -> list:
-        return [np.zeros(b.shape) for b in self.blocks]
-
     def probe_operators(self) -> None:
         """Cheap randomized setup checks of the block operators, on four
         seeded random vectors per block.
@@ -145,15 +142,6 @@ class SolverConfig:
 
 
 @dataclass
-class IterateState:
-    z: list
-    z_tilde: list
-    x: np.ndarray
-    tau: float
-    k: int = 0
-
-
-@dataclass
 class SolveResult:
     status: str
     iterations: int
@@ -177,15 +165,15 @@ def _f_value(adjoints: Sequence[np.ndarray], c: np.ndarray) -> np.ndarray:
     return out - c
 
 
-def predict(state: IterateState, prob: MultiBlockProblem, cfg: SolverConfig):
-    """One Gauss-Seidel prediction sweep.
+def predict(prob: MultiBlockProblem, z_tilde: list, x: np.ndarray, sigma: float):
+    """One Gauss-Seidel prediction sweep around the centres ``z_tilde``.
 
     Returns ``(new_z, f_pred, f_full)`` where ``f_pred`` is the constraint
     map evaluated after the first block only (others at their corrected
     values) and ``f_full`` is the full evaluation at the new blocks.
     """
     p = prob.p
-    adj_tilde = [b.map.apply_adjoint(zt) for b, zt in zip(prob.blocks, state.z_tilde)]
+    adj_tilde = [b.map.apply_adjoint(zt) for b, zt in zip(prob.blocks, z_tilde)]
     adj_new = [None] * p
     new_z = [None] * p
     f_pred = None
@@ -193,7 +181,7 @@ def predict(state: IterateState, prob: MultiBlockProblem, cfg: SolverConfig):
         terms = [adj_new[j] if j < i else adj_tilde[j] for j in range(p) if j != i]
         r = _f_value(terms, prob.c)
         try:
-            new_z[i] = blk.subsolve(state.x, r, state.z_tilde[i], cfg.sigma)
+            new_z[i] = blk.subsolve(x, r, z_tilde[i], sigma)
         except Exception as exc:
             raise RuntimeError(f"block {i} subproblem solver failed: {exc}") from exc
         adj_new[i] = blk.map.apply_adjoint(new_z[i])
@@ -204,8 +192,8 @@ def predict(state: IterateState, prob: MultiBlockProblem, cfg: SolverConfig):
 
 
 def compute_delta(f_pred: np.ndarray, f_full: np.ndarray,
-                  last_block_change_norm_sq: float, eps: float) -> float:
-    """Infeasibility ratio driving the adaptive step size.
+                  last_block_change_norm_sq: float) -> float:
+    """Infeasibility ratio driving the adaptive step size, with weight EPS.
 
     When the full constraint residual vanishes the ratio is +inf, so the
     step size saturates at its previous value.
@@ -214,18 +202,15 @@ def compute_delta(f_pred: np.ndarray, f_full: np.ndarray,
     if nf2 == 0.0:
         return math.inf
     np2 = float(np.vdot(f_pred, f_pred))
-    return (np2 - eps * (nf2 + last_block_change_norm_sq)) / nf2
+    return (np2 - EPS * (nf2 + last_block_change_norm_sq)) / nf2
 
 
-def update_tau(tau_prev: float, delta: float, tau_bar: float) -> float:
-    if 1.0 + delta > tau_bar:
+def update_tau(tau_prev: float, delta: float) -> float:
+    """The step min(1 + delta, tau_prev), or the floor TAU_BAR where
+    1 + delta does not exceed it."""
+    if 1.0 + delta > TAU_BAR:
         return min(1.0 + delta, tau_prev)
-    return tau_bar
-
-
-def update_multiplier(x: np.ndarray, tau: float, sigma: float,
-                      f_full: np.ndarray) -> np.ndarray:
-    return x + (tau * sigma) * f_full
+    return TAU_BAR
 
 
 def correct(prob: MultiBlockProblem, z_tilde_old: list, new_z: list,
@@ -264,10 +249,6 @@ def kkt_residual(prob: MultiBlockProblem, z: list, x: np.ndarray) -> float:
     return max(parts)
 
 
-def _iterate_norm(z: list, x: np.ndarray) -> float:
-    return max(max(float(np.linalg.norm(zi)) for zi in z), float(np.linalg.norm(x)))
-
-
 def _run(prob: MultiBlockProblem, cfg: SolverConfig, stop: Optional[Callable],
          z0: Optional[list], x0: Optional[np.ndarray],
          fixed_tau: Optional[float], record_history: bool = False) -> SolveResult:
@@ -278,10 +259,12 @@ def _run(prob: MultiBlockProblem, cfg: SolverConfig, stop: Optional[Callable],
     the previous iterates: the directly extended method.
     """
     max_iters = cfg.max_iters or 10000
-    z = [np.array(v, dtype=float) for v in (z0 if z0 is not None else prob.zeros())]
+    z = [np.array(v, dtype=float) for v in z0] if z0 is not None else [
+        np.zeros(b.shape) for b in prob.blocks]
     x = (np.array(x0, dtype=float) if x0 is not None
          else np.zeros_like(np.asarray(prob.c, dtype=float)))
-    state = IterateState(z=z, z_tilde=[v.copy() for v in z], x=x, tau=TAU0)
+    z_tilde = [v.copy() for v in z]
+    tau, k = TAU0, 0
 
     tau_history = []
     history = [] if record_history else None
@@ -290,55 +273,51 @@ def _run(prob: MultiBlockProblem, cfg: SolverConfig, stop: Optional[Callable],
     t0 = time.perf_counter()
     while True:
         if cfg.tol > 0 and stop is None:
-            residual = kkt_residual(prob, state.z, state.x)
+            residual = kkt_residual(prob, z, x)
             if residual < cfg.tol:
                 status = CONVERGED
                 break
-        if state.k >= max_iters:
+        if k >= max_iters:
             break
 
-        new_z, f_pred, f_full = predict(state, prob, cfg)
+        new_z, f_pred, f_full = predict(prob, z_tilde, x, cfg.sigma)
         if fixed_tau is not None:
-            tau_k = fixed_tau
-        elif state.k == 0:
-            tau_k = TAU0
+            tau = fixed_tau
+        elif k == 0:
+            tau = TAU0
         else:
-            last_change = prob.blocks[-1].map.apply_adjoint(new_z[-1] - state.z[-1])
-            delta = compute_delta(f_pred, f_full,
-                                  float(np.vdot(last_change, last_change)), EPS)
-            tau_k = update_tau(state.tau, delta, TAU_BAR)
-        x_new = update_multiplier(state.x, tau_k, cfg.sigma, f_full)
+            last_change = prob.blocks[-1].map.apply_adjoint(new_z[-1] - z[-1])
+            tau = update_tau(tau, compute_delta(
+                f_pred, f_full, float(np.vdot(last_change, last_change))))
+        x = x + (tau * cfg.sigma) * f_full
         zt_new = (new_z if fixed_tau is not None
-                  else correct(prob, state.z_tilde, new_z, ALPHA))
+                  else correct(prob, z_tilde, new_z, ALPHA))
 
         if history is not None:
             history.append({
                 "z": [v.copy() for v in new_z],
                 "z_tilde": [v.copy() for v in zt_new],
-                "z_tilde_prev": [v.copy() for v in state.z_tilde],
-                "x": x_new.copy(),
-                "tau": tau_k,
+                "z_tilde_prev": [v.copy() for v in z_tilde],
+                "x": x.copy(),
+                "tau": tau,
             })
-        state.z = new_z
-        state.z_tilde = zt_new
-        state.x = x_new
-        state.tau = tau_k
-        tau_history.append(tau_k)
-        state.k += 1
+        z, z_tilde = new_z, zt_new
+        tau_history.append(tau)
+        k += 1
 
-        if not np.isfinite(f_full).all() or _iterate_norm(state.z, state.x) > DIVERGENCE_GUARD:
+        if not np.isfinite(f_full).all() or max(map(np.linalg.norm, [*z, x])) > DIVERGENCE_GUARD:
             status = DIVERGED
             residual = math.inf
             break
-        if stop is not None and stop(state, float(np.linalg.norm(f_full))):
-            residual = kkt_residual(prob, state.z, state.x)
+        if stop is not None and stop(float(np.linalg.norm(f_full))):
+            residual = kkt_residual(prob, z, x)
             status = CONVERGED
             break
 
     wall = time.perf_counter() - t0
     return SolveResult(
-        status=status, iterations=state.k, residual=residual,
-        z=state.z, x=state.x, tau_final=state.tau, tau_history=tau_history,
+        status=status, iterations=k, residual=residual,
+        z=z, x=x, tau_final=tau, tau_history=tau_history,
         wall_seconds=wall, history=history, sigma_final=cfg.sigma,
         message="" if status != DIVERGED else "iterate norm exceeded guard",
     )
@@ -350,7 +329,7 @@ def solve(prob: MultiBlockProblem, cfg: SolverConfig = None,
           record_history: bool = False) -> SolveResult:
     """Run the corrected semi-proximal ADMM.
 
-    Stops when ``stop(state, f_full_norm)`` fires if given, otherwise when
+    Stops when ``stop(f_full_norm)`` fires if given, otherwise when
     ``kkt_residual`` < cfg.tol. ``cfg.tol <= 0`` disables the residual
     test and runs exactly ``max_iters`` iterations.
     ``record_history`` keeps one dict per iteration in ``history``: ``z``,

@@ -280,7 +280,12 @@ def read_profile_csv(path):
         header = fh.readline().strip()
         if header != "solver,x,y":
             raise ValueError(f"unexpected profile header {header!r}")
-        for line in fh:
-            solver, x, y = line.strip().split(",")
-            rows.append((solver, float(x), float(y)))
+        for lineno, line in enumerate(fh, 2):
+            parts = line.strip().split(",")
+            try:
+                solver, x, y = parts[0], *map(float, parts[1:])
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: expected 'solver,x,y' with "
+                                 f"numbers x and y, got {line.strip()!r}") from None
+            rows.append((solver, x, y))
     return rows

@@ -440,6 +440,8 @@ def read_biqmac(path) -> BiqData:
     if len(tokens) < 2:
         raise ValueError("truncated header: expected 'n m'")
     n, m = _ints(tokens[:2], "header")
+    if n < 1 or m < 0:
+        raise ValueError(f"header: expected n >= 1 and m >= 0, got {n} {m}")
     body = tokens[2:]
     if len(body) != 3 * m:
         raise ValueError(f"expected {3 * m} entry tokens, found {len(body)}")
@@ -465,6 +467,8 @@ def read_qaplib(path):
     if not tokens:
         raise ValueError("empty file")
     n, = _ints(tokens[:1], "header")
+    if n < 1:
+        raise ValueError(f"header: expected an order n >= 1, got {n}")
     need = 1 + 2 * n * n
     if len(tokens) != need:
         raise ValueError(f"expected {need} tokens for order {n}, found {len(tokens)}")
@@ -485,9 +489,14 @@ def read_dimacs(path) -> Graph:
             if not parts or parts[0] == "c":
                 continue
             if parts[0] == "p":
+                if n is not None:
+                    raise ValueError(f"line {lineno}: second problem line")
                 if len(parts) < 4 or parts[1] != "edge":
                     raise ValueError(f"line {lineno}: malformed problem line")
                 n, m = _ints(parts[2:4], f"line {lineno}")
+                if n < 1 or m < 0:
+                    raise ValueError(f"line {lineno}: expected n >= 1 and m >= 0, "
+                                     f"got {n} {m}")
             elif parts[0] == "e":
                 if n is None:
                     raise ValueError(f"line {lineno}: edge before problem line")

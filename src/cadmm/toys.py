@@ -92,26 +92,19 @@ class QuadraticToy:
         return z_star, sol[total:]
 
 
-def random_quadratic_toy(p: int, dims, x_dim: int, seed: int,
-                         rho_blocks=(), zero_objective: bool = False) -> QuadraticToy:
-    """Random strongly convex p-block toy.
+def random_quadratic_toy(dims, x_dim: int, seed: int, rho_blocks=()) -> QuadraticToy:
+    """Random strongly convex toy with one block per entry of ``dims``.
 
     ``rho_blocks`` lists block indices that get the rho I - A A* proximal
     operator (rho = 1.1 * lambda_max(A A*)); the rest use T = 0 with
-    surjective maps so the correction inverses exist. With
-    ``zero_objective`` the blocks are pure feasibility (theta = 0).
+    surjective maps so the correction inverses exist.
     """
     rng = np.random.default_rng(seed)
     datas = []
-    for i in range(p):
-        d = dims[i]
-        if zero_objective:
-            p_mat = np.zeros((d, d))
-            q_vec = np.zeros(d)
-        else:
-            g = rng.standard_normal((d, d))
-            p_mat = g @ g.T / d + 0.5 * np.eye(d)
-            q_vec = rng.standard_normal(d)
+    for i, d in enumerate(dims):
+        g = rng.standard_normal((d, d))
+        p_mat = g @ g.T / d + 0.5 * np.eye(d)
+        q_vec = rng.standard_normal(d)
         a_adj = rng.standard_normal((x_dim, d))
         if i in rho_blocks:
             rho = 1.1 * float(np.linalg.eigvalsh(a_adj.T @ a_adj).max())

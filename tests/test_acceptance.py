@@ -48,7 +48,7 @@ def dense_instances():
         x_dim = max(dims) + 2
         rho_blocks = (1,) if seed % 2 == 0 else (p - 2,)
         assert sum(dims) <= 100
-        specs.append(random_quadratic_toy(p, dims, x_dim, seed=seed,
+        specs.append(random_quadratic_toy(dims, x_dim, seed=seed,
                                           rho_blocks=rho_blocks))
     return specs
 
@@ -99,7 +99,7 @@ class TestCriterion3:
             checked += 1
         from cadmm.toys import random_quadratic_toy
         for seed in range(3):
-            toy = random_quadratic_toy(4, (3, 4, 5, 4), 7, seed=seed,
+            toy = random_quadratic_toy((3, 4, 5, 4), 7, seed=seed,
                                        rho_blocks=(1,))
             res = solve(toy.problem, SolverConfig(tol=1e-8, max_iters=3000))
             assert_tau_law(res.tau_history)

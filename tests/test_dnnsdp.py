@@ -22,7 +22,7 @@ from cadmm.dnnsdp import (SIGMA_MAX, SIGMA_MIN, DnnSdpProblem, ResidualReport,
                           cached_lambda_max,
                           cadmm_solve, cadmm_step, dext_solve, dext_step,
                           initial_iterate, objective_values, residuals,
-                          to_multiblock, tune_sigma, update_S, update_Z,
+                          sigma_check_due, to_multiblock, tune_sigma, update_S, update_Z,
                           update_yE, update_yI)
 from cadmm.io import write_problem
 from cadmm.linalg import (GramSingularError, SparseSymList,
@@ -853,30 +853,49 @@ class TestTuneSigma:
                               eta_Sstar=0.0, eta_Kstar=0.0, eta_C1=0.0, eta_C2=0.0)
 
     def test_balanced_unchanged(self):
-        pol = TuningPolicy()
         rep = self._report(1e-3, 1e-3)
-        assert tune_sigma(rep, 2.0, 50, pol, 1000) == 2.0
+        assert tune_sigma(rep, 2.0) == 2.0
 
     def test_primal_dominant_shrinks_sigma(self):
         # the multiplier block carries the primal variable, so a lagging
         # primal side calls for a smaller penalty
-        pol = TuningPolicy()
         rep = self._report(1e-1, 1e-3)
-        assert tune_sigma(rep, 3.0, 50, pol, 1000) == pytest.approx(2.0)
+        assert tune_sigma(rep, 3.0) == pytest.approx(2.0)
 
     def test_dual_dominant_grows_sigma(self):
-        pol = TuningPolicy()
         rep = self._report(1e-5, 1e-2)
-        assert tune_sigma(rep, 3.0, 50, pol, 1000) == pytest.approx(4.5)
+        assert tune_sigma(rep, 3.0) == pytest.approx(4.5)
 
     def test_respects_bounds_period_and_freeze(self):
-        pol = TuningPolicy()
+        # the rule keeps sigma in [SIGMA_MIN, SIGMA_MAX]; sigma_check_due
+        # says on which iterations the loop applies it
         hot = self._report(1.0, 1e-9)
-        assert tune_sigma(hot, SIGMA_MIN, 50, pol, 1000) == SIGMA_MIN  # floor
-        assert tune_sigma(hot, 1.0, 51, pol, 1000) == 1.0              # off-period
-        assert tune_sigma(hot, 1.0, 1000, pol, 1000) == 1.0            # frozen
+        assert tune_sigma(hot, SIGMA_MIN) == SIGMA_MIN  # floor
         cold = self._report(1e-9, 1.0)
-        assert tune_sigma(cold, SIGMA_MAX, 50, pol, 1000) == SIGMA_MAX  # cap
+        assert tune_sigma(cold, SIGMA_MAX) == SIGMA_MAX  # cap
+        pol = TuningPolicy()
+        assert sigma_check_due(50, pol, 1000)
+        assert not sigma_check_due(51, pol, 1000)   # off-period
+        assert not sigma_check_due(1000, pol, 1000)  # frozen
+        assert not sigma_check_due(50, TuningPolicy.disabled(), 1000)
+
+    def test_loop_tunes_only_where_a_check_is_due(self, monkeypatch):
+        # max_iters=400 freezes sigma from k=300 on, so of the period
+        # multiples only k=50..250 get a check; the report of the last
+        # iteration, where the run stops, is due to no check
+        seen, tuned = [], []
+        original = dnnsdp.tune_sigma
+
+        def spied(report, sigma):
+            tuned.append(seen[-1][0])
+            return original(report, sigma)
+
+        monkeypatch.setattr(dnnsdp, "tune_sigma", spied)
+        res = cadmm_solve(generate_problem("biq:14:5"), SolverConfig(max_iters=400),
+                          callback=lambda it, rep: seen.append((it.k, rep is not None)))
+        assert res.status == "Converged" and seen[-1] == (res.iterations, True)
+        due = [k for k, _ in seen if sigma_check_due(k, TuningPolicy(), 300)]
+        assert tuned == due == [50, 100, 150, 200, 250]
 
     def test_policy_has_two_settings_and_refuses_negatives(self):
         # one setting since the stall restart went; the name is kept

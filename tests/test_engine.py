@@ -8,11 +8,10 @@ import pytest
 
 from cadmm import engine
 from cadmm.dnnsdp import TuningPolicy
-from cadmm.engine import (BlockSpec, IterateState, LinearBlockMap,
-                          MultiBlockProblem, SolverConfig, build_theory_operators,
-                          compute_delta, correct,
+from cadmm.engine import (BlockSpec, LinearBlockMap, MultiBlockProblem, SolverConfig,
+                          build_theory_operators, compute_delta, correct,
                           kkt_residual, predict, solve, solve_direct_extended,
-                          update_multiplier, update_tau)
+                          update_tau)
 from cadmm.toys import divergence_example, random_quadratic_toy
 
 from conftest import assert_tau_law, random_psd
@@ -24,29 +23,40 @@ def w_concat(vals):
 
 class TestStepSizeFormulas:
     def test_delta_values(self):
+        # the weight is EPS = 0.1
         one = np.array([1.0])
 
         def vec(norm_sq):
             return np.array([math.sqrt(norm_sq)])
 
-        assert compute_delta(vec(1.0), vec(1.0), 0.0, 0.1) == pytest.approx(0.9)
-        assert compute_delta(vec(0.0), vec(1.0), 0.0, 0.1) == pytest.approx(-0.1)
-        assert compute_delta(vec(4.0), vec(2.0), 2.0, 0.1) == pytest.approx(1.8)
-        assert compute_delta(one, np.array([0.0]), 0.0, 0.1) == math.inf
+        assert engine.EPS == 0.1
+        assert compute_delta(vec(1.0), vec(1.0), 0.0) == pytest.approx(0.9)
+        assert compute_delta(vec(0.0), vec(1.0), 0.0) == pytest.approx(-0.1)
+        assert compute_delta(vec(4.0), vec(2.0), 2.0) == pytest.approx(1.8)
+        assert compute_delta(one, np.array([0.0]), 0.0) == math.inf
 
     def test_tau_update(self):
-        assert update_tau(1.95, 0.9, 0.1) == pytest.approx(1.9)
-        assert update_tau(1.5, 2.0, 0.1) == pytest.approx(1.5)
-        assert update_tau(1.2, -0.95, 0.1) == pytest.approx(0.1)
+        # the floor is TAU_BAR = 0.1
+        assert engine.TAU_BAR == 0.1
+        assert update_tau(1.95, 0.9) == pytest.approx(1.9)
+        assert update_tau(1.5, 2.0) == pytest.approx(1.5)
+        assert update_tau(1.2, -0.95) == pytest.approx(0.1)
         # +inf sentinel saturates at the previous value
-        assert update_tau(1.7, math.inf, 0.1) == pytest.approx(1.7)
+        assert update_tau(1.7, math.inf) == pytest.approx(1.7)
 
     def test_multiplier_update(self):
-        x = np.array([1.0, 2.0])
-        f = np.array([0.5, -0.5])
-        assert np.allclose(update_multiplier(x, 1.0, 1.0, np.zeros(2)), x)
-        assert np.allclose(update_multiplier(x, 1.0, 1.0, f), x + f)
-        assert np.allclose(update_multiplier(x, 1.9, 0.5, f), x + 0.95 * f)
+        # every step moves x by tau_k * sigma times the constraint map at
+        # the new blocks, in the corrected and the direct loop alike
+        prob = random_quadratic_toy((3, 4, 5), 6, seed=8).problem
+        cfg = SolverConfig(sigma=0.5, tol=0.0, max_iters=20)
+        for fixed_tau in (None, 1.0):
+            x = np.ones(6)
+            res = engine._run(prob, cfg, None, None, x, fixed_tau, record_history=True)
+            for step in res.history:
+                adj = [b.map.apply_adjoint(v) for b, v in zip(prob.blocks, step["z"])]
+                assert np.allclose(step["x"], x + (step["tau"] * 0.5) * (sum(adj) - prob.c),
+                                   rtol=1e-12, atol=1e-12)
+                x = step["x"]
 
 
 class TestConfigValidation:
@@ -104,37 +114,32 @@ def literal_block_minimizer(data, x, r, center, sigma):
 
 class TestPredict:
     def test_fixed_point_at_kkt(self):
-        toy = random_quadratic_toy(3, (3, 4, 5), 6, seed=7)
+        toy = random_quadratic_toy((3, 4, 5), 6, seed=7)
         z_star, x_star = toy.kkt_solution()
-        state = IterateState(z=[v.copy() for v in z_star],
-                             z_tilde=[v.copy() for v in z_star],
-                             x=x_star.copy(), tau=1.95)
-        new_z, f_pred, f_full = predict(state, toy.problem, SolverConfig())
+        new_z, f_pred, f_full = predict(toy.problem, z_star, x_star, 1.0)
         assert np.linalg.norm(f_full) <= 1e-10
         for a, b in zip(new_z, z_star):
             assert np.linalg.norm(a - b) <= 1e-9
 
     def test_two_block_sweep_matches_dense_solves(self, rng):
-        toy = random_quadratic_toy(2, (3, 4), 5, seed=3)
+        toy = random_quadratic_toy((3, 4), 5, seed=3)
         z = [rng.standard_normal(3), rng.standard_normal(4)]
         x = rng.standard_normal(5)
-        state = IterateState(z=[v.copy() for v in z],
-                             z_tilde=[v.copy() for v in z], x=x, tau=1.95)
-        cfg = SolverConfig(sigma=0.8)
-        new_z, _, _ = predict(state, toy.problem, cfg)
+        sigma = 0.8
+        new_z, _, _ = predict(toy.problem, z, x, sigma)
         # block 1 with block 2 at its old value, block 2 with the new block 1
         d1, d2 = toy.data
         expect1 = literal_block_minimizer(d1, x, d2.a_adj @ z[1] - toy.problem.c,
-                                          z[0], cfg.sigma)
+                                          z[0], sigma)
         expect2 = literal_block_minimizer(d2, x, d1.a_adj @ expect1 - toy.problem.c,
-                                          z[1], cfg.sigma)
+                                          z[1], sigma)
         assert np.linalg.norm(new_z[0] - expect1) <= 1e-10
         assert np.linalg.norm(new_z[1] - expect2) <= 1e-10
 
 
 class TestCorrect:
     def test_fixed_point(self, rng):
-        toy = random_quadratic_toy(4, (3, 3, 3, 3), 6, seed=5)
+        toy = random_quadratic_toy((3, 3, 3, 3), 6, seed=5)
         zt = [rng.standard_normal(3) for _ in range(4)]
         out = correct(toy.problem, zt, [v.copy() for v in zt], alpha=0.7)
         for a, b in zip(out, zt):
@@ -159,7 +164,7 @@ class TestCorrect:
         assert np.allclose(out[1], expect, atol=1e-14)
 
     def test_operator_identity_on_random_instance(self, rng):
-        toy = random_quadratic_toy(4, (3, 4, 5, 4), 7, seed=13, rho_blocks=(2,))
+        toy = random_quadratic_toy((3, 4, 5, 4), 7, seed=13, rho_blocks=(2,))
         alpha = 0.999
         ops = build_theory_operators(toy.problem, alpha)
         zt = [rng.standard_normal(s.shape[0]) for s in
@@ -173,7 +178,7 @@ class TestCorrect:
 
 class TestTheoryOperators:
     def test_two_block_corner(self):
-        toy = random_quadratic_toy(2, (3, 4), 5, seed=2)
+        toy = random_quadratic_toy((3, 4), 5, seed=2)
         alpha = 0.75
         ops = build_theory_operators(toy.problem, alpha)
         e2 = toy.data[1].gram()
@@ -197,7 +202,7 @@ class TestTheoryOperators:
 
     def test_positive_definite_on_random_instances(self):
         for seed in range(5):
-            toy = random_quadratic_toy(4, (3, 4, 5, 4), 7, seed=seed,
+            toy = random_quadratic_toy((3, 4, 5, 4), 7, seed=seed,
                                        rho_blocks=(1,))
             ops = build_theory_operators(toy.problem, 0.999)
             sym_err = np.abs(ops.g - ops.g.T).max()
@@ -205,19 +210,19 @@ class TestTheoryOperators:
             assert np.linalg.eigvalsh(0.5 * (ops.g + ops.g.T)).min() > 0.0
 
     def test_dimension_cap(self):
-        toy = random_quadratic_toy(2, (400, 200), 100, seed=0, rho_blocks=(0, 1))
+        toy = random_quadratic_toy((400, 200), 100, seed=0, rho_blocks=(0, 1))
         with pytest.raises(ValueError, match="dense limit"):
             build_theory_operators(toy.problem, 0.9)
 
 
 class TestKktResidual:
     def test_zero_at_oracle_point(self):
-        toy = random_quadratic_toy(3, (3, 4, 5), 6, seed=21)
+        toy = random_quadratic_toy((3, 4, 5), 6, seed=21)
         z_star, x_star = toy.kkt_solution()
         assert kkt_residual(toy.problem, z_star, x_star) <= 1e-10
 
     def test_lower_bounded_by_constraint_norm(self, rng):
-        toy = random_quadratic_toy(3, (3, 4, 5), 6, seed=22)
+        toy = random_quadratic_toy((3, 4, 5), 6, seed=22)
         z = [rng.standard_normal(d) for d in (3, 4, 5)]
         x = rng.standard_normal(6)
         adj = [b.map.apply_adjoint(v) for b, v in zip(toy.problem.blocks, z)]
@@ -248,26 +253,15 @@ class TestKktResidual:
 
     def test_prox_is_required(self):
         # the residual reads every block's prox, and so does the stopping test
-        toy = random_quadratic_toy(2, (3, 3), 4, seed=23)
+        toy = random_quadratic_toy((3, 3), 4, seed=23)
         with pytest.raises(TypeError, match="'prox'"):
             BlockSpec(map=toy.problem.blocks[0].map,
                       subsolve=toy.problem.blocks[0].subsolve, shape=(3,), rho=None)
 
 
 class TestSolve:
-    def test_feasibility_only_quadratics(self):
-        # theta_i = 0: any feasible point is optimal; the constraint residual
-        # must vanish
-        toy = random_quadratic_toy(3, (3, 4, 5), 6, seed=31, zero_objective=True)
-        cfg = SolverConfig(tol=0.0, max_iters=2000)
-        res = solve(toy.problem, cfg,
-                    stop=lambda state, fnorm: fnorm < 1e-10)
-        assert res.status == "Converged"
-        adj = [b.map.apply_adjoint(v) for b, v in zip(toy.problem.blocks, res.z)]
-        assert np.linalg.norm(sum(adj) - toy.problem.c) < 1e-10
-
     def test_three_block_matches_kkt_oracle(self):
-        toy = random_quadratic_toy(3, (4, 5, 6), 8, seed=32, rho_blocks=(1,))
+        toy = random_quadratic_toy((4, 5, 6), 8, seed=32, rho_blocks=(1,))
         z_star, x_star = toy.kkt_solution()
         res = solve(toy.problem, SolverConfig(tol=1e-9, max_iters=5000))
         assert res.status == "Converged"
@@ -275,7 +269,7 @@ class TestSolve:
             assert np.linalg.norm(a - b) <= 1e-6
 
     def test_starts_at_kkt_point(self):
-        toy = random_quadratic_toy(3, (3, 4, 5), 6, seed=33)
+        toy = random_quadratic_toy((3, 4, 5), 6, seed=33)
         z_star, x_star = toy.kkt_solution()
         res = solve(toy.problem, SolverConfig(tol=1e-8, max_iters=100),
                     z0=z_star, x0=x_star)
@@ -283,14 +277,14 @@ class TestSolve:
         assert res.iterations <= 1
 
     def test_tau_history_law(self):
-        toy = random_quadratic_toy(4, (3, 4, 4, 3), 6, seed=34, rho_blocks=(2,))
+        toy = random_quadratic_toy((3, 4, 4, 3), 6, seed=34, rho_blocks=(2,))
         res = solve(toy.problem, SolverConfig(tol=1e-9, max_iters=4000))
         assert res.status == "Converged"
         assert_tau_law(res.tau_history)
         assert res.tau_history[0] == pytest.approx(1.95)
 
     def test_correction_identity_along_trajectory(self):
-        toy = random_quadratic_toy(4, (3, 4, 5, 4), 7, seed=35, rho_blocks=(1,))
+        toy = random_quadratic_toy((3, 4, 5, 4), 7, seed=35, rho_blocks=(1,))
         res = solve(toy.problem, SolverConfig(tol=0.0, max_iters=50),
                     record_history=True)
         ops = build_theory_operators(toy.problem, engine.ALPHA)
@@ -301,7 +295,7 @@ class TestSolve:
             assert np.linalg.norm(lhs - rhs) <= 1e-9 * denom
 
     def test_tilde_invariants_after_every_iteration(self):
-        toy = random_quadratic_toy(3, (3, 4, 5), 6, seed=36)
+        toy = random_quadratic_toy((3, 4, 5), 6, seed=36)
         cfg = SolverConfig(tol=0.0, max_iters=30)
         res = solve(toy.problem, cfg, record_history=True)
         for step in res.history:
@@ -309,7 +303,7 @@ class TestSolve:
             assert np.array_equal(step["z_tilde"][-1], step["z"][-1])
 
     def test_vanishing_changes_on_converged_run(self):
-        toy = random_quadratic_toy(3, (4, 5, 6), 8, seed=37)
+        toy = random_quadratic_toy((4, 5, 6), 8, seed=37)
         cfg = SolverConfig(tol=1e-8, max_iters=5000)
         res = solve(toy.problem, cfg, record_history=True)
         assert res.status == "Converged"
@@ -327,7 +321,7 @@ class TestSolve:
 
 class TestDirectExtended:
     def test_two_block_classic_regime(self):
-        toy = random_quadratic_toy(2, (4, 5), 6, seed=41)
+        toy = random_quadratic_toy((4, 5), 6, seed=41)
         z_star, _ = toy.kkt_solution()
         res = solve_direct_extended(toy.problem, SolverConfig(tol=1e-9, max_iters=5000),
                                     tau=1.0)
@@ -336,7 +330,7 @@ class TestDirectExtended:
             assert np.linalg.norm(a - b) <= 1e-6
 
     def test_three_block_toy_matches_oracle(self):
-        toy = random_quadratic_toy(3, (4, 5, 6), 8, seed=42)
+        toy = random_quadratic_toy((4, 5, 6), 8, seed=42)
         z_star, _ = toy.kkt_solution()
         res = solve_direct_extended(toy.problem,
                                     SolverConfig(tol=1e-9, max_iters=8000), tau=1.0)
@@ -353,11 +347,15 @@ class TestDirectExtended:
         assert np.isfinite(res.tau_final)
 
     def test_corrected_handles_the_divergent_instance(self):
+        # theta_i = 0: any feasible point is optimal, and the stop rule
+        # ends the run once the constraint residual vanishes
         prob = divergence_example()
         res = solve(prob, SolverConfig(tol=0.0, max_iters=3000),
-                    stop=lambda state, fnorm: fnorm < 1e-10,
+                    stop=lambda fnorm: fnorm < 1e-10,
                     z0=[np.ones(1)] * 3, x0=np.ones(3))
         assert res.status == "Converged"
+        adj = [b.map.apply_adjoint(v) for b, v in zip(prob.blocks, res.z)]
+        assert np.linalg.norm(sum(adj) - prob.c) < 1e-10
 
 
 class TestErrorContracts:
@@ -373,12 +371,12 @@ class TestErrorContracts:
         MultiBlockProblem(blocks=(bad, good, bad), c=np.zeros(3))
 
     def test_one_block_refused(self):
-        toy = random_quadratic_toy(2, (3, 3), 4, seed=24)
+        toy = random_quadratic_toy((3, 3), 4, seed=24)
         with pytest.raises(ValueError, match="^need at least two blocks$"):
             MultiBlockProblem(blocks=toy.problem.blocks[:1], c=toy.problem.c)
 
     def test_subsolve_failure_names_the_block(self):
-        toy = random_quadratic_toy(3, (3, 4, 5), 6, seed=51)
+        toy = random_quadratic_toy((3, 4, 5), 6, seed=51)
 
         def broken(x, r, center, sigma):
             raise np.linalg.LinAlgError("singular")

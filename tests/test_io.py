@@ -1,6 +1,7 @@
 # -*- coding: utf-8 -*-
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -244,6 +245,16 @@ class TestPerformanceProfile:
         path = tmp_path / "prof.csv"
         path.write_text("solver,y,x\na,1.0,1.0\n")
         with pytest.raises(ValueError, match="^unexpected profile header 'solver,y,x'$"):
+            read_profile_csv(path)
+
+    @pytest.mark.parametrize("row, lineno", [
+        ("a,1.0", 3), ("a,1.0,2.0,3.0", 3), ("a,z,1.0", 3), ("a,1.0,", 3), ("", 3)])
+    def test_profile_csv_malformed_row_named(self, tmp_path, row, lineno):
+        path = tmp_path / "prof.csv"
+        path.write_text(f"solver,x,y\na,1.0,1.0\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: line {lineno}: expected 'solver,x,y' with numbers x and y, "
+                f"got {row!r}")):
             read_profile_csv(path)
 
     def test_unknown_metric(self):

@@ -504,6 +504,41 @@ class TestReaders:
             read_dimacs(path)
 
     @pytest.mark.parametrize("text, message", [
+        ("p edge 3 1\ne 1 3\np edge 2 1\n", "line 3: second problem line"),
+        ("p edge -1 0\n", "line 1: expected n >= 1 and m >= 0, got -1 0"),
+        ("c x\np edge 0 0\n", "line 2: expected n >= 1 and m >= 0, got 0 0"),
+        ("p edge 3 -1\n", "line 1: expected n >= 1 and m >= 0, got 3 -1"),
+    ])
+    def test_dimacs_bad_problem_line_named(self, tmp_path, text, message):
+        # a second header or one with no vertices or a negative edge
+        # count is refused at its own line
+        path = tmp_path / "g.col"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_dimacs(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("-2 1\n1 1 1\n", "header: expected n >= 1 and m >= 0, got -2 1"),
+        ("2 -1\n", "header: expected n >= 1 and m >= 0, got 2 -1"),
+        ("0 0\n", "header: expected n >= 1 and m >= 0, got 0 0"),
+    ])
+    def test_biqmac_bad_header_named(self, tmp_path, text, message):
+        path = tmp_path / "bad.sparse"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_biqmac(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("-1\n1 2\n", "header: expected an order n >= 1, got -1"),
+        ("0\n", "header: expected an order n >= 1, got 0"),
+    ])
+    def test_qaplib_bad_header_named(self, tmp_path, text, message):
+        path = tmp_path / "bad.dat"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_qaplib(path)
+
+    @pytest.mark.parametrize("text, message", [
         ("2 1\n1 x 3\n", "entry 1: expected integers, got '1 x'"),
         ("2 2\n1 1 1\n2 1 z\n", "entry 2: expected a number, got 'z'"),
         ("2 q\n1 1 1\n", "header: expected integers, got '2 q'"),

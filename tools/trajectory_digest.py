@@ -28,12 +28,11 @@ come ten solves of the generic engine, each with ``engine.solve`` and
 divergence example started from ones (the corrected method with a
 ``stop`` rule on the constraint norm, the direct one at tau = 1), and
 ``to_multiblock`` of ``ebiq:8:1`` and ``fap:7:2`` at tol 0 for 60
-iterations. Each
-line holds the status, the iteration count, the final sigma and tau,
-the ``repr`` of every ``ResidualReport`` field, and the first 16 hex
-digits of the sha256 of the tau history, of ``x`` and of each ``z``
-block. Arrays are hashed after adding 0.0, so that -0.0 and 0.0 hash
-the same. The solver is imported from the ``src`` directory of the
+iterations. Each line holds the status, the iteration count, the
+final sigma and tau, the ``repr`` of every ``ResidualReport`` field,
+and the first 16 hex digits of the sha256 of the tau history, of ``x``
+and of each ``z`` block. Arrays are hashed after adding 0.0, so that
+-0.0 and 0.0 hash the same. The solver is imported from the ``src`` directory of the
 checkout this file sits in.
 """
 
@@ -99,13 +98,13 @@ def engine_solves():
     """``(label, problem, run)`` for the generic engine's solves; see
     :func:`engine_run`."""
     toy = engine_run(SolverConfig(tol=1e-9, max_iters=5000))
-    yield ("engine/toy:3:7", toys.random_quadratic_toy(3, (3, 4, 5), 6, seed=7).problem,
+    yield ("engine/toy:3:7", toys.random_quadratic_toy((3, 4, 5), 6, seed=7).problem,
            toy)
     yield ("engine/toy:4:3", toys.random_quadratic_toy(
-        4, (4, 5, 6, 5), 8, seed=3, rho_blocks=(1,)).problem, toy)
+        (4, 5, 6, 5), 8, seed=3, rho_blocks=(1,)).problem, toy)
     # a stop rule replaces the tolerance test of the corrected run
     yield "engine/divergence", toys.divergence_example(), engine_run(
-        SolverConfig(tol=1e-10, max_iters=3000), stop=lambda state, fnorm: fnorm < 1e-10,
+        SolverConfig(tol=1e-10, max_iters=3000), stop=lambda fnorm: fnorm < 1e-10,
         tau=1.0, z0=[np.ones(1)] * 3, x0=np.ones(3))
     bridge = engine_run(SolverConfig(tol=0.0, max_iters=60))
     for spec in ("ebiq:8:1", "fap:7:2"):
