@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cadmm import engine
+from cadmm import engine, toys
 from cadmm.dnnsdp import TuningPolicy
 from cadmm.engine import (BlockSpec, LinearBlockMap, MultiBlockProblem, SolverConfig,
                           build_theory_operators, compute_delta, correct,
@@ -260,6 +260,20 @@ class TestKktResidual:
 
 
 class TestSolve:
+    def test_feasibility_only_quadratics(self):
+        # theta_i = 0: any feasible point is optimal; the constraint residual
+        # must vanish. The toy's maps and right-hand side, its objective zeroed.
+        toy = random_quadratic_toy((3, 4, 5), 6, seed=31)
+        datas = [dataclasses.replace(d, p_mat=np.zeros((d.dim, d.dim)),
+                                     q_vec=np.zeros(d.dim)) for d in toy.data]
+        prob = MultiBlockProblem(blocks=tuple(toys._make_block(d) for d in datas),
+                                 c=toy.problem.c)
+        res = solve(prob, SolverConfig(tol=0.0, max_iters=2000),
+                    stop=lambda fnorm: fnorm < 1e-10)
+        assert res.status == "Converged"
+        adj = [b.map.apply_adjoint(v) for b, v in zip(prob.blocks, res.z)]
+        assert np.linalg.norm(sum(adj) - prob.c) < 1e-10
+
     def test_three_block_matches_kkt_oracle(self):
         toy = random_quadratic_toy((4, 5, 6), 8, seed=32, rho_blocks=(1,))
         z_star, x_star = toy.kkt_solution()
