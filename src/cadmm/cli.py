@@ -21,8 +21,7 @@ from . import dnnsdp, engine, io, problems
 from .dnnsdp import SolverConfig, TuningPolicy, cadmm_solve, dext_solve
 from .linalg import SparseSymList, lambda_max_gram, project_psd, symmetrize
 
-EXIT_BY_STATUS = {engine.CONVERGED: 0, engine.MAX_ITERS: 2, engine.DIVERGED: 3,
-                  engine.ERROR: 1}
+EXIT_BY_STATUS = {engine.CONVERGED: 0, engine.MAX_ITERS: 2, engine.DIVERGED: 3}
 SOLVERS = ("cadmm", "dext")
 
 

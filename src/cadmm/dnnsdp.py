@@ -294,7 +294,7 @@ def update_S(ops: SolveOperands, xs: np.ndarray, r: np.ndarray, negatives: int) 
     return ops.project_psd(b, negatives)
 
 
-def _sweep(it: DnnSdpIterate, ops: SolveOperands):
+def _sweep(it: DnnSdpIterate, ops: SolveOperands) -> tuple:
     """Gauss-Seidel sweep y_I -> Z -> y_E -> S with proximal centres at
     ``it.yI``, ``it.t_Z``, ``it.t_yE`` and ``it.S``, through the kernels
     of ``ops``. The adjoints at the centres are taken from ``it.adj_yI``
@@ -302,12 +302,12 @@ def _sweep(it: DnnSdpIterate, ops: SolveOperands):
     where it did not. The operands are set to ``it.sigma`` once, and the
     S update reads ``it.negatives``.
 
-    Returns ``(yI, Z, yE, S, f_pred, f_full, adj_yI, adj_yE, negatives)``:
-    the new blocks (``yI`` is None in the 3-block case), the constraint
-    map A_I* y_I + Z + A_E* y_E + S - C after the first block only and
-    after all of them, the adjoints A_I* y_I (None in the 3-block case)
-    and A_E* y_E at the new blocks, and the S update's count of
-    eigenvalues at or below zero.
+    Returns ``(new, f_pred)``. ``new`` is iterate k + 1 before its
+    multiplier step: the new blocks with ``it``'s X, tau and sigma, the
+    centres ``t_Z`` and ``t_yE`` at the new Z and y_E, and what the next
+    sweep reuses (``f_full``, ``adj_yI``, ``adj_t_yE`` and ``negatives``;
+    see ``DnnSdpIterate``). ``f_pred`` is the constraint map after the
+    first block only.
 
     Every sum adds the block terms in sweep order, each block at its new
     value once updated and at its centre before, leaving out the block
@@ -352,7 +352,10 @@ def _sweep(it: DnnSdpIterate, ops: SolveOperands):
     f_full = Q
     f_full += S
     f_full -= C
-    return yI, Z, yE, S, f_pred, f_full, adj_yI, adj_yE, negatives
+    new = DnnSdpIterate(
+        Z=Z, yE=yE, S=S, X=it.X, t_Z=Z, t_yE=yE, yI=yI, tau=it.tau, sigma=sigma,
+        k=it.k + 1, f_full=f_full, adj_yI=adj_yI, adj_t_yE=adj_yE, negatives=negatives)
+    return new, f_pred
 
 
 def cadmm_step(it: DnnSdpIterate, ops: SolveOperands) -> DnnSdpIterate:
@@ -360,40 +363,30 @@ def cadmm_step(it: DnnSdpIterate, ops: SolveOperands) -> DnnSdpIterate:
     y_I -> Z -> y_E -> S, adaptive multiplier step, then correction of the
     middle blocks (y_E, and Z in the 4-block case) against the corrected
     base points."""
-    yI_new, Z_new, yE_new, S_new, f_pred, f_full, adj_yI, _, negatives = _sweep(it, ops)
-    dS = S_new - it.S
-    if it.k == 0:
-        tau_k = TAU0
-    else:
-        tau_k = update_tau(it.tau, compute_delta(f_pred, f_full, float(np.vdot(dS, dS))))
-    X_new = it.X + (tau_k * it.sigma) * f_full
+    new, f_pred = _sweep(it, ops)
+    dS = new.S - it.S
+    new.tau = TAU0 if it.k == 0 else update_tau(
+        it.tau, compute_delta(f_pred, new.f_full, float(np.vdot(dS, dS))))
+    new.X = it.X + (new.tau * it.sigma) * new.f_full
 
     # Correction, backwards over the middle blocks; last and first blocks
     # (and the multiplier) keep their predicted values.
-    t_yE_new = it.t_yE + ALPHA * (yE_new - it.t_yE) - ops.solve_E(ops.apply_E(dS))
+    new.t_yE = it.t_yE + ALPHA * (new.yE - it.t_yE) - ops.solve_E(ops.apply_E(dS))
+    new.adj_t_yE = None
     if ops.four_block:
-        d = ops.adjoint_E(t_yE_new - it.t_yE) + dS
-        t_Z_new = it.t_Z + ALPHA * (Z_new - it.t_Z) - d
-    else:
-        t_Z_new = Z_new
-
-    return DnnSdpIterate(
-        Z=Z_new, yE=yE_new, S=S_new, X=X_new, t_Z=t_Z_new, t_yE=t_yE_new,
-        yI=yI_new, tau=tau_k, sigma=it.sigma, k=it.k + 1, f_full=f_full,
-        adj_yI=adj_yI, negatives=negatives)
+        d = ops.adjoint_E(new.t_yE - it.t_yE) + dS
+        new.t_Z = it.t_Z + ALPHA * (new.Z - it.t_Z) - d
+    return new
 
 
 def dext_step(it: DnnSdpIterate, ops: SolveOperands, tau: float) -> DnnSdpIterate:
     """Directly extended iteration: the same sweep, a fixed multiplier step
-    and no correction. The centres ``t_Z`` and ``t_yE`` are set to the new
-    iterates, so the next sweep is centred at the previous iterates and
+    and no correction, so the next sweep is centred at the new blocks and
     reuses this sweep's A_E* y_E."""
-    yI_new, Z_new, yE_new, S_new, _, f_full, adj_yI, adj_yE, negatives = _sweep(it, ops)
-    X_new = it.X + (tau * it.sigma) * f_full
-    return DnnSdpIterate(
-        Z=Z_new, yE=yE_new, S=S_new, X=X_new, t_Z=Z_new, t_yE=yE_new,
-        yI=yI_new, tau=tau, sigma=it.sigma, k=it.k + 1, f_full=f_full,
-        adj_yI=adj_yI, adj_t_yE=adj_yE, negatives=negatives)
+    new, _ = _sweep(it, ops)
+    new.tau = tau
+    new.X = it.X + (tau * it.sigma) * new.f_full
+    return new
 
 
 # ---------------------------------------------------------------------------

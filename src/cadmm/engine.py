@@ -29,8 +29,7 @@ from .linalg import LinearBlockMap
 CONVERGED = "Converged"
 MAX_ITERS = "MaxIters"
 DIVERGED = "Diverged"
-ERROR = "Error"
-STATUSES = (CONVERGED, MAX_ITERS, DIVERGED, ERROR)
+STATUSES = (CONVERGED, MAX_ITERS, DIVERGED)
 
 DIVERGENCE_GUARD = 1e12
 DEXT_TAU = 1.618

@@ -99,6 +99,14 @@ def _field(doc: dict, name: str, parse=functools.partial(np.asarray, dtype=float
         raise ValueError(f"{name}: {exc}") from exc
 
 
+def _integer(value) -> int:
+    """``value`` if it is a JSON integer: not a float, a string or a
+    boolean."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def problem_to_json(prob: DnnSdpProblem) -> dict:
     doc = {
         "format": PROBLEM_FORMAT,
@@ -122,7 +130,7 @@ def problem_from_json(doc: dict) -> DnnSdpProblem:
                          f"got {type(doc).__name__}")
     if doc.get("format") != PROBLEM_FORMAT:
         raise ValueError(f"not a problem document (format {doc.get('format')!r})")
-    n = _field(doc, "n", int)
+    n = _field(doc, "n", _integer)
     c = _field(doc, "C", lambda v: _sym_from_upper(v, n))
     a_e = _field(doc, "A_E", lambda v: _constraints_from_json(v, n))
     b_e = _field(doc, "b_E")
@@ -133,7 +141,7 @@ def problem_from_json(doc: dict) -> DnnSdpProblem:
     m = (np.zeros((n, n)) if doc.get("M") is None
          else _field(doc, "M", lambda v: _sym_from_upper(v, n)))
     pattern = _field(doc, "pattern",
-                     lambda v: ConePattern.from_rle(int(v["n"]), v["rle"]))
+                     lambda v: ConePattern.from_rle(_field(v, "n", _integer), v["rle"]))
     return DnnSdpProblem(n=n, C=c, A_E=a_e, b_E=b_e, A_I=a_i, b_I=b_i,
                          M=m, pattern=pattern,
                          meta=_field(doc, "meta", dict) if "meta" in doc else {})

@@ -15,6 +15,7 @@ import bisect
 import functools
 import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -231,14 +232,17 @@ def psd_distance(m: np.ndarray) -> float:
     return float(np.sqrt(neg @ neg))
 
 
-def _concatenated(parts: Sequence, dtype) -> np.ndarray:
+def _concatenated(parts: Sequence) -> np.ndarray:
     """One part of every triple (the i's, the j's or the values)
-    concatenated into a ``dtype`` array. Each part must be
-    one-dimensional."""
+    concatenated in the parts' common numeric type, or as objects, which
+    keep each entry's own type, where that type is not numeric. Each
+    part must be one-dimensional."""
     if not parts:
-        return np.empty(0, dtype)
+        return np.empty(0)
     try:
-        flat = np.concatenate(parts, dtype=dtype, casting="unsafe")
+        flat = np.concatenate(parts)
+        if flat.dtype.kind not in "biuf":
+            flat = np.concatenate(parts, dtype=object)
     except ValueError:
         _refuse_non_vector(parts)
         raise
@@ -251,6 +255,42 @@ def _refuse_non_vector(parts: Sequence) -> None:
     for k, part in enumerate(parts):
         if np.ndim(part) != 1:
             raise ValueError(f"constraint {k}: triple arrays must be one-dimensional")
+
+
+def _numeric(entries) -> np.ndarray:
+    """``entries`` as an array of their common numeric type, or of objects,
+    which keep each entry's own type, where that type is not numeric."""
+    a = np.asarray(entries)
+    return a if a.dtype.kind in "biuf" else np.asarray(entries, dtype=object)
+
+
+def _integers(a: np.ndarray):
+    """Which entries of an array from ``_numeric`` are integers: all of an
+    integer array, the finite whole numbers of a float one (a
+    concatenation makes floats of the integers next to an empty list),
+    and the integers and whole reals among objects."""
+    if a.dtype.kind in "biu":
+        return True
+    if a.dtype.kind == "f":
+        return np.isfinite(a) & (np.trunc(a) == a)
+    return np.fromiter((isinstance(x, numbers.Integral) or isinstance(x, numbers.Real)
+                        and float(x).is_integer() for x in a), bool, a.size)
+
+
+def _reals(a: np.ndarray):
+    """Which entries of an array from ``_numeric`` are real numbers."""
+    if a.dtype.kind != "O":
+        return True
+    return np.fromiter((isinstance(x, numbers.Real) for x in a), bool, a.size)
+
+
+def _as_indices(a: np.ndarray) -> np.ndarray:
+    """Integer entries as int64. Outside the integer types they are
+    clipped to [-1, 2**62] first, so no cast overflows and an index out
+    of range stays out of range."""
+    if a.dtype.kind in "biu":
+        return a.astype(np.int64, copy=False)
+    return np.clip(a.astype(float), -1.0, 2.0 ** 62).astype(np.int64)
 
 
 class SparseSymList:
@@ -295,8 +335,7 @@ class SparseSymList:
         except ValueError:
             k = next(k for k, t in enumerate(triples) if len(t) != 3)
             raise ValueError(f"constraint {k}: expected a triple (i, j, values)") from None
-        i, j = _concatenated(ip, np.int64), _concatenated(jp, np.int64)
-        raw = _concatenated(vp, float)
+        i, j, raw = _concatenated(ip), _concatenated(jp), _concatenated(vp)
         li, lj, lv = np.fromiter(map(len, itertools.chain(ip, jp, vp)), np.intp,
                                  3 * len(ip)).reshape(3, -1)
         uneven = np.flatnonzero((li != lj) | (li != lv))
@@ -315,8 +354,7 @@ class SparseSymList:
                                                 or counts.min() < 0):
             raise ValueError("from_entries: counts must be a vector of nonnegative integers")
         counts = counts.astype(np.intp, copy=False)
-        i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
-        raw = np.asarray(values, dtype=float)
+        i, j, raw = _numeric(i), _numeric(j), _numeric(values)
         if not i.shape == j.shape == raw.shape == (counts.sum(),):
             raise ValueError("from_entries: i, j and values must be vectors of "
                              "sum(counts) entries")
@@ -328,16 +366,20 @@ class SparseSymList:
                      j: np.ndarray, raw: np.ndarray) -> None:
         """The validating core of both constructors: m rows, of which the
         first ``counts.size`` hold ``counts`` entries each, given row after
-        row by the int64 vectors ``i`` and ``j`` and the float vector
-        ``raw`` of values (not svec-scaled). Checks the entries, sorts them
-        into CSR order and numbers the svec coordinates they touch.
+        row by the vectors ``i`` and ``j`` and the vector ``raw`` of values
+        (not svec-scaled), each of a numeric type or of objects. Checks the
+        entries, sorts them into CSR order and numbers the svec coordinates
+        they touch.
 
-        The first row with a defect is reported, and of its defects the
-        first in the order: an index out of range, i > j, a repeated
-        (i, j). Rows from ``counts.size`` on are those whose triple arrays
-        disagree in length (the per-row constructor's check), reported
-        when no earlier row has a defect; a non-finite value, or one whose
-        coefficient (twice it off the diagonal) overflows, comes last.
+        An index that is not an integer, and then a value that is not a
+        real number, is reported first, at the first row that holds one.
+        Otherwise the first row with a defect is reported, and of its
+        defects the first in the order: an index out of range, i > j, a
+        repeated (i, j). Rows from ``counts.size`` on are those whose
+        triple arrays disagree in length (the per-row constructor's check),
+        reported when no earlier row has a defect; a non-finite value, or
+        one whose coefficient (twice it off the diagonal) overflows, comes
+        last.
         """
         if n < 1:
             raise ValueError("matrix order must be >= 1")
@@ -345,6 +387,11 @@ class SparseSymList:
             raise ValueError("constraint list must be nonempty")
         self.n, self.m = int(n), int(m)
         row = np.repeat(np.arange(counts.size), counts)
+        for ok, what in ((_integers(i) & _integers(j), "indices must be integers"),
+                         (_reals(raw), "values must be real numbers")):
+            if ok is not True and not ok.all():
+                raise ValueError(f"constraint {row[np.argmin(ok)]}: {what}")
+        i, j, raw = _as_indices(i), _as_indices(j), raw.astype(float, copy=False)
         out_of_range, below = (i < 0) | (j >= n), i > j
         outside = out_of_range | below
         refused = outside.any()

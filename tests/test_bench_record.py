@@ -36,24 +36,35 @@ def test_parse_output_names_a_missing_workload():
         bench_record.parse_output(section("a", 1.5) + cut, ["a", "b", "c"])
 
 
-def test_export_is_deleted_when_sigterm_stops_its_user():
-    # a child enters the helper on HEAD, prints the export's path and
-    # waits; SIGTERM ends it with the export deleted
+def test_export_is_deleted_when_sigterm_stops_its_user(tmp_path):
+    # a child enters the helper on HEAD of a repository of one commit,
+    # prints the export's path and waits; SIGTERM ends it with the export
+    # deleted
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    (repo / "marker.txt").write_text("exported\n")
+    for args in (["init", "-q"], ["add", "marker.txt"],
+                 ["-c", "user.name=test", "-c", "user.email=test@example.invalid",
+                  "-c", "commit.gpgsign=false", "commit", "-q", "-m", "one"]):
+        subprocess.run(["git", "-C", str(repo), *args], check=True)
     child = subprocess.Popen(
         [sys.executable, "-c",
          "import sys, time\n"
          f"sys.path.insert(0, {str(SCRIPT.parent)!r})\n"
-         "from bench_record import exported\n"
-         "with exported('HEAD') as tmp:\n"
+         "from pathlib import Path\n"
+         "import bench_record\n"
+         f"bench_record.ROOT = Path({str(repo)!r})\n"
+         "with bench_record.exported('HEAD') as tmp:\n"
          "    print(tmp, flush=True)\n"
          "    time.sleep(60)\n"],
         stdout=subprocess.PIPE, text=True)
     try:
         path = Path(child.stdout.readline().strip())
-        assert path.is_absolute() and (path / "tools" / "bench_record.py").is_file()
+        assert path.is_absolute() and (path / "marker.txt").read_text() == "exported\n"
         child.send_signal(signal.SIGTERM)
         assert child.wait(timeout=30) == 128 + signal.SIGTERM
     finally:
         child.kill()
+        child.wait()
         child.stdout.close()
     assert not path.exists()

@@ -486,30 +486,33 @@ class TestSweepSums:
 
         def recorded_sweep(it, ops):
             args.clear()
-            out = original_sweep(it, ops)
-            sweeps.append((it, dict(args), out))
-            return out
+            new, f_pred = original_sweep(it, ops)
+            # a copy: the steps set fields of the iterate the sweep returns
+            sweeps.append((it, dict(args), dataclasses.replace(new), f_pred))
+            return new, f_pred
 
         monkeypatch.setattr(dnnsdp, "_sweep", recorded_sweep)
         it = random_state(prob, 4)
         for _ in range(15):
             it = self.STEPS[step](it, ops)
         assert len(sweeps) == 15
-        for k, (before, calls, out) in enumerate(sweeps):
-            yI, Z, yE, S, f_pred, f_full, adj_yI, adj_yE, _ = out
-            new = {"yI": yI, "Z": Z, "yE": yE, "S": S}
-            inputs, ref_pred, ref_full = reference_sweep_sums(before, prob, new)
+        for k, (before, calls, new, f_pred) in enumerate(sweeps):
+            blocks = {"yI": new.yI, "Z": new.Z, "yE": new.yE, "S": new.S}
+            inputs, ref_pred, ref_full = reference_sweep_sums(before, prob, blocks)
             assert list(calls) == [f"update_{name}" for name in inputs]
             for name, ref in inputs.items():
                 xs, r, new_block = calls[f"update_{name}"]
                 assert np.array_equal(xs, before.X / before.sigma), (k, name)
                 assert np.array_equal(r, ref), (k, name)
-                assert new_block is new[name]
+                assert new_block is blocks[name]
             assert np.array_equal(f_pred, ref_pred), k
-            assert np.array_equal(f_full, ref_full), k
-            assert np.array_equal(adj_yE, prob.A_E.adjoint(yE))
+            assert np.array_equal(new.f_full, ref_full), k
+            # before its multiplier step, the iterate is centred at its blocks
+            assert new.X is before.X and new.t_Z is new.Z and new.t_yE is new.yE
+            assert (new.tau, new.sigma, new.k) == (before.tau, before.sigma, before.k + 1)
+            assert np.array_equal(new.adj_t_yE, prob.A_E.adjoint(new.yE))
             if prob.four_block:
-                assert np.array_equal(adj_yI, prob.A_I.adjoint(yI))
+                assert np.array_equal(new.adj_yI, prob.A_I.adjoint(new.yI))
 
 
 FAMILY_SPECS = ["biq:8:1", "ebiq:6:1", "theta:10:1", "rcp:12:1", "fap:8:1", "qap:3:1"]
@@ -589,10 +592,10 @@ class TestSolveOperands:
             it = cadmm_step(it, ops)
         assert ops.sigma == 1.0
         moved = dataclasses.replace(it, sigma=1.5)
-        got = dnnsdp._sweep(moved, ops)
+        new, _ = dnnsdp._sweep(moved, ops)
         assert ops.sigma == 1.5
         assert np.array_equal(ops.M_s, prob.M / 1.5)
-        yI, Z, yE, S = got[:4]
+        yI, Z, yE, S = new.yI, new.Z, new.yE, new.S
         xs = moved.X / 1.5
         fresh.at(1.5)
         adj_t_yE = prob.A_E.adjoint(moved.t_yE)
@@ -607,7 +610,7 @@ class TestSolveOperands:
         assert np.array_equal(Z, update_Z(fresh, xs, r))
         P = P + Z
         assert np.array_equal(yE, update_yE(fresh, xs, P + moved.S - prob.C))
-        assert all(map(np.array_equal, (S, got[8]), update_S(
+        assert all(map(np.array_equal, (S, new.negatives), update_S(
             fresh, xs, P + prob.A_E.adjoint(yE) - prob.C, moved.negatives)))
 
     def test_bridge_prepares_its_operands_once(self, monkeypatch):

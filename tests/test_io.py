@@ -1,6 +1,8 @@
 # -*- coding: utf-8 -*-
 
+import functools
 import json
+import operator
 import re
 
 import numpy as np
@@ -105,6 +107,23 @@ class TestProblemRoundTrip:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=message):
             read_problem(path)
+
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("n",), 5.9, "^n: expected an integer, got 5.9$"),
+        (("n",), "5", "^n: expected an integer, got '5'$"),
+        (("pattern", "n"), 5.0, "^pattern: n: expected an integer, got 5.0$"),
+        (("pattern", "n"), "5", "^pattern: n: expected an integer, got '5'$"),
+        (("A_E", "mats", 0, 0, 0), 0.7, "^A_E: constraint 0: indices must be integers$"),
+    ])
+    def test_number_of_another_type_named_on_read(self, path, value, message, tmp_path):
+        doc = problem_to_json(build_biq(random_biq(4, 1)))
+        *parents, last = path
+        functools.reduce(operator.getitem, parents, doc)[last] = value
+        file = tmp_path / "bad.json"
+        file.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            read_problem(file)
 
 
 class TestResultDocuments:

@@ -442,6 +442,13 @@ def from_rows(n, rows):
     return SparseSymList.from_entries(n, [len(r[0]) for r in rows], i, j, v)
 
 
+def from_entry_lists(n, rows):
+    """The bulk entry point given each part of the triples as one list,
+    whose entries keep their own types."""
+    return SparseSymList.from_entries(n, [len(r[0]) for r in rows],
+                                      *([x for r in rows for x in r[t]] for t in range(3)))
+
+
 def from_iterator(n, rows):
     """The per-row constructor given the triples by an iterator, which it
     can read only once."""
@@ -463,6 +470,22 @@ class TestSparseSymList:
             for n, rows, message in cases:
                 with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                     build(n, rows)
+
+    @pytest.mark.parametrize("rows, message", [
+        ([([0.5], [1.9], [1.0])], "constraint 0: indices must be integers"),
+        ([([0], [0], [1.0]), (["0"], ["1"], [1.0])], "constraint 1: indices must be integers"),
+        ([([0], [0], [1.0]), ([0], [1], [1.0]), ([0, 1], [2, np.inf], [1.0, 1.0])],
+         "constraint 2: indices must be integers"),
+        ([([0], [0], [1.0]), ([0], [1], [1 + 2j])], "constraint 1: values must be real numbers"),
+        ([([0], [0], ["1.0"])], "constraint 0: values must be real numbers"),
+        # reported before another row's defect, and an index before a value
+        ([([0], [3], [1.0]), ([0], [1], [1j]), ([0], [0.5], [1.0])],
+         "constraint 2: indices must be integers"),
+    ])
+    def test_entries_of_another_type_name_the_constraint(self, rows, message):
+        for build in (SparseSymList, from_iterator, from_entry_lists):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build(3, rows)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_value_names_the_constraint(self, bad):
